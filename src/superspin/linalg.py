@@ -7,16 +7,14 @@ smallest column first, eigenvalues are reported in ascending field order.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from math import gcd, isqrt
+from typing import Iterable, Sequence
 
 from .exactnum import ONE, ZERO, SqrtNumber, rational, sqrt_rational
 
 Vec = dict  # index -> SqrtNumber
-
-
-def vec_is_zero(v: Vec) -> bool:
-    return not v
 
 
 def vec_scale(v: Vec, c: SqrtNumber) -> Vec:
@@ -25,18 +23,22 @@ def vec_scale(v: Vec, c: SqrtNumber) -> Vec:
     return {i: c * x for i, x in v.items()}
 
 
-def vec_add_scaled(u: Vec, v: Vec, c: SqrtNumber) -> Vec:
-    """u + c*v, pruning exact zeros."""
-    if not c:
-        return dict(u)
-    out = dict(u)
+def _iadd_scaled(u: Vec, v: Vec, c: SqrtNumber) -> None:
+    """u += c*v in place, pruning exact zeros."""
     for i, x in v.items():
-        s = out.get(i)
+        s = u.get(i)
         s = c * x if s is None else s + c * x
         if s:
-            out[i] = s
-        elif i in out:
-            del out[i]
+            u[i] = s
+        elif i in u:
+            del u[i]
+
+
+def vec_add_scaled(u: Vec, v: Vec, c: SqrtNumber) -> Vec:
+    """u + c*v, pruning exact zeros."""
+    out = dict(u)
+    if c:
+        _iadd_scaled(out, v, c)
     return out
 
 
@@ -172,9 +174,6 @@ class Mat:
                     del out[r]
         return out
 
-    def transpose(self) -> Mat:
-        return Mat(self.ncols, self.nrows, {r: dict(c) for r, c in self.cols().items()})
-
     def max_abs_float(self) -> float:
         worst = 0.0
         for row in self.rows.values():
@@ -192,6 +191,8 @@ class Mat:
     def from_json(cls, dense: list) -> Mat:
         nrows = len(dense)
         ncols = len(dense[0]) if dense else 0
+        if any(len(rowvals) != ncols for rowvals in dense):
+            raise ValueError("matrix rows differ in length")
         rows: dict[int, Vec] = {}
         for r, rowvals in enumerate(dense):
             for c, obj in enumerate(rowvals):
@@ -205,88 +206,111 @@ class Mat:
 
 
 class Echelon:
-    """Incremental reduced row echelon, tracking combinations of the inputs."""
+    """Incremental row echelon form, reduced only on demand.
 
-    def __init__(self):
-        self.pivots: dict[int, tuple[Vec, Vec]] = {}  # pivot col -> (row, combo)
-        self.count = 0  # inputs seen
+    Invariant: `rows` maps each pivot column p to a stored row that is 1 at p,
+    zero at every column before p and zero at every pivot column that existed
+    when it was stored.  A row may still be nonzero at a pivot column added
+    after it, so `reduce` clears pivot columns in increasing order; `rref`
+    makes the rows fully reduced with one back-substitution.
+
+    With track=True each row also carries its combination of the accepted
+    inputs, numbered 0, 1, ... in the order they were accepted.  Only
+    `Subspace` (coordinates) and `min_poly` (the dependency of the last power)
+    read combinations; every other caller leaves tracking off.
+    """
+
+    def __init__(self, track: bool = False):
+        self.rows: dict[int, Vec] = {}
+        self.combos: dict[int, Vec] | None = {} if track else None
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
-    def reduce(self, vec: Vec) -> tuple[Vec, Vec]:
-        """Return (remainder, combo) with vec = remainder + sum combo[i]*input_i."""
+    def reduce(self, vec: Vec) -> tuple[Vec, Vec | None]:
+        """(remainder, combo) with vec = remainder + sum combo[i]*input_i.
+
+        The remainder is zero at every pivot column; combo is None untracked.
+        """
+        rows, combos = self.rows, self.combos
         rem = {i: v for i, v in vec.items() if v}
-        combo: Vec = {}
-        # rows are fully reduced, so one sorted pass clears every pivot column
-        for p in sorted(set(rem) & set(self.pivots)):
-            c = rem.get(p)
-            if not c:
+        combo: Vec | None = None if combos is None else {}
+        heap = [p for p in rem if p in rows]
+        heapq.heapify(heap)
+        while heap:
+            p = heapq.heappop(heap)
+            c = rem.pop(p, None)
+            if c is None:  # queued twice, or cancelled to zero
                 continue
-            row, rcombo = self.pivots[p]
-            rem = vec_add_scaled(rem, row, -c)
-            combo = vec_add_scaled(combo, rcombo, c)
+            nc = -c
+            for i, x in rows[p].items():
+                if i == p:
+                    continue
+                s = rem.get(i)
+                if s is None:
+                    rem[i] = nc * x
+                    if i in rows:
+                        heapq.heappush(heap, i)
+                else:
+                    s = s + nc * x
+                    if s:
+                        rem[i] = s
+                    else:
+                        del rem[i]
+            if combo is not None:
+                _iadd_scaled(combo, combos[p], c)
         return rem, combo
 
     def add(self, vec: Vec) -> bool:
         """Insert a vector; True if it added a new direction."""
-        idx = self.count
-        self.count += 1
         rem, combo = self.reduce(vec)
-        combo = vec_add_scaled({idx: ONE}, combo, -ONE) if combo else {idx: ONE}
         if not rem:
             return False
         p = min(rem)
         inv = rem[p].invert()
-        rem = vec_scale(rem, inv)
-        combo = vec_scale(combo, inv)
-        # keep fully reduced form
-        for q, (row, rcombo) in list(self.pivots.items()):
-            c = row.get(p)
-            if c:
-                self.pivots[q] = (
-                    vec_add_scaled(row, rem, -c),
-                    vec_add_scaled(rcombo, combo, -c),
-                )
-        self.pivots[p] = (rem, combo)
+        self.rows[p] = vec_scale(rem, inv)
+        if combo is not None:
+            own = vec_add_scaled({len(self.combos): ONE}, combo, -ONE)
+            self.combos[p] = vec_scale(own, inv)
         return True
 
     def contains(self, vec: Vec) -> bool:
         rem, _ = self.reduce(vec)
         return not rem
 
-    def basis(self) -> list[Vec]:
-        return [self.pivots[p][0] for p in sorted(self.pivots)]
+    def rref(self) -> dict[int, Vec]:
+        """Back-substitute once, last pivot first; return the reduced rows."""
+        rows, combos = self.rows, self.combos
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            # every later row is already reduced, so clearing one pivot column
+            # leaves the others untouched
+            for q in [q for q in row if q != p and q in rows]:
+                c = row[q]
+                _iadd_scaled(row, rows[q], -c)
+                if combos is not None:
+                    _iadd_scaled(combos[p], combos[q], -c)
+        return rows
 
 
 def kernel(constraints: Iterable[Vec], ncols: int) -> list[Vec]:
-    """Kernel basis of the linear map given by constraint rows over ncols unknowns."""
+    """Kernel basis of the linear map given by constraint rows over ncols unknowns.
+
+    One vector per free column f, in increasing f: 1 at f and, at each pivot
+    column, minus the reduced row's entry at f.
+    """
     ech = Echelon()
     for row in constraints:
         if row:
             ech.add(row)
-    pivot_cols = sorted(ech.pivots)
-    pivot_set = set(pivot_cols)
-    out: list[Vec] = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v: Vec = {f: ONE}
-        for p in pivot_cols:
-            row, _ = ech.pivots[p]
-            c = row.get(f)
-            if c:
-                v[p] = -c
-        out.append(v)
-    return out
-
-
-def span_basis(vectors: Iterable[Vec]) -> list[Vec]:
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.basis()
+    rows = ech.rref()
+    free: dict[int, Vec] = {}
+    for p in sorted(rows):
+        for f, c in rows[p].items():
+            if f != p:
+                free.setdefault(f, {f: ONE})[p] = -c
+    return [free.get(f, {f: ONE}) for f in range(ncols) if f not in rows]
 
 
 class Subspace:
@@ -295,7 +319,7 @@ class Subspace:
     def __init__(self, dim_ambient: int, basis: Sequence[Vec]):
         self.dim_ambient = dim_ambient
         self.basis: list[Vec] = []
-        self._ech = Echelon()
+        self._ech = Echelon(track=True)
         for v in basis:
             if self._ech.add(v):
                 self.basis.append(v)
@@ -342,23 +366,15 @@ class Subspace:
 
 def min_poly(m: Mat) -> list[SqrtNumber]:
     """Monic minimal polynomial coefficients, low degree first."""
-    ech = Echelon()
+    ech = Echelon(track=True)
     power = Mat.identity(m.nrows)
-    powers = []
     while True:
-        vec: Vec = {}
-        for r, row in power.rows.items():
-            for c, v in row.items():
-                vec[r * m.ncols + c] = v
+        vec = {
+            r * m.ncols + c: v for r, row in power.rows.items() for c, v in row.items()
+        }
         if not ech.add(vec):
             _, combo = ech.reduce(vec)
-            deg = len(powers)
-            coeffs = [ZERO] * (deg + 1)
-            coeffs[deg] = ONE
-            for i, c in combo.items():
-                coeffs[i] = coeffs[i] - c
-            return coeffs
-        powers.append(power)
+            return [-combo.get(i, ZERO) for i in range(ech.rank)] + [ONE]
         power = power * m
 
 
@@ -366,9 +382,10 @@ def _rational_roots(int_coeffs: list[int]) -> list[Fraction]:
     """All rational roots of an integer-coefficient polynomial."""
 
     def divisors(n: int) -> list[int]:
+        """Positive divisors, increasing, from the pairs (d, n // d) with d*d <= n."""
         n = abs(n)
-        out = [d for d in range(1, n + 1) if n % d == 0]
-        return out
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in reversed(small) if d * d != n]
 
     while int_coeffs and int_coeffs[-1] == 0:
         int_coeffs = int_coeffs[:-1]
@@ -397,15 +414,35 @@ def _rational_roots(int_coeffs: list[int]) -> list[Fraction]:
     return roots
 
 
-def _deflate(coeffs: list[SqrtNumber], root: SqrtNumber) -> list[SqrtNumber]:
-    """Divide a monic polynomial by (x - root)."""
+def _deflate(coeffs: list[SqrtNumber], root: SqrtNumber) -> tuple[list, SqrtNumber]:
+    """(quotient, remainder) of a monic polynomial divided by (x - root)."""
     deg = len(coeffs) - 1
     out = [ZERO] * deg
     acc = coeffs[deg]
     for i in range(deg - 1, -1, -1):
         out[i] = acc
         acc = coeffs[i] + acc * root
-    return out
+    return out, acc
+
+
+def _divide_rational_roots(work: list[SqrtNumber]) -> tuple[list, list[SqrtNumber]]:
+    """(rational roots, once per multiplicity, and the cofactor left over)."""
+    roots: list[SqrtNumber] = []
+    if not all(c.is_rational() for c in work):
+        return roots, work
+    denom = 1
+    for c in work:
+        d = c.rational_value().denominator
+        denom = denom * d // gcd(denom, d)
+    for r in _rational_roots([int(c.rational_value() * denom) for c in work]):
+        rr = rational(r)
+        while len(work) > 1:
+            quotient, remainder = _deflate(work, rr)
+            if remainder:
+                break
+            roots.append(rr)
+            work = quotient
+    return roots, work
 
 
 def poly_roots(coeffs: list[SqrtNumber]) -> tuple[list[SqrtNumber], bool]:
@@ -418,38 +455,14 @@ def poly_roots(coeffs: list[SqrtNumber]) -> tuple[list[SqrtNumber], bool]:
     roots: list[SqrtNumber] = []
     changed = True
     while len(work) > 1 and changed:
-        changed = False
-        if all(c.is_rational() for c in work):
-            denom = 1
-            for c in work:
-                denom = denom * c.rational_value().denominator // _gcd_int(
-                    denom, c.rational_value().denominator
-                )
-            ints = [int(c.rational_value() * denom) for c in work]
-            for r in _rational_roots(ints):
-                rr = rational(r)
-                # deflate once per multiplicity
-                while len(work) > 1:
-                    acc = work[-1]
-                    for i in range(len(work) - 2, -1, -1):
-                        acc = work[i] + acc * rr
-                    if acc:
-                        break
-                    roots.append(rr)
-                    work = _deflate(work, rr)
-                    changed = True
-        if len(work) == 3:
-            # monic quadratic x^2 + b x + c over the field
-            b, c = work[1], work[0]
-            disc = b * b - rational(4) * c
-            root_disc = _field_sqrt(disc)
-            if root_disc is not None:
-                half = rational(Fraction(1, 2))
-                r1 = (-b - root_disc) * half
-                r2 = (-b + root_disc) * half
-                roots.extend([r1, r2])
-                work = [ONE]
-                changed = True
+        found, work = _divide_rational_roots(work)
+        roots.extend(found)
+        changed = bool(found)
+        pair = _quadratic_roots(work[1], work[0]) if len(work) == 3 else None
+        if pair is not None:
+            roots.extend(pair)
+            work = [ONE]
+            changed = True
         if len(work) == 2:
             roots.append(-work[0])
             work = [ONE]
@@ -458,10 +471,13 @@ def poly_roots(coeffs: list[SqrtNumber]) -> tuple[list[SqrtNumber], bool]:
     return roots, len(work) == 1
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _quadratic_roots(b: SqrtNumber, c: SqrtNumber) -> tuple | None:
+    """The two roots of x^2 + b x + c if they lie in the field, else None."""
+    root_disc = _field_sqrt(b * b - rational(4) * c)
+    if root_disc is None:
+        return None
+    half = rational(Fraction(1, 2))
+    return (-b - root_disc) * half, (-b + root_disc) * half
 
 
 def _field_sqrt(u: SqrtNumber) -> SqrtNumber | None:
@@ -506,39 +522,17 @@ def poly_partial_factors(coeffs: list[SqrtNumber]) -> list[list[SqrtNumber]]:
     field allows; whatever resists stays as a single factor.
     """
     factors: list[list[SqrtNumber]] = []
-    work = list(coeffs)
-    roots: dict[SqrtNumber, int] = {}
-    if all(c.is_rational() for c in work):
-        denom = 1
-        for c in work:
-            d = c.rational_value().denominator
-            denom = denom * d // _gcd_int(denom, d)
-        ints = [int(c.rational_value() * denom) for c in work]
-        for r in _rational_roots(ints):
-            rr = rational(r)
-            while len(work) > 1:
-                acc = work[-1]
-                for i in range(len(work) - 2, -1, -1):
-                    acc = work[i] + acc * rr
-                if acc:
-                    break
-                roots[rr] = roots.get(rr, 0) + 1
-                work = _deflate(work, rr)
+    found, work = _divide_rational_roots(list(coeffs))
+    roots = {rr: found.count(rr) for rr in found}
     for rr, mult in sorted(roots.items()):
         factor = [ONE]
         for _ in range(mult):
             factor = _poly_mul(factor, [-rr, ONE])
         factors.append(factor)
-    if len(work) == 3:
-        b, c = work[1], work[0]
-        disc = b * b - rational(4) * c
-        root_disc = _field_sqrt(disc)
-        if root_disc is not None and root_disc:
-            half = rational(Fraction(1, 2))
-            r1 = (-b - root_disc) * half
-            r2 = (-b + root_disc) * half
-            factors.extend([[-r1, ONE], [-r2, ONE]])
-            work = [ONE]
+    pair = _quadratic_roots(work[1], work[0]) if len(work) == 3 else None
+    if pair is not None and pair[0] != pair[1]:
+        factors.extend([[-r, ONE] for r in pair])
+        work = [ONE]
     if (
         len(work) == 5
         and all(cf.is_rational() for cf in work)
@@ -546,14 +540,9 @@ def poly_partial_factors(coeffs: list[SqrtNumber]) -> list[list[SqrtNumber]]:
         and work[3].is_zero()
     ):
         # biquadratic x^4 + p x^2 + q: factor through y = x^2
-        p, q = work[2], work[0]
-        disc = p * p - rational(4) * q
-        root_disc = _field_sqrt(disc)
-        if root_disc is not None and root_disc:
-            half = rational(Fraction(1, 2))
-            y1 = (-p - root_disc) * half
-            y2 = (-p + root_disc) * half
-            factors.extend([[-y1, ZERO, ONE], [-y2, ZERO, ONE]])
+        pair = _quadratic_roots(work[2], work[0])
+        if pair is not None and pair[0] != pair[1]:
+            factors.extend([[-y, ZERO, ONE] for y in pair])
             work = [ONE]
     if len(work) > 1:
         factors.append(work)

@@ -202,7 +202,7 @@ class GradedRep:
                 seen.add(rows)
                 tabs.append(ShiftedTableau(shape, rows))
         avecs = [spectrum_vector(t).a for t in tabs]
-        return cls(
+        rep = cls(
             algebra=obj["algebra"],
             n=obj["n"],
             shape=shape,
@@ -216,6 +216,15 @@ class GradedRep:
             },
             build_report=obj.get("build_report", {}),
         )
+        if len(rep.parity) != rep.dim or not set(rep.parity) <= {0, 1}:
+            raise ValueError(f"parity must have {rep.dim} entries, each 0 or 1")
+        missing = [g for g in rep.generator_names() if g not in rep.matrices]
+        if missing:
+            raise ValueError(f"missing generators: {', '.join(missing)}")
+        for name, m in rep.matrices.items():
+            if (m.nrows, m.ncols) != (rep.dim, rep.dim):
+                raise ValueError(f"generator {name} is not {rep.dim}x{rep.dim}")
+        return rep
 
 
 class RelationError(ValueError):

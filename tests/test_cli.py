@@ -85,6 +85,35 @@ def test_build_verify_roundtrip(tmp_path, capsys):
     assert rc == 1
 
 
+def _drop_generator(obj):
+    obj["generators"].pop()
+
+
+def _short_parity(obj):
+    obj["parity"].pop()
+
+
+def _ragged_row(obj):
+    obj["generators"][0]["matrix"][0].pop()
+
+
+def _matrix_not_a_list(obj):
+    obj["generators"][0]["matrix"] = 5
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_generator, _short_parity, _ragged_row, _matrix_not_a_list]
+)
+def test_verify_malformed_model(tmp_path, capsys, corrupt):
+    path = tmp_path / "rep.json"
+    assert cli.main(["build-rep", "2,1", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    corrupt(obj)
+    path.write_text(json.dumps(obj))
+    assert cli.main(["verify", str(path)]) == 2
+    assert "cannot load representation" in capsys.readouterr().err
+
+
 def test_verify_missing_file(capsys):
     rc = cli.main(["verify", "/definitely/not/there.json"])
     assert rc == 2

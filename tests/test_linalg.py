@@ -1,0 +1,311 @@
+"""linalg against independent references.
+
+sympy (rref, nullspace, linear solves) is the reference on rational data; a
+textbook incremental Gauss-Jordan with combination tracking, kept below, is
+the slow reference on data with radicals and on the commutant solves.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from superspin import seminormal
+from superspin.exactnum import ONE, ZERO, rational, sqrt_rational
+from superspin.linalg import (
+    Echelon,
+    Mat,
+    Subspace,
+    _rational_roots,
+    kernel,
+    min_poly,
+    poly_roots,
+)
+from superspin.shiftedcomb import strict_partitions
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+st = hypothesis.strategies
+given, settings = hypothesis.given, hypothesis.settings
+
+FAST = settings(max_examples=40, deadline=None)
+
+
+# -- slow reference: Gauss-Jordan kept fully reduced on every insert -------------
+
+
+class GaussJordan:
+    """Rows kept in reduced row echelon form after every insert, each with its
+    combination of the accepted inputs."""
+
+    def __init__(self):
+        self.pivots: dict[int, tuple[dict, dict]] = {}  # column -> (row, combo)
+
+    def reduce(self, vec):
+        rem, combo = {i: v for i, v in vec.items() if v}, {}
+        for p in sorted(self.pivots):
+            c = rem.get(p)
+            if c:
+                row, rcombo = self.pivots[p]
+                rem = _axpy(rem, row, -c)
+                combo = _axpy(combo, rcombo, c)
+        return rem, combo
+
+    def add(self, vec) -> bool:
+        rem, combo = self.reduce(vec)
+        if not rem:
+            return False
+        combo = _axpy({len(self.pivots): ONE}, combo, -ONE)
+        p = min(rem)
+        inv = rem[p].invert()
+        rem = {i: v * inv for i, v in rem.items()}
+        combo = {i: v * inv for i, v in combo.items()}
+        for q, (row, rcombo) in list(self.pivots.items()):
+            c = row.get(p)
+            if c:
+                self.pivots[q] = (_axpy(row, rem, -c), _axpy(rcombo, combo, -c))
+        self.pivots[p] = (rem, combo)
+        return True
+
+
+def _axpy(u, v, c):
+    out = dict(u)
+    for i, x in v.items():
+        s = out.get(i, ZERO) + c * x
+        if s:
+            out[i] = s
+        else:
+            out.pop(i, None)
+    return out
+
+
+def reference_kernel(constraints, ncols):
+    gj = GaussJordan()
+    for row in constraints:
+        gj.add(row)
+    out = []
+    for f in range(ncols):
+        if f not in gj.pivots:
+            v = {f: ONE}
+            for p in sorted(gj.pivots):
+                c = gj.pivots[p][0].get(f)
+                if c:
+                    v[p] = -c
+            out.append(v)
+    return out
+
+
+def reference_coords(basis, vec):
+    """Coordinates of vec in an independent basis, or None outside its span."""
+    gj = GaussJordan()
+    for b in basis:
+        assert gj.add(b)
+    rem, combo = gj.reduce(vec)
+    return None if rem else combo
+
+
+def reference_min_poly(m: Mat):
+    gj = GaussJordan()
+    power, deg = Mat.identity(m.nrows), 0
+    while True:
+        vec = {
+            r * m.ncols + c: v for r, row in power.rows.items() for c, v in row.items()
+        }
+        if not gj.add(vec):
+            _, combo = gj.reduce(vec)
+            return [-combo.get(i, ZERO) for i in range(deg)] + [ONE]
+        power, deg = power * m, deg + 1
+
+
+# -- conversions -----------------------------------------------------------------
+
+
+def to_vec(values) -> dict:
+    return {i: rational(v) for i, v in enumerate(values) if v}
+
+
+def to_dense(vec: dict, n: int) -> list:
+    return [vec.get(i, ZERO).rational_value() for i in range(n)]
+
+
+def sym(rows) -> "sympy.Matrix":
+    return sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]
+    )
+
+
+def from_sym(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+scalars = st.one_of(
+    st.just(0), st.just(0), st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)
+).map(Fraction)
+
+
+def matrices(max_rows=5, max_cols=6):
+    return st.integers(1, max_cols).flatmap(
+        lambda n: st.lists(
+            st.lists(scalars, min_size=n, max_size=n), min_size=1, max_size=max_rows
+        )
+    )
+
+
+# -- rational data against sympy -------------------------------------------------
+
+
+@FAST
+@given(matrices())
+def test_kernel_matches_sympy_nullspace(rows):
+    ncols = len(rows[0])
+    got = [to_dense(v, ncols) for v in kernel([to_vec(r) for r in rows], ncols)]
+    want = [[from_sym(x) for x in v] for v in sym(rows).nullspace()]
+    assert got == want
+    # the kernel is read off the reduced rows, which must equal sympy's rref
+    ech = Echelon()
+    for r in rows:
+        ech.add(to_vec(r))
+    reduced, pivots = sym(rows).rref()
+    assert sorted(ech.rref()) == list(pivots)
+    assert [to_dense(ech.rows[p], ncols) for p in pivots] == [
+        [from_sym(x) for x in reduced.row(i)] for i in range(len(pivots))
+    ]
+
+
+@FAST
+@given(matrices(), st.data())
+def test_rank_and_contains_match_sympy(rows, data):
+    ncols = len(rows[0])
+    ech = Echelon()
+    for r in rows:
+        ech.add(to_vec(r))
+    assert ech.rank == sym(rows).rank()
+    weights = data.draw(st.lists(scalars, min_size=len(rows), max_size=len(rows)))
+    inside = [
+        sum((w * r[j] for w, r in zip(weights, rows)), Fraction(0)) for j in range(ncols)
+    ]
+    assert ech.contains(to_vec(inside))
+    other = data.draw(st.lists(scalars, min_size=ncols, max_size=ncols))
+    assert ech.contains(to_vec(other)) == (sym(rows + [other]).rank() == ech.rank)
+
+
+@FAST
+@given(matrices(), st.data())
+def test_subspace_coords_match_sympy(rows, data):
+    ncols = len(rows[0])
+    sub = Subspace(ncols, [to_vec(r) for r in rows])  # dependent inputs are dropped
+    assert sub.dim == sym(rows).rank()
+    basis = sym([to_dense(b, ncols) for b in sub.basis]) if sub.dim else None
+    weights = data.draw(st.lists(scalars, min_size=sub.dim, max_size=sub.dim))
+    inside = {}
+    for w, b in zip(weights, sub.basis):
+        for j, x in b.items():
+            inside[j] = inside.get(j, ZERO) + rational(w) * x
+    inside = {j: v for j, v in inside.items() if v}
+    assert to_dense(sub.coords_of(inside), sub.dim) == weights
+    other = data.draw(st.lists(scalars, min_size=ncols, max_size=ncols))
+    coords = sub.coords_of(to_vec(other))
+    if basis is None:
+        assert (coords is None) == any(other)
+        return
+    try:
+        sol, params = basis.T.gauss_jordan_solve(sym([other]).T)
+    except ValueError:  # inconsistent: outside the span
+        assert coords is None
+        return
+    assert params.shape[0] == 0
+    assert to_dense(coords, sub.dim) == [from_sym(x) for x in sol]
+
+
+def square(entries, max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+def to_mat(rows) -> Mat:
+    n = len(rows)
+    return Mat.from_entries(
+        n, n, {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v}
+    )
+
+
+@FAST
+@given(square(st.integers(-2, 2).map(Fraction), 4))
+def test_min_poly_matches_sympy(rows):
+    n = len(rows)
+    m = to_mat([[rational(v) for v in row] for row in rows])
+    got = [c.rational_value() for c in min_poly(m)]
+    # sympy: the first power that is a combination of the lower ones
+    vecs = [sympy.eye(n).reshape(n * n, 1)]
+    while True:
+        nxt = (sym(rows) ** len(vecs)).reshape(n * n, 1)
+        try:
+            sol, _ = sympy.Matrix.hstack(*vecs).gauss_jordan_solve(nxt)
+            break
+        except ValueError:
+            vecs.append(nxt)
+    assert got == [-from_sym(x) for x in sol] + [Fraction(1)]
+
+
+# -- radicals and the commutant solves against the slow reference ----------------
+
+RADICALS = [
+    ZERO, ZERO, ONE, -ONE, sqrt_rational(2), sqrt_rational(3),
+    ONE + sqrt_rational(2), rational(Fraction(1, 2)) - sqrt_rational(6),
+]
+
+
+@FAST
+@given(square(st.sampled_from(RADICALS), 5), st.integers(1, 5))
+def test_radical_systems_match_gauss_jordan(rows, nrows):
+    ncols = len(rows[0])
+    vecs = [{i: v for i, v in enumerate(r) if v} for r in rows[:nrows]]
+    assert kernel(vecs, ncols) == reference_kernel(vecs, ncols)
+    sub = Subspace(ncols, vecs)
+    probes = vecs + [{i: ONE for i in range(ncols)}]
+    want = [reference_coords(sub.basis, v) for v in probes]
+    assert [sub.coords_of(v) for v in probes] == want
+    sub._ech.rref()  # back-substitution must carry the combinations along
+    assert [sub.coords_of(v) for v in probes] == want
+    m = to_mat(rows)
+    assert min_poly(m) == reference_min_poly(m)
+
+
+def _small_models():
+    for n in range(1, 5):
+        for shape in strict_partitions(n):
+            yield seminormal.build_rep_plain(shape)
+    for n in range(1, 4):
+        for shape in strict_partitions(n):
+            yield seminormal.build_rep_clifford_tensor(shape)
+
+
+def test_module_commutant_matches_gauss_jordan(monkeypatch):
+    mods = [seminormal.rep_module(rep) for rep in _small_models()]
+    entries = [
+        v for mod in mods for g in mod.gens.values() for row in g.rows.values()
+        for v in row.values()
+    ]
+    assert not all(v.is_rational() for v in entries), "no model carries a radical"
+    cases = [(mod, x, s) for mod in mods for x in (0, 1) for s in (False, True)]
+    fast = [seminormal.module_commutant(*case) for case in cases]
+    monkeypatch.setattr(seminormal, "kernel", reference_kernel)
+    assert fast == [seminormal.module_commutant(*case) for case in cases]
+
+
+# -- polynomial roots ------------------------------------------------------------
+
+
+def test_rational_roots_of_large_prime_constant():
+    assert _rational_roots([-1000000007, 1]) == [Fraction(1000000007)]
+    roots, complete = poly_roots([rational(-1000000007), ONE])
+    assert complete and roots == [rational(1000000007)]
+
+
+def test_rational_roots_order():
+    # (x - 1)(x + 1)(2x - 3)(x - 6) = 2x^4 - 15x^3 + 16x^2 + 15x - 18
+    assert _rational_roots([-18, 15, 16, -15, 2]) == [
+        Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(6)
+    ]
