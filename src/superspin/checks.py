@@ -77,7 +77,7 @@ def check_oracle_equivalence(max_n: int) -> dict:
             details.append(f"n={n}: partitions {shapes} != {want}")
         for b in report.blocks:
             shape = StrictPartition(tuple(b.partition))
-            cls = seminormal.classify_module_rep(
+            cls = seminormal.classify_module(
                 seminormal.reference_irreducible(shape)
             )
             if cls["kind"] != b.btype or cls["params"] != b.params:

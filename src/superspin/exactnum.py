@@ -323,18 +323,6 @@ def sqrt_rational(q) -> SqrtNumber:
     return SqrtNumber({f: Fraction(s, q.denominator)})
 
 
-def multiply(x: SqrtNumber, y: SqrtNumber) -> SqrtNumber:
-    return x * y
-
-
-def invert(x: SqrtNumber) -> SqrtNumber:
-    return x.invert()
-
-
-def sign(x: SqrtNumber) -> int:
-    return x.sign()
-
-
 ZERO = SqrtNumber()
 ONE = SqrtNumber({1: Fraction(1)})
 MINUS_ONE = SqrtNumber({1: Fraction(-1)})

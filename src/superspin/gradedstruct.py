@@ -1,35 +1,34 @@
-"""Concrete Z2-graded matrix algebras: classification and block decomposition.
+"""Graded modules: the one module type, its commutant solver and classifier.
 
 A GradedMatrixAlgebra is a parity vector on the underlying space together
-with parity-homogeneous generator matrices.  The two simple shapes are the
-full graded matrix algebra on a (n, m)-space and the Q-type algebra of
-[[A, B], [B, A]] matrices; every semisimple algebra splits into such blocks,
-and the split is computed here by exact eigenspace refinement of central
-elements, with block projectors assembled as Lagrange polynomials.
+with parity-homogeneous named generator matrices.  It is the only graded-module
+type in the package: read as a concrete algebra it is the span of its
+generators, read as a module it is their action, and `restrict` passes to an
+invariant graded subspace.  `module_commutant` is the one solver for the
+(super)commutant X G = s G X, and `classify_module` types a module as M or Q
+from the dimensions of its supercommutant.
+
+The two simple shapes are the full graded matrix algebra on a (n, m)-space and
+the Q-type algebra of [[A, B], [B, A]] matrices; every semisimple algebra
+splits into such blocks, and the split is computed here by exact eigenspace
+refinement of central elements (`linalg.eigensplit`), with block projectors
+assembled as Lagrange polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .exactnum import ONE, ZERO, SqrtNumber, rational
-from .linalg import (
-    Echelon,
-    Mat,
-    Subspace,
-    Vec,
-    kernel,
-    min_poly,
-    poly_roots,
-    vec_add_scaled,
-)
+from .exactnum import ONE, ZERO
+from .linalg import Echelon, Mat, Subspace, Vec, eigensplit, kernel, vecize
 
 
 @dataclass
 class GradedMatrixAlgebra:
+    """A graded module: a parity vector and named parity-homogeneous generators."""
+
     dim: int
     parity: tuple[int, ...]
     generators: list[tuple[str, Mat]]
@@ -45,9 +44,23 @@ class GradedMatrixAlgebra:
     def generator_mats(self) -> list[Mat]:
         return [g for _, g in self.generators]
 
+    def generator(self, name: str) -> Mat:
+        for gname, g in self.generators:
+            if gname == name:
+                return g
+        raise KeyError(name)
+
     def graded_dims(self) -> tuple[int, int]:
         even = sum(1 for p in self.parity if p == 0)
         return even, self.dim - even
+
+    def restrict(self, sub: Subspace) -> GradedMatrixAlgebra:
+        """The submodule on an invariant graded subspace, in the subspace's basis."""
+        return GradedMatrixAlgebra(
+            sub.dim,
+            subspace_parity(sub, self.parity),
+            [(name, sub.restrict(g)) for name, g in self.generators],
+        )
 
     def to_json(self) -> dict:
         return {
@@ -68,6 +81,17 @@ class GradedMatrixAlgebra:
         )
 
 
+def subspace_parity(sub: Subspace, parity: Sequence[int]) -> tuple[int, ...]:
+    """Parity of each basis vector of a graded subspace."""
+    out = []
+    for b in sub.basis:
+        ps = {parity[i] for i in b}
+        if len(ps) != 1:
+            raise ValueError("subspace is not graded")
+        out.append(ps.pop())
+    return tuple(out)
+
+
 def matrix_parity(m: Mat, parity: Sequence[int]) -> int | None:
     """0/1 for homogeneous nonzero matrices, 0 for zero, None for mixed."""
     seen: set[int] = set()
@@ -79,13 +103,19 @@ def matrix_parity(m: Mat, parity: Sequence[int]) -> int | None:
     return seen.pop() if len(seen) == 1 else None
 
 
-def theta(m: Mat, parity: Sequence[int]) -> Mat:
-    """Parity automorphism: negate the odd component."""
-    rows: dict[int, Vec] = {}
+def parity_parts(m: Mat, parity: Sequence[int]) -> tuple[Mat, Mat]:
+    """(even, odd) components of a matrix."""
+    parts: tuple[dict[int, Vec], dict[int, Vec]] = ({}, {})
     for r, row in m.rows.items():
         for c, v in row.items():
-            rows.setdefault(r, {})[c] = v if (parity[r] + parity[c]) % 2 == 0 else -v
-    return Mat(m.nrows, m.ncols, rows)
+            parts[(parity[r] + parity[c]) % 2].setdefault(r, {})[c] = v
+    return Mat(m.nrows, m.ncols, parts[0]), Mat(m.nrows, m.ncols, parts[1])
+
+
+def theta(m: Mat, parity: Sequence[int]) -> Mat:
+    """Parity automorphism: negate the odd component."""
+    even, odd = parity_parts(m, parity)
+    return even - odd
 
 
 def m_algebra(n: int, m: int) -> GradedMatrixAlgebra:
@@ -119,44 +149,24 @@ def q_algebra(n: int) -> GradedMatrixAlgebra:
 # -- solves ---------------------------------------------------------------------
 
 
-def _entry_unknowns(parity: Sequence[int], x_parity: int) -> list[tuple[int, int]]:
-    n = len(parity)
-    return [
+def module_commutant(mod: GradedMatrixAlgebra, x_parity: int, super_mode: bool) -> list[Mat]:
+    """Homogeneous X of parity x_parity with X G = s G X for every generator G.
+
+    s = (-1)^(p(X) p(G)) for the supercommutant (super_mode), s = 1 for the
+    plain commutant.
+    """
+    n = mod.dim
+    unknowns = [
         (r, c)
         for r in range(n)
         for c in range(n)
-        if (parity[r] + parity[c]) % 2 == x_parity
+        if (mod.parity[r] + mod.parity[c]) % 2 == x_parity
     ]
-
-
-def commutant_matrices(
-    gens: Iterable[Mat],
-    parity: Sequence[int],
-    x_parity: int,
-    mode: str = "super",
-) -> list[Mat]:
-    """Homogeneous X with X G = s(G) G X for all generators.
-
-    mode "super": s = (-1)^(p(X) p(G)); "plain": s = +1; "twisted": s = (-1)^p(G)
-    (the even twisted centralizer condition x b = theta(b) x).
-    """
-    gens = list(gens)
-    n = len(parity)
-    unknowns = _entry_unknowns(parity, x_parity)
     pos = {rc: i for i, rc in enumerate(unknowns)}
     constraints: list[Vec] = []
-    for g in gens:
-        pg = matrix_parity(g, parity)
-        if pg is None:
-            raise ValueError("non-homogeneous generator")
-        if mode == "super":
-            s = -1 if (x_parity and pg) else 1
-        elif mode == "plain":
-            s = 1
-        elif mode == "twisted":
-            s = -1 if pg else 1
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+    for g in mod.generator_mats():
+        pg = matrix_parity(g, mod.parity)
+        s = -1 if (super_mode and x_parity and pg) else 1
         rows: dict[tuple[int, int], Vec] = {}
         gcols = g.cols()
         for (r, k) in unknowns:
@@ -175,56 +185,74 @@ def commutant_matrices(
                     del row[pos[(k, c)]]
         constraints.extend(v for v in rows.values() if v)
     sols = kernel(constraints, len(unknowns))
-    out = []
-    for sol in sols:
-        entries = {unknowns[i]: v for i, v in sol.items()}
-        out.append(Mat.from_entries(n, n, entries))
-    return out
+    return [
+        Mat.from_entries(n, n, {unknowns[i]: v for i, v in sol.items()})
+        for sol in sols
+    ]
 
 
 def supercommutant(a: GradedMatrixAlgebra) -> list[Mat]:
     """Basis of the supercommutant of the generators (even part then odd part)."""
     if a.dim > 1000:
         raise ValueError("dimension cap exceeded")
-    gens = a.generator_mats()
-    return commutant_matrices(gens, a.parity, 0, "super") + commutant_matrices(
-        gens, a.parity, 1, "super"
-    )
+    return module_commutant(a, 0, True) + module_commutant(a, 1, True)
 
 
-def classify_module(a: GradedMatrixAlgebra) -> dict:
-    """Type of the module: M(r, s), Q(r), or reducible, via the supercommutant."""
-    even = commutant_matrices(a.generator_mats(), a.parity, 0, "super")
-    odd = commutant_matrices(a.generator_mats(), a.parity, 1, "super")
-    total = len(even) + len(odd)
-    r, s = a.graded_dims()
-    if total == 1:
-        return {"kind": "M", "params": (r, s), "supercommutant_dim": 1}
-    if total == 2 and len(odd) == 1:
-        j = odd[0]
-        sq = j * j
-        c = sq.entry(0, 0)
-        if sq == Mat.scalar(a.dim, c) and c:
-            assert r == s
-            return {"kind": "Q", "params": r, "supercommutant_dim": 2}
+# supercommutant dimensions (even, odd) of a field-irreducible module that
+# splits after complexification -> (kind, pattern)
+_FUSED_PATTERNS = {
+    (2, 2): ("M", "antipodal_pair"),
+    (4, 0): ("M", "double"),
+    (4, 4): ("Q", "double"),
+}
+
+
+def classify_module(mod: GradedMatrixAlgebra, assume_irreducible: bool = True) -> dict:
+    """Complex type and multiplicity pattern of a field-irreducible module.
+
+    Over the real multi-quadratic scalars an irreducible module need not stay
+    irreducible after complexification; the graded supercommutant dimensions
+    (even, odd) identify the five possible patterns:
+
+      (1,0) single M module; (1,1) single Q module; (2,2) the fused antipodal
+      pair U + P(U) of an M block; (4,0) a doubled M module (quaternionic
+      commutant); (4,4) a doubled Q module.
+
+    The last three also fit reducible modules, so they are read this way only
+    under assume_irreducible; otherwise such a module is "reducible".
+    complex_count is the number of complex-irreducible summands.
+    """
+    even = module_commutant(mod, 0, super_mode=True)
+    odd = module_commutant(mod, 1, super_mode=True)
+    dims = (len(even), len(odd))
+    ev, od = mod.graded_dims()
+    kind, params, pattern, count = "reducible", None, None, None
+    if dims == (1, 0):
+        kind, params, pattern, count = "M", (ev, od), "single", 1
+    elif dims == (1, 1) and _squares_to_nonzero_scalar(odd[0]):
+        kind, params, pattern, count = "Q", ev, "single", 1
+    elif assume_irreducible and dims in _FUSED_PATTERNS:
+        kind, pattern = _FUSED_PATTERNS[dims]
+        params = (ev // 2, od // 2) if kind == "M" else ev // 2
+        count = 2
     return {
-        "kind": "reducible",
-        "params": None,
-        "supercommutant_dim": total,
-        "supercommutant_dim_even": len(even),
-        "supercommutant_dim_odd": len(odd),
+        "kind": kind,
+        "params": params,
+        "pattern": pattern,
+        "complex_count": count,
+        "supercommutant_dims": dims,
     }
+
+
+def _squares_to_nonzero_scalar(j: Mat) -> bool:
+    sq = j * j
+    c = sq.entry(0, 0)
+    return bool(c) and sq == Mat.scalar(j.nrows, c)
 
 
 def span_closure(gens: Iterable[Mat], dim: int) -> list[Mat]:
     """Basis of the (possibly nonunital) span of all words in the generators."""
     gens = [g for g in gens if not g.is_zero()]
-
-    def vecize(m: Mat) -> Vec:
-        return {
-            r * dim + c: v for r, row in m.rows.items() for c, v in row.items()
-        }
-
     ech = Echelon()
     basis: list[Mat] = []
     queue: list[Mat] = []
@@ -242,58 +270,41 @@ def span_closure(gens: Iterable[Mat], dim: int) -> list[Mat]:
     return basis
 
 
+def _vanishing_combinations(mats: Sequence[Mat]) -> list[Vec]:
+    """Rows of the system sum_i x_i mats[i] = 0, one per matrix entry."""
+    rows: dict[tuple[int, int], Vec] = {}
+    for i, m in enumerate(mats):
+        for r, row in m.rows.items():
+            for c, v in row.items():
+                rows.setdefault((r, c), {})[i] = v
+    return list(rows.values())
+
+
+def _combine(mats: Sequence[Mat], coeffs: Vec, dim: int) -> Mat:
+    out = Mat.zero(dim)
+    for i, c in coeffs.items():
+        out = out + mats[i].scale(c)
+    return out
+
+
 def center_of_span(
     span: Sequence[Mat], gens: Sequence[Mat], parity: Sequence[int]
 ) -> tuple[list[Mat], list[Mat]]:
     """(even, odd) bases of the ordinary center, inside the given span."""
-    even_idx: list[int] = []
-    odd_idx: list[int] = []
-    split_parts: list[tuple[Mat, Mat]] = []
-    for b in span:
-        ev_rows: dict[int, Vec] = {}
-        od_rows: dict[int, Vec] = {}
-        for r, row in b.rows.items():
-            for c, v in row.items():
-                tgt = ev_rows if (parity[r] + parity[c]) % 2 == 0 else od_rows
-                tgt.setdefault(r, {})[c] = v
-        split_parts.append(
-            (Mat(b.nrows, b.ncols, ev_rows), Mat(b.nrows, b.ncols, od_rows))
-        )
     homog: list[Mat] = []
     ech = Echelon()
-
-    def vecize(m: Mat) -> Vec:
-        return {
-            r * m.ncols + c: v for r, row in m.rows.items() for c, v in row.items()
-        }
-
-    for ev, od in split_parts:
-        for part in (ev, od):
+    for b in span:
+        for part in parity_parts(b, parity):
             if not part.is_zero() and ech.add(vecize(part)):
                 homog.append(part)
-    pos = range(len(homog))
     constraints: list[Vec] = []
     for g in gens:
-        rows: dict[tuple[int, int], Vec] = {}
-        for i, b in enumerate(homog):
-            comm = b * g - g * b
-            for r, row in comm.rows.items():
-                for c, v in row.items():
-                    tgt = rows.setdefault((r, c), {})
-                    prev = tgt.get(i, ZERO) + v
-                    if prev:
-                        tgt[i] = prev
-                    elif i in tgt:
-                        del tgt[i]
-        constraints.extend(v for v in rows.values() if v)
-    sols = kernel(constraints, len(homog))
+        constraints.extend(_vanishing_combinations([b * g - g * b for b in homog]))
     even_out, odd_out = [], []
-    for sol in sols:
-        m = Mat.zero(homog[0].nrows, homog[0].ncols) if homog else Mat.zero(0)
-        for i, c in sol.items():
-            m = m + homog[i].scale(c)
-        p = matrix_parity(m, parity)
-        (even_out if p == 0 else odd_out).append(m)
+    dim = homog[0].nrows if homog else 0
+    for sol in kernel(constraints, len(homog)):
+        m = _combine(homog, sol, dim)
+        (even_out if matrix_parity(m, parity) == 0 else odd_out).append(m)
     return even_out, odd_out
 
 
@@ -315,6 +326,26 @@ class Block:
             "spectrum": [list(a) for a in self.spectrum] if self.spectrum else None,
             "partition": list(self.partition) if self.partition else None,
         }
+
+
+def simple_block(has_odd_center: bool, alg_dim: int, even_dim: int, **fields) -> Block:
+    """The simple block with the given algebra dimension and even dimension.
+
+    A block whose odd center is nonzero is Q(q): dimension 2 q^2, even part
+    q^2.  Otherwise it is M(r, s): dimension (r + s)^2, even part r^2 + s^2.
+    """
+    if has_odd_center:
+        q = isqrt(alg_dim // 2)
+        if 2 * q * q != alg_dim or even_dim != q * q:
+            raise ValueError("inconsistent Q-block dimensions")
+        return Block("Q", q, alg_dim, **fields)
+    t = isqrt(alg_dim)
+    # r + s = t, r^2 + s^2 = even_dim
+    disc = 2 * even_dim - t * t
+    u = isqrt(disc) if disc >= 0 else -1
+    if t * t != alg_dim or u < 0 or u * u != disc or (t + u) % 2:
+        raise ValueError("inconsistent M-block dimensions")
+    return Block("M", ((t + u) // 2, (t - u) // 2), alg_dim, **fields)
 
 
 @dataclass
@@ -345,43 +376,35 @@ class BlockReport:
 def split_module_by_central(
     dim: int, central: Sequence[Mat]
 ) -> list[tuple[Subspace, Mat]]:
-    """Joint eigenspaces of commuting operators, with Lagrange projectors."""
-    pieces: list[tuple[Subspace, Mat]] = [(Subspace.full(dim), Mat.identity(dim))]
-    for op in central:
-        refined: list[tuple[Subspace, Mat]] = []
-        for piece, proj in pieces:
-            small = piece.restrict(op)
-            roots, complete = poly_roots(min_poly(small))
-            if not complete:
-                raise ValueError("central element spectrum did not split over field")
-            distinct: list[SqrtNumber] = []
-            for lam in roots:
-                if lam not in distinct:
-                    distinct.append(lam)
-            if len(distinct) == 1:
-                refined.append((piece, proj))
+    """Joint eigenspaces of commuting operators, with Lagrange projectors.
+
+    The projector onto a joint eigenspace is the product, over the operators
+    that cut it from a larger piece, of prod (op - mu) / (lam - mu) with mu
+    running over the op's other eigenvalues on that piece.
+    """
+    central = list(central)
+    labeled = eigensplit([Subspace.full(dim)], central)
+    out = []
+    for piece, label in labeled:
+        proj = Mat.identity(dim)
+        for k, (op, lam) in enumerate(zip(central, label)):
+            # pieces cut from the same piece as this one share label[:k]
+            others: list = []
+            for _, lab in labeled:
+                if lab[:k] == label[:k] and lab[k] != lam and lab[k] not in others:
+                    others.append(lab[k])
+            if not others:
                 continue
-            for lam in distinct:
-                shifted = small - Mat.scalar(small.nrows, lam)
-                ker = kernel(list(shifted.rows.values()), small.nrows)
-                if not ker:
-                    continue
-                sub = piece.sub_lift(Subspace(piece.dim, ker))
-                factor = Mat.identity(dim)
-                for mu in distinct:
-                    if mu == lam:
-                        continue
-                    scale = (lam - mu).invert()
-                    factor = factor * (op - Mat.scalar(dim, mu)).scale(scale)
-                refined.append((sub, proj * factor))
-        pieces = refined
-    return pieces
+            factor = Mat.identity(dim)
+            for mu in others:
+                factor = factor * (op - Mat.scalar(dim, mu)).scale((lam - mu).invert())
+            proj = proj * factor
+        out.append((piece, proj))
+    return out
 
 
 def decompose_semisimple(
-    a: GradedMatrixAlgebra,
-    spectrum_ops: Sequence[Mat] | None = None,
-    check_semisimple: bool = False,
+    a: GradedMatrixAlgebra, check_semisimple: bool = False
 ) -> BlockReport:
     """Split the span of the generators into simple graded blocks.
 
@@ -402,79 +425,23 @@ def decompose_semisimple(
         )
     report = BlockReport(algebra_dim=sum(_parity_split_dims(span, a.parity)))
     for piece, proj in pieces:
-        restricted = [piece.restrict(g) for g in gens]
-        piece_parity = _restricted_parity(piece, a.parity)
-        block_span = span_closure([g for g in restricted], piece.dim)
-        ev_dim, od_dim = _parity_split_dims(block_span, piece_parity)
-        alg_dim = ev_dim + od_dim
-        has_odd_center = any(
-            not _restrict_is_zero(piece, z) for z in odd_center
+        block = a.restrict(piece)
+        block_span = span_closure(block.generator_mats(), block.dim)
+        ev_dim, od_dim = _parity_split_dims(block_span, block.parity)
+        has_odd_center = any(not piece.annihilated_by(z) for z in odd_center)
+        report.blocks.append(
+            simple_block(has_odd_center, ev_dim + od_dim, ev_dim, idempotent=proj)
         )
-        spectrum = None
-        if spectrum_ops:
-            spectrum = _joint_spectrum(piece, spectrum_ops)
-        if has_odd_center:
-            q = isqrt(alg_dim // 2)
-            if 2 * q * q != alg_dim or ev_dim != q * q:
-                raise ValueError("inconsistent Q-block dimensions")
-            report.blocks.append(
-                Block("Q", q, alg_dim, idempotent=proj, spectrum=spectrum)
-            )
-        else:
-            t = isqrt(alg_dim)
-            if t * t != alg_dim:
-                raise ValueError("inconsistent M-block dimensions")
-            # r + s = t, r^2 + s^2 = ev_dim
-            disc = 2 * ev_dim - t * t
-            u = isqrt(disc) if disc >= 0 else -1
-            if u < 0 or u * u != disc or (t + u) % 2:
-                raise ValueError("inconsistent M-block graded dimensions")
-            r, s = (t + u) // 2, (t - u) // 2
-            report.blocks.append(
-                Block("M", (r, s), alg_dim, idempotent=proj, spectrum=spectrum)
-            )
     return report
 
 
 def _parity_split_dims(span: Sequence[Mat], parity: Sequence[int]) -> tuple[int, int]:
     ev, od = Echelon(), Echelon()
     for b in span:
-        ev_vec: Vec = {}
-        od_vec: Vec = {}
-        for r, row in b.rows.items():
-            for c, v in row.items():
-                key = r * b.ncols + c
-                if (parity[r] + parity[c]) % 2 == 0:
-                    ev_vec[key] = v
-                else:
-                    od_vec[key] = v
-        if ev_vec:
-            ev.add(ev_vec)
-        if od_vec:
-            od.add(od_vec)
+        for ech, part in zip((ev, od), parity_parts(b, parity)):
+            if not part.is_zero():
+                ech.add(vecize(part))
     return ev.rank, od.rank
-
-
-def _restricted_parity(piece: Subspace, parity: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for b in piece.basis:
-        ps = {parity[i] for i in b}
-        if len(ps) != 1:
-            raise ValueError("block subspace is not parity-homogeneous")
-        out.append(ps.pop())
-    return tuple(out)
-
-
-def _restrict_is_zero(piece: Subspace, op: Mat) -> bool:
-    return all(not op.apply(b) for b in piece.basis)
-
-
-def _joint_spectrum(piece: Subspace, ops: Sequence[Mat]) -> list[tuple]:
-    from .linalg import eigensplit
-
-    labeled = eigensplit([piece], ops)
-    out = {tuple(lab) for _, lab in labeled}
-    return sorted(out)
 
 
 def _trace_form_nondegenerate(span: Sequence[Mat]) -> bool:
@@ -559,50 +526,22 @@ def graded_centralizer(
     gens = a.generator_mats()
     span = span_closure(gens, a.dim)
     span_ech = Echelon()
-
-    def vecize(m: Mat) -> Vec:
-        return {r * a.dim + c: v for r, row in m.rows.items() for c, v in row.items()}
-
     for m in span:
         span_ech.add(vecize(m))
     for bg in b_generators:
         if not span_ech.contains(vecize(bg)):
             raise ValueError("B generator outside span of A")
+    # evenness of the solution inside the span
+    oddity = _vanishing_combinations([parity_parts(m, a.parity)[1] for m in span])
     basis: list[Mat] = []
     ech = Echelon()
     for mode in ("plain", "twisted"):
         constraints: list[Vec] = []
         for bg in b_generators:
             tb = bg if mode == "plain" else theta(bg, a.parity)
-            rows: dict[tuple[int, int], Vec] = {}
-            for i, m in enumerate(span):
-                comm = m * bg - tb * m
-                for r, row in comm.rows.items():
-                    for c, v in row.items():
-                        tgt = rows.setdefault((r, c), {})
-                        prev = tgt.get(i, ZERO) + v
-                        if prev:
-                            tgt[i] = prev
-                        elif i in tgt:
-                            del tgt[i]
-            constraints.extend(v for v in rows.values() if v)
-        # evenness of the solution inside the span
-        oddity: dict[tuple[int, int], Vec] = {}
-        for i, m in enumerate(span):
-            for r, row in m.rows.items():
-                for c, v in row.items():
-                    if (a.parity[r] + a.parity[c]) % 2 == 1:
-                        tgt = oddity.setdefault((r, c), {})
-                        prev = tgt.get(i, ZERO) + v
-                        if prev:
-                            tgt[i] = prev
-                        elif i in tgt:
-                            del tgt[i]
-        constraints.extend(v for v in oddity.values() if v)
-        for sol in kernel(constraints, len(span)):
-            m = Mat.zero(a.dim)
-            for i, c in sol.items():
-                m = m + span[i].scale(c)
+            constraints.extend(_vanishing_combinations([m * bg - tb * m for m in span]))
+        for sol in kernel(constraints + oddity, len(span)):
+            m = _combine(span, sol, a.dim)
             if not m.is_zero() and ech.add(vecize(m)):
                 basis.append(m)
     commutative = True

@@ -34,6 +34,11 @@ def _iadd_scaled(u: Vec, v: Vec, c: SqrtNumber) -> None:
             del u[i]
 
 
+def vecize(m: Mat) -> Vec:
+    """A matrix as one vector, entry (r, c) at index r * ncols + c."""
+    return {r * m.ncols + c: v for r, row in m.rows.items() for c, v in row.items()}
+
+
 def vec_add_scaled(u: Vec, v: Vec, c: SqrtNumber) -> Vec:
     """u + c*v, pruning exact zeros."""
     out = dict(u)
@@ -359,6 +364,10 @@ class Subspace:
                 rows.setdefault(i, {})[j] = c
         return Mat(self.dim, self.dim, rows)
 
+    def annihilated_by(self, m: Mat) -> bool:
+        """True if m maps every vector of this subspace to zero."""
+        return all(not m.apply(b) for b in self.basis)
+
     def sub_lift(self, small: Subspace) -> Subspace:
         """Lift a subspace of this coordinate space into the ambient space."""
         return Subspace(self.dim_ambient, [self.lift(v) for v in small.basis])
@@ -369,9 +378,7 @@ def min_poly(m: Mat) -> list[SqrtNumber]:
     ech = Echelon(track=True)
     power = Mat.identity(m.nrows)
     while True:
-        vec = {
-            r * m.ncols + c: v for r, row in power.rows.items() for c, v in row.items()
-        }
+        vec = vecize(power)
         if not ech.add(vec):
             _, combo = ech.reduce(vec)
             return [-combo.get(i, ZERO) for i in range(ech.rank)] + [ONE]
@@ -568,42 +575,35 @@ def poly_apply(coeffs: list[SqrtNumber], m: Mat) -> Mat:
 
 
 def eigensplit(
-    pieces: list[Subspace],
-    operators: Iterable[Mat],
-    require_full: bool = True,
+    pieces: list[Subspace], operators: Iterable[Mat]
 ) -> list[tuple[Subspace, list[SqrtNumber]]]:
     """Refine subspaces into joint eigenspaces of commuting operators.
 
-    Returns (piece, eigenvalue tuple) pairs; eigenvalues are listed in operator
-    order.  Raises if an operator fails to split and require_full is set.
+    Returns (piece, eigenvalue list) pairs, eigenvalues in operator order;
+    a piece is cut into eigenspaces in ascending eigenvalue order.  Raises if
+    an operator's spectrum does not lie in the field.
     """
     labeled: list[tuple[Subspace, list[SqrtNumber]]] = [(p, []) for p in pieces]
     for op in operators:
         refined: list[tuple[Subspace, list[SqrtNumber]]] = []
         for piece, label in labeled:
             small = piece.restrict(op)
-            mp = min_poly(small)
-            roots, complete = poly_roots(mp)
+            roots, complete = poly_roots(min_poly(small))
             if not complete:
-                if require_full:
-                    raise ValueError("minimal polynomial did not split over the field")
-                refined.append((piece, label + [None]))
-                continue
+                raise ValueError("minimal polynomial did not split over the field")
             distinct: list[SqrtNumber] = []
             for lam in roots:
                 if lam not in distinct:
                     distinct.append(lam)
-            roots = distinct
-            if len(roots) == 1:
-                refined.append((piece, label + [roots[0]]))
+            if len(distinct) == 1:
+                refined.append((piece, label + [distinct[0]]))
                 continue
-            for lam in roots:
+            for lam in distinct:
                 shifted = small - Mat.scalar(small.nrows, lam)
                 # rows of (small - lam) are the constraint functionals on v
                 ker = kernel(list(shifted.rows.values()), small.nrows)
-                if not ker:
-                    continue
-                sub = Subspace(piece.dim, ker)
-                refined.append((piece.sub_lift(sub), label + [lam]))
+                if ker:
+                    sub = Subspace(piece.dim, ker)
+                    refined.append((piece.sub_lift(sub), label + [lam]))
         labeled = refined
     return labeled

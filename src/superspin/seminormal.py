@@ -16,11 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from math import isqrt
+from typing import Callable, Sequence
 
 from . import spinalg
 from .exactnum import MINUS_ONE, ONE, ZERO, SqrtNumber, rational, sqrt_rational
-from .gradedstruct import Block, BlockReport, GradedMatrixAlgebra, matrix_parity
+from .gradedstruct import (
+    BlockReport,
+    GradedMatrixAlgebra,
+    classify_module,
+    module_commutant,
+    simple_block,
+    split_module_by_central,
+    subspace_parity,
+)
 from .linalg import (
     Echelon,
     Mat,
@@ -31,7 +40,6 @@ from .linalg import (
     min_poly,
     poly_apply,
     poly_partial_factors,
-    poly_roots,
 )
 from .shiftedcomb import (
     ShiftedTableau,
@@ -133,34 +141,14 @@ class GradedRep:
             names += [f"p_{i}" for i in range(1, self.n + 1)]
         return names
 
-    def tau_ij(self, i: int, j: int) -> Mat:
-        """Matrix of the odd transposition element t_ij assembled from the taus."""
-        if i == j:
-            raise ValueError("i != j required")
-        if i > j:
-            return -self.tau_ij(j, i)
-        key = (i, j)
-        hit = self._tau_ij_cache.get(key)
-        if hit is not None:
-            return hit
-        if j == i + 1:
-            out = self.tau(i)
-        else:
-            inner = self.tau_ij(i, j - 1)
-            out = -(inner * self.tau(j - 1) * inner)
-        self._tau_ij_cache[key] = out
-        return out
-
     def pi(self, k: int) -> Mat:
-        out = Mat.zero(self.dim)
-        for i in range(1, k):
-            out = out + self.tau_ij(i, k)
-        return out
+        return yjm_matrix(k, self.tau, self.dim, self._tau_ij_cache)
 
     def block_slice(self, t: int) -> range:
         return range(t * self.block_dim, (t + 1) * self.block_dim)
 
     def module(self) -> GradedMatrixAlgebra:
+        """The model as a graded module of its algebra's generators."""
         return GradedMatrixAlgebra(
             self.dim,
             self.parity,
@@ -225,6 +213,30 @@ class GradedRep:
             if (m.nrows, m.ncols) != (rep.dim, rep.dim):
                 raise ValueError(f"generator {name} is not {rep.dim}x{rep.dim}")
         return rep
+
+
+def yjm_matrix(k: int, tau: Callable[[int], Mat], dim: int, cache: dict) -> Mat:
+    """pi_k = t_1k + ... + t_{k-1,k}, with the t_ij assembled from the taus.
+
+    t_{i,i+1} = tau_i and t_ij = -t_{i,j-1} tau_{j-1} t_{i,j-1}; `cache` keeps
+    the t_ij from one call to the next.
+    """
+
+    def t(i: int, j: int) -> Mat:
+        hit = cache.get((i, j))
+        if hit is None:
+            if j == i + 1:
+                hit = tau(i)
+            else:
+                inner = t(i, j - 1)
+                hit = -(inner * tau(j - 1) * inner)
+            cache[(i, j)] = hit
+        return hit
+
+    out = Mat.zero(dim)
+    for i in range(1, k):
+        out = out + t(i, k)
+    return out
 
 
 class RelationError(ValueError):
@@ -586,72 +598,7 @@ def analyze_local_pair(rep: GradedRep, i: int) -> list[LocalPairAnalysis]:
 # -- module machinery (splitting, classification, branching) ----------------------
 
 
-@dataclass
-class ModuleRep:
-    """A plain graded module: named generator matrices plus a parity vector."""
-
-    dim: int
-    parity: tuple[int, ...]
-    gens: dict[str, Mat]
-
-    def restrict(self, sub: Subspace) -> ModuleRep:
-        parity = []
-        for b in sub.basis:
-            ps = {self.parity[i] for i in b}
-            if len(ps) != 1:
-                raise ValueError("subspace is not graded")
-            parity.append(ps.pop())
-        return ModuleRep(
-            sub.dim,
-            tuple(parity),
-            {name: sub.restrict(m) for name, m in self.gens.items()},
-        )
-
-
-def rep_module(rep: GradedRep, names: Sequence[str] | None = None) -> ModuleRep:
-    names = list(names) if names is not None else rep.generator_names()
-    return ModuleRep(
-        rep.dim, rep.parity, {name: rep.matrices[name] for name in names}
-    )
-
-
-def module_commutant(mod: ModuleRep, x_parity: int, super_mode: bool) -> list[Mat]:
-    """Homogeneous commutant (or supercommutant) matrices of a module."""
-    n = mod.dim
-    unknowns = [
-        (r, c)
-        for r in range(n)
-        for c in range(n)
-        if (mod.parity[r] + mod.parity[c]) % 2 == x_parity
-    ]
-    pos = {rc: i for i, rc in enumerate(unknowns)}
-    constraints: list[Vec] = []
-    for g in mod.gens.values():
-        pg = matrix_parity(g, mod.parity)
-        s = -1 if (super_mode and x_parity and pg) else 1
-        rows: dict[tuple[int, int], Vec] = {}
-        gcols = g.cols()
-        for (r, k) in unknowns:
-            for c, v in g.rows.get(k, {}).items():
-                rows.setdefault((r, c), {})[pos[(r, k)]] = v
-        for (k, c) in unknowns:
-            for r, v in gcols.get(k, {}).items():
-                row = rows.setdefault((r, c), {})
-                prev = row.get(pos[(k, c)], ZERO)
-                val = prev - (v if s > 0 else -v)
-                if val:
-                    row[pos[(k, c)]] = val
-                elif pos[(k, c)] in row:
-                    del row[pos[(k, c)]]
-        constraints.extend(v for v in rows.values() if v)
-    sols = kernel(constraints, len(unknowns))
-    return [
-        Mat.from_entries(n, n, {unknowns[i]: v for i, v in sol.items()})
-        for sol in sols
-    ]
-
-
-def split_into_irreducibles(mod: ModuleRep) -> list[ModuleRep]:
+def split_into_irreducibles(mod: GradedMatrixAlgebra) -> list[GradedMatrixAlgebra]:
     """Graded-irreducible summands over the field.
 
     Splits by coprime factors of minimal polynomials of commutant elements;
@@ -686,7 +633,7 @@ def split_into_irreducibles(mod: ModuleRep) -> list[ModuleRep]:
             continue
         if sum(s.dim for s in subs) != mod.dim:
             raise ValueError("coprime factor split lost dimensions")
-        out: list[ModuleRep] = []
+        out: list[GradedMatrixAlgebra] = []
         for sub in subs:
             out.extend(split_into_irreducibles(mod.restrict(sub)))
         return out
@@ -700,118 +647,6 @@ def split_into_irreducibles(mod: ModuleRep) -> list[ModuleRep]:
     )
 
 
-def classify_module_rep(mod: ModuleRep, assume_irreducible: bool = True) -> dict:
-    """Complex type and multiplicity pattern of a field-irreducible module.
-
-    Over the real multi-quadratic scalars an irreducible module need not stay
-    irreducible after complexification; the graded supercommutant dimensions
-    (even, odd) identify the five possible patterns:
-
-      (1,0) single M module; (1,1) single Q module; (2,2) the fused antipodal
-      pair U + P(U) of an M block; (4,0) a doubled M module (quaternionic
-      commutant); (4,4) a doubled Q module.
-
-    complex_count is the number of complex-irreducible summands.
-    """
-    even = module_commutant(mod, 0, super_mode=True)
-    odd = module_commutant(mod, 1, super_mode=True)
-    dims = (len(even), len(odd))
-    ev = sum(1 for p in mod.parity if p == 0)
-    if dims == (1, 0):
-        return {
-            "kind": "M",
-            "params": (ev, mod.dim - ev),
-            "pattern": "single",
-            "complex_count": 1,
-            "supercommutant_dims": dims,
-        }
-    if dims == (1, 1):
-        j = odd[0]
-        sq = j * j
-        c = sq.entry(0, 0)
-        if sq == Mat.scalar(mod.dim, c) and c:
-            return {
-                "kind": "Q",
-                "params": ev,
-                "pattern": "single",
-                "complex_count": 1,
-                "supercommutant_dims": dims,
-            }
-    if assume_irreducible:
-        if dims == (2, 2):
-            return {
-                "kind": "M",
-                "params": (ev // 2, (mod.dim - ev) // 2),
-                "pattern": "antipodal_pair",
-                "complex_count": 2,
-                "supercommutant_dims": dims,
-            }
-        if dims == (4, 0):
-            return {
-                "kind": "M",
-                "params": (ev // 2, (mod.dim - ev) // 2),
-                "pattern": "double",
-                "complex_count": 2,
-                "supercommutant_dims": dims,
-            }
-        if dims == (4, 4):
-            return {
-                "kind": "Q",
-                "params": ev // 2,
-                "pattern": "double",
-                "complex_count": 2,
-                "supercommutant_dims": dims,
-            }
-    return {
-        "kind": "reducible",
-        "params": None,
-        "pattern": None,
-        "complex_count": None,
-        "supercommutant_dims": dims,
-    }
-
-
-def graded_intertwiners(
-    src: ModuleRep, dst: ModuleRep, x_parity: int
-) -> list[Mat]:
-    """Homogeneous module maps src -> dst matching generators by name."""
-    names = sorted(src.gens)
-    if sorted(dst.gens) != names:
-        raise ValueError("generator names differ")
-    unknowns = [
-        (r, c)
-        for r in range(dst.dim)
-        for c in range(src.dim)
-        if (dst.parity[r] + src.parity[c]) % 2 == x_parity
-    ]
-    pos = {rc: i for i, rc in enumerate(unknowns)}
-    constraints: list[Vec] = []
-    for name in names:
-        gs, gd = src.gens[name], dst.gens[name]
-        gd_cols = gd.cols()
-        rows: dict[tuple[int, int], Vec] = {}
-        # X gs - gd X = 0
-        for (r, k) in unknowns:
-            for c, v in gs.rows.get(k, {}).items():
-                rows.setdefault((r, c), {})[pos[(r, k)]] = v
-        for (k, c) in unknowns:
-            for r, v in gd_cols.get(k, {}).items():
-                row = rows.setdefault((r, c), {})
-                prev = row.get(pos[(k, c)], ZERO) - v
-                if prev:
-                    row[pos[(k, c)]] = prev
-                elif pos[(k, c)] in row:
-                    del row[pos[(k, c)]]
-        constraints.extend(v for v in rows.values() if v)
-    sols = kernel(constraints, len(unknowns))
-    return [
-        Mat.from_entries(
-            dst.dim, src.dim, {unknowns[i]: v for i, v in sol.items()}
-        )
-        for sol in sols
-    ]
-
-
 def _invertible(m: Mat) -> bool:
     ech = Echelon()
     count = 0
@@ -821,60 +656,33 @@ def _invertible(m: Mat) -> bool:
     return count == m.nrows == m.ncols
 
 
-def extract_irreducible(rep: GradedRep) -> ModuleRep:
+def extract_irreducible(rep: GradedRep) -> GradedMatrixAlgebra:
     """Deterministic first graded-irreducible summand of a built model."""
-    pieces = split_into_irreducibles(rep_module(rep))
+    pieces = split_into_irreducibles(rep.module())
     pieces.sort(key=lambda p: (p.dim, p.parity))
     return pieces[0]
 
 
-def identify_shape(mod: ModuleRep, level: int, prefix: str = "tau") -> StrictPartition:
+def identify_shape(mod: GradedMatrixAlgebra, level: int) -> StrictPartition:
     """Shape whose tableau spectra match the joint YJM-square spectrum."""
-    taus = {i: mod.gens[f"{prefix}_{i}"] for i in range(1, level)}
     cache: dict[tuple[int, int], Mat] = {}
 
-    def tau_ij(i, j):
-        if j == i + 1:
-            return taus[i]
-        hit = cache.get((i, j))
-        if hit is None:
-            inner = tau_ij(i, j - 1)
-            hit = -(inner * taus[j - 1] * inner)
-            cache[(i, j)] = hit
-        return hit
+    def tau(i: int) -> Mat:
+        return mod.generator(f"tau_{i}")
 
-    pis = []
+    squares = []
     for k in range(1, level + 1):
-        m = Mat.zero(mod.dim)
-        for i in range(1, k):
-            m = m + tau_ij(i, k)
-        pis.append(m * m)
-    labeled = eigensplit([Subspace.full(mod.dim)], pis)
-    avec = None
-    for _, lab in labeled:
-        vals = tuple(int(x.rational_value()) for x in lab)
-        if avec is None:
-            avec = vals
-        bvec = tuple((-1 + _isqrt_exact(1 + 8 * a)) // 2 for a in vals)
-        shape = tableau_from_bvector(bvec).shape
-        if avec is not None:
-            return shape
-    raise ValueError("no spectrum found")
+        pi = yjm_matrix(k, tau, mod.dim, cache)
+        squares.append(pi * pi)
+    return _shape_of_avec(_a_vectors(Subspace.full(mod.dim), squares)[0])
 
 
-def _isqrt_exact(x: int) -> int:
-    from math import isqrt
-
-    r = isqrt(x)
-    if r * r != x:
-        raise ValueError(f"{x} is not a perfect square")
-    return r
+_REFERENCE_CACHE: dict[tuple[str, tuple[int, ...]], GradedMatrixAlgebra] = {}
 
 
-_REFERENCE_CACHE: dict[tuple[str, tuple[int, ...]], ModuleRep] = {}
-
-
-def reference_irreducible(shape: StrictPartition, tensor: bool = False) -> ModuleRep:
+def reference_irreducible(
+    shape: StrictPartition, tensor: bool = False
+) -> GradedMatrixAlgebra:
     """Memoized canonical irreducible module for a shape (the '+' antipode)."""
     key = ("tensor" if tensor else "plain", shape.parts)
     hit = _REFERENCE_CACHE.get(key)
@@ -887,13 +695,13 @@ def reference_irreducible(shape: StrictPartition, tensor: bool = False) -> Modul
 
 def empirical_type(shape: StrictPartition, tensor: bool = False) -> str:
     """M or Q by actual classification of the built irreducible module."""
-    kind = classify_module_rep(reference_irreducible(shape, tensor))["kind"]
+    kind = classify_module(reference_irreducible(shape, tensor))["kind"]
     if kind not in ("M", "Q"):
         raise ValueError(f"reference module for {shape} did not classify: {kind}")
     return kind
 
 
-def restrict_and_branch(rep: GradedRep, extract_first: bool = True) -> list[dict]:
+def restrict_and_branch(rep: GradedRep) -> list[dict]:
     """Decompose the restriction one level down into labeled graded summands.
 
     Returns one entry per strict partition at level n-1 with its type and the
@@ -903,16 +711,16 @@ def restrict_and_branch(rep: GradedRep, extract_first: bool = True) -> list[dict
     n = rep.n
     if n < 2:
         raise ValueError("n >= 2 required")
-    mod = extract_irreducible(rep) if extract_first else rep_module(rep)
-    own = classify_module_rep(mod)
+    mod = extract_irreducible(rep)
+    own = classify_module(mod)
     if own["kind"] == "reducible":
         raise ValueError("cannot branch an unclassifiable module")
     s_top = own["complex_count"]
     sub_names = [f"tau_{i}" for i in range(1, n - 1)]
     if rep.has_clifford:
         sub_names += [f"p_{i}" for i in range(1, n)]
-    restricted = ModuleRep(
-        mod.dim, mod.parity, {name: mod.gens[name] for name in sub_names}
+    restricted = GradedMatrixAlgebra(
+        mod.dim, mod.parity, [(name, mod.generator(name)) for name in sub_names]
     )
     pieces = split_into_irreducibles(restricted)
     tally: dict[tuple[int, ...], dict] = {}
@@ -921,7 +729,7 @@ def restrict_and_branch(rep: GradedRep, extract_first: bool = True) -> list[dict
             shape = identify_shape(piece, n - 1)
         else:
             shape = StrictPartition((1,))
-        cls = classify_module_rep(piece)
+        cls = classify_module(piece)
         if cls["kind"] == "reducible":
             raise ValueError("restriction produced an unclassifiable summand")
         entry = tally.setdefault(
@@ -962,24 +770,10 @@ def branching_graph_from_reps(n: int):
             ids[(level,) + shape.parts] = g.add_vertex(level, shape, vtype)
     for level in range(2, n + 1):
         for shape in strict_partitions(level):
-            rep = build_rep_plain(shape)
             hi = ids[(level,) + shape.parts]
-            hi_t = g.vertices[hi[0]].vtype
-            for entry in restrict_and_branch(rep):
+            for entry in restrict_and_branch(build_rep_plain(shape)):
                 lo = ids[(level - 1,) + entry["shape"].parts]
-                lo_t = g.vertices[lo[0]].vtype
-                m = entry["multiplicity"]
-                if lo_t == "M" and hi_t == "M":
-                    g.add_edge(lo[0], hi[0], m)
-                    g.add_edge(lo[1], hi[1], m)
-                elif lo_t == "M" and hi_t == "Q":
-                    g.add_edge(lo[0], hi[0], m)
-                    g.add_edge(lo[1], hi[0], m)
-                elif lo_t == "Q" and hi_t == "M":
-                    g.add_edge(lo[0], hi[0], m)
-                    g.add_edge(lo[0], hi[1], m)
-                else:
-                    g.add_edge(lo[0], hi[0], m)
+                g.add_cover(lo, hi, entry["multiplicity"])
     return g
 
 
@@ -1095,8 +889,6 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     central_mats = [_left_mult_mat(e, tensor, words, dim) for e in central_elems]
     pi2_mats = [_left_mult_mat(p * p, tensor, words, dim) for p in pis]
 
-    from .gradedstruct import split_module_by_central
-
     pieces = split_module_by_central(dim, central_mats[:1])
     report = BlockReport(algebra_dim=dim)
     if tensor:
@@ -1106,30 +898,16 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
         odd_mats = [_left_mult_mat(e, tensor, words, dim) for e in odd_center]
     for piece, proj in pieces:
         # the piece is a two-sided ideal, so it is the block algebra as a space
-        piece_parity = _restricted_piece_parity(piece, parity)
-        ev_dim = sum(1 for p in piece_parity if p == 0)
-        od_dim = piece.dim - ev_dim
-        alg_dim = piece.dim
-        has_odd_center = any(
-            any(m.apply(b) for b in piece.basis) for m in odd_mats
+        ev_dim = subspace_parity(piece, parity).count(0)
+        has_odd_center = any(not piece.annihilated_by(m) for m in odd_mats)
+        spectrum = _a_vectors(piece, pi2_mats)
+        partition = _shape_of_avec(spectrum[0]).parts if spectrum else None
+        report.blocks.append(
+            simple_block(
+                has_odd_center, piece.dim, ev_dim,
+                idempotent=proj, spectrum=spectrum, partition=partition,
+            )
         )
-        spectrum = _piece_spectrum(piece, pi2_mats)
-        partition = _shape_of_avec(spectrum[0]) if spectrum else None
-        if has_odd_center:
-            q = _isqrt_exact(alg_dim // 2)
-            block = Block(
-                "Q", q, alg_dim, idempotent=proj, spectrum=spectrum,
-                partition=partition,
-            )
-        else:
-            t = _isqrt_exact(alg_dim)
-            u = _isqrt_exact(2 * ev_dim - t * t)
-            r, s = (t + u) // 2, (t - u) // 2
-            block = Block(
-                "M", (r, s), alg_dim, idempotent=proj, spectrum=spectrum,
-                partition=partition,
-            )
-        report.blocks.append(block)
     total_dim = report.total_block_dim()
     if total_dim != dim:
         raise ValueError(f"block dimensions {total_dim} do not sum to {dim}")
@@ -1224,27 +1002,22 @@ def _tensor_odd_center_mats(n: int, words: _TensorWords) -> list[Mat]:
     return out
 
 
-def _restricted_piece_parity(piece: Subspace, parity: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for b in piece.basis:
-        ps = {parity[i] for i in b}
-        if len(ps) != 1:
-            raise ValueError("piece is not graded")
-        out.append(ps.pop())
-    return tuple(out)
+def _a_vectors(piece: Subspace, squares: Sequence[Mat]) -> list[tuple[int, ...]]:
+    """Joint spectrum of the squared YJM operators on a piece, as a-vectors."""
+    labeled = eigensplit([piece], squares)
+    return sorted({tuple(int(x.rational_value()) for x in lab) for _, lab in labeled})
 
 
-def _piece_spectrum(piece: Subspace, pi2_mats: Sequence[Mat]) -> list[tuple[int, ...]]:
-    labeled = eigensplit([piece], pi2_mats)
-    out = {
-        tuple(int(x.rational_value()) for x in lab) for _, lab in labeled
-    }
-    return sorted(out)
+def _isqrt_exact(x: int) -> int:
+    r = isqrt(x)
+    if r * r != x:
+        raise ValueError(f"{x} is not a perfect square")
+    return r
 
 
-def _shape_of_avec(avec: Sequence[int]) -> tuple[int, ...]:
+def _shape_of_avec(avec: Sequence[int]) -> StrictPartition:
     b = tuple((-1 + _isqrt_exact(1 + 8 * a)) // 2 for a in avec)
-    return tableau_from_bvector(b).shape.parts
+    return tableau_from_bvector(b).shape
 
 
 def mutated_rep(rep: GradedRep) -> GradedRep:

@@ -11,7 +11,20 @@ labels as omega-fixed vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import factorial
 from typing import Callable, Sequence
+
+# Size caps: past them enumeration runs for minutes or exhausts memory, so the
+# request is refused.  At the caps, on a 2-core VM: strict_partitions(90)
+# lists 189,586 partitions in 2 s, the 12,376 tableaux of (6,5,4,3) take 1 s,
+# and the combinatorial graph up to level 30 (2,034 shapes) takes 2 s, where
+# level 40 takes 39 s.  The cell cap keeps the fill recursion, one level per
+# cell, far below Python's recursion limit.
+MAX_PARTITION_N = 90
+MAX_TABLEAU_CELLS = 100
+MAX_TABLEAUX = 20_000
+MAX_GRAPH_N = 30
 
 
 @dataclass(frozen=True, order=True)
@@ -73,6 +86,8 @@ class StrictPartition:
 
 def strict_partitions(n: int) -> list[StrictPartition]:
     """All strict partitions of n, largest first part first."""
+    if n > MAX_PARTITION_N:
+        raise ValueError(f"strict partitions are listed for n <= {MAX_PARTITION_N}")
 
     def rec(rest: int, maxpart: int):
         if rest == 0:
@@ -145,9 +160,27 @@ def _is_standard(shape: StrictPartition, rows: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+def tableau_count(shape: StrictPartition) -> int:
+    """Number of standard shifted tableaux (Schur's product formula).
+
+    n! / (l_1! ... l_k!) * prod_{i<j} (l_i - l_j) / (l_i + l_j).
+    """
+    count = Fraction(factorial(shape.n))
+    for i, a in enumerate(shape.parts):
+        count /= factorial(a)
+        for b in shape.parts[i + 1 :]:
+            count *= Fraction(a - b, a + b)
+    return int(count)
+
+
 def standard_tableaux(shape: StrictPartition) -> list[ShiftedTableau]:
     """All standard fillings, row-filled tableau first, then by length and b-vector."""
     n = shape.n
+    if n > MAX_TABLEAU_CELLS or tableau_count(shape) > MAX_TABLEAUX:
+        raise ValueError(
+            f"shape {shape} is too large: tableaux are listed for at most "
+            f"{MAX_TABLEAU_CELLS} cells and {MAX_TABLEAUX} tableaux"
+        )
     cells = shape.cells()
     cellset = set(cells)
     results: list[ShiftedTableau] = []
@@ -331,6 +364,20 @@ class BranchingGraph:
         if mult:
             self.edges[(u, v)] = self.edges.get((u, v), 0) + mult
 
+    def add_cover(self, lo: list[str], hi: list[str], mult: int = 1) -> None:
+        """Edges of one cover lo -> hi, wired by the M/Q types of its ends.
+
+        lo and hi are the vertex ids of a shape: two antipodes for M, one
+        for Q.  M -> M joins the antipodes pairwise, M -> Q joins both to
+        the one vertex, Q -> M joins the one vertex to both.
+        """
+        if len(lo) == 2 and len(hi) == 2:
+            pairs = [(0, 0), (1, 1)]
+        else:
+            pairs = [(a, b) for a in range(len(lo)) for b in range(len(hi))]
+        for a, b in pairs:
+            self.add_edge(lo[a], hi[b], mult)
+
     def sources(self) -> list[str]:
         return list(self.levels[0])
 
@@ -464,6 +511,8 @@ def schur_branching_graph(
     corank pattern).  The from_reps source computes edges and types from
     restrictions of the built seminormal representations.
     """
+    if n < 1:
+        raise ValueError("the branching graph needs n >= 1")
     if source == "from_reps":
         if n > 6:
             raise ValueError("from_reps source limited to n <= 6")
@@ -472,6 +521,8 @@ def schur_branching_graph(
         return seminormal.branching_graph_from_reps(n)
     if source != "combinatorial":
         raise ValueError(f"unknown source {source!r}")
+    if n > MAX_GRAPH_N:
+        raise ValueError(f"combinatorial source limited to n <= {MAX_GRAPH_N}")
     oracle = type_oracle or conjectured_type
     g = BranchingGraph(n, source_tag="combinatorial")
     ids_by_shape: dict[tuple[int, StrictPartition], list[str]] = {}
@@ -486,21 +537,7 @@ def schur_branching_graph(
             for up in shape.successors():
                 if up.n != level + 1:
                     continue
-                lo = ids_by_shape[(level, shape)]
-                hi = ids_by_shape[(level + 1, up)]
-                lo_t = g.vertices[lo[0]].vtype
-                hi_t = g.vertices[hi[0]].vtype
-                if lo_t == "M" and hi_t == "M":
-                    g.add_edge(lo[0], hi[0])
-                    g.add_edge(lo[1], hi[1])
-                elif lo_t == "M" and hi_t == "Q":
-                    g.add_edge(lo[0], hi[0])
-                    g.add_edge(lo[1], hi[0])
-                elif lo_t == "Q" and hi_t == "M":
-                    g.add_edge(lo[0], hi[0])
-                    g.add_edge(lo[0], hi[1])
-                else:
-                    g.add_edge(lo[0], hi[0])
+                g.add_cover(ids_by_shape[(level, shape)], ids_by_shape[(level + 1, up)])
     return g
 
 

@@ -170,3 +170,23 @@ def test_out_file(tmp_path, capsys):
     rc = cli.main(["strict-partitions", "5", "--json", "--out", str(path)])
     assert rc == 0
     assert json.loads(path.read_text())["partitions"] == [[5], [4, 1], [3, 2]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strict-partitions", "91"],
+        ["tableaux", "7,6,5,4,3,2,1"],
+        ["tableaux", "101"],
+        ["spectrum", "7,6,5,4,3,2,1"],
+        ["supercenter", "9"],
+        ["branching-graph", "31"],
+        ["branching-graph", "0"],
+    ],
+)
+def test_size_caps(capsys, argv):
+    # refused at once, before any enumeration, with a message and no traceback
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err

@@ -7,10 +7,7 @@ from superspin.exactnum import (
     ONE,
     PrecisionExceeded,
     SqrtNumber,
-    invert,
-    multiply,
     rational,
-    sign,
     sqrt_rational,
     square_free_decompose,
 )
@@ -36,28 +33,28 @@ def test_sqrt_rational_examples():
 
 def test_multiply_examples():
     r2, r3 = sqrt_rational(2), sqrt_rational(3)
-    assert multiply(r2, r2) == rational(2)
-    assert multiply(r2, r3) == sqrt_rational(6)
+    assert r2 * r2 == rational(2)
+    assert r2 * r3 == sqrt_rational(6)
     x = rational(1) + r2
     y = rational(-1) + r2
-    assert multiply(x, y) == ONE
+    assert x * y == ONE
 
 
 def test_invert_examples():
     r2 = sqrt_rational(2)
-    assert invert(rational(1) + r2) == rational(-1) + r2
-    assert invert(rational(Fraction(3, 2))) == rational(Fraction(2, 3))
-    assert invert(sqrt_rational(6)) == sqrt_rational(6) * rational(Fraction(1, 6))
+    assert (rational(1) + r2).invert() == rational(-1) + r2
+    assert rational(Fraction(3, 2)).invert() == rational(Fraction(2, 3))
+    assert sqrt_rational(6).invert() == sqrt_rational(6) * rational(Fraction(1, 6))
     with pytest.raises(ZeroDivisionError):
-        invert(SqrtNumber())
+        SqrtNumber().invert()
 
 
 def test_sign_examples():
-    assert sign(sqrt_rational(2) - rational(Fraction(3, 2))) == -1
-    assert sign(SqrtNumber()) == 0
-    assert sign(sqrt_rational(6) - rational(2)) == 1
+    assert (sqrt_rational(2) - rational(Fraction(3, 2))).sign() == -1
+    assert SqrtNumber().sign() == 0
+    assert (sqrt_rational(6) - rational(2)).sign() == 1
     # close comparison forcing nontrivial interval work
-    assert sign(sqrt_rational(2) + sqrt_rational(3) - sqrt_rational(Fraction(9801, 1009))) != 0
+    assert (sqrt_rational(2) + sqrt_rational(3) - sqrt_rational(Fraction(9801, 1009))).sign() != 0
 
 
 def test_sign_precision_cap(monkeypatch):

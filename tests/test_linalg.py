@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from superspin import seminormal
+from superspin import gradedstruct, seminormal
 from superspin.exactnum import ONE, ZERO, rational, sqrt_rational
 from superspin.linalg import (
     Echelon,
@@ -283,15 +283,15 @@ def _small_models():
 
 
 def test_module_commutant_matches_gauss_jordan(monkeypatch):
-    mods = [seminormal.rep_module(rep) for rep in _small_models()]
+    mods = [rep.module() for rep in _small_models()]
     entries = [
-        v for mod in mods for g in mod.gens.values() for row in g.rows.values()
+        v for mod in mods for g in mod.generator_mats() for row in g.rows.values()
         for v in row.values()
     ]
     assert not all(v.is_rational() for v in entries), "no model carries a radical"
     cases = [(mod, x, s) for mod in mods for x in (0, 1) for s in (False, True)]
     fast = [seminormal.module_commutant(*case) for case in cases]
-    monkeypatch.setattr(seminormal, "kernel", reference_kernel)
+    monkeypatch.setattr(gradedstruct, "kernel", reference_kernel)
     assert fast == [seminormal.module_commutant(*case) for case in cases]
 
 

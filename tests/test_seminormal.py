@@ -76,7 +76,7 @@ def test_classification_against_oracle():
         for b in sn.regular_decompose("A", n).blocks:
             oracle[tuple(b.partition)] = (b.btype, b.params)
     for parts, want in oracle.items():
-        cls = sn.classify_module_rep(
+        cls = sn.classify_module(
             sn.reference_irreducible(StrictPartition(parts))
         )
         assert (cls["kind"], cls["params"]) == want, parts
@@ -87,7 +87,7 @@ def test_fused_pair_over_real_field():
     # fused antipodal pair of the M(1,1) module, with dims twice the complex
     # module and supercommutant pattern (2, 2)
     irr = sn.reference_irreducible(StrictPartition((3,)))
-    cls = sn.classify_module_rep(irr)
+    cls = sn.classify_module(irr)
     assert irr.dim == 4
     assert cls == {
         "kind": "M",
@@ -104,7 +104,7 @@ def test_q_module_ungraded_split():
 
     irr = sn.reference_irreducible(StrictPartition((2, 1)))
     assert irr.dim == 2
-    t1, t2 = irr.gens["tau_1"], irr.gens["tau_2"]
+    t1, t2 = irr.generator("tau_1"), irr.generator("tau_2")
     assert t1 == t2  # forced by pi_3 = 0 on this module
     assert t1 * t1 == Mat.identity(2)
     for sign in (1, -1):

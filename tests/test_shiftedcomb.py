@@ -49,6 +49,14 @@ def test_tableau_count_recursion():
             assert total == len(sc.standard_tableaux(shape))
 
 
+def test_tableau_count_formula():
+    for n in range(1, 10):
+        for shape in sc.strict_partitions(n):
+            assert sc.tableau_count(shape) == len(sc.standard_tableaux(shape))
+    assert sc.tableau_count(StrictPartition((6, 5, 4, 3))) == 12376
+    assert sc.tableau_count(StrictPartition((7, 6, 5, 4, 3, 2, 1))) == 23178480
+
+
 def test_spectrum_vector_examples():
     t3 = sc.standard_tableaux(StrictPartition((3,)))[0]
     sv = sc.spectrum_vector(t3)
