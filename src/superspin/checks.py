@@ -78,7 +78,7 @@ def check_oracle_equivalence(max_n: int) -> dict:
         for b in report.blocks:
             shape = StrictPartition(tuple(b.partition))
             cls = seminormal.classify_module(
-                seminormal.reference_irreducible(shape)
+                seminormal.reference_irreducible(shape), assume_irreducible=True
             )
             if cls["kind"] != b.btype or cls["params"] != b.params:
                 ok = False

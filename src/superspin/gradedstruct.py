@@ -207,8 +207,8 @@ _FUSED_PATTERNS = {
 }
 
 
-def classify_module(mod: GradedMatrixAlgebra, assume_irreducible: bool = True) -> dict:
-    """Complex type and multiplicity pattern of a field-irreducible module.
+def classify_module(mod: GradedMatrixAlgebra, assume_irreducible: bool = False) -> dict:
+    """Type of a module: M(r, s), Q(r), or reducible, via its supercommutant.
 
     Over the real multi-quadratic scalars an irreducible module need not stay
     irreducible after complexification; the graded supercommutant dimensions
@@ -218,8 +218,10 @@ def classify_module(mod: GradedMatrixAlgebra, assume_irreducible: bool = True) -
       pair U + P(U) of an M block; (4,0) a doubled M module (quaternionic
       commutant); (4,4) a doubled Q module.
 
-    The last three also fit reducible modules, so they are read this way only
-    under assume_irreducible; otherwise such a module is "reducible".
+    The last three also fit reducible modules (two copies of M(1,1) give
+    (4,0)), so they are read this way only when the caller knows the module
+    is irreducible (assume_irreducible); otherwise such a module is
+    "reducible".
     complex_count is the number of complex-irreducible summands.
     """
     even = module_commutant(mod, 0, super_mode=True)

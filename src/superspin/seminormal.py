@@ -695,7 +695,9 @@ def reference_irreducible(
 
 def empirical_type(shape: StrictPartition, tensor: bool = False) -> str:
     """M or Q by actual classification of the built irreducible module."""
-    kind = classify_module(reference_irreducible(shape, tensor))["kind"]
+    kind = classify_module(
+        reference_irreducible(shape, tensor), assume_irreducible=True
+    )["kind"]
     if kind not in ("M", "Q"):
         raise ValueError(f"reference module for {shape} did not classify: {kind}")
     return kind
@@ -712,7 +714,7 @@ def restrict_and_branch(rep: GradedRep) -> list[dict]:
     if n < 2:
         raise ValueError("n >= 2 required")
     mod = extract_irreducible(rep)
-    own = classify_module(mod)
+    own = classify_module(mod, assume_irreducible=True)
     if own["kind"] == "reducible":
         raise ValueError("cannot branch an unclassifiable module")
     s_top = own["complex_count"]
@@ -729,7 +731,7 @@ def restrict_and_branch(rep: GradedRep) -> list[dict]:
             shape = identify_shape(piece, n - 1)
         else:
             shape = StrictPartition((1,))
-        cls = classify_module(piece)
+        cls = classify_module(piece, assume_irreducible=True)
         if cls["kind"] == "reducible":
             raise ValueError("restriction produced an unclassifiable summand")
         entry = tally.setdefault(

@@ -75,7 +75,7 @@ def test_classify_module_examples():
             rows[2 + r] = {2 + c: v for c, v in row.items()}
         gens2.append((name, Mat(4, 4, rows)))
     dsum = gs.GradedMatrixAlgebra(4, (0, 1, 0, 1), gens2)
-    out = gs.classify_module(dsum, assume_irreducible=False)
+    out = gs.classify_module(dsum)
     assert out["kind"] == "reducible" and out["supercommutant_dims"] == (4, 0)
 
 

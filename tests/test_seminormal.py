@@ -77,7 +77,7 @@ def test_classification_against_oracle():
             oracle[tuple(b.partition)] = (b.btype, b.params)
     for parts, want in oracle.items():
         cls = sn.classify_module(
-            sn.reference_irreducible(StrictPartition(parts))
+            sn.reference_irreducible(StrictPartition(parts)), assume_irreducible=True
         )
         assert (cls["kind"], cls["params"]) == want, parts
 
@@ -87,7 +87,7 @@ def test_fused_pair_over_real_field():
     # fused antipodal pair of the M(1,1) module, with dims twice the complex
     # module and supercommutant pattern (2, 2)
     irr = sn.reference_irreducible(StrictPartition((3,)))
-    cls = sn.classify_module(irr)
+    cls = sn.classify_module(irr, assume_irreducible=True)
     assert irr.dim == 4
     assert cls == {
         "kind": "M",
