@@ -34,6 +34,8 @@ COMMANDS = [
     ("build-rep 3,1 --algebra tensor", ["build-rep", "3,1", "--algebra", "tensor", "--out", "{out}"]),
     ("verify <build-rep 3,2>", ["verify", "{model:build-rep 3,2}"]),
     ("verify <build-rep 3,1 --algebra tensor>", ["verify", "{model:build-rep 3,1 --algebra tensor}"]),
+    ("build-rep 4,2", ["build-rep", "4,2", "--out", "{out}"]),
+    ("verify <build-rep 4,2>", ["verify", "{model:build-rep 4,2}"]),
     ("supercenter 5", ["supercenter", "5"]),
     ("gz 4", ["gz", "4"]),
     ("decompose-regular A 4", ["decompose-regular", "A", "4"]),
