@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import checks, gradedstruct, seminormal, shiftedcomb, spinalg
+from . import checks, exactnum, gradedstruct, seminormal, shiftedcomb, spinalg
 from .shiftedcomb import StrictPartition
 
 SCHEMA = "superspin/1"
@@ -126,12 +126,7 @@ def cmd_build_rep(args) -> int:
         if args.algebra == "tensor"
         else seminormal.build_rep_plain
     )
-    try:
-        rep = builder(shape)
-    except seminormal.RelationError as exc:
-        sys.stderr.write(f"build failed verification: {exc}\n")
-        return 1
-    _emit(rep.to_json(), args)
+    _emit(builder(shape).to_json(), args)
     return 0
 
 
@@ -267,10 +262,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except seminormal.RelationError as exc:
+        sys.stderr.write(f"build failed verification: {exc}\n")
+        return 1
+    except (ValueError, exactnum.PrecisionExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -252,7 +252,7 @@ def _squares_to_nonzero_scalar(j: Mat) -> bool:
     return bool(c) and sq == Mat.scalar(j.nrows, c)
 
 
-def span_closure(gens: Iterable[Mat], dim: int) -> list[Mat]:
+def span_closure(gens: Iterable[Mat]) -> list[Mat]:
     """Basis of the (possibly nonunital) span of all words in the generators."""
     gens = [g for g in gens if not g.is_zero()]
     ech = Echelon()
@@ -415,7 +415,7 @@ def decompose_semisimple(
     recovered from the block algebra's graded dimensions.
     """
     gens = a.generator_mats()
-    span = span_closure(gens, a.dim)
+    span = span_closure(gens)
     if check_semisimple and not _trace_form_nondegenerate(span):
         raise ValueError("input algebra is not semisimple (degenerate trace form)")
     even_center, odd_center = center_of_span(span, gens, a.parity)
@@ -428,7 +428,7 @@ def decompose_semisimple(
     report = BlockReport(algebra_dim=sum(_parity_split_dims(span, a.parity)))
     for piece, proj in pieces:
         block = a.restrict(piece)
-        block_span = span_closure(block.generator_mats(), block.dim)
+        block_span = span_closure(block.generator_mats())
         ev_dim, od_dim = _parity_split_dims(block_span, block.parity)
         has_odd_center = any(not piece.annihilated_by(z) for z in odd_center)
         report.blocks.append(
@@ -526,7 +526,7 @@ def graded_centralizer(
 ) -> dict:
     """Z(A, B): even ordinary plus even twisted centralizer inside span(A)."""
     gens = a.generator_mats()
-    span = span_closure(gens, a.dim)
+    span = span_closure(gens)
     span_ech = Echelon()
     for m in span:
         span_ech.add(vecize(m))

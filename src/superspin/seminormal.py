@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import spinalg
 from .exactnum import MINUS_ONE, ONE, ZERO, SqrtNumber, rational, sqrt_rational
@@ -123,7 +123,7 @@ class GradedRep:
     parity: tuple[int, ...]
     matrices: dict[str, Mat]
     build_report: dict = field(default_factory=dict)
-    _tau_ij_cache: dict = field(default_factory=dict, repr=False)
+    _pi_cache: dict = field(default_factory=dict, repr=False)
 
     def tau(self, i: int) -> Mat:
         return self.matrices[f"tau_{i}"]
@@ -142,7 +142,7 @@ class GradedRep:
         return names
 
     def pi(self, k: int) -> Mat:
-        return yjm_matrix(k, self.tau, self.dim, self._tau_ij_cache)
+        return yjm_matrix(k, self.tau, self.dim, self._pi_cache)
 
     def block_slice(self, t: int) -> range:
         return range(t * self.block_dim, (t + 1) * self.block_dim)
@@ -216,27 +216,21 @@ class GradedRep:
 
 
 def yjm_matrix(k: int, tau: Callable[[int], Mat], dim: int, cache: dict) -> Mat:
-    """pi_k = t_1k + ... + t_{k-1,k}, with the t_ij assembled from the taus.
+    """The YJM element pi_k, by pi_1 = 0 and pi_{k+1} = tau_k - tau_k pi_k tau_k.
 
-    t_{i,i+1} = tau_i and t_ij = -t_{i,j-1} tau_{j-1} t_{i,j-1}; `cache` keeps
-    the t_ij from one call to the next.
+    The recurrence is the relation tau_k pi_k + pi_{k+1} tau_k = 1 solved for
+    pi_{k+1} with tau_k^2 = 1, so each step costs two products of sparse
+    matrices.  `cache` maps k to pi_k and keeps it from one call to the next.
     """
-
-    def t(i: int, j: int) -> Mat:
-        hit = cache.get((i, j))
-        if hit is None:
-            if j == i + 1:
-                hit = tau(i)
-            else:
-                inner = t(i, j - 1)
-                hit = -(inner * tau(j - 1) * inner)
-            cache[(i, j)] = hit
-        return hit
-
-    out = Mat.zero(dim)
-    for i in range(1, k):
-        out = out + t(i, k)
-    return out
+    hit = cache.get(k)
+    if hit is None:
+        if k == 1:
+            hit = Mat.zero(dim)
+        else:
+            t = tau(k - 1)
+            hit = t - t * yjm_matrix(k - 1, tau, dim, cache) * t
+        cache[k] = hit
+    return hit
 
 
 class RelationError(ValueError):
@@ -336,26 +330,28 @@ def _construct(
 
 def verify_relations(rep: GradedRep) -> list[dict]:
     """Exact check of every defining relation; failures carry the defect norm."""
-    out: list[dict] = []
+    return list(_relation_checks(rep))
+
+
+def _relation_checks(rep: GradedRep) -> Iterator[dict]:
+    """The checks of `verify_relations`, yielded one at a time in its order."""
     n = rep.n
     one = Mat.identity(rep.dim)
 
-    def check(name: str, lhs: Mat, rhs: Mat):
+    def check(name: str, lhs: Mat, rhs: Mat) -> dict:
         defect = lhs - rhs
         ok = defect.is_zero()
-        out.append(
-            {
-                "identity": name,
-                "status": "pass" if ok else "fail",
-                "defect_norm": 0.0 if ok else defect.max_abs_float(),
-            }
-        )
+        return {
+            "identity": name,
+            "status": "pass" if ok else "fail",
+            "defect_norm": 0.0 if ok else defect.max_abs_float(),
+        }
 
     taus = {i: rep.tau(i) for i in range(1, n)}
     for i in range(1, n):
-        check(f"tau_{i}^2 = 1", taus[i] * taus[i], one)
+        yield check(f"tau_{i}^2 = 1", taus[i] * taus[i], one)
     for i in range(1, n - 1):
-        check(
+        yield check(
             f"tau_{i} tau_{i + 1} tau_{i} = tau_{i + 1} tau_{i} tau_{i + 1}",
             taus[i] * taus[i + 1] * taus[i],
             taus[i + 1] * taus[i] * taus[i + 1],
@@ -363,20 +359,20 @@ def verify_relations(rep: GradedRep) -> list[dict]:
     for i in range(1, n):
         for j in range(i + 2, n):
             prod = taus[i] * taus[j]
-            check(f"(tau_{i} tau_{j})^2 = -1", prod * prod, -one)
+            yield check(f"(tau_{i} tau_{j})^2 = -1", prod * prod, -one)
     if rep.has_clifford:
         ps = {i: rep.p(i) for i in range(1, n + 1)}
         for i in range(1, n + 1):
-            check(f"p_{i}^2 = 1", ps[i] * ps[i], one)
+            yield check(f"p_{i}^2 = 1", ps[i] * ps[i], one)
             for j in range(i + 1, n + 1):
-                check(
+                yield check(
                     f"p_{i} p_{j} + p_{j} p_{i} = 0",
                     ps[i] * ps[j] + ps[j] * ps[i],
                     Mat.zero(rep.dim),
                 )
         for i in range(1, n + 1):
             for j in range(1, n):
-                check(
+                yield check(
                     f"tau_{j} p_{i} + p_{i} tau_{j} = 0",
                     taus[j] * ps[i] + ps[i] * taus[j],
                     Mat.zero(rep.dim),
@@ -387,39 +383,54 @@ def verify_relations(rep: GradedRep) -> list[dict]:
         }
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                check(
+                yield check(
                     f"x_{i} x_{j} = x_{j} x_{i}",
                     xs[i] * xs[j],
                     xs[j] * xs[i],
                 )
-    return out
 
 
 def _build(shape, tensor: bool) -> GradedRep:
-    """Construct with both case-(iii) coefficient variants and keep a passing one."""
+    """Adjudicate the case-(iii) coefficient variants and keep a passing one.
+
+    The corrected variant is constructed and fully verified first.  The two
+    scalars differ only on split pairs with both a-values nonzero; without
+    one the printed matrices equal the corrected ones and share their outcome.
+    Otherwise the printed variant is built too and its scan stops at the first
+    failing relation: only a passing variant is kept, and a passing scan is
+    the full report.
+    """
+    distinguishable = any(
+        avec[i - 1] + avec[i] != (avec[i - 1] - avec[i]) ** 2
+        and avec[i - 1] > 0
+        and avec[i] > 0
+        for avec in (spectrum_vector(t).a for t in standard_tableaux(shape))
+        for i in range(1, shape.n)
+    )
     outcomes = {}
     chosen = None
-    for variant in ("corrected", "printed"):
+    for variant in ("corrected", "printed") if distinguishable else ("corrected",):
         rep = _construct(shape, tensor, variant)
-        report = verify_relations(rep)
+        if variant == "corrected":
+            report = verify_relations(rep)
+        else:
+            report = []
+            for r in _relation_checks(rep):
+                report.append(r)
+                if r["status"] == "fail":
+                    break
         bad = [r for r in report if r["status"] == "fail"]
         outcomes[variant] = "pass" if not bad else f"fail:{bad[0]['identity']}"
         if not bad and chosen is None:
             chosen = (variant, rep, report)
+    if not distinguishable:
+        outcomes["printed"] = outcomes["corrected"]
     if chosen is None:
         raise RelationError(
             f"no case-(iii) variant satisfies the relations for shape {shape}: "
             f"{outcomes}"
         )
     variant, rep, report = chosen
-    # the two scalars differ only on split pairs with both a-values nonzero
-    distinguishable = any(
-        avec[i - 1] + avec[i] != (avec[i - 1] - avec[i]) ** 2
-        and avec[i - 1] > 0
-        and avec[i] > 0
-        for avec in rep.avecs
-        for i in range(1, rep.n)
-    )
     rep.build_report = {
         "case_iii_variant": variant,
         "variant_outcomes": outcomes,
@@ -468,18 +479,19 @@ def build_rep_clifford_tensor(shape: StrictPartition) -> GradedRep:
 def spectrum_of(rep: GradedRep) -> list[tuple[int, ...]]:
     """Joint spectrum of the squared YJM operators, one a-vector per block.
 
-    The pi_i are reassembled from the tau matrices, so this doubles as a check
-    that they are block-diagonal with the tableau-prescribed scalar squares.
+    The pi_i are reassembled from the tau matrices (`yjm_matrix`) and each
+    pi_i^2 is formed once, so this doubles as a check that they are
+    block-diagonal with the tableau-prescribed scalar squares.
     """
     n = rep.n
     out = []
     pis = [rep.pi(i) for i in range(1, n + 1)]
+    squares = [pm * pm for pm in pis]
     for t in range(len(rep.tableaux)):
         sl = rep.block_slice(t)
         lo, hi = sl.start, sl.stop
         avec = []
-        for i, pm in enumerate(pis, start=1):
-            sq = pm * pm
+        for i, sq in enumerate(squares, start=1):
             val = None
             for r in range(lo, hi):
                 row = sq.rows.get(r, {})
@@ -665,7 +677,7 @@ def extract_irreducible(rep: GradedRep) -> GradedMatrixAlgebra:
 
 def identify_shape(mod: GradedMatrixAlgebra, level: int) -> StrictPartition:
     """Shape whose tableau spectra match the joint YJM-square spectrum."""
-    cache: dict[tuple[int, int], Mat] = {}
+    cache: dict[int, Mat] = {}
 
     def tau(i: int) -> Mat:
         return mod.generator(f"tau_{i}")
@@ -878,7 +890,6 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
         gens, parity, words = _tensor_regular_generators(n)
     else:
         gens, parity = _spin_regular_generators(n)
-        words = None
     dim = len(parity)
     alg = GradedMatrixAlgebra(dim, parity, gens)
 
@@ -888,8 +899,8 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     for p in pis:
         total = total + p * p
     central_elems = [total] + spinalg.supercenter_basis(n)
-    central_mats = [_left_mult_mat(e, tensor, words, dim) for e in central_elems]
-    pi2_mats = [_left_mult_mat(p * p, tensor, words, dim) for p in pis]
+    central_mats = [_left_mult_mat(e, tensor, dim) for e in central_elems]
+    pi2_mats = [_left_mult_mat(p * p, tensor, dim) for p in pis]
 
     pieces = split_module_by_central(dim, central_mats[:1])
     report = BlockReport(algebra_dim=dim)
@@ -897,7 +908,7 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
         odd_mats = _tensor_odd_center_mats(n, words)
     else:
         odd_center = [e for e in spinalg.ordinary_center(n) if e.parity() == 1]
-        odd_mats = [_left_mult_mat(e, tensor, words, dim) for e in odd_center]
+        odd_mats = [_left_mult_mat(e, tensor, dim) for e in odd_center]
     for piece, proj in pieces:
         # the piece is a two-sided ideal, so it is the block algebra as a space
         ev_dim = subspace_parity(piece, parity).count(0)
@@ -916,42 +927,27 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     return report
 
 
-def _left_mult_mat(x: spinalg.SpinElement, tensor: bool, words, dim: int) -> Mat:
-    n = x.n
-    ctx = spinalg.context(n)
-    rows: dict[int, Vec] = {}
-    if not tensor:
-        for widx, coeff in x.coeffs.items():
-            word = ctx.words[widx]
-            for p in range(len(ctx.perms)):
-                sign, q = 1, p
-                for g in reversed(word):
-                    s, q = ctx.left_mul_gen(g, q)
-                    sign *= s
-                tgt = rows.setdefault(q, {})
-                val = tgt.get(p, ZERO) + (coeff if sign > 0 else -coeff)
-                if val:
-                    tgt[p] = val
-                elif p in tgt:
-                    del tgt[p]
-    else:
+def _left_mult_mat(x: spinalg.SpinElement, tensor: bool, dim: int) -> Mat:
+    ctx = spinalg.context(x.n)
+    nperm = len(ctx.perms)
+    if tensor:
         # x is even (all our central elements are), so 1 x x acts blockwise
         assert x.parity() in (0, None)
-        for widx, coeff in x.coeffs.items():
-            word = ctx.words[widx]
-            for s in range(1 << n):
-                base = s * len(ctx.perms)
-                for p in range(len(ctx.perms)):
-                    sign, q = 1, p
-                    for g in reversed(word):
-                        sg, q = ctx.left_mul_gen(g, q)
-                        sign *= sg
-                    tgt = rows.setdefault(base + q, {})
-                    val = tgt.get(base + p, ZERO) + (coeff if sign > 0 else -coeff)
-                    if val:
-                        tgt[base + p] = val
-                    elif base + p in tgt:
-                        del tgt[base + p]
+    rows: dict[int, Vec] = {}
+    for widx, coeff in x.coeffs.items():
+        word = ctx.words[widx]
+        for base in range(0, dim, nperm):
+            for p in range(nperm):
+                sign, q = 1, p
+                for g in reversed(word):
+                    sg, q = ctx.left_mul_gen(g, q)
+                    sign *= sg
+                tgt = rows.setdefault(base + q, {})
+                val = tgt.get(base + p, ZERO) + (coeff if sign > 0 else -coeff)
+                if val:
+                    tgt[base + p] = val
+                elif base + p in tgt:
+                    del tgt[base + p]
     return Mat(dim, dim, rows)
 
 

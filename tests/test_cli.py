@@ -190,3 +190,31 @@ def test_size_caps(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_relation_error_exits_1(capsys, monkeypatch):
+    from superspin import seminormal
+
+    def failing_build(shape):
+        raise seminormal.RelationError(f"spectrum contract failed for {shape}")
+
+    monkeypatch.setattr(seminormal, "build_rep_plain", failing_build)
+    assert cli.main(["spectrum", "3,1", "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "build failed verification: spectrum contract failed for 3,1\n"
+    assert cli.main(["build-rep", "3,1"]) == 1
+    assert capsys.readouterr().err.startswith("build failed verification: ")
+
+
+def test_precision_cap_exits_2(capsys, monkeypatch):
+    from superspin import exactnum
+
+    def capped_sign(self):
+        raise exactnum.PrecisionExceeded("sign() undecided at SUPERSPIN_MAX_BITS=8")
+
+    monkeypatch.setattr(exactnum.SqrtNumber, "sign", capped_sign)
+    assert cli.main(["check-all", "--max-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sign() undecided at SUPERSPIN_MAX_BITS=8\n"

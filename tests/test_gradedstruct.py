@@ -53,7 +53,7 @@ def test_double_supercommutant():
     )
     second = gs.supercommutant(algp)
     e1, e2 = Echelon(), Echelon()
-    for m in gs.span_closure(q1.generator_mats(), q1.dim):
+    for m in gs.span_closure(q1.generator_mats()):
         e1.add(vecize(m))
     for m in second:
         e2.add(vecize(m))
@@ -143,7 +143,7 @@ def test_adjoin_epsilon():
         m_count = sum(1 for b in base.blocks if b.btype == "M")
         q_count = sum(1 for b in base.blocks if b.btype == "Q")
         eps = gs.adjoin_epsilon(an)
-        span = gs.span_closure(eps.generator_mats(), eps.dim)
+        span = gs.span_closure(eps.generator_mats())
         ev, od = gs.center_of_span(span, eps.generator_mats(), eps.parity)
         assert len(ev) + len(od) == 2 * m_count + q_count
 
@@ -174,7 +174,7 @@ def test_grading_independence_of_semisimplicity():
         graded = gs.decompose_semisimple(alg)
         m_count = sum(1 for b in graded.blocks if b.btype == "M")
         q_count = sum(1 for b in graded.blocks if b.btype == "Q")
-        span = gs.span_closure(alg.generator_mats(), alg.dim)
+        span = gs.span_closure(alg.generator_mats())
         ev, od = gs.center_of_span(span, alg.generator_mats(), alg.parity)
         assert len(ev) == m_count + q_count
         assert len(od) == q_count

@@ -288,3 +288,61 @@ def test_large_instance_tensor_smoke():
     report = sn.verify_relations(rep)
     assert all(r["status"] == "pass" for r in report)
     assert time.time() - start < 300
+
+
+# -- fast path against slow path: the YJM recurrence and the variant shortcut ----
+
+
+def _reference_pi(rep, k):
+    """pi_k = t_1k + ... + t_{k-1,k}, with t_{i,i+1} = tau_i and
+    t_ij = -t_{i,j-1} tau_{j-1} t_{i,j-1}: the sum of transposition images."""
+    total = Mat.zero(rep.dim)
+    for i in range(1, k):
+        t = rep.tau(i)
+        for j in range(i + 2, k + 1):
+            t = -(t * rep.tau(j - 1) * t)
+        total = total + t
+    return total
+
+
+def _reference_build_report(shape, tensor):
+    """Both variants constructed and fully verified, pi from the reference sum."""
+    outcomes, chosen = {}, None
+    for variant in ("corrected", "printed"):
+        rep = sn._construct(shape, tensor, variant)
+        for k in range(1, rep.n + 1):
+            rep._pi_cache[k] = _reference_pi(rep, k)
+        report = sn.verify_relations(rep)
+        bad = [r for r in report if r["status"] == "fail"]
+        outcomes[variant] = "pass" if not bad else f"fail:{bad[0]['identity']}"
+        if not bad and chosen is None:
+            chosen = (variant, rep, report)
+    variant, rep, report = chosen
+    return {
+        "case_iii_variant": variant,
+        "variant_outcomes": outcomes,
+        "variant_distinguishable": any(
+            a[i - 1] + a[i] != (a[i - 1] - a[i]) ** 2 and a[i - 1] > 0 and a[i] > 0
+            for a in rep.avecs
+            for i in range(1, rep.n)
+        ),
+        "relations_checked": len(report),
+    }
+
+
+def test_yjm_recurrence_matches_transposition_sum():
+    for shape in shapes_up_to(5):
+        for builder in (sn.build_rep_plain, sn.build_rep_clifford_tensor):
+            rep = builder(shape)
+            for k in range(1, rep.n + 1):
+                assert rep.pi(k) == _reference_pi(rep, k), (shape, builder, k)
+
+
+@pytest.mark.parametrize(
+    "shape, tensor",
+    [(s, False) for s in shapes_up_to(6)] + [(s, True) for s in shapes_up_to(5)],
+    ids=str,
+)
+def test_build_report_matches_full_adjudication(shape, tensor):
+    builder = sn.build_rep_clifford_tensor if tensor else sn.build_rep_plain
+    assert builder(shape).build_report == _reference_build_report(shape, tensor)
