@@ -40,6 +40,8 @@ COMMANDS = [
     ("gz 4", ["gz", "4"]),
     ("decompose-regular A 4", ["decompose-regular", "A", "4"]),
     ("decompose-regular CA 3", ["decompose-regular", "CA", "3"]),
+    ("decompose-regular A 5", ["decompose-regular", "A", "5"]),
+    ("decompose-regular CA 4", ["decompose-regular", "CA", "4"]),
     ("check-all --max-n 3", ["check-all", "--max-n", "3"]),
     ("check-all --max-n 3 --json", ["check-all", "--max-n", "3", "--json"]),
     ("check-all --max-n 3 --negative-control", ["check-all", "--max-n", "3", "--negative-control"]),
