@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import checks, exactnum, gradedstruct, seminormal, shiftedcomb, spinalg
+from . import checks, exactnum, gradedstruct, linalg, seminormal, shiftedcomb, spinalg
 from .shiftedcomb import StrictPartition
 
 SCHEMA = "superspin/1"
@@ -264,6 +264,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except seminormal.RelationError as exc:
         sys.stderr.write(f"build failed verification: {exc}\n")
+        return 1
+    except linalg.CheckFailed as exc:
+        sys.stderr.write(f"check failed: {exc}\n")
         return 1
     except (ValueError, exactnum.PrecisionExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -3,8 +3,15 @@
 A value is a finite Q-linear combination of sqrt(d) over square-free positive
 integers d; radicand 1 carries the rational part.  Because the sqrt(d) are
 linearly independent over Q, the term map is a canonical form: two values are
-equal iff their maps are equal.  Everything downstream (matrices, algebra
-elements) uses this as its scalar type.
+equal iff their maps are equal.
+
+The package's scalar rule: a rational value is a Python int when it is
+integral and a Fraction otherwise, and a SqrtNumber carries a value that
+contains a radical (or comes from code that computes on SqrtNumbers).  Python's
+numeric tower then picks the arithmetic from the data: int and Fraction
+operands stay rational, and a SqrtNumber operand makes the result a SqrtNumber.
+`canonical`, `inverse`, `one_like`, `rational_of` and `scalar_json` are the
+helpers that let the linear algebra run on all three types with one code path.
 """
 
 from __future__ import annotations
@@ -122,8 +129,12 @@ class SqrtNumber:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a rational value equals, so must hash as, the int/Fraction it holds
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
+            if self.is_rational():
+                self._hash = hash(self._terms.get(1, 0))
+            else:
+                self._hash = hash(tuple(sorted(self._terms.items())))
         return self._hash
 
     def __neg__(self) -> SqrtNumber:
@@ -299,7 +310,7 @@ class SqrtNumber:
         return cls.from_terms(raw)
 
 
-def _frac_str(q: Fraction) -> str:
+def _frac_str(q: int | Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -330,3 +341,49 @@ MINUS_ONE = SqrtNumber({1: Fraction(-1)})
 
 def rational(q) -> SqrtNumber:
     return SqrtNumber.from_rational(q)
+
+
+# -- the scalar rule ----------------------------------------------------------
+
+
+def canonical(x):
+    """x with an integral Fraction turned into int; every other scalar as it is."""
+    if x.__class__ is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def rational_of(x) -> int | Fraction | None:
+    """The rational value of any scalar in canonical type; None if it has a radical."""
+    if isinstance(x, SqrtNumber):
+        if not x.is_rational():
+            return None
+        x = x.rational_value()
+    return canonical(x)
+
+
+def inverse(x):
+    """1/x in x's own family: int or Fraction for a rational, else SqrtNumber."""
+    if isinstance(x, SqrtNumber):
+        return x.invert()
+    if not x:
+        raise ZeroDivisionError("inverse of zero")
+    return canonical(Fraction(x.denominator, x.numerator))
+
+
+def one_like(values: Iterable):
+    """1 in the family of the values: ONE if any is a SqrtNumber, int 1 if all
+    are rational, and ONE when there are none (the type is then unknown)."""
+    seen = False
+    for v in values:
+        if isinstance(v, SqrtNumber):
+            return ONE
+        seen = True
+    return 1 if seen else ONE
+
+
+def scalar_json(x) -> dict:
+    """Any scalar in the wire format, byte-identical to SqrtNumber.to_json."""
+    if isinstance(x, SqrtNumber):
+        return x.to_json()
+    return {"terms": [{"radicand": 1, "coeff": _frac_str(x)}] if x else []}

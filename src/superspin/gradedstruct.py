@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .exactnum import ONE, ZERO
-from .linalg import Echelon, Mat, Subspace, Vec, eigensplit, kernel, vecize
+from .exactnum import ONE, inverse
+from .linalg import CheckFailed, Echelon, Mat, Subspace, Vec, eigensplit, kernel, vecize
 
 
 @dataclass
@@ -177,12 +177,15 @@ def module_commutant(mod: GradedMatrixAlgebra, x_parity: int, super_mode: bool) 
             # X[k,c] contributes -s*G[r,k]*X[k,c] to the constraint at (r,c)
             for r, v in gcols.get(k, {}).items():
                 row = rows.setdefault((r, c), {})
-                prev = row.get(pos[(k, c)], ZERO)
-                val = prev - (v if s > 0 else -v)
+                i = pos[(k, c)]
+                val = -v if s > 0 else v
+                prev = row.get(i)
+                if prev is not None:
+                    val = prev + val
                 if val:
-                    row[pos[(k, c)]] = val
-                elif pos[(k, c)] in row:
-                    del row[pos[(k, c)]]
+                    row[i] = val
+                elif i in row:
+                    del row[i]
         constraints.extend(v for v in rows.values() if v)
     sols = kernel(constraints, len(unknowns))
     return [
@@ -339,14 +342,14 @@ def simple_block(has_odd_center: bool, alg_dim: int, even_dim: int, **fields) ->
     if has_odd_center:
         q = isqrt(alg_dim // 2)
         if 2 * q * q != alg_dim or even_dim != q * q:
-            raise ValueError("inconsistent Q-block dimensions")
+            raise CheckFailed("inconsistent Q-block dimensions")
         return Block("Q", q, alg_dim, **fields)
     t = isqrt(alg_dim)
     # r + s = t, r^2 + s^2 = even_dim
     disc = 2 * even_dim - t * t
     u = isqrt(disc) if disc >= 0 else -1
     if t * t != alg_dim or u < 0 or u * u != disc or (t + u) % 2:
-        raise ValueError("inconsistent M-block dimensions")
+        raise CheckFailed("inconsistent M-block dimensions")
     return Block("M", ((t + u) // 2, (t - u) // 2), alg_dim, **fields)
 
 
@@ -382,26 +385,26 @@ def split_module_by_central(
 
     The projector onto a joint eigenspace is the product, over the operators
     that cut it from a larger piece, of prod (op - mu) / (lam - mu) with mu
-    running over the op's other eigenvalues on that piece.
+    running over the op's other eigenvalues on that piece.  The scalars
+    1 / (lam - mu) are collected and applied once, so integer operators with
+    rational eigenvalues multiply as integer matrices.
     """
     central = list(central)
-    labeled = eigensplit([Subspace.full(dim)], central)
+    one = central[0].one() if central else ONE
+    labeled = eigensplit([Subspace(dim, [{i: one} for i in range(dim)])], central)
     out = []
     for piece, label in labeled:
-        proj = Mat.identity(dim)
+        proj, scale = Mat.scalar(dim, one), one
         for k, (op, lam) in enumerate(zip(central, label)):
             # pieces cut from the same piece as this one share label[:k]
             others: list = []
             for _, lab in labeled:
                 if lab[:k] == label[:k] and lab[k] != lam and lab[k] not in others:
                     others.append(lab[k])
-            if not others:
-                continue
-            factor = Mat.identity(dim)
             for mu in others:
-                factor = factor * (op - Mat.scalar(dim, mu)).scale((lam - mu).invert())
-            proj = proj * factor
-        out.append((piece, proj))
+                proj = proj * (op - Mat.scalar(dim, mu))
+                scale = scale * inverse(lam - mu)
+        out.append((piece, proj.scale(scale)))
     return out
 
 
@@ -453,7 +456,7 @@ def _trace_form_nondegenerate(span: Sequence[Mat]) -> bool:
         row: Vec = {}
         for j in range(n):
             prod = span[i] * span[j]
-            tr = ZERO
+            tr = 0
             for r in range(prod.nrows):
                 tr = tr + prod.entry(r, r)
             if tr:

@@ -1,8 +1,13 @@
-"""Sparse exact linear algebra over SqrtNumber scalars.
+"""Sparse exact linear algebra over the package's scalars.
 
-Vectors are dicts index -> SqrtNumber (no stored zeros), matrices are
-row-major dicts of such dicts.  Everything here is deterministic: pivots are
-smallest column first, eigenvalues are reported in ascending field order.
+Vectors are dicts index -> scalar (no stored zeros), matrices are row-major
+dicts of such dicts.  A scalar is an int, a Fraction or a SqrtNumber, by the
+rule in `exactnum`: the same code runs on all three, so rational systems
+compute in int/Fraction arithmetic and a SqrtNumber appears only where the
+data carries one.  Type in is type out: SqrtNumber inputs give SqrtNumber
+results, rational inputs give rational results (a root that needs a radical is
+the one exception).  Everything here is deterministic: pivots are smallest
+column first, eigenvalues are reported in ascending field order.
 """
 
 from __future__ import annotations
@@ -12,9 +17,23 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from .exactnum import ONE, ZERO, SqrtNumber, rational, sqrt_rational
+from .exactnum import (
+    ONE,
+    ZERO,
+    SqrtNumber,
+    canonical,
+    inverse,
+    one_like,
+    rational_of,
+    scalar_json,
+    sqrt_rational,
+)
 
-Vec = dict  # index -> SqrtNumber
+Vec = dict  # index -> scalar (int, Fraction or SqrtNumber)
+
+
+class CheckFailed(ValueError):
+    """An exact internal check failed: the result contradicts the theory."""
 
 
 def vec_scale(v: Vec, c: SqrtNumber) -> Vec:
@@ -47,8 +66,15 @@ def vec_add_scaled(u: Vec, v: Vec, c: SqrtNumber) -> Vec:
     return out
 
 
+def _scaled_row(v: Vec, c) -> Vec:
+    """c*v for a pivot row; rational entries in canonical type (int if integral)."""
+    if isinstance(c, SqrtNumber):
+        return vec_scale(v, c)
+    return {i: canonical(c * x) for i, x in v.items()}
+
+
 class Mat:
-    """Sparse matrix over SqrtNumber (row-major)."""
+    """Sparse matrix over int, Fraction or SqrtNumber scalars (row-major)."""
 
     __slots__ = ("nrows", "ncols", "rows", "_cols")
 
@@ -82,6 +108,10 @@ class Mat:
 
     def entry(self, r: int, c: int) -> SqrtNumber:
         return self.rows.get(r, {}).get(c, ZERO)
+
+    def one(self):
+        """1 in the scalar family of the entries (ONE if there are none)."""
+        return one_like(v for row in self.rows.values() for v in row.values())
 
     def cols(self) -> dict[int, Vec]:
         if self._cols is None:
@@ -187,9 +217,10 @@ class Mat:
         return worst
 
     def to_json(self) -> list:
+        empty: Vec = {}
         return [
-            [self.entry(r, c).to_json() for c in range(self.ncols)]
-            for r in range(self.nrows)
+            [scalar_json(row.get(c, 0)) for c in range(self.ncols)]
+            for row in (self.rows.get(r, empty) for r in range(self.nrows))
         ]
 
     @classmethod
@@ -273,11 +304,11 @@ class Echelon:
         if not rem:
             return False
         p = min(rem)
-        inv = rem[p].invert()
-        self.rows[p] = vec_scale(rem, inv)
+        inv = inverse(rem[p])
+        self.rows[p] = _scaled_row(rem, inv)
         if combo is not None:
-            own = vec_add_scaled({len(self.combos): ONE}, combo, -ONE)
-            self.combos[p] = vec_scale(own, inv)
+            own = vec_add_scaled({len(self.combos): 1}, combo, -1)
+            self.combos[p] = _scaled_row(own, inv)
         return True
 
     def contains(self, vec: Vec) -> bool:
@@ -303,19 +334,20 @@ def kernel(constraints: Iterable[Vec], ncols: int) -> list[Vec]:
     """Kernel basis of the linear map given by constraint rows over ncols unknowns.
 
     One vector per free column f, in increasing f: 1 at f and, at each pivot
-    column, minus the reduced row's entry at f.
+    column, minus the reduced row's entry at f.  The 1 has the constraints' type.
     """
     ech = Echelon()
     for row in constraints:
         if row:
             ech.add(row)
     rows = ech.rref()
+    one = one_like(x for row in rows.values() for x in row.values())
     free: dict[int, Vec] = {}
     for p in sorted(rows):
         for f, c in rows[p].items():
             if f != p:
-                free.setdefault(f, {f: ONE})[p] = -c
-    return [free.get(f, {f: ONE}) for f in range(ncols) if f not in rows]
+                free.setdefault(f, {f: one})[p] = canonical(-c)
+    return [free.get(f, {f: one}) for f in range(ncols) if f not in rows]
 
 
 class Subspace:
@@ -341,7 +373,7 @@ class Subspace:
         rem, combo = self._ech.reduce(vec)
         if rem:
             return None
-        return combo
+        return {i: canonical(c) for i, c in combo.items()}
 
     def contains(self, vec: Vec) -> bool:
         return self.coords_of(vec) is not None
@@ -374,14 +406,16 @@ class Subspace:
 
 
 def min_poly(m: Mat) -> list[SqrtNumber]:
-    """Monic minimal polynomial coefficients, low degree first."""
+    """Monic minimal polynomial coefficients, low degree first, in m's type."""
+    one = m.one()
+    zero = 0 * one
     ech = Echelon(track=True)
-    power = Mat.identity(m.nrows)
+    power = Mat.scalar(m.nrows, one)
     while True:
         vec = vecize(power)
         if not ech.add(vec):
             _, combo = ech.reduce(vec)
-            return [-combo.get(i, ZERO) for i in range(ech.rank)] + [ONE]
+            return [canonical(-combo.get(i, zero)) for i in range(ech.rank)] + [one]
         power = power * m
 
 
@@ -435,14 +469,15 @@ def _deflate(coeffs: list[SqrtNumber], root: SqrtNumber) -> tuple[list, SqrtNumb
 def _divide_rational_roots(work: list[SqrtNumber]) -> tuple[list, list[SqrtNumber]]:
     """(rational roots, once per multiplicity, and the cofactor left over)."""
     roots: list[SqrtNumber] = []
-    if not all(c.is_rational() for c in work):
+    values = [rational_of(c) for c in work]
+    if any(q is None for q in values):
         return roots, work
     denom = 1
-    for c in work:
-        d = c.rational_value().denominator
-        denom = denom * d // gcd(denom, d)
-    for r in _rational_roots([int(c.rational_value() * denom) for c in work]):
-        rr = rational(r)
+    for q in values:
+        denom = denom * q.denominator // gcd(denom, q.denominator)
+    one = one_like(work)
+    for r in _rational_roots([int(q * denom) for q in values]):
+        rr = canonical(r * one)
         while len(work) > 1:
             quotient, remainder = _deflate(work, rr)
             if remainder:
@@ -468,11 +503,11 @@ def poly_roots(coeffs: list[SqrtNumber]) -> tuple[list[SqrtNumber], bool]:
         pair = _quadratic_roots(work[1], work[0]) if len(work) == 3 else None
         if pair is not None:
             roots.extend(pair)
-            work = [ONE]
+            work = [1]
             changed = True
         if len(work) == 2:
             roots.append(-work[0])
-            work = [ONE]
+            work = [1]
             changed = True
     roots.sort()
     return roots, len(work) == 1
@@ -480,17 +515,25 @@ def poly_roots(coeffs: list[SqrtNumber]) -> tuple[list[SqrtNumber], bool]:
 
 def _quadratic_roots(b: SqrtNumber, c: SqrtNumber) -> tuple | None:
     """The two roots of x^2 + b x + c if they lie in the field, else None."""
-    root_disc = _field_sqrt(b * b - rational(4) * c)
+    root_disc = _field_sqrt(b * b - 4 * c)
     if root_disc is None:
         return None
-    half = rational(Fraction(1, 2))
-    return (-b - root_disc) * half, (-b + root_disc) * half
+    half = Fraction(1, 2)
+    return canonical((-b - root_disc) * half), canonical((-b + root_disc) * half)
 
 
-def _field_sqrt(u: SqrtNumber) -> SqrtNumber | None:
-    """A square root of u inside the field, if one exists with <= 1 radical."""
-    if u.is_zero():
-        return ZERO
+def _field_sqrt(u):
+    """A square root of u inside the field, if one exists with <= 1 radical.
+
+    A rational u that is not a SqrtNumber gets a rational root as int/Fraction.
+    """
+    if not u:
+        return u
+    if not isinstance(u, SqrtNumber):
+        if u < 0:
+            return None
+        root = sqrt_rational(u)
+        return rational_of(root) if root.is_rational() else root
     if u.sign() < 0:
         return None
     if u.is_rational():
@@ -529,35 +572,36 @@ def poly_partial_factors(coeffs: list[SqrtNumber]) -> list[list[SqrtNumber]]:
     field allows; whatever resists stays as a single factor.
     """
     factors: list[list[SqrtNumber]] = []
+    one = one_like(coeffs)
     found, work = _divide_rational_roots(list(coeffs))
     roots = {rr: found.count(rr) for rr in found}
     for rr, mult in sorted(roots.items()):
-        factor = [ONE]
+        factor = [one]
         for _ in range(mult):
-            factor = _poly_mul(factor, [-rr, ONE])
+            factor = _poly_mul(factor, [-rr, one])
         factors.append(factor)
     pair = _quadratic_roots(work[1], work[0]) if len(work) == 3 else None
     if pair is not None and pair[0] != pair[1]:
-        factors.extend([[-r, ONE] for r in pair])
-        work = [ONE]
+        factors.extend([[-r, one] for r in pair])
+        work = [one]
     if (
         len(work) == 5
-        and all(cf.is_rational() for cf in work)
-        and work[1].is_zero()
-        and work[3].is_zero()
+        and all(rational_of(cf) is not None for cf in work)
+        and not work[1]
+        and not work[3]
     ):
         # biquadratic x^4 + p x^2 + q: factor through y = x^2
         pair = _quadratic_roots(work[2], work[0])
         if pair is not None and pair[0] != pair[1]:
-            factors.extend([[-y, ZERO, ONE] for y in pair])
-            work = [ONE]
+            factors.extend([[-y, 0 * one, one] for y in pair])
+            work = [one]
     if len(work) > 1:
         factors.append(work)
     return factors
 
 
 def _poly_mul(a: list[SqrtNumber], b: list[SqrtNumber]) -> list[SqrtNumber]:
-    out = [ZERO] * (len(a) + len(b) - 1)
+    out = [0 * a[0]] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -588,9 +632,14 @@ def eigensplit(
         refined: list[tuple[Subspace, list[SqrtNumber]]] = []
         for piece, label in labeled:
             small = piece.restrict(op)
+            if small.nrows and small.is_zero():
+                # op vanishes here; the piece's basis, not small, has a type
+                zero = 0 * one_like(x for b in piece.basis for x in b.values())
+                refined.append((piece, label + [zero]))
+                continue
             roots, complete = poly_roots(min_poly(small))
             if not complete:
-                raise ValueError("minimal polynomial did not split over the field")
+                raise CheckFailed("minimal polynomial did not split over the field")
             distinct: list[SqrtNumber] = []
             for lam in roots:
                 if lam not in distinct:

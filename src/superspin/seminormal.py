@@ -20,7 +20,7 @@ from math import isqrt
 from typing import Callable, Iterator, Sequence
 
 from . import spinalg
-from .exactnum import MINUS_ONE, ONE, ZERO, SqrtNumber, rational, sqrt_rational
+from .exactnum import MINUS_ONE, ONE, ZERO, SqrtNumber, canonical, rational, rational_of, sqrt_rational
 from .gradedstruct import (
     BlockReport,
     GradedMatrixAlgebra,
@@ -31,6 +31,7 @@ from .gradedstruct import (
     subspace_parity,
 )
 from .linalg import (
+    CheckFailed,
     Echelon,
     Mat,
     Subspace,
@@ -233,7 +234,7 @@ def yjm_matrix(k: int, tau: Callable[[int], Mat], dim: int, cache: dict) -> Mat:
     return hit
 
 
-class RelationError(ValueError):
+class RelationError(CheckFailed):
     """A built representation failed an exact relation check."""
 
 
@@ -653,7 +654,7 @@ def split_into_irreducibles(mod: GradedMatrixAlgebra) -> list[GradedMatrixAlgebr
     # which happens for field-irreducible modules of complex/quaternionic type
     if all(_invertible(x) for x in nonscalar):
         return [mod]
-    raise ValueError(
+    raise CheckFailed(
         "could not split module over the field (commutant is not a division "
         "algebra yet no element yields coprime factors)"
     )
@@ -802,7 +803,7 @@ def _spin_regular_generators(n: int) -> tuple[list[tuple[str, Mat]], tuple[int, 
         rows: dict[int, Vec] = {}
         for p in range(N):
             s, q = ctx.left_mul_gen(gidx, p)
-            rows.setdefault(q, {})[p] = ONE if s > 0 else MINUS_ONE
+            rows.setdefault(q, {})[p] = s
         gens.append((f"tau_{gidx}", Mat(N, N, rows)))
     return gens, tuple(ctx.parity)
 
@@ -855,13 +856,13 @@ def _tensor_regular_generators(
         rows: dict[int, Vec] = {}
         for idx in range(N):
             s, q = words.left_mul_tau(g, idx)
-            rows.setdefault(q, {})[idx] = ONE if s > 0 else MINUS_ONE
+            rows.setdefault(q, {})[idx] = s
         gens.append((f"tau_{g}", Mat(N, N, rows)))
     for i in range(1, n + 1):
         rows = {}
         for idx in range(N):
             s, q = words.left_mul_p(i, idx)
-            rows.setdefault(q, {})[idx] = ONE if s > 0 else MINUS_ONE
+            rows.setdefault(q, {})[idx] = s
         gens.append((f"p_{i}", Mat(N, N, rows)))
     parity = tuple(words.parity(i) for i in range(N))
     return gens, parity, words
@@ -923,7 +924,7 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
         )
     total_dim = report.total_block_dim()
     if total_dim != dim:
-        raise ValueError(f"block dimensions {total_dim} do not sum to {dim}")
+        raise CheckFailed(f"block dimensions {total_dim} do not sum to {dim}")
     return report
 
 
@@ -935,6 +936,7 @@ def _left_mult_mat(x: spinalg.SpinElement, tensor: bool, dim: int) -> Mat:
         assert x.parity() in (0, None)
     rows: dict[int, Vec] = {}
     for widx, coeff in x.coeffs.items():
+        coeff = canonical(coeff.rational_value())  # the oracle's data is rational
         word = ctx.words[widx]
         for base in range(0, dim, nperm):
             for p in range(nperm):
@@ -943,7 +945,7 @@ def _left_mult_mat(x: spinalg.SpinElement, tensor: bool, dim: int) -> Mat:
                     sg, q = ctx.left_mul_gen(g, q)
                     sign *= sg
                 tgt = rows.setdefault(base + q, {})
-                val = tgt.get(base + p, ZERO) + (coeff if sign > 0 else -coeff)
+                val = tgt.get(base + p, 0) + (coeff if sign > 0 else -coeff)
                 if val:
                     tgt[base + p] = val
                 elif base + p in tgt:
@@ -976,7 +978,7 @@ def _tensor_odd_center_mats(n: int, words: _TensorWords) -> list[Mat]:
             continue
         rows: dict[int, Vec] = {}
         for idx, s in members:
-            coeff = ONE if s > 0 else MINUS_ONE
+            coeff = s
             for col in range(N):
                 sign, q = 1, col
                 # left-multiply basis word col by basis word idx
@@ -991,7 +993,7 @@ def _tensor_odd_center_mats(n: int, words: _TensorWords) -> list[Mat]:
                     s2, cur = words.left_mul_tau(g, cur)
                     ssign *= s2
                 tgt = rows.setdefault(cur, {})
-                val = tgt.get(col, ZERO) + (coeff if ssign > 0 else -coeff)
+                val = tgt.get(col, 0) + (coeff if ssign > 0 else -coeff)
                 if val:
                     tgt[col] = val
                 elif col in tgt:
@@ -1003,7 +1005,7 @@ def _tensor_odd_center_mats(n: int, words: _TensorWords) -> list[Mat]:
 def _a_vectors(piece: Subspace, squares: Sequence[Mat]) -> list[tuple[int, ...]]:
     """Joint spectrum of the squared YJM operators on a piece, as a-vectors."""
     labeled = eigensplit([piece], squares)
-    return sorted({tuple(int(x.rational_value()) for x in lab) for _, lab in labeled})
+    return sorted({tuple(int(rational_of(x)) for x in lab) for _, lab in labeled})
 
 
 def _isqrt_exact(x: int) -> int:

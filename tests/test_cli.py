@@ -218,3 +218,23 @@ def test_precision_cap_exits_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: sign() undecided at SUPERSPIN_MAX_BITS=8\n"
+
+
+@pytest.mark.parametrize("failure", ["blocks", "eigen"])
+def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
+    from superspin import linalg, seminormal
+
+    if failure == "blocks":
+        # drop one central piece: the block dimensions no longer sum to 3!
+        split = seminormal.split_module_by_central
+        monkeypatch.setattr(
+            seminormal, "split_module_by_central", lambda dim, ops: split(dim, ops)[1:]
+        )
+        message = "check failed: block dimensions 4 do not sum to 6\n"
+    else:
+        monkeypatch.setattr(linalg, "poly_roots", lambda coeffs: ([], False))
+        message = "check failed: minimal polynomial did not split over the field\n"
+    assert cli.main(["decompose-regular", "A", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message

@@ -7,7 +7,11 @@ from superspin.exactnum import (
     ONE,
     PrecisionExceeded,
     SqrtNumber,
+    ZERO,
+    canonical,
+    inverse,
     rational,
+    scalar_json,
     sqrt_rational,
     square_free_decompose,
 )
@@ -130,3 +134,36 @@ def test_json_roundtrip():
         ]
     }
     assert SqrtNumber.from_json(obj) == x
+
+
+def test_rational_hash_matches_python():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.one_of(st.integers(), st.fractions()))
+    def check(q):
+        assert hash(rational(q)) == hash(q)
+        assert rational(q) in {q}
+        assert q in {rational(q)}
+        assert len({rational(q), q}) == 1
+
+    check()
+    assert len({ONE, 1}) == 1 and 1 in {ONE} and 0 in {ZERO}
+    r2 = sqrt_rational(2)
+    assert hash(r2) == hash(SqrtNumber.from_terms([(8, Fraction(1, 2))]))
+
+
+def test_scalar_helpers():
+    for q in (0, 1, -3, Fraction(3, 2), Fraction(-7, 5)):
+        assert scalar_json(q) == rational(q).to_json()
+    assert scalar_json(sqrt_rational(2)) == sqrt_rational(2).to_json()
+    assert canonical(Fraction(4, 2)) == 2 and type(canonical(Fraction(4, 2))) is int
+    assert type(canonical(Fraction(1, 2))) is Fraction
+    assert canonical(ONE) is ONE
+    assert inverse(-1) == -1 and type(inverse(-1)) is int
+    assert inverse(3) == Fraction(1, 3)
+    assert inverse(Fraction(-1, 3)) == -3 and type(inverse(Fraction(-1, 3))) is int
+    assert inverse(ONE + sqrt_rational(2)) == sqrt_rational(2) - ONE
+    with pytest.raises(ZeroDivisionError):
+        inverse(0)

@@ -10,12 +10,13 @@ from fractions import Fraction
 import pytest
 
 from superspin import gradedstruct, seminormal
-from superspin.exactnum import ONE, ZERO, rational, sqrt_rational
+from superspin.exactnum import ONE, ZERO, SqrtNumber, canonical, rational, sqrt_rational
 from superspin.linalg import (
     Echelon,
     Mat,
     Subspace,
     _rational_roots,
+    eigensplit,
     kernel,
     min_poly,
     poly_roots,
@@ -293,6 +294,111 @@ def test_module_commutant_matches_gauss_jordan(monkeypatch):
     fast = [seminormal.module_commutant(*case) for case in cases]
     monkeypatch.setattr(gradedstruct, "kernel", reference_kernel)
     assert fast == [seminormal.module_commutant(*case) for case in cases]
+
+
+# -- rational data against the same data lifted to SqrtNumber --------------------
+#
+# The same code computes on int/Fraction and on SqrtNumber scalars; the lifted
+# run is the slow reference.  Values must agree, and the output type must follow
+# the input type whenever the input has an entry to take it from.
+
+
+def lift_vec(v: dict) -> dict:
+    return {i: rational(x) for i, x in v.items()}
+
+
+def lift_mat(m: Mat) -> Mat:
+    return Mat(m.nrows, m.ncols, {r: lift_vec(row) for r, row in m.rows.items()})
+
+
+def family(values) -> set:
+    return {"sqrt" if isinstance(v, SqrtNumber) else "rational" for v in values}
+
+
+def assert_family(values, want: str):
+    values = list(values)
+    assert family(values) <= {want}
+    if want == "rational":  # in canonical type: int when integral
+        assert all(type(canonical(v)) is type(v) for v in values)
+
+
+def rational_vecs(rows) -> list:
+    return [{i: canonical(v) for i, v in enumerate(r) if v} for r in rows]
+
+
+@FAST
+@given(matrices(), st.lists(scalars, min_size=6, max_size=6))
+def test_rational_kernel_and_coords_match_lifted(rows, probe):
+    ncols = len(rows[0])
+    rat = rational_vecs(rows)
+    lifted = [lift_vec(v) for v in rat]
+    typed = any(rat)  # an all-zero system carries no type
+
+    got, want = kernel(rat, ncols), kernel(lifted, ncols)
+    assert got == want
+    if typed:
+        assert_family((x for v in got for x in v.values()), "rational")
+    assert_family((x for v in want for x in v.values()), "sqrt")
+
+    sub_rat, sub_sqrt = Subspace(ncols, rat), Subspace(ncols, lifted)
+    probes = rat + rational_vecs([probe[:ncols]])
+    for vec in probes:
+        got, want = sub_rat.coords_of(vec), sub_sqrt.coords_of(lift_vec(vec))
+        assert got == want
+        if got is not None:
+            assert_family(got.values(), "rational")
+            assert_family(want.values(), "sqrt")
+
+
+@FAST
+@given(square(st.integers(-2, 2).map(Fraction), 4))
+def test_rational_min_poly_matches_lifted(rows):
+    m = to_mat([[canonical(v) for v in r] for r in rows])
+    got, want = min_poly(m), min_poly(lift_mat(m))
+    assert got == want
+    assert_family(want, "sqrt")
+    if not m.is_zero():
+        assert_family(got, "rational")
+
+
+def upper_triangular(n_max=4):
+    return square(scalars, n_max).map(
+        lambda rows: [[v if c >= r else 0 for c, v in enumerate(row)] for r, row in enumerate(rows)]
+    )
+
+
+def split_of(m: Mat, one) -> list:
+    """eigensplit of the full space by m and m^2, as (basis, label) pairs."""
+    full = Subspace(m.nrows, [{i: one} for i in range(m.nrows)])
+    return [(piece.basis, label) for piece, label in eigensplit([full], [m, m * m])]
+
+
+@FAST
+@given(upper_triangular())
+def test_rational_eigensplit_matches_lifted(rows):
+    # triangular, so every eigenvalue is rational
+    m = to_mat([[canonical(v) for v in r] for r in rows])
+    got, want = split_of(m, 1), split_of(lift_mat(m), ONE)
+    assert got == want
+    assert family(x for basis, label in got for v in basis for x in v.values()) <= {"rational"}
+    assert_family((lam for _, label in got for lam in label), "rational")
+    assert_family((x for basis, label in want for v in basis for x in v.values()), "sqrt")
+    assert_family((lam for _, label in want for lam in label), "sqrt")
+
+
+def test_rational_eigensplit_with_radical_eigenvalues():
+    # [[0, 2], [1, 0]] (+) [3] has eigenvalues -sqrt(2), sqrt(2) and 3: the
+    # radical pieces compute on SqrtNumbers, the rational piece stays on ints
+    m = Mat(3, 3, {0: {1: 2}, 1: {0: 1}, 2: {2: 3}})
+    got, want = split_of(m, 1), split_of(lift_mat(m), ONE)
+    assert got == want
+    assert [label for _, label in got] == [
+        [-sqrt_rational(2), rational(2)], [sqrt_rational(2), rational(2)], [3, 9]
+    ]
+    for basis, label in got[:2]:
+        assert family(label) == family(x for v in basis for x in v.values()) == {"sqrt"}
+    assert got[2] == ([{2: 1}], [3, 9])
+    assert family(got[2][1] + list(got[2][0][0].values())) == {"rational"}
 
 
 # -- polynomial roots ------------------------------------------------------------

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from superspin import seminormal as sn
 from superspin import shiftedcomb as sc
+from superspin.exactnum import SqrtNumber, rational
 from superspin.linalg import Mat
 from superspin.shiftedcomb import StrictPartition, strict_partitions
 
@@ -346,3 +349,52 @@ def test_yjm_recurrence_matches_transposition_sum():
 def test_build_report_matches_full_adjudication(shape, tensor):
     builder = sn.build_rep_clifford_tensor if tensor else sn.build_rep_plain
     assert builder(shape).build_report == _reference_build_report(shape, tensor)
+
+
+# -- the oracle's rational fast path against SqrtNumber arithmetic ---------------
+
+ORACLE_BUILDERS = (
+    "_spin_regular_generators",
+    "_tensor_regular_generators",
+    "_left_mult_mat",
+    "_tensor_odd_center_mats",
+)
+
+
+def _map_mats(x, f):
+    """x with f applied to every Mat inside its lists and tuples."""
+    if isinstance(x, Mat):
+        return f(x)
+    if isinstance(x, (list, tuple)):
+        return type(x)(_map_mats(y, f) for y in x)
+    return x
+
+
+def _entry_types(m: Mat) -> set:
+    return {type(v) for row in m.rows.values() for v in row.values()}
+
+
+@pytest.mark.parametrize("tag, n", [("A", 3), ("A", 4), ("CA", 3)])
+def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
+    fast = sn.regular_decompose(tag, n)
+    built_types: set = set()
+
+    def lift(m: Mat) -> Mat:
+        """The slow reference: the same matrix with SqrtNumber entries."""
+        built_types.update(_entry_types(m))
+        return Mat(
+            m.nrows,
+            m.ncols,
+            {r: {c: rational(v) for c, v in row.items()} for r, row in m.rows.items()},
+        )
+
+    for name in ORACLE_BUILDERS:
+        build = getattr(sn, name)
+        monkeypatch.setattr(sn, name, lambda *a, build=build: _map_mats(build(*a), lift))
+    slow = sn.regular_decompose(tag, n)
+    # the oracle builds its generator and central matrices on ints alone
+    assert built_types == {int}
+    assert slow.to_json() == fast.to_json()
+    # type in is type out, down to the idempotents
+    assert set().union(*(_entry_types(b.idempotent) for b in fast.blocks)) <= {int, Fraction}
+    assert set().union(*(_entry_types(b.idempotent) for b in slow.blocks)) == {SqrtNumber}
