@@ -343,17 +343,20 @@ def rational(q) -> SqrtNumber:
     return SqrtNumber.from_rational(q)
 
 
+Scalar = int | Fraction | SqrtNumber
+
+
 # -- the scalar rule ----------------------------------------------------------
 
 
-def canonical(x):
+def canonical(x: Scalar) -> Scalar:
     """x with an integral Fraction turned into int; every other scalar as it is."""
     if x.__class__ is Fraction and x.denominator == 1:
         return x.numerator
     return x
 
 
-def rational_of(x) -> int | Fraction | None:
+def rational_of(x: Scalar) -> int | Fraction | None:
     """The rational value of any scalar in canonical type; None if it has a radical."""
     if isinstance(x, SqrtNumber):
         if not x.is_rational():
@@ -362,7 +365,7 @@ def rational_of(x) -> int | Fraction | None:
     return canonical(x)
 
 
-def inverse(x):
+def inverse(x: Scalar) -> Scalar:
     """1/x in x's own family: int or Fraction for a rational, else SqrtNumber."""
     if isinstance(x, SqrtNumber):
         return x.invert()
@@ -371,7 +374,7 @@ def inverse(x):
     return canonical(Fraction(x.denominator, x.numerator))
 
 
-def one_like(values: Iterable):
+def one_like(values: Iterable[Scalar]) -> int | SqrtNumber:
     """1 in the family of the values: ONE if any is a SqrtNumber, int 1 if all
     are rational, and ONE when there are none (the type is then unknown)."""
     seen = False
@@ -382,7 +385,7 @@ def one_like(values: Iterable):
     return 1 if seen else ONE
 
 
-def scalar_json(x) -> dict:
+def scalar_json(x: Scalar) -> dict:
     """Any scalar in the wire format, byte-identical to SqrtNumber.to_json."""
     if isinstance(x, SqrtNumber):
         return x.to_json()

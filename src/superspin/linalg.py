@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 from .exactnum import (
     ONE,
     ZERO,
+    Scalar,
     SqrtNumber,
     canonical,
     inverse,
@@ -29,20 +30,20 @@ from .exactnum import (
     sqrt_rational,
 )
 
-Vec = dict  # index -> scalar (int, Fraction or SqrtNumber)
+Vec = dict  # index -> Scalar
 
 
 class CheckFailed(ValueError):
     """An exact internal check failed: the result contradicts the theory."""
 
 
-def vec_scale(v: Vec, c: SqrtNumber) -> Vec:
+def vec_scale(v: Vec, c: Scalar) -> Vec:
     if not c:
         return {}
     return {i: c * x for i, x in v.items()}
 
 
-def _iadd_scaled(u: Vec, v: Vec, c: SqrtNumber) -> None:
+def _iadd_scaled(u: Vec, v: Vec, c: Scalar) -> None:
     """u += c*v in place, pruning exact zeros."""
     for i, x in v.items():
         s = u.get(i)
@@ -58,7 +59,7 @@ def vecize(m: Mat) -> Vec:
     return {r * m.ncols + c: v for r, row in m.rows.items() for c, v in row.items()}
 
 
-def vec_add_scaled(u: Vec, v: Vec, c: SqrtNumber) -> Vec:
+def vec_add_scaled(u: Vec, v: Vec, c: Scalar) -> Vec:
     """u + c*v, pruning exact zeros."""
     out = dict(u)
     if c:
@@ -66,7 +67,7 @@ def vec_add_scaled(u: Vec, v: Vec, c: SqrtNumber) -> Vec:
     return out
 
 
-def _scaled_row(v: Vec, c) -> Vec:
+def _scaled_row(v: Vec, c: Scalar) -> Vec:
     """c*v for a pivot row; rational entries in canonical type (int if integral)."""
     if isinstance(c, SqrtNumber):
         return vec_scale(v, c)
@@ -93,7 +94,7 @@ class Mat:
         return cls(nrows, ncols if ncols is not None else nrows)
 
     @classmethod
-    def scalar(cls, n: int, c: SqrtNumber) -> Mat:
+    def scalar(cls, n: int, c: Scalar) -> Mat:
         if not c:
             return cls.zero(n)
         return cls(n, n, {i: {i: c} for i in range(n)})
@@ -106,10 +107,10 @@ class Mat:
                 rows.setdefault(r, {})[c] = v
         return cls(nrows, ncols, rows)
 
-    def entry(self, r: int, c: int) -> SqrtNumber:
+    def entry(self, r: int, c: int) -> Scalar:
         return self.rows.get(r, {}).get(c, ZERO)
 
-    def one(self):
+    def one(self) -> Scalar:
         """1 in the scalar family of the entries (ONE if there are none)."""
         return one_like(v for row in self.rows.values() for v in row.values())
 
@@ -162,7 +163,7 @@ class Mat:
     def __sub__(self, other: Mat) -> Mat:
         return self + (-other)
 
-    def scale(self, c: SqrtNumber) -> Mat:
+    def scale(self, c: Scalar) -> Mat:
         if not c:
             return Mat.zero(self.nrows, self.ncols)
         return Mat(
@@ -405,7 +406,7 @@ class Subspace:
         return Subspace(self.dim_ambient, [self.lift(v) for v in small.basis])
 
 
-def min_poly(m: Mat) -> list[SqrtNumber]:
+def min_poly(m: Mat) -> list[Scalar]:
     """Monic minimal polynomial coefficients, low degree first, in m's type."""
     one = m.one()
     zero = 0 * one
@@ -455,7 +456,7 @@ def _rational_roots(int_coeffs: list[int]) -> list[Fraction]:
     return roots
 
 
-def _deflate(coeffs: list[SqrtNumber], root: SqrtNumber) -> tuple[list, SqrtNumber]:
+def _deflate(coeffs: list[Scalar], root: Scalar) -> tuple[list, Scalar]:
     """(quotient, remainder) of a monic polynomial divided by (x - root)."""
     deg = len(coeffs) - 1
     out = [ZERO] * deg
@@ -466,9 +467,9 @@ def _deflate(coeffs: list[SqrtNumber], root: SqrtNumber) -> tuple[list, SqrtNumb
     return out, acc
 
 
-def _divide_rational_roots(work: list[SqrtNumber]) -> tuple[list, list[SqrtNumber]]:
+def _divide_rational_roots(work: list[Scalar]) -> tuple[list, list[Scalar]]:
     """(rational roots, once per multiplicity, and the cofactor left over)."""
-    roots: list[SqrtNumber] = []
+    roots: list[Scalar] = []
     values = [rational_of(c) for c in work]
     if any(q is None for q in values):
         return roots, work
@@ -487,14 +488,14 @@ def _divide_rational_roots(work: list[SqrtNumber]) -> tuple[list, list[SqrtNumbe
     return roots, work
 
 
-def poly_roots(coeffs: list[SqrtNumber]) -> tuple[list[SqrtNumber], bool]:
+def poly_roots(coeffs: list[Scalar]) -> tuple[list[Scalar], bool]:
     """Roots of a monic polynomial within the multi-quadratic field.
 
     Finds rational roots first, then closes out a remaining rational quadratic
     with sqrt_rational.  Returns (sorted roots, fully_factored flag).
     """
     work = list(coeffs)
-    roots: list[SqrtNumber] = []
+    roots: list[Scalar] = []
     changed = True
     while len(work) > 1 and changed:
         found, work = _divide_rational_roots(work)
@@ -513,7 +514,7 @@ def poly_roots(coeffs: list[SqrtNumber]) -> tuple[list[SqrtNumber], bool]:
     return roots, len(work) == 1
 
 
-def _quadratic_roots(b: SqrtNumber, c: SqrtNumber) -> tuple | None:
+def _quadratic_roots(b: Scalar, c: Scalar) -> tuple | None:
     """The two roots of x^2 + b x + c if they lie in the field, else None."""
     root_disc = _field_sqrt(b * b - 4 * c)
     if root_disc is None:
@@ -522,7 +523,7 @@ def _quadratic_roots(b: SqrtNumber, c: SqrtNumber) -> tuple | None:
     return canonical((-b - root_disc) * half), canonical((-b + root_disc) * half)
 
 
-def _field_sqrt(u):
+def _field_sqrt(u: Scalar) -> Scalar | None:
     """A square root of u inside the field, if one exists with <= 1 radical.
 
     A rational u that is not a SqrtNumber gets a rational root as int/Fraction.
@@ -564,14 +565,14 @@ def _field_sqrt(u):
     return None
 
 
-def poly_partial_factors(coeffs: list[SqrtNumber]) -> list[list[SqrtNumber]]:
+def poly_partial_factors(coeffs: list[Scalar]) -> list[list[Scalar]]:
     """Split a monic polynomial into pairwise-coprime monic factors.
 
     Rational roots come off as (x - r)^k factors; a rational-coefficient
     remainder of degree 2 or a biquadratic degree-4 one is split when the
     field allows; whatever resists stays as a single factor.
     """
-    factors: list[list[SqrtNumber]] = []
+    factors: list[list[Scalar]] = []
     one = one_like(coeffs)
     found, work = _divide_rational_roots(list(coeffs))
     roots = {rr: found.count(rr) for rr in found}
@@ -600,7 +601,7 @@ def poly_partial_factors(coeffs: list[SqrtNumber]) -> list[list[SqrtNumber]]:
     return factors
 
 
-def _poly_mul(a: list[SqrtNumber], b: list[SqrtNumber]) -> list[SqrtNumber]:
+def _poly_mul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
     out = [0 * a[0]] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
@@ -610,7 +611,7 @@ def _poly_mul(a: list[SqrtNumber], b: list[SqrtNumber]) -> list[SqrtNumber]:
     return out
 
 
-def poly_apply(coeffs: list[SqrtNumber], m: Mat) -> Mat:
+def poly_apply(coeffs: list[Scalar], m: Mat) -> Mat:
     """Evaluate a polynomial at a matrix (Horner)."""
     acc = Mat.scalar(m.nrows, coeffs[-1])
     for c in reversed(coeffs[:-1]):
@@ -620,16 +621,16 @@ def poly_apply(coeffs: list[SqrtNumber], m: Mat) -> Mat:
 
 def eigensplit(
     pieces: list[Subspace], operators: Iterable[Mat]
-) -> list[tuple[Subspace, list[SqrtNumber]]]:
+) -> list[tuple[Subspace, list[Scalar]]]:
     """Refine subspaces into joint eigenspaces of commuting operators.
 
     Returns (piece, eigenvalue list) pairs, eigenvalues in operator order;
     a piece is cut into eigenspaces in ascending eigenvalue order.  Raises if
     an operator's spectrum does not lie in the field.
     """
-    labeled: list[tuple[Subspace, list[SqrtNumber]]] = [(p, []) for p in pieces]
+    labeled: list[tuple[Subspace, list[Scalar]]] = [(p, []) for p in pieces]
     for op in operators:
-        refined: list[tuple[Subspace, list[SqrtNumber]]] = []
+        refined: list[tuple[Subspace, list[Scalar]]] = []
         for piece, label in labeled:
             small = piece.restrict(op)
             if small.nrows and small.is_zero():
@@ -640,7 +641,7 @@ def eigensplit(
             roots, complete = poly_roots(min_poly(small))
             if not complete:
                 raise CheckFailed("minimal polynomial did not split over the field")
-            distinct: list[SqrtNumber] = []
+            distinct: list[Scalar] = []
             for lam in roots:
                 if lam not in distinct:
                     distinct.append(lam)

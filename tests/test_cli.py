@@ -225,7 +225,7 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
     from superspin import linalg, seminormal
 
     if failure == "blocks":
-        # drop one central piece: the block dimensions no longer sum to 3!
+        # drop one central piece: the block dimensions no longer sum to 3! = 6
         split = seminormal.split_module_by_central
         monkeypatch.setattr(
             seminormal, "split_module_by_central", lambda dim, ops: split(dim, ops)[1:]

@@ -339,6 +339,10 @@ def test_rational_kernel_and_coords_match_lifted(rows, probe):
     if typed:
         assert_family((x for v in got for x in v.values()), "rational")
     assert_family((x for v in want for x in v.values()), "sqrt")
+    ech = Echelon()
+    for v in rat:
+        ech.add(v)
+    assert_family((x for row in ech.rows.values() for x in row.values()), "rational")
 
     sub_rat, sub_sqrt = Subspace(ncols, rat), Subspace(ncols, lifted)
     probes = rat + rational_vecs([probe[:ncols]])
