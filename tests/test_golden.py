@@ -37,6 +37,7 @@ COMMANDS = [
     ("build-rep 4,2", ["build-rep", "4,2", "--out", "{out}"]),
     ("verify <build-rep 4,2>", ["verify", "{model:build-rep 4,2}"]),
     ("supercenter 5", ["supercenter", "5"]),
+    ("supercenter 7", ["supercenter", "7"]),
     ("gz 4", ["gz", "4"]),
     ("decompose-regular A 4", ["decompose-regular", "A", "4"]),
     ("decompose-regular CA 3", ["decompose-regular", "CA", "3"]),
