@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from . import gradedstruct, seminormal, shiftedcomb, spinalg
-from .exactnum import ONE, SqrtNumber, rational, sqrt_rational
+from .exactnum import ONE, SqrtNumber, sqrt_rational
 from .shiftedcomb import StrictPartition, strict_partitions
 
 

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import checks, exactnum, gradedstruct, linalg, seminormal, shiftedcomb, spinalg
+from . import checks, exactnum, linalg, seminormal, shiftedcomb, spinalg
 from .shiftedcomb import StrictPartition
 
 SCHEMA = "superspin/1"

@@ -20,11 +20,12 @@ from math import isqrt
 from typing import Callable, Iterator, Sequence
 
 from . import spinalg
-from .exactnum import MINUS_ONE, ONE, ZERO, SqrtNumber, canonical, rational, rational_of, sqrt_rational
+from .exactnum import MINUS_ONE, ONE, ZERO, SqrtNumber, rational, rational_of, sqrt_rational
 from .gradedstruct import (
     BlockReport,
     GradedMatrixAlgebra,
     classify_module,
+    matrix_parity,
     module_commutant,
     simple_block,
     split_module_by_central,
@@ -795,77 +796,103 @@ def branching_graph_from_reps(n: int):
 # -- the brute-force regular-representation oracle --------------------------------
 
 
-def _spin_regular_generators(n: int) -> tuple[list[tuple[str, Mat]], tuple[int, ...]]:
-    ctx = spinalg.context(n)
-    N = len(ctx.perms)
-    gens = []
-    for gidx in range(1, n):
-        rows: dict[int, Vec] = {}
-        for p in range(N):
-            s, q = ctx.left_mul_gen(gidx, p)
-            rows.setdefault(q, {})[p] = s
-        gens.append((f"tau_{gidx}", Mat(N, N, rows)))
-    return gens, tuple(ctx.parity)
-
-
 class _TensorWords:
-    """Word basis of the Clifford-extended algebra: (subset, permutation) pairs."""
+    """Word basis of a regular representation: e_S t_p for a Clifford subset S.
 
-    def __init__(self, n: int):
-        self.n = n
+    Word s * nperm + p is e_S t_p, where e_S = p_{i1} ... p_{ik} over the set
+    S of bits of s (bit i-1 for p_i, i1 < ... < ik) and t_p is the canonical
+    spin word of permutation p.  The plain spin algebra is the case without
+    Clifford generators, where the word index is the permutation index.
+    A letter is ("tau", g) or ("p", i), the generator it names.
+    """
+
+    def __init__(self, n: int, clifford: bool):
         self.ctx = spinalg.context(n)
         self.nperm = len(self.ctx.perms)
-        self.size = (1 << n) * self.nperm
+        self.nclif = n if clifford else 0
+        self.size = self.nperm << self.nclif
+        self.parity = tuple(
+            (bin(idx // self.nperm).count("1") + self.ctx.parity[idx % self.nperm]) % 2
+            for idx in range(self.size)
+        )
+        self.generators = [("tau", g) for g in range(1, n)] + [
+            ("p", i) for i in range(1, self.nclif + 1)
+        ]
 
-    def parity(self, idx: int) -> int:
+    def letters(self, idx: int) -> list[tuple[str, int]]:
+        """The letters of word idx, left to right."""
         s, p = divmod(idx, self.nperm)
-        return (bin(s).count("1") + self.ctx.parity[p]) % 2
+        clif = [("p", i) for i in range(1, self.nclif + 1) if (s >> (i - 1)) & 1]
+        return clif + [("tau", g) for g in self.ctx.words[p]]
 
-    def left_mul_p(self, i: int, idx: int) -> tuple[int, int]:
+    def left_mul(self, letter: tuple[str, int], idx: int) -> tuple[int, int]:
+        """(sign, q) with letter * word_idx = sign * word_q."""
+        kind, k = letter
         s, p = divmod(idx, self.nperm)
-        below = bin(s & ((1 << (i - 1)) - 1)).count("1")
-        sign = -1 if below % 2 else 1
-        return sign, (s ^ (1 << (i - 1))) * self.nperm + p
+        if kind == "tau":
+            # t_k e_S = (-1)^|S| e_S t_k
+            sign, q = self.ctx.left_mul_gen(k, p)
+            return (-sign if bin(s).count("1") % 2 else sign), s * self.nperm + q
+        # p_k e_S = (-1)^{#(i in S, i < k)} e_{S ^ {k}}
+        below = bin(s & ((1 << (k - 1)) - 1)).count("1")
+        return (-1 if below % 2 else 1), (s ^ (1 << (k - 1))) * self.nperm + p
 
-    def left_mul_tau(self, g: int, idx: int) -> tuple[int, int]:
+    def right_mul(self, idx: int, letter: tuple[str, int]) -> tuple[int, int]:
+        """(sign, q) with word_idx * letter = sign * word_q."""
+        kind, k = letter
         s, p = divmod(idx, self.nperm)
-        sign = -1 if bin(s).count("1") % 2 else 1
-        s2, q = self.ctx.left_mul_gen(g, p)
-        return sign * s2, s * self.nperm + q
-
-    def right_mul_p(self, idx: int, i: int) -> tuple[int, int]:
-        s, p = divmod(idx, self.nperm)
-        # (e_S x t) (p_i x 1) = (-1)^{p(t)} (e_S p_i) x t
-        above = bin(s >> i).count("1")
-        sign = -1 if (above + self.ctx.parity[p]) % 2 else 1
-        return sign, (s ^ (1 << (i - 1))) * self.nperm + p
-
-    def right_mul_tau(self, idx: int, g: int) -> tuple[int, int]:
-        s, p = divmod(idx, self.nperm)
-        s2, q = self.ctx.right_mul_gen(p, g)
-        return s2, s * self.nperm + q
+        if kind == "tau":
+            sign, q = self.ctx.right_mul_gen(p, k)
+            return sign, s * self.nperm + q
+        # e_S t_p p_k = (-1)^{p(t_p)} e_S p_k t_p, e_S p_k = (-1)^{#(i in S, i > k)} e_{S ^ {k}}
+        above = bin(s >> k).count("1") + self.ctx.parity[p]
+        return (-1 if above % 2 else 1), (s ^ (1 << (k - 1))) * self.nperm + p
 
 
-def _tensor_regular_generators(
-    n: int,
-) -> tuple[list[tuple[str, Mat]], tuple[int, ...], _TensorWords]:
-    words = _TensorWords(n)
-    N = words.size
-    gens = []
-    for g in range(1, n):
-        rows: dict[int, Vec] = {}
-        for idx in range(N):
-            s, q = words.left_mul_tau(g, idx)
-            rows.setdefault(q, {})[idx] = s
-        gens.append((f"tau_{g}", Mat(N, N, rows)))
-    for i in range(1, n + 1):
-        rows = {}
-        for idx in range(N):
-            s, q = words.left_mul_p(i, idx)
-            rows.setdefault(q, {})[idx] = s
-        gens.append((f"p_{i}", Mat(N, N, rows)))
-    parity = tuple(words.parity(i) for i in range(N))
-    return gens, parity, words
+def _left_mult_mat(words: _TensorWords, coeffs: Vec) -> Mat:
+    """Left multiplication by the sum of c * word_idx over coeffs, on the word basis.
+
+    Each word acts letter by letter, rightmost first.  The coefficients are
+    the oracle's integers, so the matrix is an `int` matrix.
+    """
+    rows: dict[int, Vec] = {}
+    for idx, coeff in coeffs.items():
+        letters = words.letters(idx)[::-1]
+        for col in range(words.size):
+            sign, q = 1, col
+            for letter in letters:
+                s, q = words.left_mul(letter, q)
+                sign *= s
+            tgt = rows.setdefault(q, {})
+            val = tgt.get(col, 0) + (coeff if sign > 0 else -coeff)
+            if val:
+                tgt[col] = val
+            elif col in tgt:
+                del tgt[col]
+    return Mat(words.size, words.size, rows)
+
+
+def _odd_center(words: _TensorWords) -> list[Vec]:
+    """A basis of the odd part of the ordinary center, as sign vectors.
+
+    x L = L x for every generator L couples the coefficients of two words at
+    a time, so one sign solve gives the center; each solution lies in one
+    parity, and the odd ones are kept.
+    """
+    relations = []
+    for letter in words.generators:
+        for u in range(words.size):
+            sr, rho = words.right_mul(u, letter)  # word_u L = sr word_rho
+            sl, v = words.left_mul(letter, rho)  # L word_v = sl word_rho
+            relations.append((u, v, sl * sr))
+    out = []
+    for sol in spinalg._solve_sign_relations(range(words.size), relations):
+        odd = [idx for idx in sol if words.parity[idx]]
+        if odd and len(odd) != len(sol):
+            raise CheckFailed("mixed-parity central component")
+        if odd:
+            out.append(sol)
+    return out
 
 
 def regular_decompose(tag: str, n: int) -> BlockReport:
@@ -875,7 +902,8 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     central element with integer block spectrum), labels each block with its
     joint a-vector set and matching strict partition, reads M/Q off the odd
     part of the ordinary center, and recovers the block parameters from exact
-    graded dimensions.
+    graded dimensions.  Every matrix is a left multiplication on one word
+    basis (`_left_mult_mat`).
     """
     if tag in ("A", "A_n", "plain"):
         tensor = False
@@ -887,29 +915,24 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
             raise ValueError("n <= 4 for the Clifford-extended regular representation")
     else:
         raise ValueError(f"unknown algebra tag {tag!r}")
-    if tensor:
-        gens, parity, words = _tensor_regular_generators(n)
-    else:
-        gens, parity = _spin_regular_generators(n)
-    dim = len(parity)
-    alg = GradedMatrixAlgebra(dim, parity, gens)
+    words = _TensorWords(n, tensor)
+    dim, parity = words.size, words.parity
+    # every generator is odd: this checks the parity vector against the action
+    for letter in words.generators:
+        _, word = words.left_mul(letter, words.ctx.identity)  # the letter's own word
+        gen = _left_mult_mat(words, {word: 1})
+        if matrix_parity(gen, parity) != 1:
+            raise CheckFailed(f"generator {letter[0]}_{letter[1]} is not odd")
 
-    # central splitting operators: total YJM square, then supercenter elements
-    pis = [spinalg.jm_element(k, n) for k in range(1, n + 1)]
-    total = spinalg.SpinElement.zero(n)
-    for p in pis:
-        total = total + p * p
-    central_elems = [total] + spinalg.supercenter_basis(n)
-    central_mats = [_left_mult_mat(e, tensor, dim) for e in central_elems]
-    pi2_mats = [_left_mult_mat(p * p, tensor, dim) for p in pis]
+    # the central splitting operator is the total YJM square
+    squares = [p * p for p in (spinalg.jm_element(k, n) for k in range(1, n + 1))]
+    total = sum(squares, spinalg.SpinElement.zero(n))
+    central_mat = _left_mult_mat(words, total.coeffs)
+    pi2_mats = [_left_mult_mat(words, sq.coeffs) for sq in squares]
+    odd_mats = [_left_mult_mat(words, sol) for sol in _odd_center(words)]
 
-    pieces = split_module_by_central(dim, central_mats[:1])
+    pieces = split_module_by_central(dim, [central_mat])
     report = BlockReport(algebra_dim=dim)
-    if tensor:
-        odd_mats = _tensor_odd_center_mats(n, words)
-    else:
-        odd_center = [e for e in spinalg.ordinary_center(n) if e.parity() == 1]
-        odd_mats = [_left_mult_mat(e, tensor, dim) for e in odd_center]
     for piece, proj in pieces:
         # the piece is a two-sided ideal, so it is the block algebra as a space
         ev_dim = subspace_parity(piece, parity).count(0)
@@ -926,80 +949,6 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     if total_dim != dim:
         raise CheckFailed(f"block dimensions {total_dim} do not sum to {dim}")
     return report
-
-
-def _left_mult_mat(x: spinalg.SpinElement, tensor: bool, dim: int) -> Mat:
-    ctx = spinalg.context(x.n)
-    nperm = len(ctx.perms)
-    if tensor:
-        # x is even (all our central elements are), so 1 x x acts blockwise
-        assert x.parity() in (0, None)
-    rows: dict[int, Vec] = {}
-    for widx, coeff in x.coeffs.items():
-        coeff = canonical(coeff.rational_value())  # the oracle's data is rational
-        word = ctx.words[widx]
-        for base in range(0, dim, nperm):
-            for p in range(nperm):
-                sign, q = 1, p
-                for g in reversed(word):
-                    sg, q = ctx.left_mul_gen(g, q)
-                    sign *= sg
-                tgt = rows.setdefault(base + q, {})
-                val = tgt.get(base + p, 0) + (coeff if sign > 0 else -coeff)
-                if val:
-                    tgt[base + p] = val
-                elif base + p in tgt:
-                    del tgt[base + p]
-    return Mat(dim, dim, rows)
-
-
-def _tensor_odd_center_mats(n: int, words: _TensorWords) -> list[Mat]:
-    """Left multiplications by odd elements of the tensor algebra's center."""
-    N = words.size
-    variables = list(range(N))
-    relations: list[tuple[int, int, int]] = []
-    gen_ops = [("tau", g) for g in range(1, n)] + [("p", i) for i in range(1, n + 1)]
-    for kind, g in gen_ops:
-        for u in variables:
-            if kind == "tau":
-                sr, rho = words.right_mul_tau(u, g)
-                sl, v = words.left_mul_tau(g, rho)
-            else:
-                sr, rho = words.right_mul_p(u, g)
-                sl, v = words.left_mul_p(g, rho)
-            relations.append((u, v, sl * sr))
-    sols = spinalg._solve_sign_relations(variables, relations)
-    out = []
-    for sol in sols:
-        members = [(idx, s) for idx, s in sol.items() if words.parity(idx) == 1]
-        if len(members) != len(sol):
-            if members:
-                raise ValueError("mixed-parity central component")
-            continue
-        rows: dict[int, Vec] = {}
-        for idx, s in members:
-            coeff = s
-            for col in range(N):
-                sign, q = 1, col
-                # left-multiply basis word col by basis word idx
-                si, pi = divmod(idx, words.nperm)
-                ssign = 1
-                cur = col
-                for i in range(n, 0, -1):
-                    if (si >> (i - 1)) & 1:
-                        s2, cur = words.left_mul_p(i, cur)
-                        ssign *= s2
-                for g in reversed(words.ctx.words[pi]):
-                    s2, cur = words.left_mul_tau(g, cur)
-                    ssign *= s2
-                tgt = rows.setdefault(cur, {})
-                val = tgt.get(col, 0) + (coeff if ssign > 0 else -coeff)
-                if val:
-                    tgt[col] = val
-                elif col in tgt:
-                    del tgt[col]
-        out.append(Mat(N, N, rows))
-    return out
 
 
 def _a_vectors(piece: Subspace, squares: Sequence[Mat]) -> list[tuple[int, ...]]:

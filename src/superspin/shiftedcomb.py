@@ -105,13 +105,6 @@ class ShiftedTableau:
     shape: StrictPartition
     rows: tuple[tuple[int, ...], ...]
 
-    def cell_of(self, value: int) -> tuple[int, int]:
-        for r, row in enumerate(self.rows):
-            for k, v in enumerate(row):
-                if v == value:
-                    return (r, r + k)
-        raise KeyError(value)
-
     def entries(self) -> dict[int, tuple[int, int]]:
         return {
             v: (r, r + k)

@@ -5,6 +5,11 @@ braid relations and far anticommutation (t_k t_l = -t_l t_k for |k-l| > 1).
 It has dimension n!, one signed basis word per permutation; the canonical
 reduced word of a permutation is read off its Lehmer code row by row, and
 all sign bookkeeping reduces to a single left-insertion routine on codes.
+
+Coefficients follow the scalar rule of `exactnum`: every structure constant
+is +-1, so the distinguished elements, the centralizer solves and the GZ
+algebras compute in `int` (a `Fraction` where a division makes one), and a
+`SqrtNumber` appears only where the data brings a radical.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import MINUS_ONE, ONE, ZERO, SqrtNumber, rational
+from .exactnum import Scalar, SqrtNumber, canonical, rational_of, scalar_json
 from .linalg import Echelon, Vec, kernel
 
 Perm = tuple  # one-line notation, 1-based values
@@ -144,10 +149,6 @@ class SpinContext:
             sign *= s
         return sign, pidx
 
-    def basis_product(self, a: int, b: int) -> tuple[int, int]:
-        """(sign, index) of word_a * word_b."""
-        return self.right_mul_word(a, self.words[b])
-
 
 _CTX: dict[int, SpinContext] = {}
 
@@ -187,13 +188,18 @@ def canonical_form(word: Sequence[int], n: int) -> SpinWord:
 
 
 class SpinElement:
-    """Linear combination of canonical basis words with SqrtNumber coefficients."""
+    """Linear combination of canonical basis words under the scalar rule.
+
+    A coefficient is an `int`, a `Fraction` when not integral, or a
+    `SqrtNumber` when it carries a radical; arithmetic keeps rational
+    coefficients in that canonical type.
+    """
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: dict[int, SqrtNumber] | None = None):
+    def __init__(self, n: int, coeffs: dict[int, Scalar] | None = None):
         self.n = n
-        self.coeffs: dict[int, SqrtNumber] = coeffs if coeffs is not None else {}
+        self.coeffs: dict[int, Scalar] = coeffs if coeffs is not None else {}
 
     # -- constructors --------------------------------------------------------
 
@@ -203,13 +209,12 @@ class SpinElement:
 
     @classmethod
     def one(cls, n: int) -> SpinElement:
-        return cls(n, {context(n).identity: ONE})
+        return cls(n, {context(n).identity: 1})
 
     @classmethod
-    def from_word(cls, word: Sequence[int], n: int, coeff=ONE) -> SpinElement:
+    def from_word(cls, word: Sequence[int], n: int, coeff: Scalar = 1) -> SpinElement:
         sw = canonical_form(word, n)
-        c = coeff if isinstance(coeff, SqrtNumber) else rational(coeff)
-        c = c if sw.sign > 0 else -c
+        c = canonical(coeff) if sw.sign > 0 else -canonical(coeff)
         if not c:
             return cls(n)
         return cls(n, {context(n).index[sw.perm]: c})
@@ -242,12 +247,6 @@ class SpinElement:
         ps = {ctx.parity[i] for i in self.coeffs}
         return ps.pop() if len(ps) == 1 else None
 
-    def parity_part(self, eps: int) -> SpinElement:
-        ctx = context(self.n)
-        return SpinElement(
-            self.n, {i: c for i, c in self.coeffs.items() if ctx.parity[i] == eps}
-        )
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: SpinElement) -> SpinElement:
@@ -258,7 +257,7 @@ class SpinElement:
             s = acc.get(i)
             s = c if s is None else s + c
             if s:
-                acc[i] = s
+                acc[i] = canonical(s)
             elif i in acc:
                 del acc[i]
         return SpinElement(self.n, acc)
@@ -269,11 +268,10 @@ class SpinElement:
     def __neg__(self) -> SpinElement:
         return SpinElement(self.n, {i: -c for i, c in self.coeffs.items()})
 
-    def scale(self, c) -> SpinElement:
-        c = c if isinstance(c, SqrtNumber) else rational(c)
+    def scale(self, c: Scalar) -> SpinElement:
         if not c:
             return SpinElement(self.n)
-        return SpinElement(self.n, {i: c * v for i, v in self.coeffs.items()})
+        return SpinElement(self.n, {i: canonical(c * v) for i, v in self.coeffs.items()})
 
     def __mul__(self, other) -> SpinElement:
         if isinstance(other, (int, Fraction, SqrtNumber)):
@@ -283,7 +281,7 @@ class SpinElement:
         if self.n != other.n:
             raise ValueError("rank mismatch")
         ctx = context(self.n)
-        acc: dict[int, SqrtNumber] = {}
+        acc: dict[int, Scalar] = {}
         words = ctx.words
         for b, cb in other.coeffs.items():
             wb = words[b]
@@ -298,7 +296,7 @@ class SpinElement:
                     acc[t] = s
                 elif t in acc:
                     del acc[t]
-        return SpinElement(self.n, acc)
+        return SpinElement(self.n, {t: canonical(s) for t, s in acc.items()})
 
     def __rmul__(self, other) -> SpinElement:
         if isinstance(other, (int, Fraction, SqrtNumber)):
@@ -328,7 +326,7 @@ class SpinElement:
     def to_json(self) -> dict:
         ctx = context(self.n)
         terms = [
-            {"perm": list(ctx.perms[i]), "coeff": self.coeffs[i].to_json()}
+            {"perm": list(ctx.perms[i]), "coeff": scalar_json(self.coeffs[i])}
             for i in sorted(self.coeffs)
         ]
         return {"n": self.n, "terms": terms}
@@ -337,17 +335,14 @@ class SpinElement:
     def from_json(cls, obj: dict) -> SpinElement:
         n = obj["n"]
         ctx = context(n)
-        coeffs: dict[int, SqrtNumber] = {}
+        coeffs: dict[int, Scalar] = {}
         for t in obj["terms"]:
             perm = tuple(t["perm"])
             c = SqrtNumber.from_json(t["coeff"])
             if c:
-                coeffs[ctx.index[perm]] = c
+                q = rational_of(c)
+                coeffs[ctx.index[perm]] = c if q is None else q
         return cls(n, coeffs)
-
-
-def from_vec(n: int, vec: Vec) -> SpinElement:
-    return SpinElement(n, {i: c for i, c in vec.items() if c})
 
 
 # -- distinguished elements -----------------------------------------------------
@@ -362,7 +357,7 @@ def transposition_element(i: int, j: int, n: int) -> SpinElement:
     if i > j:
         return -transposition_element(j, i, n)
     sign, pidx = _tau_signed(i, j, n)
-    return SpinElement(n, {pidx: ONE if sign > 0 else MINUS_ONE})
+    return SpinElement(n, {pidx: sign})
 
 
 _TAU_CACHE: dict[tuple[int, int, int], tuple[int, int]] = {}
@@ -452,7 +447,7 @@ def cycle_sum(alpha: Sequence[int], n: int) -> SpinElement:
     total = sum(big)
     if total > n:
         raise ValueError("partition does not fit the rank")
-    acc: dict[int, SqrtNumber] = {}
+    acc: dict[int, int] = {}
     ctx = context(n)
     if not big:
         return SpinElement.one(n)
@@ -464,7 +459,7 @@ def cycle_sum(alpha: Sequence[int], n: int) -> SpinElement:
             s2, pidx = ctx.right_mul_word(pidx, ctx.words[q])
             sign *= s * s2
             pos += p
-        c = acc.get(pidx, ZERO) + (ONE if sign > 0 else MINUS_ONE)
+        c = acc.get(pidx, 0) + sign
         if c:
             acc[pidx] = c
         elif pidx in acc:
@@ -524,14 +519,13 @@ def _solve_sign_relations(
     return out
 
 
-def _sub_indices(n: int, m: int, eps: int | None = None) -> list[int]:
-    """Indices of basis words lying in the rank-m subalgebra (optionally by parity)."""
+def _sub_indices(n: int, m: int, eps: int) -> list[int]:
+    """Indices of the basis words of parity eps lying in the rank-m subalgebra."""
     ctx = context(n)
     out = []
     for i, perm in enumerate(ctx.perms):
-        if all(perm[j] == j + 1 for j in range(m, n)):
-            if eps is None or ctx.parity[i] == eps:
-                out.append(i)
+        if ctx.parity[i] == eps and all(perm[j] == j + 1 for j in range(m, n)):
+            out.append(i)
     return out
 
 
@@ -555,11 +549,7 @@ def _commutation_solutions(
                 continue
             # coeff of word_rho: in x*t_g it is sr*c_u, in t_g*x it is sl*c_v
             relations.append((u, v, eps_sign * sl * sr))
-    sols = _solve_sign_relations(var_indices, relations)
-    return [
-        SpinElement(n, {i: (ONE if s > 0 else MINUS_ONE) for i, s in sol.items()})
-        for sol in sols
-    ]
+    return [SpinElement(n, sol) for sol in _solve_sign_relations(var_indices, relations)]
 
 
 def supercentralizer(n: int, m: int) -> list[SpinElement]:
@@ -571,15 +561,6 @@ def supercentralizer(n: int, m: int) -> list[SpinElement]:
     gens = list(range(1, m))
     even = _commutation_solutions(n, _sub_indices(n, n, 0), gens, +1)
     odd = _commutation_solutions(n, _sub_indices(n, n, 1), gens, -1)
-    return even + odd
-
-
-def ordinary_center(n: int, within: int | None = None) -> list[SpinElement]:
-    """Basis of the ordinary (nongraded) center of the rank-`within` subalgebra."""
-    k = within if within is not None else n
-    gens = list(range(1, k))
-    even = _commutation_solutions(n, _sub_indices(n, k, 0), gens, +1)
-    odd = _commutation_solutions(n, _sub_indices(n, k, 1), gens, +1)
     return even + odd
 
 
@@ -617,11 +598,7 @@ def even_part_centralizer(n: int, m: int) -> list[SpinElement]:
             sr, rho = ctx.right_mul_word(u, wb)  # word_u * word_b = sr * word_rho
             sl, v = ctx.left_mul_word(inv_wb, rho)  # word_b * word_v = sl * word_rho
             relations.append((u, v, sl * sr))
-    sols = _solve_sign_relations(variables, relations)
-    return [
-        SpinElement(n, {i: (ONE if s > 0 else MINUS_ONE) for i, s in sol.items()})
-        for sol in sols
-    ]
+    return [SpinElement(n, sol) for sol in _solve_sign_relations(variables, relations)]
 
 
 def graded_centralizer_spin(n: int, m: int) -> tuple[list[SpinElement], bool]:
@@ -874,12 +851,10 @@ def gz_algebras(n: int) -> dict:
         zmat_rows: dict[int, Vec] = {}
         for u in even_idx:
             # coefficient vector of word_u * z - z * word_u
-            comm = (
-                SpinElement(n, {u: ONE}) * z - z * SpinElement(n, {u: ONE})
-            )
+            comm = SpinElement(n, {u: 1}) * z - z * SpinElement(n, {u: 1})
             for t, c in comm.coeffs.items():
                 zmat_rows.setdefault(t, {})[pos[u]] = (
-                    zmat_rows.get(t, {}).get(pos[u], ZERO) + c
+                    zmat_rows.get(t, {}).get(pos[u], 0) + c
                 )
         constraints.extend(row for row in zmat_rows.values() if row)
     ker = kernel(constraints, len(even_idx))

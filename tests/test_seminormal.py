@@ -4,8 +4,9 @@ import pytest
 
 from superspin import seminormal as sn
 from superspin import shiftedcomb as sc
+from superspin import spinalg
 from superspin.exactnum import SqrtNumber, rational
-from superspin.linalg import Mat
+from superspin.linalg import CheckFailed, Mat
 from superspin.shiftedcomb import StrictPartition, strict_partitions
 
 
@@ -353,12 +354,7 @@ def test_build_report_matches_full_adjudication(shape, tensor):
 
 # -- the oracle's rational fast path against SqrtNumber arithmetic ---------------
 
-ORACLE_BUILDERS = (
-    "_spin_regular_generators",
-    "_tensor_regular_generators",
-    "_left_mult_mat",
-    "_tensor_odd_center_mats",
-)
+ORACLE_BUILDERS = ("_left_mult_mat",)
 
 
 def _map_mats(x, f):
@@ -378,10 +374,12 @@ def _entry_types(m: Mat) -> set:
 def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
     fast = sn.regular_decompose(tag, n)
     built_types: set = set()
+    lifted: list = []
 
     def lift(m: Mat) -> Mat:
         """The slow reference: the same matrix with SqrtNumber entries."""
         built_types.update(_entry_types(m))
+        lifted.append(m)
         return Mat(
             m.nrows,
             m.ncols,
@@ -392,9 +390,96 @@ def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
         build = getattr(sn, name)
         monkeypatch.setattr(sn, name, lambda *a, build=build: _map_mats(build(*a), lift))
     slow = sn.regular_decompose(tag, n)
+    # the lift sees every matrix the oracle builds: the generators, the total
+    # YJM square, the n squares pi_k^2 and one odd central element per Q block
+    n_gens = n - 1 + (n if tag == "CA" else 0)
+    n_odd = sum(1 for b in fast.blocks if b.btype == "Q")
+    assert len(lifted) == n_gens + 1 + n + n_odd
     # the oracle builds its generator and central matrices on ints alone
     assert built_types == {int}
     assert slow.to_json() == fast.to_json()
     # type in is type out, down to the idempotents
     assert set().union(*(_entry_types(b.idempotent) for b in fast.blocks)) <= {int, Fraction}
     assert set().union(*(_entry_types(b.idempotent) for b in slow.blocks)) == {SqrtNumber}
+
+
+# -- the oracle's word action: relations, word products and centrality ----------
+
+
+@pytest.mark.parametrize(
+    "tag, n", [("A", 3), ("A", 4), ("A", 5), ("CA", 2), ("CA", 3), ("CA", 4)]
+)
+def test_oracle_word_action_is_central(tag, n):
+    words = sn._TensorWords(n, tag == "CA")
+    ctx, N = spinalg.context(n), words.size
+    nclif = n if tag == "CA" else 0
+    one, zero = Mat.scalar(N, 1), Mat.zero(N)
+
+    def index(subset, spin_word):
+        """Index of e_S t_w, read off the definition of the word basis."""
+        sw = spinalg.canonical_form(spin_word, n)
+        assert sw.sign == 1
+        return sum(1 << (i - 1) for i in subset) * len(ctx.perms) + ctx.index[sw.perm]
+
+    taus = [sn._left_mult_mat(words, {index((), [g]): 1}) for g in range(1, n)]
+    ps = [sn._left_mult_mat(words, {index((i,), []): 1}) for i in range(1, nclif + 1)]
+    gens = taus + ps
+    # the generator matrices satisfy the defining relations
+    for i, t in enumerate(taus, start=1):
+        assert t * t == one
+        if i + 1 < n:
+            u = taus[i]
+            assert t * u * t == u * t * u
+        for u in taus[i + 1 :]:
+            assert t * u * t * u == -one
+        for p in ps:
+            assert t * p + p * t == zero
+    for i, p in enumerate(ps):
+        assert p * p == one
+        for q in ps[i + 1 :]:
+            assert p * q + q * p == zero
+    # every word acts as the product of its letters, e_S first, then t_p
+    for idx in range(N):
+        s, perm = divmod(idx, len(ctx.perms))
+        prod = one
+        for i in range(1, nclif + 1):
+            if (s >> (i - 1)) & 1:
+                prod = prod * ps[i - 1]
+        for g in ctx.words[perm]:
+            prod = prod * taus[g - 1]
+        assert sn._left_mult_mat(words, {idx: 1}) == prod, idx
+    # the odd centre has one element per Q block; it and the central
+    # splitting elements commute with every generator.  Tensoring with the
+    # Clifford superalgebra on n generators, of type Q for odd n, swaps M and Q.
+    squares = [p * p for p in (spinalg.jm_element(k, n) for k in range(1, n + 1))]
+    central = [sum(squares, spinalg.SpinElement.zero(n))] + spinalg.supercenter_basis(n)
+    central_mats = [sn._left_mult_mat(words, z.coeffs) for z in central]
+    odd_mats = [sn._left_mult_mat(words, sol) for sol in sn._odd_center(words)]
+    n_q = sum(
+        1
+        for shape in strict_partitions(n)
+        if (sc.conjectured_type(shape) == "Q") != (tag == "CA" and n % 2 == 1)
+    )
+    assert len(odd_mats) == n_q
+    for z in central_mats + odd_mats:
+        assert not z.is_zero()
+        for g in gens:
+            assert z * g == g * z
+    if tag == "A":
+        # on the spin algebra the action is the product in spinalg
+        for z, zm in zip(central, central_mats):
+            for col in range(N):
+                prod = z * spinalg.SpinElement(n, {col: 1})
+                assert zm.cols().get(col, {}) == prod.coeffs
+
+
+def test_oracle_checks_its_parity_vector(monkeypatch):
+    init = sn._TensorWords.__init__
+
+    def misgraded(self, n, clifford):
+        init(self, n, clifford)
+        self.parity = (1 - self.parity[0],) + self.parity[1:]
+
+    monkeypatch.setattr(sn._TensorWords, "__init__", misgraded)
+    with pytest.raises(CheckFailed, match="is not odd"):
+        sn.regular_decompose("A", 3)

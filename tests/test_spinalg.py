@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from superspin import spinalg as sa
-from superspin.exactnum import rational, sqrt_rational
+from superspin.exactnum import SqrtNumber, canonical, rational, sqrt_rational
 
 
 def test_dimension_is_factorial():
@@ -223,3 +224,73 @@ def test_even_part_simple_count():
         m_count = sum(1 for b in blocks if b.btype == "M")
         q_count = sum(1 for b in blocks if b.btype == "Q")
         assert len(center_even_part) == 2 * m_count + q_count
+
+
+# -- the scalar rule: rational coefficients against SqrtNumber arithmetic -------
+
+
+def _lift(x):
+    """The slow reference: the same element with SqrtNumber coefficients."""
+    return sa.SpinElement(x.n, {i: rational(c) for i, c in x.coeffs.items()})
+
+
+def _coeff_types(elements) -> set:
+    return {type(c) for e in elements for c in e.coeffs.values()}
+
+
+def test_rational_arithmetic_matches_lifted():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    n = 4
+    scalars = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=4).map(canonical),
+    )
+    elements = st.dictionaries(st.integers(0, sa.dimension(n) - 1), scalars, max_size=6).map(
+        lambda d: sa.SpinElement(n, {i: c for i, c in d.items() if c})
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(elements, elements, scalars)
+    def check(x, y, c):
+        lx, ly = _lift(x), _lift(y)
+        for got, want in (
+            (x * y, lx * ly),
+            (x + y, lx + ly),
+            (x - y, lx - ly),
+            (x.scale(c), lx.scale(c)),
+            (x * c, lx * rational(c)),
+        ):
+            assert got == want
+            # rational in, canonical rational out: int whenever integral
+            assert all(type(v) is type(canonical(v)) for v in got.coeffs.values())
+            assert _coeff_types([got]) <= {int, Fraction}
+            assert _coeff_types([want]) <= {SqrtNumber}
+            assert got.to_json() == want.to_json()
+
+    check()
+
+
+def test_bases_hold_int_coefficients():
+    for n in range(1, 5):
+        assert _coeff_types(sa.supercenter_basis(n)) == {int}
+        for m in range(1, n + 1):
+            assert _coeff_types(sa.supercentralizer(n, m)) == {int}
+        if n >= 2:
+            out = sa.gz_algebras(n)
+            for key in ("gz_basis", "sgz_basis", "sz_basis"):
+                assert _coeff_types(out[key]) == {int}, (n, key)
+    assert _coeff_types([sa.jm_element(4, 4) * sa.jm_element(4, 4)]) == {int}
+
+
+def test_rational_json_roundtrip_gives_rationals():
+    half = sa.jm_element(3, 4).scale(Fraction(1, 2)) + sa.SpinElement.one(4)
+    for x in sa.supercenter_basis(5) + [half]:
+        obj = x.to_json()
+        assert obj == _lift(x).to_json()
+        back = sa.SpinElement.from_json(obj)
+        assert back == x
+        assert _coeff_types([back]) == _coeff_types([x]) <= {int, Fraction}
+    assert _coeff_types([sa.SpinElement.from_json(sa.supercenter_basis(5)[0].to_json())]) == {int}
+    radical = sa.SpinElement.from_json(sa.jm_element(3, 4).scale(sqrt_rational(2)).to_json())
+    assert _coeff_types([radical]) == {SqrtNumber}
