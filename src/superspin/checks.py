@@ -318,8 +318,8 @@ CHECKS = [
 
 def check_all(max_n: int = 5, negative_control: bool = False) -> list[dict]:
     """Run every acceptance criterion up to the requested level."""
-    if max_n > 7:
-        raise ValueError("max_n <= 7")
+    if not 2 <= max_n <= 7:
+        raise ValueError("2 <= max_n <= 7")
     results = [fn(max_n) for fn in CHECKS]
     if negative_control:
         shape = StrictPartition((3, 1) if max_n >= 4 else (max_n,))

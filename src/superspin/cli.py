@@ -1,13 +1,16 @@
 """Command-line front end: enumeration, builds, verification, reports.
 
 Exit codes: 0 success, 1 a verification or acceptance check failed, 2 invalid
-input or usage.  All emitted JSON carries a "schema": "superspin/1" field and
-identical invocations produce byte-identical output.
+input or usage (an unwritable --out file included).  All emitted JSON carries a
+"schema": "superspin/1" field and identical invocations produce byte-identical
+output.  Matrices are rendered straight from their sparse rows (`linalg.dump`),
+byte-identical to json.dumps of the dense `to_json()` form.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -29,21 +32,28 @@ def _parse_partition(text: str) -> StrictPartition:
     return p
 
 
-def _emit(payload, args) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "out", None):
+@contextlib.contextmanager
+def _output(args):
+    """The stream to write to: the --out file, else stdout."""
+    if not getattr(args, "out", None):
+        yield sys.stdout
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+
+
+def _emit(payload, args) -> None:
+    with _output(args) as fh:
+        linalg.dump(payload, fh)
+        fh.write("\n")
 
 
 def _emit_text(text: str, args) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def cmd_strict_partitions(args) -> int:
@@ -126,7 +136,7 @@ def cmd_build_rep(args) -> int:
         if args.algebra == "tensor"
         else seminormal.build_rep_plain
     )
-    _emit(builder(shape).to_json(), args)
+    _emit(builder(shape).document(), args)
     return 0
 
 
@@ -178,7 +188,7 @@ def cmd_gz(args) -> int:
 
 def cmd_decompose_regular(args) -> int:
     report = seminormal.regular_decompose(args.algebra, args.n)
-    _emit(report.to_json(), args)
+    _emit(report.document(), args)
     return 0
 
 

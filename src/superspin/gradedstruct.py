@@ -22,7 +22,7 @@ from math import isqrt
 from typing import Iterable, Sequence
 
 from .exactnum import ONE, inverse
-from .linalg import CheckFailed, Echelon, Mat, Subspace, Vec, eigensplit, kernel, vecize
+from .linalg import CheckFailed, Echelon, Mat, Subspace, Vec, eigensplit, kernel, plain, vecize
 
 
 @dataclass
@@ -322,15 +322,19 @@ class Block:
     spectrum: list[tuple[int, ...]] | None = None
     partition: tuple[int, ...] | None = None
 
-    def to_json(self) -> dict:
+    def document(self) -> dict:
+        """The JSON layout with the idempotent as a Mat leaf (see linalg.dump)."""
         return {
             "type": self.btype,
             "params": list(self.params) if isinstance(self.params, tuple) else self.params,
             "dimension": self.dimension,
-            "idempotent": self.idempotent.to_json() if self.idempotent else None,
+            "idempotent": self.idempotent,
             "spectrum": [list(a) for a in self.spectrum] if self.spectrum else None,
             "partition": list(self.partition) if self.partition else None,
         }
+
+    def to_json(self) -> dict:
+        return plain(self.document())
 
 
 def simple_block(has_odd_center: bool, alg_dim: int, even_dim: int, **fields) -> Block:
@@ -370,12 +374,16 @@ class BlockReport:
     def total_block_dim(self) -> int:
         return sum(b.dimension for b in self.blocks)
 
-    def to_json(self) -> dict:
+    def document(self) -> dict:
+        """The JSON layout with the idempotents as Mat leaves (see linalg.dump)."""
         return {
             "schema": "superspin/1",
             "algebra_dim": self.algebra_dim,
-            "blocks": [b.to_json() for b in self.sorted_blocks()],
+            "blocks": [b.document() for b in self.sorted_blocks()],
         }
+
+    def to_json(self) -> dict:
+        return plain(self.document())
 
 
 def split_module_by_central(

@@ -13,6 +13,7 @@ column first, eigenvalues are reported in ascending field order.
 from __future__ import annotations
 
 import heapq
+import json
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence
@@ -240,6 +241,80 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+
+
+# -- documents with Mat leaves --------------------------------------------------
+#
+# A document is JSON data whose leaves may be Mats.  `plain` gives its JSON
+# form, each Mat in its dense `to_json` layout; `dump` writes the bytes of
+# json.dumps(plain(doc), sort_keys=True, indent=2) without building that form.
+
+
+def plain(doc):
+    """The document with every Mat leaf replaced by its dense to_json() form."""
+    if isinstance(doc, Mat):
+        return doc.to_json()
+    if isinstance(doc, dict):
+        return {k: plain(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [plain(v) for v in doc]
+    return doc
+
+
+def dump(doc, fh) -> None:
+    """Write json.dumps(plain(doc), sort_keys=True, indent=2) to fh, byte for byte.
+
+    The skeleton goes through json.dumps with each Mat as the placeholder
+    string "\\0"; the placeholders are then replaced, in order, by the Mats
+    rendered row by row straight from their sparse rows, at the placeholder's
+    indent.  A document that itself holds the string "\\0" is written through
+    plain().
+    """
+    mats: list[Mat] = []
+
+    def leaf(obj):
+        if not isinstance(obj, Mat):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        mats.append(obj)
+        return "\0"
+
+    text = json.dumps(doc, sort_keys=True, indent=2, default=leaf)
+    parts = text.split('"\\u0000"') if mats else [text]
+    if len(parts) != len(mats) + 1:
+        fh.write(json.dumps(plain(doc), sort_keys=True, indent=2))
+        return
+    fh.write(parts[0])
+    caches: dict[int, dict] = {}  # indent -> {scalar: entry text}
+    for m, before, after in zip(mats, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        indent = len(line) - len(line.lstrip(" "))
+        _render(m, indent, caches.setdefault(indent, {}), fh.write)
+        fh.write(after)
+
+
+def _render(m: Mat, indent: int, cache: dict, write) -> None:
+    """Write m.to_json() as json.dumps(indent=2) writes it on a line indented
+    by `indent`; `cache` maps each scalar to its entry text at that indent."""
+    if not m.nrows:
+        write("[]")
+        return
+    pad = " " * (indent + 4)
+
+    def cell(v) -> str:
+        text = json.dumps(scalar_json(v), sort_keys=True, indent=2)
+        return pad + text.replace("\n", "\n" + pad)
+
+    zero = cell(0)
+    close = "\n" + " " * (indent + 2) + "]"
+    sep = "[\n" + " " * (indent + 2)
+    for r in range(m.nrows):
+        texts = [zero] * m.ncols
+        for c, v in m.rows.get(r, {}).items():
+            t = cache.get(v)
+            texts[c] = t if t is not None else cache.setdefault(v, cell(v))
+        write(sep + ("[\n" + ",\n".join(texts) + close if texts else "[]"))
+        sep = ",\n" + " " * (indent + 2)
+    write("\n" + " " * indent + "]")
 
 
 class Echelon:

@@ -40,6 +40,7 @@ from .linalg import (
     eigensplit,
     kernel,
     min_poly,
+    plain,
     poly_apply,
     poly_partial_factors,
 )
@@ -157,7 +158,8 @@ class GradedRep:
             [(name, self.matrices[name]) for name in self.generator_names()],
         )
 
-    def to_json(self) -> dict:
+    def document(self) -> dict:
+        """The JSON layout with the generators as Mat leaves (see linalg.dump)."""
         basis = []
         for t, tab in enumerate(self.tableaux):
             for j in range(self.block_dim):
@@ -174,12 +176,15 @@ class GradedRep:
             "block_dim": self.block_dim,
             "parity": list(self.parity),
             "generators": [
-                {"name": name, "matrix": self.matrices[name].to_json()}
+                {"name": name, "matrix": self.matrices[name]}
                 for name in self.generator_names()
             ],
             "basis": basis,
             "build_report": self.build_report,
         }
+
+    def to_json(self) -> dict:
+        return plain(self.document())
 
     @classmethod
     def from_json(cls, obj: dict) -> GradedRep:

@@ -433,6 +433,8 @@ def supercenter_basis(n: int) -> list[SpinElement]:
     cycle words, one factor per part >= 3 (parts of size 1 contribute empty
     factors).  Any even part would make the sum cancel to zero.
     """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     if n > 8:
         raise ValueError("supercenter basis limited to n <= 8")
     out = []

@@ -173,6 +173,18 @@ def test_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv", [["build-rep", "3"], ["strict-partitions", "5", "--json"], ["strict-partitions", "5"]]
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.json"
+    assert cli.main([*argv, "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["strict-partitions", "91"],
@@ -182,6 +194,12 @@ def test_out_file(tmp_path, capsys):
         ["supercenter", "9"],
         ["branching-graph", "31"],
         ["branching-graph", "0"],
+        ["check-all", "--max-n", "1"],
+        ["check-all", "--max-n", "0"],
+        ["check-all", "--max-n", "-3"],
+        ["check-all", "--max-n", "1", "--negative-control"],
+        ["supercenter", "0"],
+        ["supercenter", "-2"],
     ],
 )
 def test_size_caps(capsys, argv):
