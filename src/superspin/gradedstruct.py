@@ -557,14 +557,7 @@ def graded_centralizer(
             m = _combine(span, sol, a.dim)
             if not m.is_zero() and ech.add(vecize(m)):
                 basis.append(m)
-    commutative = True
-    for i, x in enumerate(basis):
-        for y in basis[i + 1 :]:
-            if x * y != y * x:
-                commutative = False
-                break
-        if not commutative:
-            break
+    commutative = all(x * y == y * x for i, x in enumerate(basis) for y in basis[i + 1 :])
     return {"basis": basis, "is_commutative": commutative}
 
 

@@ -324,30 +324,22 @@ class Echelon:
     zero at every column before p and zero at every pivot column that existed
     when it was stored.  A row may still be nonzero at a pivot column added
     after it, so `reduce` clears pivot columns in increasing order; `rref`
-    makes the rows fully reduced with one back-substitution.
-
-    With track=True each row also carries its combination of the accepted
-    inputs, numbered 0, 1, ... in the order they were accepted.  Only
-    `Subspace` (coordinates) and `min_poly` (the dependency of the last power)
-    read combinations; every other caller leaves tracking off.
+    makes the rows fully reduced with one back-substitution.  Callers that
+    need coordinates read them at the pivot columns of the reduced rows
+    (`Subspace`) or solve a small system there (`min_poly`).
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self):
         self.rows: dict[int, Vec] = {}
-        self.combos: dict[int, Vec] | None = {} if track else None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Vec) -> tuple[Vec, Vec | None]:
-        """(remainder, combo) with vec = remainder + sum combo[i]*input_i.
-
-        The remainder is zero at every pivot column; combo is None untracked.
-        """
-        rows, combos = self.rows, self.combos
+    def reduce(self, vec: Vec) -> Vec:
+        """vec minus its combination of the rows: zero at every pivot column."""
+        rows = self.rows
         rem = {i: v for i, v in vec.items() if v}
-        combo: Vec | None = None if combos is None else {}
         heap = [p for p in rem if p in rows]
         heapq.heapify(heap)
         while heap:
@@ -370,39 +362,29 @@ class Echelon:
                         rem[i] = s
                     else:
                         del rem[i]
-            if combo is not None:
-                _iadd_scaled(combo, combos[p], c)
-        return rem, combo
+        return rem
 
     def add(self, vec: Vec) -> bool:
         """Insert a vector; True if it added a new direction."""
-        rem, combo = self.reduce(vec)
+        rem = self.reduce(vec)
         if not rem:
             return False
         p = min(rem)
-        inv = inverse(rem[p])
-        self.rows[p] = _scaled_row(rem, inv)
-        if combo is not None:
-            own = vec_add_scaled({len(self.combos): 1}, combo, -1)
-            self.combos[p] = _scaled_row(own, inv)
+        self.rows[p] = _scaled_row(rem, inverse(rem[p]))
         return True
 
     def contains(self, vec: Vec) -> bool:
-        rem, _ = self.reduce(vec)
-        return not rem
+        return not self.reduce(vec)
 
     def rref(self) -> dict[int, Vec]:
         """Back-substitute once, last pivot first; return the reduced rows."""
-        rows, combos = self.rows, self.combos
+        rows = self.rows
         for p in sorted(rows, reverse=True):
             row = rows[p]
             # every later row is already reduced, so clearing one pivot column
             # leaves the others untouched
             for q in [q for q in row if q != p and q in rows]:
-                c = row[q]
-                _iadd_scaled(row, rows[q], -c)
-                if combos is not None:
-                    _iadd_scaled(combos[p], combos[q], -c)
+                _iadd_scaled(row, rows[q], -row[q])
         return rows
 
 
@@ -427,15 +409,22 @@ def kernel(constraints: Iterable[Vec], ncols: int) -> list[Vec]:
 
 
 class Subspace:
-    """A subspace of an ambient coordinate space, with exact coordinates."""
+    """A subspace of an ambient coordinate space, with exact coordinates.
+
+    The basis is the reduced echelon form of the spanning vectors, in pivot
+    order: each basis vector is 1 at its own pivot column and 0 at the
+    others, so a vector of the subspace has its entries at the pivot columns
+    as its coordinates.
+    """
 
     def __init__(self, dim_ambient: int, basis: Sequence[Vec]):
         self.dim_ambient = dim_ambient
-        self.basis: list[Vec] = []
-        self._ech = Echelon(track=True)
+        self._ech = Echelon()
         for v in basis:
-            if self._ech.add(v):
-                self.basis.append(v)
+            self._ech.add(v)
+        rows = self._ech.rref()
+        self._pivots = sorted(rows)
+        self.basis: list[Vec] = [rows[p] for p in self._pivots]
 
     @property
     def dim(self) -> int:
@@ -446,10 +435,9 @@ class Subspace:
         return cls(n, [{i: ONE} for i in range(n)])
 
     def coords_of(self, vec: Vec) -> Vec | None:
-        rem, combo = self._ech.reduce(vec)
-        if rem:
+        if self._ech.reduce(vec):
             return None
-        return {i: canonical(c) for i, c in combo.items()}
+        return {j: canonical(vec[p]) for j, p in enumerate(self._pivots) if vec.get(p)}
 
     def contains(self, vec: Vec) -> bool:
         return self.coords_of(vec) is not None
@@ -482,17 +470,25 @@ class Subspace:
 
 
 def min_poly(m: Mat) -> list[Scalar]:
-    """Monic minimal polynomial coefficients, low degree first, in m's type."""
-    one = m.one()
-    zero = 0 * one
-    ech = Echelon(track=True)
-    power = Mat.scalar(m.nrows, one)
+    """Monic minimal polynomial coefficients, low degree first, in m's type.
+
+    Powers of m go into an echelon form until one is dependent.  A vector of
+    the span of the independent powers is fixed by its entries at their pivot
+    columns, so the dependency is the one kernel vector of the powers
+    restricted to those columns; its last entry is the free one, hence 1.
+    """
+    ech = Echelon()
+    powers: list[Vec] = []
+    power = Mat.scalar(m.nrows, m.one())
     while True:
-        vec = vecize(power)
-        if not ech.add(vec):
-            _, combo = ech.reduce(vec)
-            return [canonical(-combo.get(i, zero)) for i in range(ech.rank)] + [one]
+        powers.append(vecize(power))
+        if not ech.add(powers[-1]):
+            break
         power = power * m
+    small = [{k: v[p] for k, v in enumerate(powers) if p in v} for p in ech.rows]
+    (dependency,) = kernel(small, len(powers))
+    zero = 0 * m.one()
+    return [dependency.get(k, zero) for k in range(len(powers))]
 
 
 def _rational_roots(int_coeffs: list[int]) -> list[Fraction]:

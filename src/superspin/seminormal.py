@@ -14,7 +14,7 @@ regular-representation oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterator, Sequence
@@ -528,25 +528,26 @@ def spectrum_of(rep: GradedRep) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _block_ratio(rep: GradedRep, i: int) -> Mat:
+    """(pi_i - pi_{i+1})/(a_i - a_{i+1}), each block's rows by its own a-values."""
+    diff = rep.pi(i) - rep.pi(i + 1)
+    rows: dict[int, Vec] = {}
+    for t, avec in enumerate(rep.avecs):
+        coef = rational(Fraction(1, avec[i - 1] - avec[i]))
+        for r in rep.block_slice(t):
+            row = diff.rows.get(r)
+            if row:
+                rows[r] = {c: coef * v for c, v in row.items()}
+    return Mat(rep.dim, rep.dim, rows)
+
+
 def intertwiner_p(i: int, rep: GradedRep) -> Mat:
     """The explicit odd intertwiner moving eigenvalue strings across position i."""
     if not rep.has_clifford:
         raise ValueError("intertwiner needs the Clifford-extended model")
     if not 1 <= i <= rep.n - 1:
         raise ValueError("position out of range")
-    w = rep.block_dim
-    pi_i = rep.pi(i)
-    pi_i1 = rep.pi(i + 1)
-    ratio_rows: dict[int, Vec] = {}
-    diff = pi_i - pi_i1
-    for t in range(len(rep.tableaux)):
-        s, tt = rep.avecs[t][i - 1], rep.avecs[t][i]
-        coef = rational(Fraction(1, s - tt))
-        for r in range(t * w, (t + 1) * w):
-            row = diff.rows.get(r, {})
-            for c, v in row.items():
-                ratio_rows.setdefault(r, {})[c] = coef * v
-    ratio = Mat(rep.dim, rep.dim, ratio_rows)
+    ratio = _block_ratio(rep, i)
     lead = (rep.p(i) - rep.p(i + 1)).scale(-INV_SQRT2)
     return lead * (rep.tau(i) - ratio)
 
@@ -567,10 +568,9 @@ def analyze_local_pair(rep: GradedRep, i: int) -> list[LocalPairAnalysis]:
     if not 1 <= i <= rep.n - 1:
         raise ValueError("position out of range")
     out = []
-    w = rep.block_dim
     tab_index = {t: k for k, t in enumerate(rep.tableaux)}
     tau = rep.tau(i)
-    pi_i, pi_i1 = rep.pi(i), rep.pi(i + 1)
+    ratio = _block_ratio(rep, i)
     for t, tab in enumerate(rep.tableaux):
         s, tt = rep.avecs[t][i - 1], rep.avecs[t][i]
         delta = s + tt - (s - tt) ** 2
@@ -580,26 +580,16 @@ def analyze_local_pair(rep: GradedRep, i: int) -> list[LocalPairAnalysis]:
             other = apply_transposition(tab, i)
             partner = tab_index[other] if other is not None else None
         # does tau_i act on this block purely as (pi_i - pi_{i+1})/(a_i - a_{i+1})?
-        coef = rational(Fraction(1, s - tt))
-        matches = True
-        for r in range(t * w, (t + 1) * w):
-            want_row = {}
-            for c, v in (pi_i - pi_i1).rows.get(r, {}).items():
-                want_row[c] = coef * v
-            got_row = {
-                c: v
-                for c, v in tau.rows.get(r, {}).items()
-                if t * w <= c < (t + 1) * w
-            }
-            if want_row != got_row:
-                matches = False
-                break
+        block = rep.block_slice(t)
+        matches = all(
+            ratio.rows.get(r, {})
+            == {c: v for c, v in tau.rows.get(r, {}).items() if c in block}
+            for r in block
+        )
         if case == "fused":
-            full_row_ok = all(
-                all(t * w <= c < (t + 1) * w for c in tau.cols().get(r, {}))
-                for r in range(t * w, (t + 1) * w)
+            matches = matches and all(
+                c in block for r in block for c in tau.cols().get(r, {})
             )
-            matches = matches and full_row_ok
         out.append(
             LocalPairAnalysis(
                 position=i,
@@ -830,7 +820,7 @@ class _TensorWords:
         clif = [("p", i) for i in range(1, self.nclif + 1) if (s >> (i - 1)) & 1]
         return clif + [("tau", g) for g in self.ctx.words[p]]
 
-    def left_mul(self, letter: tuple[str, int], idx: int) -> tuple[int, int]:
+    def _left_mul(self, letter: tuple[str, int], idx: int) -> tuple[int, int]:
         """(sign, q) with letter * word_idx = sign * word_q."""
         kind, k = letter
         s, p = divmod(idx, self.nperm)
@@ -842,7 +832,7 @@ class _TensorWords:
         below = bin(s & ((1 << (k - 1)) - 1)).count("1")
         return (-1 if below % 2 else 1), (s ^ (1 << (k - 1))) * self.nperm + p
 
-    def right_mul(self, idx: int, letter: tuple[str, int]) -> tuple[int, int]:
+    def _right_mul(self, idx: int, letter: tuple[str, int]) -> tuple[int, int]:
         """(sign, q) with word_idx * letter = sign * word_q."""
         kind, k = letter
         s, p = divmod(idx, self.nperm)
@@ -853,21 +843,34 @@ class _TensorWords:
         above = bin(s >> k).count("1") + self.ctx.parity[p]
         return (-1 if above % 2 else 1), (s ^ (1 << (k - 1))) * self.nperm + p
 
+    def left_mul_word(self, word: Sequence[tuple[str, int]], idx: int) -> tuple[int, int]:
+        """(sign, q) with (product of the letters of word) * word_idx = sign * word_q."""
+        sign = 1
+        for letter in reversed(word):
+            s, idx = self._left_mul(letter, idx)
+            sign *= s
+        return sign, idx
+
+    def right_mul_word(self, idx: int, word: Sequence[tuple[str, int]]) -> tuple[int, int]:
+        """(sign, q) with word_idx * (product of the letters of word) = sign * word_q."""
+        sign = 1
+        for letter in word:
+            s, idx = self._right_mul(idx, letter)
+            sign *= s
+        return sign, idx
+
 
 def _left_mult_mat(words: _TensorWords, coeffs: Vec) -> Mat:
     """Left multiplication by the sum of c * word_idx over coeffs, on the word basis.
 
-    Each word acts letter by letter, rightmost first.  The coefficients are
-    the oracle's integers, so the matrix is an `int` matrix.
+    The coefficients are the oracle's integers, so the matrix is an `int`
+    matrix.
     """
     rows: dict[int, Vec] = {}
     for idx, coeff in coeffs.items():
-        letters = words.letters(idx)[::-1]
+        letters = words.letters(idx)
         for col in range(words.size):
-            sign, q = 1, col
-            for letter in letters:
-                s, q = words.left_mul(letter, q)
-                sign *= s
+            sign, q = words.left_mul_word(letters, col)
             tgt = rows.setdefault(q, {})
             val = tgt.get(col, 0) + (coeff if sign > 0 else -coeff)
             if val:
@@ -880,18 +883,12 @@ def _left_mult_mat(words: _TensorWords, coeffs: Vec) -> Mat:
 def _odd_center(words: _TensorWords) -> list[Vec]:
     """A basis of the odd part of the ordinary center, as sign vectors.
 
-    x L = L x for every generator L couples the coefficients of two words at
-    a time, so one sign solve gives the center; each solution lies in one
-    parity, and the odd ones are kept.
+    The center is the sign centralizer of the generators; each solution lies
+    in one parity, and the odd ones are kept.
     """
-    relations = []
-    for letter in words.generators:
-        for u in range(words.size):
-            sr, rho = words.right_mul(u, letter)  # word_u L = sr word_rho
-            sl, v = words.left_mul(letter, rho)  # L word_v = sl word_rho
-            relations.append((u, v, sl * sr))
+    gens = [(letter,) for letter in words.generators]
     out = []
-    for sol in spinalg._solve_sign_relations(range(words.size), relations):
+    for sol in spinalg.sign_centralizer(words, range(words.size), gens):
         odd = [idx for idx in sol if words.parity[idx]]
         if odd and len(odd) != len(sol):
             raise CheckFailed("mixed-parity central component")
@@ -924,7 +921,7 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     dim, parity = words.size, words.parity
     # every generator is odd: this checks the parity vector against the action
     for letter in words.generators:
-        _, word = words.left_mul(letter, words.ctx.identity)  # the letter's own word
+        _, word = words.left_mul_word([letter], words.ctx.identity)  # the letter's own word
         gen = _left_mult_mat(words, {word: 1})
         if matrix_parity(gen, parity) != 1:
             raise CheckFailed(f"generator {letter[0]}_{letter[1]} is not odd")
@@ -983,15 +980,7 @@ def mutated_rep(rep: GradedRep) -> GradedRep:
     rows[r0][c0] = -rows[r0][c0]
     mats = dict(rep.matrices)
     mats["tau_1"] = Mat(tau1.nrows, tau1.ncols, rows)
-    return GradedRep(
-        algebra=rep.algebra,
-        n=rep.n,
-        shape=rep.shape,
-        tableaux=rep.tableaux,
-        avecs=rep.avecs,
-        block_dim=rep.block_dim,
-        dim=rep.dim,
-        parity=rep.parity,
-        matrices=mats,
-        build_report=dict(rep.build_report, mutated=True),
+    # a fresh pi cache: the mutated tau_1 gives different pi_k
+    return replace(
+        rep, matrices=mats, build_report=dict(rep.build_report, mutated=True), _pi_cache={}
     )

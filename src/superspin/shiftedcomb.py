@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 # Size caps: past them enumeration runs for minutes or exhausts memory, so the
 # request is refused.  At the caps, on a 2-core VM: strict_partitions(90)
@@ -492,16 +492,12 @@ class BranchingGraph:
         }
 
 
-def schur_branching_graph(
-    n: int,
-    source: str = "combinatorial",
-    type_oracle: Callable[[StrictPartition], str] | None = None,
-) -> BranchingGraph:
+def schur_branching_graph(n: int, source: str = "combinatorial") -> BranchingGraph:
     """The branching graph of the spin chain up to level n.
 
     The combinatorial source uses shifted-diagram cover relations with unit
-    multiplicities and the type oracle (default: the validated parity-of-
-    corank pattern).  The from_reps source computes edges and types from
+    multiplicities and the validated parity-of-corank type pattern
+    (`conjectured_type`).  The from_reps source computes edges and types from
     restrictions of the built seminormal representations.
     """
     if n < 1:
@@ -516,12 +512,11 @@ def schur_branching_graph(
         raise ValueError(f"unknown source {source!r}")
     if n > MAX_GRAPH_N:
         raise ValueError(f"combinatorial source limited to n <= {MAX_GRAPH_N}")
-    oracle = type_oracle or conjectured_type
     g = BranchingGraph(n, source_tag="combinatorial")
     ids_by_shape: dict[tuple[int, StrictPartition], list[str]] = {}
     for level in range(1, n + 1):
         for shape in strict_partitions(level):
-            vtype = oracle(shape)
+            vtype = conjectured_type(shape)
             if level == 1:
                 vtype = "M"  # rank-1 algebra is the (1,0) matrix algebra
             ids_by_shape[(level, shape)] = g.add_vertex(level, shape, vtype)

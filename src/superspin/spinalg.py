@@ -180,10 +180,7 @@ def canonical_form(word: Sequence[int], n: int) -> SpinWord:
         if not 1 <= g <= n - 1:
             raise ValueError(f"generator index {g} out of range for rank {n}")
     ctx = context(n)
-    sign, pidx = 1, ctx.identity
-    for g in reversed(list(word)):
-        s, pidx = ctx.left_mul_gen(g, pidx)
-        sign *= s
+    sign, pidx = ctx.left_mul_word(word, ctx.identity)
     return SpinWord(sign, ctx.perms[pidx], n)
 
 
@@ -531,96 +528,85 @@ def _sub_indices(n: int, m: int, eps: int) -> list[int]:
     return out
 
 
-def _commutation_solutions(
-    n: int,
-    var_indices: list[int],
-    gens: Iterable[int],
-    eps_sign: int,
-) -> list[SpinElement]:
-    """Basis of {x in span(vars) : x t_g = eps_sign * t_g x for listed g}."""
-    ctx = context(n)
-    varset = set(var_indices)
+def sign_centralizer(
+    basis, variables: Iterable[int], words: Iterable[Sequence], eps: int = 1
+) -> list[dict[int, int]]:
+    """Basis of {x in span(word_u : u in variables) : x w = eps * w x for each w}.
+
+    `basis` is a word basis with `right_mul_word` and `left_mul_word` (a
+    `SpinContext`, or the regular representation's tensor words); each w is
+    a sequence of its letters.  The coefficient of word_rho = sr * word_u w
+    is sr * c_u in x w and sl * c_v in w x, where w word_v = sl * word_rho.
+    So each relation couples two coefficients, c_u = eps * sl * sr * c_v, and
+    word_v is read off as sl * w^-1 word_rho: every letter is an involution,
+    so w^-1 is the reversed word.  The variables must be closed under
+    conjugation by the words: the words of one parity in a subalgebra that
+    contains the words are.
+    """
+    variables = list(variables)
     relations = []
-    for g in gens:
-        for u in var_indices:
-            sr, rho = ctx.right_mul_gen(u, g)  # word_u * t_g = sr * word_rho
-            sl, v = ctx.left_mul_gen(g, rho)  # t_g * word_rho = sl * word_v
-            if v not in varset:
-                # relation forces c_u = 0
-                relations.append((u, u, -1))
-                continue
-            # coeff of word_rho: in x*t_g it is sr*c_u, in t_g*x it is sl*c_v
-            relations.append((u, v, eps_sign * sl * sr))
-    return [SpinElement(n, sol) for sol in _solve_sign_relations(var_indices, relations)]
+    for w in words:
+        inverse = tuple(reversed(w))
+        for u in variables:
+            sr, rho = basis.right_mul_word(u, w)
+            sl, v = basis.left_mul_word(inverse, rho)
+            relations.append((u, v, eps * sl * sr))
+    return _solve_sign_relations(variables, relations)
+
+
+def _sign_solutions(
+    n: int, k: int, m: int, parity: int, eps: int, words: Iterable[Sequence] | None = None
+) -> list[SpinElement]:
+    """The x of one parity in the rank-k subalgebra of rank n with x w = eps * w x
+    for every w in `words`, by default the generators of the rank-m subalgebra."""
+    if not 1 <= m <= k <= n:
+        raise ValueError("need 1 <= m <= k <= n")
+    if words is None:
+        words = [(g,) for g in range(1, m)]
+    variables = _sub_indices(n, k, parity)
+    return [SpinElement(n, sol) for sol in sign_centralizer(context(n), variables, words, eps)]
+
+
+def _supercentralizer(n: int, k: int, m: int) -> list[SpinElement]:
+    """Supercentralizer of A_m inside A_k, in rank n: even solutions commute
+    with the generators, odd ones anticommute."""
+    return _sign_solutions(n, k, m, 0, +1) + _sign_solutions(n, k, m, 1, -1)
+
+
+def _graded_centralizer(n: int, k: int, m: int) -> list[SpinElement]:
+    """Even plain plus even twisted centralizer of A_m inside A_k, in rank n."""
+    ech = Echelon()
+    both = _sign_solutions(n, k, m, 0, +1) + _sign_solutions(n, k, m, 0, -1)
+    return [e for e in both if ech.add(e.vec())]
 
 
 def supercentralizer(n: int, m: int) -> list[SpinElement]:
     """Basis of the supercentralizer of the rank-m subalgebra inside rank n."""
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
     if n > 7:
         raise ValueError("size limit exceeded (n <= 7)")
-    gens = list(range(1, m))
-    even = _commutation_solutions(n, _sub_indices(n, n, 0), gens, +1)
-    odd = _commutation_solutions(n, _sub_indices(n, n, 1), gens, -1)
-    return even + odd
+    return _supercentralizer(n, n, m)
 
 
 def graded_center(n: int, within: int | None = None) -> list[SpinElement]:
     """Graded center: even ordinary center plus even twisted center."""
     k = within if within is not None else n
-    gens = list(range(1, k))
-    even_plain = _commutation_solutions(n, _sub_indices(n, k, 0), gens, +1)
-    even_twisted = _commutation_solutions(n, _sub_indices(n, k, 0), gens, -1)
-    ech = Echelon()
-    out = []
-    for e in even_plain + even_twisted:
-        if ech.add(e.vec()):
-            out.append(e)
-    return out
+    return _graded_centralizer(n, k, k)
 
 
 def even_part_centralizer(n: int, m: int) -> list[SpinElement]:
     """Ordinary centralizer of the rank-m even part inside the rank-n even part.
 
-    The commutation condition is linear in the second argument, so it is
-    enforced against every even basis word of the subalgebra; each condition
-    still couples exactly two coefficients.
+    The even part of the rank-m subalgebra is generated by the words
+    t_i t_{i+1} (the consecutive 3-cycles generate the alternating group), so
+    commuting with those words is commuting with all of it.
     """
-    ctx = context(n)
-    variables = _sub_indices(n, n, 0)
-    b_words = _sub_indices(n, m, 0)
-    relations = []
-    for b in b_words:
-        wb = ctx.words[b]
-        if not wb:
-            continue
-        inv_wb = tuple(reversed(wb))
-        for u in variables:
-            sr, rho = ctx.right_mul_word(u, wb)  # word_u * word_b = sr * word_rho
-            sl, v = ctx.left_mul_word(inv_wb, rho)  # word_b * word_v = sl * word_rho
-            relations.append((u, v, sl * sr))
-    return [SpinElement(n, sol) for sol in _solve_sign_relations(variables, relations)]
+    return _sign_solutions(n, n, m, 0, +1, [(i, i + 1) for i in range(1, m - 1)])
 
 
 def graded_centralizer_spin(n: int, m: int) -> tuple[list[SpinElement], bool]:
     """Z(A_n, A_m): even ordinary + even twisted centralizer; commutativity flag."""
-    gens = list(range(1, m))
-    even_plain = _commutation_solutions(n, _sub_indices(n, n, 0), gens, +1)
-    even_twisted = _commutation_solutions(n, _sub_indices(n, n, 0), gens, -1)
-    ech = Echelon()
-    basis = []
-    for e in even_plain + even_twisted:
-        if ech.add(e.vec()):
-            basis.append(e)
-    commutative = True
-    for i, a in enumerate(basis):
-        for b in basis[i + 1 :]:
-            if a * b != b * a:
-                commutative = False
-                break
-        if not commutative:
-            break
+    basis = _graded_centralizer(n, n, m)
+    commutative = all(a * b == b * a for i, a in enumerate(basis) for b in basis[i + 1 :])
     return basis, commutative
 
 
@@ -631,15 +617,12 @@ def span_dim(elements: Iterable[SpinElement]) -> int:
     return ech.rank
 
 
-def subalgebra_span(
-    n: int, generators: Sequence[SpinElement], include_one: bool = True
-) -> list[SpinElement]:
+def subalgebra_span(n: int, generators: Sequence[SpinElement]) -> list[SpinElement]:
     """Basis of the unital subalgebra generated by the given elements."""
     ech = Echelon()
     basis: list[SpinElement] = []
     queue: list[SpinElement] = []
-    seeds = ([SpinElement.one(n)] if include_one else []) + list(generators)
-    for e in seeds:
+    for e in [SpinElement.one(n)] + list(generators):
         if e and ech.add(e.vec()):
             basis.append(e)
             queue.append(e)
@@ -819,28 +802,10 @@ def gz_algebras(n: int) -> dict:
     """Gelfand-Tsetlin algebra family of the chain and its consistency checks."""
     if not 2 <= n <= 5:
         raise ValueError("size limit (2 <= n <= 5)")
-    gz_gens: list[SpinElement] = []
-    for k in range(1, n + 1):
-        gz_gens.extend(graded_center(n, within=k))
-    gz_basis = subalgebra_span(n, gz_gens)
-    sgz_gens: list[SpinElement] = []
-    for k in range(1, n):
-        sgz_gens.extend(
-            _commutation_solutions(n, _sub_indices(n, k + 1, 0), range(1, k), +1)
-        )
-        sgz_gens.extend(
-            _commutation_solutions(n, _sub_indices(n, k + 1, 1), range(1, k), -1)
-        )
-    sgz_basis = subalgebra_span(n, sgz_gens)
-    sz_gens: list[SpinElement] = []
-    for k in range(1, n + 1):
-        sz_gens.extend(
-            _commutation_solutions(n, _sub_indices(n, k, 0), range(1, k), +1)
-        )
-        sz_gens.extend(
-            _commutation_solutions(n, _sub_indices(n, k, 1), range(1, k), -1)
-        )
-    sz_basis = subalgebra_span(n, sz_gens)
+    # GZ from the graded centers, SGZ and SZ from the supercentralizers of the chain
+    gz_basis = subalgebra_span(n, [e for k in range(1, n + 1) for e in graded_center(n, k)])
+    sgz_basis = subalgebra_span(n, [e for k in range(1, n) for e in _supercentralizer(n, k + 1, k)])
+    sz_basis = subalgebra_span(n, [e for k in range(1, n + 1) for e in _supercentralizer(n, k, k)])
     pis = [jm_element(k, n) for k in range(1, n + 1)]
     pi_algebra = subalgebra_span(n, pis)
     pi2_algebra = subalgebra_span(n, [p * p for p in pis])

@@ -195,7 +195,15 @@ def test_subspace_coords_match_sympy(rows, data):
     ncols = len(rows[0])
     sub = Subspace(ncols, [to_vec(r) for r in rows])  # dependent inputs are dropped
     assert sub.dim == sym(rows).rank()
-    basis = sym([to_dense(b, ncols) for b in sub.basis]) if sub.dim else None
+    # the basis is the reduced echelon form: in pivot order, each vector 1 at
+    # its own pivot and 0 at every other one, and it spans the input
+    pivots = [min(b) for b in sub.basis]
+    assert pivots == sorted(set(pivots))
+    for b, p in zip(sub.basis, pivots):
+        assert [b.get(q, 0) for q in pivots] == [int(q == p) for q in pivots]
+    dense = [to_dense(b, ncols) for b in sub.basis]
+    assert sym(rows + dense).rank() == sub.dim
+    basis = sym(dense) if sub.dim else None
     weights = data.draw(st.lists(scalars, min_size=sub.dim, max_size=sub.dim))
     inside = {}
     for w, b in zip(weights, sub.basis):
@@ -268,7 +276,7 @@ def test_radical_systems_match_gauss_jordan(rows, nrows):
     probes = vecs + [{i: ONE for i in range(ncols)}]
     want = [reference_coords(sub.basis, v) for v in probes]
     assert [sub.coords_of(v) for v in probes] == want
-    sub._ech.rref()  # back-substitution must carry the combinations along
+    sub._ech.rref()  # a second back-substitution changes no coordinate
     assert [sub.coords_of(v) for v in probes] == want
     m = to_mat(rows)
     assert min_poly(m) == reference_min_poly(m)

@@ -54,6 +54,16 @@ def test_mutated_rep_fails():
     assert failures and failures[0]["defect_norm"] > 0
 
 
+def test_mutated_rep_has_its_own_pi():
+    # pi_2 = tau_1, so the mutated model's pi_2 must follow its own tau_1 even
+    # after the original's pi cache has been filled
+    rep = sn.build_rep_plain(StrictPartition((3,)))
+    assert rep.pi(2) == rep.tau(1)
+    bad = sn.mutated_rep(rep)
+    assert bad.pi(2) == bad.tau(1) != rep.tau(1)
+    assert rep.pi(2) == rep.tau(1)
+
+
 def test_spectrum_examples():
     assert sn.spectrum_of(sn.build_rep_plain(StrictPartition((3,)))) == [(0, 1, 3)]
     assert sn.spectrum_of(sn.build_rep_plain(StrictPartition((2, 1)))) == [(0, 1, 0)]

@@ -5,6 +5,7 @@ import pytest
 
 from superspin import spinalg as sa
 from superspin.exactnum import SqrtNumber, canonical, rational, sqrt_rational
+from superspin.linalg import kernel
 
 
 def test_dimension_is_factorial():
@@ -113,6 +114,16 @@ def test_supercentralizer_examples():
         szn1 = sa.supercentralizer(n, n - 1) if n > 1 else []
         if n > 1:
             assert sa.span_contains(szn1, [sa.jm_element(n, n)])
+    # one rank check, 1 <= m <= k <= n, for the whole centralizer family
+    for call in (
+        lambda: sa.supercentralizer(3, 5),
+        lambda: sa.graded_centralizer_spin(3, 5),
+        lambda: sa.graded_center(3, within=5),
+        lambda: sa.even_part_centralizer(3, 5),
+        lambda: sa.graded_centralizer_spin(3, 0),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_supercentralizer_recheck_and_generation():
@@ -144,6 +155,48 @@ def test_supercentralizer_recheck_and_generation():
             lifted.append(sa.SpinElement(n, coeffs))
         generated = sa.subalgebra_span(n, lifted + [sa.jm_element(n, n)])
         assert sa.spans_equal(generated, sa.subalgebra_span(n, basis))
+
+
+def _commutation_kernel(n, others, eps_of):
+    """The x = sum c_u word_u with x y = eps_of(u) * y x for every y in others,
+    as the kernel of the linear constraints read off SpinElement products;
+    eps_of(u) None forces c_u = 0.  The independent oracle for the sign solve."""
+    constraints, rows = [], {}
+    for u in range(sa.dimension(n)):
+        eps = eps_of(u)
+        if eps is None:
+            constraints.append({u: 1})
+            continue
+        word = sa.SpinElement(n, {u: 1})
+        for k, y in enumerate(others):
+            for t, c in (word * y - (y * word).scale(eps)).coeffs.items():
+                rows.setdefault((k, t), {})[u] = c
+    ker = kernel(constraints + list(rows.values()), sa.dimension(n))
+    return [sa.SpinElement(n, v) for v in ker]
+
+
+def test_sign_solve_matches_commutation_kernel():
+    for n in range(1, 5):
+        ctx = sa.context(n)
+        parity = ctx.parity
+        for m in range(1, n + 1):
+            gens = [sa.SpinElement.generator(g, n) for g in range(1, m)]
+            superc = _commutation_kernel(n, gens, lambda u: -1 if parity[u] else 1)
+            got = sa.supercentralizer(n, m)
+            assert len(got) == len(superc) and sa.spans_equal(got, superc), (n, m)
+            plain = _commutation_kernel(n, gens, lambda u: None if parity[u] else 1)
+            twisted = _commutation_kernel(n, gens, lambda u: None if parity[u] else -1)
+            got = sa.graded_centralizer_spin(n, m)[0]
+            assert sa.spans_equal(got, plain + twisted), (n, m)
+            assert len(got) == sa.span_dim(plain + twisted)
+            # the even part's centralizer, against every even word of A_m
+            even_words = [
+                sa.SpinElement(n, {b: 1})
+                for b, perm in enumerate(ctx.perms)
+                if not parity[b] and perm[m:] == tuple(range(m + 1, n + 1))
+            ]
+            even = _commutation_kernel(n, even_words, lambda u: None if parity[u] else 1)
+            assert sa.spans_equal(sa.even_part_centralizer(n, m), even), (n, m)
 
 
 def test_graded_centralizer_commutative():
