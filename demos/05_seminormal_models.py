@@ -28,7 +28,7 @@ for an in sn.analyze_local_pair(rep, 3):
 
 print("\nextracted irreducible and its classification:")
 irr = sn.extract_irreducible(rep)
-print("  dim:", irr.dim, sn.classify_module(irr, assume_irreducible=True))
+print("  dim:", irr.dim, sn.classify_module(irr))
 print("  (complex type: over the real field the minimal model is the fused")
 print("   antipodal pair, recognized by supercommutant dimensions (2, 2))")
 

@@ -17,11 +17,20 @@ helpers that let the linear algebra run on all three types with one code path.
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Mapping
 
 _SIGN_START_BITS = 64
+
+# Largest radicand the JSON reader accepts.  The models (|shape| <= 7) take
+# their radicals from sqrt(2) and the sqrt of a-values b(b+1)/2 with b <= 7, so
+# every radicand they write divides 2*3*5*7 = 210; the cap keeps the trial
+# division in square_free_decompose under 500 steps per term on any input.
+MAX_RADICAND = 10**6
+# the "p/q" form of _frac_str, the only coefficient form the writer emits
+_COEFF = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
 
 
 class PrecisionExceeded(RuntimeError):
@@ -306,7 +315,14 @@ class SqrtNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> SqrtNumber:
-        raw = [(t["radicand"], Fraction(t["coeff"])) for t in obj["terms"]]
+        """Read the wire format of `to_json`; any other term is a ValueError."""
+        raw = []
+        for t in obj["terms"]:
+            d, coeff = t["radicand"], t["coeff"]
+            m = _COEFF.fullmatch(coeff) if isinstance(coeff, str) else None
+            if m is None or type(d) is not int or not 1 <= d <= MAX_RADICAND:
+                raise ValueError(f"bad scalar term: want radicand 1..{MAX_RADICAND}, coeff 'p/q'")
+            raw.append((d, Fraction(int(m[1]), int(m[2]))))
         return cls.from_terms(raw)
 
 

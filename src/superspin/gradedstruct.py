@@ -5,8 +5,9 @@ with parity-homogeneous named generator matrices.  It is the only graded-module
 type in the package: read as a concrete algebra it is the span of its
 generators, read as a module it is their action, and `restrict` passes to an
 invariant graded subspace.  `module_commutant` is the one solver for the
-(super)commutant X G = s G X, and `classify_module` types a module as M or Q
-from the dimensions of its supercommutant.
+(super)commutant X G = s G X.  One test of its even part, a division algebra
+iff the module is irreducible, drives `split_into_irreducibles` and
+`classify_module`, which types a module as M or Q by its supercommutant.
 
 The two simple shapes are the full graded matrix algebra on a (n, m)-space and
 the Q-type algebra of [[A, B], [B, A]] matrices; every semisimple algebra
@@ -18,11 +19,15 @@ assembled as Lagrange polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import isqrt
 from typing import Iterable, Sequence
 
 from .exactnum import ONE, inverse
-from .linalg import CheckFailed, Echelon, Mat, Subspace, Vec, eigensplit, kernel, plain, vecize
+from .linalg import (
+    CheckFailed, Echelon, Mat, Subspace, Vec, eigensplit, kernel, min_poly, plain, poly_apply,
+    poly_partial_factors, vecize,
+)
 
 
 @dataclass
@@ -210,7 +215,7 @@ _FUSED_PATTERNS = {
 }
 
 
-def classify_module(mod: GradedMatrixAlgebra, assume_irreducible: bool = False) -> dict:
+def classify_module(mod: GradedMatrixAlgebra) -> dict:
     """Type of a module: M(r, s), Q(r), or reducible, via its supercommutant.
 
     Over the real multi-quadratic scalars an irreducible module need not stay
@@ -222,9 +227,9 @@ def classify_module(mod: GradedMatrixAlgebra, assume_irreducible: bool = False) 
       commutant); (4,4) a doubled Q module.
 
     The last three also fit reducible modules (two copies of M(1,1) give
-    (4,0)), so they are read this way only when the caller knows the module
-    is irreducible (assume_irreducible); otherwise such a module is
-    "reducible".
+    (4,0)), so they are read this way only when the even commutant is a
+    division algebra (`_commutant_split` finds no splitter); otherwise such a
+    module is "reducible".
     complex_count is the number of complex-irreducible summands.
     """
     even = module_commutant(mod, 0, super_mode=True)
@@ -236,7 +241,7 @@ def classify_module(mod: GradedMatrixAlgebra, assume_irreducible: bool = False) 
         kind, params, pattern, count = "M", (ev, od), "single", 1
     elif dims == (1, 1) and _squares_to_nonzero_scalar(odd[0]):
         kind, params, pattern, count = "Q", ev, "single", 1
-    elif assume_irreducible and dims in _FUSED_PATTERNS:
+    elif dims in _FUSED_PATTERNS and _commutant_split(mod, even) is None:
         kind, pattern = _FUSED_PATTERNS[dims]
         params = (ev // 2, od // 2) if kind == "M" else ev // 2
         count = 2
@@ -247,6 +252,56 @@ def classify_module(mod: GradedMatrixAlgebra, assume_irreducible: bool = False) 
         "complex_count": count,
         "supercommutant_dims": dims,
     }
+
+
+def split_into_irreducibles(mod: GradedMatrixAlgebra) -> list[GradedMatrixAlgebra]:
+    """Graded-irreducible summands over the field."""
+    subs = _commutant_split(mod, module_commutant(mod, 0, super_mode=False))
+    if subs is None:
+        return [mod]
+    return [piece for sub in subs for piece in split_into_irreducibles(mod.restrict(sub))]
+
+
+def _commutant_split(mod: GradedMatrixAlgebra, even_comm: Sequence[Mat]) -> list[Subspace] | None:
+    """Invariant graded subspaces that split the module, or None if it is irreducible.
+
+    even_comm is a basis of the even commutant (for parity 0 the super and
+    plain commutants agree).  The module is irreducible iff that algebra is a
+    division algebra.  Otherwise some element's minimal polynomial has coprime
+    factors whose kernels split the module; products of basis elements are
+    tried as well, since the echelon basis need not contain such an element.
+    """
+    nonscalar = [x for x in even_comm if x != Mat.scalar(mod.dim, x.entry(0, 0))]
+    products = (x * y for i, x in enumerate(nonscalar) for y in nonscalar[i:])
+    for cand in chain(nonscalar, products):
+        factors = poly_partial_factors(min_poly(cand))
+        if len(factors) < 2:
+            continue
+        subs = []
+        for f in factors:
+            ker = kernel(list(poly_apply(f, cand).rows.values()), mod.dim)
+            if ker:
+                subs.append(Subspace(mod.dim, ker))
+        if len(subs) < 2:
+            continue
+        if sum(s.dim for s in subs) != mod.dim:
+            raise ValueError("coprime factor split lost dimensions")
+        return subs
+    # no splitter found: legitimate iff the commutant is a division algebra,
+    # which happens for field-irreducible modules of complex/quaternionic type
+    if all(_invertible(x) for x in nonscalar):
+        return None
+    raise CheckFailed(
+        "could not split module over the field (commutant is not a division "
+        "algebra yet no element yields coprime factors)"
+    )
+
+
+def _invertible(m: Mat) -> bool:
+    ech = Echelon()
+    for r in range(m.nrows):
+        ech.add(dict(m.rows.get(r, {})))
+    return ech.rank == m.nrows == m.ncols
 
 
 def _squares_to_nonzero_scalar(j: Mat) -> bool:

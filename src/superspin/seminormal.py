@@ -28,22 +28,11 @@ from .gradedstruct import (
     matrix_parity,
     module_commutant,
     simple_block,
+    split_into_irreducibles,
     split_module_by_central,
     subspace_parity,
 )
-from .linalg import (
-    CheckFailed,
-    Echelon,
-    Mat,
-    Subspace,
-    Vec,
-    eigensplit,
-    kernel,
-    min_poly,
-    plain,
-    poly_apply,
-    poly_partial_factors,
-)
+from .linalg import CheckFailed, Mat, Subspace, Vec, eigensplit, plain
 from .shiftedcomb import (
     ShiftedTableau,
     StrictPartition,
@@ -127,6 +116,7 @@ class GradedRep:
     matrices: dict[str, Mat]
     build_report: dict = field(default_factory=dict)
     _pi_cache: dict = field(default_factory=dict, repr=False)
+    _irreducible: list = field(default_factory=list, repr=False)  # see _first_summand
 
     def tau(self, i: int) -> Mat:
         return self.matrices[f"tau_{i}"]
@@ -211,11 +201,15 @@ class GradedRep:
             },
             build_report=obj.get("build_report", {}),
         )
+        if rep.algebra not in ("A_n", "clifford_tensor_A_n"):
+            raise ValueError(f"unknown algebra {rep.algebra!r}")
+        if rep.n != shape.n:
+            raise ValueError(f"n = {rep.n} does not match shape {shape}")
         if len(rep.parity) != rep.dim or not set(rep.parity) <= {0, 1}:
             raise ValueError(f"parity must have {rep.dim} entries, each 0 or 1")
-        missing = [g for g in rep.generator_names() if g not in rep.matrices]
-        if missing:
-            raise ValueError(f"missing generators: {', '.join(missing)}")
+        names = rep.generator_names()
+        if set(rep.matrices) != set(names):
+            raise ValueError(f"generators must be exactly {', '.join(names)}")
         for name, m in rep.matrices.items():
             if (m.nrows, m.ncols) != (rep.dim, rep.dim):
                 raise ValueError(f"generator {name} is not {rep.dim}x{rep.dim}")
@@ -457,7 +451,16 @@ def _check_spectrum_contract(rep: GradedRep) -> None:
         )
 
 
-_BUILD_CACHE: dict[tuple[str, tuple[int, ...]], GradedRep] = {}
+_BUILD_CACHE: dict[tuple[bool, tuple[int, ...]], GradedRep] = {}
+
+
+def _cached_build(shape: StrictPartition, tensor: bool) -> GradedRep:
+    if shape.n > 7:
+        raise ValueError("|shape| <= 7")
+    key = (tensor, shape.parts)
+    if key not in _BUILD_CACHE:
+        _BUILD_CACHE[key] = _build(shape, tensor)
+    return _BUILD_CACHE[key]
 
 
 def build_rep_plain(shape: StrictPartition) -> GradedRep:
@@ -465,22 +468,12 @@ def build_rep_plain(shape: StrictPartition) -> GradedRep:
 
     Built models are cached and treated as immutable.
     """
-    if shape.n > 7:
-        raise ValueError("|shape| <= 7")
-    key = ("plain", shape.parts)
-    if key not in _BUILD_CACHE:
-        _BUILD_CACHE[key] = _build(shape, tensor=False)
-    return _BUILD_CACHE[key]
+    return _cached_build(shape, tensor=False)
 
 
 def build_rep_clifford_tensor(shape: StrictPartition) -> GradedRep:
     """Seminormal model of the Clifford-extended algebra (|shape| <= 7)."""
-    if shape.n > 7:
-        raise ValueError("|shape| <= 7")
-    key = ("tensor", shape.parts)
-    if key not in _BUILD_CACHE:
-        _BUILD_CACHE[key] = _build(shape, tensor=True)
-    return _BUILD_CACHE[key]
+    return _cached_build(shape, tensor=True)
 
 
 def spectrum_of(rep: GradedRep) -> list[tuple[int, ...]]:
@@ -607,69 +600,18 @@ def analyze_local_pair(rep: GradedRep, i: int) -> list[LocalPairAnalysis]:
 # -- module machinery (splitting, classification, branching) ----------------------
 
 
-def split_into_irreducibles(mod: GradedMatrixAlgebra) -> list[GradedMatrixAlgebra]:
-    """Graded-irreducible summands over the field.
-
-    Splits by coprime factors of minimal polynomials of commutant elements;
-    products of commutant basis elements are tried as well, since the echelon
-    basis need not contain an element with a reducible minimal polynomial.
-    """
-    comm = module_commutant(mod, 0, super_mode=False)
-    nonscalar = [
-        x for x in comm if x != Mat.scalar(mod.dim, x.entry(0, 0))
-    ]
-    if not nonscalar:
-        return [mod]
-
-    def candidates():
-        for x in nonscalar:
-            yield x
-        for i, x in enumerate(nonscalar):
-            for y in nonscalar[i:]:
-                yield x * y
-
-    for cand in candidates():
-        factors = poly_partial_factors(min_poly(cand))
-        if len(factors) < 2:
-            continue
-        subs = []
-        for f in factors:
-            fm = poly_apply(f, cand)
-            ker = kernel(list(fm.rows.values()), mod.dim)
-            if ker:
-                subs.append(Subspace(mod.dim, ker))
-        if len(subs) < 2:
-            continue
-        if sum(s.dim for s in subs) != mod.dim:
-            raise ValueError("coprime factor split lost dimensions")
-        out: list[GradedMatrixAlgebra] = []
-        for sub in subs:
-            out.extend(split_into_irreducibles(mod.restrict(sub)))
-        return out
-    # no splitter found: legitimate iff the commutant is a division algebra,
-    # which happens for field-irreducible modules of complex/quaternionic type
-    if all(_invertible(x) for x in nonscalar):
-        return [mod]
-    raise CheckFailed(
-        "could not split module over the field (commutant is not a division "
-        "algebra yet no element yields coprime factors)"
-    )
-
-
-def _invertible(m: Mat) -> bool:
-    ech = Echelon()
-    count = 0
-    for r in range(m.nrows):
-        if ech.add(dict(m.rows.get(r, {}))):
-            count += 1
-    return count == m.nrows == m.ncols
+def _first_summand(rep: GradedRep) -> list:
+    """[module, classification] of the model's first irreducible summand, memoised."""
+    if not rep._irreducible:
+        pieces = split_into_irreducibles(rep.module())
+        mod = min(pieces, key=lambda p: (p.dim, p.parity))
+        rep._irreducible.extend((mod, classify_module(mod)))
+    return rep._irreducible
 
 
 def extract_irreducible(rep: GradedRep) -> GradedMatrixAlgebra:
     """Deterministic first graded-irreducible summand of a built model."""
-    pieces = split_into_irreducibles(rep.module())
-    pieces.sort(key=lambda p: (p.dim, p.parity))
-    return pieces[0]
+    return _first_summand(rep)[0]
 
 
 def identify_shape(mod: GradedMatrixAlgebra, level: int) -> StrictPartition:
@@ -686,27 +628,15 @@ def identify_shape(mod: GradedMatrixAlgebra, level: int) -> StrictPartition:
     return _shape_of_avec(_a_vectors(Subspace.full(mod.dim), squares)[0])
 
 
-_REFERENCE_CACHE: dict[tuple[str, tuple[int, ...]], GradedMatrixAlgebra] = {}
-
-
-def reference_irreducible(
-    shape: StrictPartition, tensor: bool = False
-) -> GradedMatrixAlgebra:
-    """Memoized canonical irreducible module for a shape (the '+' antipode)."""
-    key = ("tensor" if tensor else "plain", shape.parts)
-    hit = _REFERENCE_CACHE.get(key)
-    if hit is None:
-        rep = build_rep_clifford_tensor(shape) if tensor else build_rep_plain(shape)
-        hit = extract_irreducible(rep)
-        _REFERENCE_CACHE[key] = hit
-    return hit
+def reference_irreducible(shape: StrictPartition, tensor: bool = False) -> GradedMatrixAlgebra:
+    """Canonical irreducible module for a shape (the '+' antipode)."""
+    return extract_irreducible((build_rep_clifford_tensor if tensor else build_rep_plain)(shape))
 
 
 def empirical_type(shape: StrictPartition, tensor: bool = False) -> str:
     """M or Q by actual classification of the built irreducible module."""
-    kind = classify_module(
-        reference_irreducible(shape, tensor), assume_irreducible=True
-    )["kind"]
+    rep = (build_rep_clifford_tensor if tensor else build_rep_plain)(shape)
+    kind = _first_summand(rep)[1]["kind"]
     if kind not in ("M", "Q"):
         raise ValueError(f"reference module for {shape} did not classify: {kind}")
     return kind
@@ -722,8 +652,7 @@ def restrict_and_branch(rep: GradedRep) -> list[dict]:
     n = rep.n
     if n < 2:
         raise ValueError("n >= 2 required")
-    mod = extract_irreducible(rep)
-    own = classify_module(mod, assume_irreducible=True)
+    mod, own = _first_summand(rep)
     if own["kind"] == "reducible":
         raise ValueError("cannot branch an unclassifiable module")
     s_top = own["complex_count"]
@@ -740,7 +669,7 @@ def restrict_and_branch(rep: GradedRep) -> list[dict]:
             shape = identify_shape(piece, n - 1)
         else:
             shape = StrictPartition((1,))
-        cls = classify_module(piece, assume_irreducible=True)
+        cls = classify_module(piece)
         if cls["kind"] == "reducible":
             raise ValueError("restriction produced an unclassifiable summand")
         entry = tally.setdefault(
@@ -980,7 +909,8 @@ def mutated_rep(rep: GradedRep) -> GradedRep:
     rows[r0][c0] = -rows[r0][c0]
     mats = dict(rep.matrices)
     mats["tau_1"] = Mat(tau1.nrows, tau1.ncols, rows)
-    # a fresh pi cache: the mutated tau_1 gives different pi_k
+    # fresh caches: the mutated tau_1 gives different pi_k and summands
     return replace(
-        rep, matrices=mats, build_report=dict(rep.build_report, mutated=True), _pi_cache={}
+        rep, matrices=mats, build_report=dict(rep.build_report, mutated=True),
+        _pi_cache={}, _irreducible=[],
     )

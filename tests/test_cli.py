@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
 
@@ -101,8 +104,60 @@ def _matrix_not_a_list(obj):
     obj["generators"][0]["matrix"] = 5
 
 
+def _n_disagrees_with_shape(obj):
+    # the generators fit n = 2, the shape 2,1 needs n = 3
+    obj["n"] = 2
+    obj["generators"] = [g for g in obj["generators"] if g["name"] != "tau_2"]
+
+
+def _unknown_algebra(obj):
+    obj["algebra"] = "B_n"
+
+
+def _extra_generator(obj):
+    extra = json.loads(json.dumps(obj["generators"][0]))
+    extra["name"] = "tau_3"
+    extra["matrix"][0][0] = {"terms": [{"radicand": 1, "coeff": "5/1"}]}
+    obj["generators"].append(extra)
+
+
+def _first_term(obj):
+    for cell in obj["generators"][0]["matrix"][0]:
+        if cell["terms"]:
+            return cell["terms"][0]
+
+
+def _zero_denominator(obj):
+    _first_term(obj)["coeff"] = "1/0"
+
+
+def _exponent_coeff(obj):
+    _first_term(obj)["coeff"] = "1e10000000"
+
+
+def _huge_radicand(obj):
+    _first_term(obj)["radicand"] = (10**9 + 7) * (10**9 + 9)
+
+
+def _bool_radicand(obj):
+    _first_term(obj)["radicand"] = True
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_drop_generator, _short_parity, _ragged_row, _matrix_not_a_list]
+    "corrupt",
+    [
+        _drop_generator,
+        _short_parity,
+        _ragged_row,
+        _matrix_not_a_list,
+        _n_disagrees_with_shape,
+        _unknown_algebra,
+        _extra_generator,
+        _zero_denominator,
+        _exponent_coeff,
+        _huge_radicand,
+        _bool_radicand,
+    ],
 )
 def test_verify_malformed_model(tmp_path, capsys, corrupt):
     path = tmp_path / "rep.json"
@@ -112,6 +167,66 @@ def test_verify_malformed_model(tmp_path, capsys, corrupt):
     path.write_text(json.dumps(obj))
     assert cli.main(["verify", str(path)]) == 2
     assert "cannot load representation" in capsys.readouterr().err
+
+
+def test_verify_fuzzed_model(tmp_path):
+    # the loader path holds the exit-code contract on mutated model files:
+    # 0, 1 or 2, never a traceback, and no hang
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    source = tmp_path / "rep.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["build-rep", "2,1", "--algebra", "tensor", "--out", str(source)]) == 0
+    base = source.read_text()
+    keys = sorted(json.loads(base))
+    junk = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(10**30), 10**30),
+        st.text(max_size=8),
+        st.lists(st.integers(-3, 9), max_size=4),
+    )
+    header = st.tuples(
+        st.sampled_from(["drop", "set"]),
+        st.sampled_from(keys),
+        st.one_of(junk, st.sampled_from(["A_n", "clifford_tensor_A_n"]), st.integers(0, 8)),
+    )
+    coeffs = st.one_of(junk, st.sampled_from(["1/0", "1e10000000", "-0/1", "3/2", " 1/2"]))
+    radicands = st.one_of(junk, st.sampled_from([0, 1, 2, 10**6, 10**6 + 1, 10**18 + 7]))
+    entry = st.tuples(
+        st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(["coeff", "radicand"]),
+        st.one_of(coeffs, radicands),
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.lists(header, max_size=2), st.lists(entry, max_size=3))
+    def check(headers, entries):
+        obj = json.loads(base)
+        gens = obj["generators"]
+        for g, cell, field, value in entries:
+            matrix = gens[g % len(gens)]["matrix"]
+            row = matrix[cell % len(matrix)]
+            terms = row[cell // len(matrix) % len(row)]["terms"]
+            if not terms:
+                terms.append({"radicand": 1, "coeff": "1/1"})
+            terms[0][field] = value
+        for action, key, value in headers:
+            if action == "drop":
+                obj.pop(key, None)
+            else:
+                obj[key] = value
+        path = tmp_path / "fuzzed.json"
+        path.write_text(json.dumps(obj))
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["verify", str(path)])
+        assert time.perf_counter() - start < 10
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    check()
 
 
 def test_verify_missing_file(capsys):

@@ -66,17 +66,39 @@ def test_classify_module_examples():
     assert gs.classify_module(gs.m_algebra(2, 1))["params"] == (2, 1)
     q = gs.classify_module(gs.q_algebra(2))
     assert q["kind"] == "Q" and q["params"] == 2
-    # direct sum of two copies of the M(1,1) module is reducible with dim 4
-    m11 = gs.m_algebra(1, 1)
-    gens2 = []
-    for name, g in m11.generators:
-        rows = {r: dict(row) for r, row in g.rows.items()}
-        for r, row in g.rows.items():
-            rows[2 + r] = {2 + c: v for c, v in row.items()}
-        gens2.append((name, Mat(4, 4, rows)))
-    dsum = gs.GradedMatrixAlgebra(4, (0, 1, 0, 1), gens2)
+
+
+def direct_sum(a, b):
+    """Block-diagonal sum of two modules with the same generator names."""
+    gens = []
+    for (name, ga), (_, gb) in zip(a.generators, b.generators):
+        rows = {r: dict(row) for r, row in ga.rows.items()}
+        for r, row in gb.rows.items():
+            rows[a.dim + r] = {a.dim + c: v for c, v in row.items()}
+        gens.append((name, Mat(a.dim + b.dim, a.dim + b.dim, rows)))
+    return gs.GradedMatrixAlgebra(a.dim + b.dim, a.parity + b.parity, gens)
+
+
+def parity_shift(a):
+    return gs.GradedMatrixAlgebra(a.dim, tuple(1 - p for p in a.parity), a.generators)
+
+
+@pytest.mark.parametrize(
+    "dsum, dims",
+    [
+        (direct_sum(gs.m_algebra(2, 1), parity_shift(gs.m_algebra(2, 1))), (2, 2)),
+        (direct_sum(gs.m_algebra(1, 1), gs.m_algebra(1, 1)), (4, 0)),
+        (direct_sum(gs.q_algebra(1), gs.q_algebra(1)), (4, 4)),
+    ],
+    ids=["M21+PiM21", "M11+M11", "Q1+Q1"],
+)
+def test_reducible_sum_with_fused_pattern(dsum, dims):
+    # each sum has the supercommutant dimensions of a fused irreducible, but
+    # its even commutant splits, so it is not typed as one
     out = gs.classify_module(dsum)
-    assert out["kind"] == "reducible" and out["supercommutant_dims"] == (4, 0)
+    assert out["supercommutant_dims"] == dims
+    assert out["kind"] == "reducible"
+    assert len(gs.split_into_irreducibles(dsum)) == 2
 
 
 def test_decompose_regular_representations():

@@ -64,6 +64,33 @@ def test_mutated_rep_has_its_own_pi():
     assert rep.pi(2) == rep.tau(1)
 
 
+def test_irreducible_summand_is_split_once(monkeypatch):
+    calls = []
+    split = sn.split_into_irreducibles
+
+    def counting(mod):
+        calls.append(mod.dim)
+        return split(mod)
+
+    monkeypatch.setattr(sn, "split_into_irreducibles", counting)
+    rep = sn._construct(StrictPartition((3, 1)), False, "corrected")
+    first = sn.extract_irreducible(rep)
+    assert sn.extract_irreducible(rep) is first
+    assert calls == [rep.dim]
+    # branching reuses the summand and splits only its restriction
+    sn.restrict_and_branch(rep)
+    assert calls == [rep.dim, first.dim]
+
+
+def test_mutated_rep_has_its_own_summand():
+    rep = sn.build_rep_plain(StrictPartition((3,)))
+    good = sn.extract_irreducible(rep)
+    bad = sn.extract_irreducible(sn.mutated_rep(rep))
+    assert bad.generator("tau_1") != good.generator("tau_1")
+    assert sn.classify_module(good)["pattern"] == "antipodal_pair"
+    assert sn.classify_module(bad)["pattern"] == "single"
+
+
 def test_spectrum_examples():
     assert sn.spectrum_of(sn.build_rep_plain(StrictPartition((3,)))) == [(0, 1, 3)]
     assert sn.spectrum_of(sn.build_rep_plain(StrictPartition((2, 1)))) == [(0, 1, 0)]
@@ -90,9 +117,7 @@ def test_classification_against_oracle():
         for b in sn.regular_decompose("A", n).blocks:
             oracle[tuple(b.partition)] = (b.btype, b.params)
     for parts, want in oracle.items():
-        cls = sn.classify_module(
-            sn.reference_irreducible(StrictPartition(parts)), assume_irreducible=True
-        )
+        cls = sn.classify_module(sn.reference_irreducible(StrictPartition(parts)))
         assert (cls["kind"], cls["params"]) == want, parts
 
 
@@ -101,7 +126,7 @@ def test_fused_pair_over_real_field():
     # fused antipodal pair of the M(1,1) module, with dims twice the complex
     # module and supercommutant pattern (2, 2)
     irr = sn.reference_irreducible(StrictPartition((3,)))
-    cls = sn.classify_module(irr, assume_irreducible=True)
+    cls = sn.classify_module(irr)
     assert irr.dim == 4
     assert cls == {
         "kind": "M",
