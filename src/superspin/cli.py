@@ -129,8 +129,16 @@ def cmd_branching_graph(args) -> int:
     return rc
 
 
+# Clifford-tensor models of rank 7 run to 2 GB of dense JSON
+TENSOR_BUILD_MAX_N = 6
+
+
 def cmd_build_rep(args) -> int:
     shape = _parse_partition(args.partition)
+    if args.algebra == "tensor" and shape.n > TENSOR_BUILD_MAX_N:
+        raise UsageError(
+            f"build-rep --algebra tensor is capped at |shape| <= {TENSOR_BUILD_MAX_N}"
+        )
     builder = (
         seminormal.build_rep_clifford_tensor
         if args.algebra == "tensor"

@@ -42,7 +42,11 @@ class GradedMatrixAlgebra:
         self.parity = tuple(self.parity)
         if len(self.parity) != self.dim:
             raise ValueError("parity vector length must match dimension")
+        if not all(p == 0 or p == 1 for p in self.parity):
+            raise ValueError("parities must be 0 or 1")
         for name, g in self.generators:
+            if (g.nrows, g.ncols) != (self.dim, self.dim):
+                raise ValueError(f"generator {name} is not {self.dim}x{self.dim}")
             if matrix_parity(g, self.parity) is None:
                 raise ValueError(f"generator {name} is not parity-homogeneous")
 
@@ -154,11 +158,10 @@ def q_algebra(n: int) -> GradedMatrixAlgebra:
 # -- solves ---------------------------------------------------------------------
 
 
-def module_commutant(mod: GradedMatrixAlgebra, x_parity: int, super_mode: bool) -> list[Mat]:
-    """Homogeneous X of parity x_parity with X G = s G X for every generator G.
-
-    s = (-1)^(p(X) p(G)) for the supercommutant (super_mode), s = 1 for the
-    plain commutant.
+def module_commutant(mod: GradedMatrixAlgebra, x_parity: int) -> list[Mat]:
+    """Homogeneous X of parity x_parity with X G = s G X for every generator G,
+    s = (-1)^(p(X) p(G)): the parity-x_parity part of the supercommutant.  For
+    x_parity 0 the sign is 1, so that part is the even plain commutant too.
     """
     n = mod.dim
     unknowns = [
@@ -171,7 +174,7 @@ def module_commutant(mod: GradedMatrixAlgebra, x_parity: int, super_mode: bool) 
     constraints: list[Vec] = []
     for g in mod.generator_mats():
         pg = matrix_parity(g, mod.parity)
-        s = -1 if (super_mode and x_parity and pg) else 1
+        s = -1 if x_parity and pg else 1
         rows: dict[tuple[int, int], Vec] = {}
         gcols = g.cols()
         for (r, k) in unknowns:
@@ -203,7 +206,7 @@ def supercommutant(a: GradedMatrixAlgebra) -> list[Mat]:
     """Basis of the supercommutant of the generators (even part then odd part)."""
     if a.dim > 1000:
         raise ValueError("dimension cap exceeded")
-    return module_commutant(a, 0, True) + module_commutant(a, 1, True)
+    return module_commutant(a, 0) + module_commutant(a, 1)
 
 
 # supercommutant dimensions (even, odd) of a field-irreducible module that
@@ -232,8 +235,8 @@ def classify_module(mod: GradedMatrixAlgebra) -> dict:
     module is "reducible".
     complex_count is the number of complex-irreducible summands.
     """
-    even = module_commutant(mod, 0, super_mode=True)
-    odd = module_commutant(mod, 1, super_mode=True)
+    even = module_commutant(mod, 0)
+    odd = module_commutant(mod, 1)
     dims = (len(even), len(odd))
     ev, od = mod.graded_dims()
     kind, params, pattern, count = "reducible", None, None, None
@@ -256,7 +259,7 @@ def classify_module(mod: GradedMatrixAlgebra) -> dict:
 
 def split_into_irreducibles(mod: GradedMatrixAlgebra) -> list[GradedMatrixAlgebra]:
     """Graded-irreducible summands over the field."""
-    subs = _commutant_split(mod, module_commutant(mod, 0, super_mode=False))
+    subs = _commutant_split(mod, module_commutant(mod, 0))
     if subs is None:
         return [mod]
     return [piece for sub in subs for piece in split_into_irreducibles(mod.restrict(sub))]

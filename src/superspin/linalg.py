@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import json
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .exactnum import (
@@ -383,9 +383,159 @@ class Echelon:
             row = rows[p]
             # every later row is already reduced, so clearing one pivot column
             # leaves the others untouched
-            for q in [q for q in row if q != p and q in rows]:
+            cleared = [q for q in row if q != p and q in rows]
+            for q in cleared:
                 _iadd_scaled(row, rows[q], -row[q])
+            if cleared:
+                for i, x in row.items():
+                    row[i] = canonical(x)
         return rows
+
+
+# -- certified elimination modulo a prime ----------------------------------------
+#
+# Rational rows are reduced modulo _P, the reduced rows are rebuilt entry by
+# entry by rational reconstruction (Wang, Guy and Davenport, SIGSAM Bull. 16,
+# 1982), and the result stands only if an exact check proves it: every input
+# must equal the combination of the rebuilt rows read at their pivot columns.
+# Then span(inputs) lies in span(rows), and rank over Q >= rank mod _P =
+# len(rows), so the spans agree and the rows are the unique reduced echelon
+# form, entry for entry what `Echelon` gives.
+
+_P = 2**30 - 35  # the largest prime below 2^30: residues are one-digit ints
+_BOUND = isqrt(_P // 2)  # reconstruction bound on numerator and denominator
+
+
+def _residues(vecs: Sequence[Vec]) -> list[Vec] | None:
+    """The vectors modulo _P, zeros dropped; None if an entry is not int/Fraction
+    or has a denominator divisible by _P."""
+    out = []
+    for v in vecs:
+        res: Vec = {}
+        for i, x in v.items():
+            if x.__class__ is int:
+                r = x % _P
+            elif x.__class__ is Fraction:
+                d = x.denominator % _P
+                if not d:
+                    return None
+                r = x.numerator * pow(d, -1, _P) % _P
+            else:
+                return None
+            if r:
+                res[i] = r
+        out.append(res)
+    return out
+
+
+def _rref_mod(vecs: Sequence[Vec]) -> dict[int, Vec]:
+    """Reduced echelon rows modulo _P, pivot -> row without its pivot entry (1)."""
+    rows: dict[int, Vec] = {}
+    for rem in vecs:
+        heap = [p for p in rem if p in rows]
+        heapq.heapify(heap)
+        while heap:
+            p = heapq.heappop(heap)
+            c = rem.pop(p, None)
+            if c is None:  # queued twice, or cancelled to zero
+                continue
+            for i, x in rows[p].items():
+                s = rem.get(i)
+                if s is None:
+                    rem[i] = -c * x % _P
+                    if i in rows:
+                        heapq.heappush(heap, i)
+                else:
+                    s = (s - c * x) % _P
+                    if s:
+                        rem[i] = s
+                    else:
+                        del rem[i]
+        if rem:
+            p = min(rem)
+            inv = pow(rem.pop(p), -1, _P)
+            rows[p] = {i: x * inv % _P for i, x in rem.items()}
+    for p in sorted(rows, reverse=True):
+        row = rows[p]
+        for q in [q for q in row if q in rows]:
+            c = row.pop(q)
+            for i, x in rows[q].items():
+                s = (row.get(i, 0) - c * x) % _P
+                if s:
+                    row[i] = s
+                else:
+                    row.pop(i, None)
+    return rows
+
+
+def _reconstruct(a: int) -> tuple[int, int] | None:
+    """(n, d) with n/d = a mod _P, |n| and d at most _BOUND, gcd 1; else None."""
+    r0, r1, s0, s1 = _P, a, 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 < 0:
+        r1, s1 = -r1, -s1
+    if s1 > _BOUND or gcd(r1, s1) != 1:
+        return None
+    return r1, s1
+
+
+def _certified_rref(vecs: Sequence[Vec]) -> dict[int, Vec] | None:
+    """The reduced echelon rows (pivot -> row) of int/Fraction vectors, proved
+    exact, or None when the exact path must decide (see the note above)."""
+    residues = _residues(vecs)
+    if residues is None:
+        return None
+    mod_rows = _rref_mod(residues)
+    # rebuild: each row as integers over a common denominator, and as scalars
+    rebuilt: dict[int, tuple[Vec, int]] = {}
+    rows: dict[int, Vec] = {}
+    cache: dict[int, tuple[int, int, Scalar]] = {}
+    for p, mrow in mod_rows.items():
+        fracs = []
+        for i, a in mrow.items():
+            hit = cache.get(a)
+            if hit is None:
+                nd = _reconstruct(a)
+                if nd is None:
+                    return None
+                n, d = nd
+                hit = cache[a] = (n, d, n if d == 1 else Fraction(n, d))
+            fracs.append((i, hit))
+        den = lcm(*(d for _, (_, d, _) in fracs))
+        rebuilt[p] = ({i: n * (den // d) for i, (n, d, _) in fracs}, den)
+        rows[p] = {p: 1, **{i: val for i, (_, _, val) in fracs}}
+    # the check, in integers: L*D*v[f] == sum_p L*v[p] * (D/d_p) * N_p[f] off the pivots
+    for v in vecs:
+        scale = lcm(*(x.denominator for x in v.values()))
+        used = [p for p in v if p in rebuilt and v[p]]
+        den = lcm(*(rebuilt[p][1] for p in used))
+        acc: dict[int, int] = {}
+        for p in used:
+            x = v[p]
+            nums, d = rebuilt[p]
+            c = x.numerator * (scale // x.denominator) * (den // d)
+            for i, y in nums.items():
+                acc[i] = acc.get(i, 0) + c * y
+        for i, x in v.items():
+            if i not in rebuilt and acc.pop(i, 0) != x.numerator * (scale // x.denominator) * den:
+                return None
+        if any(acc.values()):
+            return None
+    return rows
+
+
+def _rref_rows(vecs: Sequence[Vec]) -> dict[int, Vec]:
+    """Reduced echelon rows of the vectors: certified modulo _P when it can be,
+    else by exact elimination."""
+    rows = _certified_rref(vecs)
+    if rows is not None:
+        return rows
+    ech = Echelon()
+    for v in vecs:
+        ech.add(v)
+    return ech.rref()
 
 
 def kernel(constraints: Iterable[Vec], ncols: int) -> list[Vec]:
@@ -394,11 +544,7 @@ def kernel(constraints: Iterable[Vec], ncols: int) -> list[Vec]:
     One vector per free column f, in increasing f: 1 at f and, at each pivot
     column, minus the reduced row's entry at f.  The 1 has the constraints' type.
     """
-    ech = Echelon()
-    for row in constraints:
-        if row:
-            ech.add(row)
-    rows = ech.rref()
+    rows = _rref_rows([row for row in constraints if row])
     one = one_like(x for row in rows.values() for x in row.values())
     free: dict[int, Vec] = {}
     for p in sorted(rows):
@@ -420,9 +566,8 @@ class Subspace:
     def __init__(self, dim_ambient: int, basis: Sequence[Vec]):
         self.dim_ambient = dim_ambient
         self._ech = Echelon()
-        for v in basis:
-            self._ech.add(v)
-        rows = self._ech.rref()
+        # a fully reduced echelon form meets the Echelon invariant
+        self._ech.rows = rows = _rref_rows(basis)
         self._pivots = sorted(rows)
         self.basis: list[Vec] = [rows[p] for p in self._pivots]
 

@@ -325,6 +325,18 @@ def test_size_caps(capsys, argv):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+def test_rank_7_tensor_build_refused(tmp_path, capsys):
+    # the dense file would be about 2 GB: refused before anything is built
+    path = tmp_path / "rep.json"
+    start = time.perf_counter()
+    assert cli.main(["build-rep", "4,2,1", "--algebra", "tensor", "--out", str(path)]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: build-rep --algebra tensor is capped at |shape| <= 6\n"
+    assert not path.exists()
+
+
 def test_relation_error_exits_1(capsys, monkeypatch):
     from superspin import seminormal
 

@@ -167,3 +167,44 @@ def test_scalar_helpers():
     assert inverse(ONE + sqrt_rational(2)) == sqrt_rational(2) - ONE
     with pytest.raises(ZeroDivisionError):
         inverse(0)
+
+
+def test_sign_inverse_and_sqrt_match_sympy():
+    # sympy, computing on its own radical expressions, is an independent oracle
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+
+    def to_sym(x: SqrtNumber):
+        return sympy.Add(*(
+            sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(d)
+            for d, q in x.terms.items()
+        ))
+
+    numbers = st.lists(
+        st.tuples(
+            st.sampled_from([1, 2, 3, 5, 6, 7, 8, 10, 12, 30]),
+            st.fractions(-6, 6, max_denominator=5),
+        ),
+        max_size=4,
+    ).map(SqrtNumber.from_terms)
+    rationals = st.one_of(
+        st.fractions(0, 50, max_denominator=50),
+        st.integers(1, 40).map(lambda k: Fraction(k * k, 9)),  # perfect squares
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(numbers, rationals)
+    def check(x, q):
+        e = to_sym(x)
+        assert x.sign() == sympy.sign(e)
+        if x:
+            assert sympy.expand(e * to_sym(x.invert())) == 1
+        root = sqrt_rational(q)
+        want = sympy.sqrt(sympy.Rational(q.numerator, q.denominator))
+        assert sympy.expand(to_sym(root) - want) == 0
+
+    check()
+    # a near cancellation: sqrt(2) + sqrt(3) against a close rational square root
+    x = sqrt_rational(2) + sqrt_rational(3) - sqrt_rational(Fraction(9801, 1009))
+    assert x.sign() == sympy.sign(to_sym(x))

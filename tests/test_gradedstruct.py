@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from superspin import gradedstruct as gs
@@ -221,3 +223,75 @@ def test_algebra_json_roundtrip():
     assert all(
         g1 == g2 for (_, g1), (_, g2) in zip(a.generators, back.generators)
     )
+
+
+def test_algebra_from_json_fuzzed():
+    # a mutated algebra file is refused with ValueError, KeyError or TypeError
+    # (or loads), quickly, and never with another exception
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    import time
+
+    base = gs.q_algebra(1).to_json()
+    junk = st.recursive(
+        st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.text(max_size=6)
+        | st.sampled_from(["1/2", "1/0", 1, 2, 10**6 + 1, {"terms": []}]),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+            st.sampled_from(["terms", "radicand", "coeff", "name", "matrix"]), inner, max_size=3
+        ),
+        max_leaves=8,
+    )
+    header = st.tuples(
+        st.sampled_from(["drop", "set"]),
+        st.sampled_from(["dim", "parity", "generators", "schema"]),
+        st.one_of(junk, st.integers(0, 5), st.lists(st.integers(-1, 2), max_size=5)),
+    )
+    # (generator, row, column, where, value): where picks the generator field,
+    # the matrix, a row, an entry or one term of an entry to overwrite
+    cell = st.tuples(
+        st.integers(0, 10), st.integers(0, 10), st.integers(0, 10),
+        st.sampled_from(["name", "matrix", "row", "entry", "radicand", "coeff", "drop_row"]),
+        junk,
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(header, max_size=2), st.lists(cell, max_size=3), st.booleans(), junk)
+    def check(headers, cells, replace_all, whole):
+        obj = json.loads(json.dumps(base))
+        for g, r, c, where, value in cells:
+            gen = obj["generators"][g % 2]
+            if where in ("name", "matrix"):
+                gen[where] = value
+                continue
+            matrix = gen["matrix"]
+            if not isinstance(matrix, list) or not matrix:
+                continue
+            r %= len(matrix)
+            if where in ("row", "drop_row"):
+                matrix[r] = value
+                if where == "drop_row":
+                    del matrix[r]
+                continue
+            row = matrix[r]
+            if not isinstance(row, list) or not row:
+                continue
+            c %= len(row)
+            if where == "entry" or not isinstance(row[c], dict):
+                row[c] = value
+                continue
+            row[c] = {"terms": [{"radicand": 1, "coeff": "1/1", where: value}]}
+        for action, key, value in headers:
+            if action == "drop":
+                obj.pop(key, None)
+            else:
+                obj[key] = value
+        start = time.perf_counter()
+        try:
+            alg = gs.GradedMatrixAlgebra.from_json(whole if replace_all else obj)
+        except (ValueError, KeyError, TypeError):
+            pass
+        else:
+            assert all(g.nrows == g.ncols == alg.dim for g in alg.generator_mats())
+        assert time.perf_counter() - start < 10
+
+    check()

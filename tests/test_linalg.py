@@ -2,14 +2,16 @@
 
 sympy (rref, nullspace, linear solves) is the reference on rational data; a
 textbook incremental Gauss-Jordan with combination tracking, kept below, is
-the slow reference on data with radicals and on the commutant solves.
+the slow reference on data with radicals and on the commutant solves.  The
+certified elimination modulo a prime is checked against sympy and against the
+exact path, forced by making `_certified_rref` decline.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from superspin import gradedstruct, seminormal
+from superspin import gradedstruct, linalg, seminormal
 from superspin.exactnum import ONE, ZERO, SqrtNumber, canonical, rational, sqrt_rational
 from superspin.linalg import (
     Echelon,
@@ -143,10 +145,10 @@ scalars = st.one_of(
 ).map(Fraction)
 
 
-def matrices(max_rows=5, max_cols=6):
+def matrices(max_rows=5, max_cols=6, entries=scalars):
     return st.integers(1, max_cols).flatmap(
         lambda n: st.lists(
-            st.lists(scalars, min_size=n, max_size=n), min_size=1, max_size=max_rows
+            st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=max_rows
         )
     )
 
@@ -298,7 +300,7 @@ def test_module_commutant_matches_gauss_jordan(monkeypatch):
         for v in row.values()
     ]
     assert not all(v.is_rational() for v in entries), "no model carries a radical"
-    cases = [(mod, x, s) for mod in mods for x in (0, 1) for s in (False, True)]
+    cases = [(mod, x) for mod in mods for x in (0, 1)]
     fast = [seminormal.module_commutant(*case) for case in cases]
     monkeypatch.setattr(gradedstruct, "kernel", reference_kernel)
     assert fast == [seminormal.module_commutant(*case) for case in cases]
@@ -427,3 +429,119 @@ def test_rational_roots_order():
     assert _rational_roots([-18, 15, 16, -15, 2]) == [
         Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(6)
     ]
+
+
+# -- certified elimination modulo a prime against sympy and the exact path -------
+
+
+def typed(vecs) -> list:
+    """The vectors with each entry paired with its type, so == compares both."""
+    return [{i: (type(x), x) for i, x in v.items()} for v in vecs]
+
+
+def exact_kernel_and_basis(vecs, ncols):
+    """kernel and Subspace basis by exact elimination alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_certified_rref", lambda vecs: None)
+        return kernel(vecs, ncols), Subspace(ncols, vecs).basis
+
+
+# entries past the reconstruction bound, whose reduced rows the prime alone
+# cannot rebuild: these must fall back, or be certified only when right
+large = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.fractions(-(10**6), 10**6, max_denominator=10**6),
+    st.sampled_from([linalg._P, 2 * linalg._P, Fraction(1, linalg._P)]),
+)
+
+
+@FAST
+@given(matrices(6, 7, st.one_of(scalars, scalars, large).map(canonical)))
+def test_certified_kernel_and_subspace_match_sympy_and_exact(rows):
+    ncols = len(rows[0])
+    vecs = rational_vecs(rows)
+    ker, basis = kernel(vecs, ncols), Subspace(ncols, vecs).basis
+    want_ker, want_basis = exact_kernel_and_basis(vecs, ncols)
+    assert typed(ker) == typed(want_ker)
+    assert typed(basis) == typed(want_basis)
+
+    def dense(v):
+        return [v.get(i, 0) for i in range(ncols)]
+
+    assert [dense(v) for v in ker] == [
+        [from_sym(x) for x in v] for v in sym(rows).nullspace()
+    ]
+    reduced, pivots = sym(rows).rref()
+    assert [dense(b) for b in basis] == [
+        [from_sym(x) for x in reduced.row(i)] for i in range(len(pivots))
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[7, 1]],  # the pivot is 0 mod 7: the rank mod 7 is right, the pivot not
+        [[1, 1], [1, 8]],  # rank 2, but rank 1 mod 7
+        [[Fraction(1, 7), 1], [0, 3]],  # a denominator divisible by 7
+        [[1, 2]],  # 2 mod 7 has no rebuild within the bound 1
+        [[1, 8]],  # 8 mod 7 rebuilds as 1, which the check refuses
+        # rank 3, but the last row is 8 * row 0 + row 1 mod 7, zero at column 2
+        # where that combination is 7: only the zero entry tells
+        [[1, 0, 1], [0, 1, -1], [8, 1, 0]],
+    ],
+)
+def test_unlucky_prime_falls_back_to_the_exact_answer(monkeypatch, rows):
+    ncols = len(rows[0])
+    vecs = rational_vecs(rows)
+    want_ker, want_basis = exact_kernel_and_basis(vecs, ncols)
+    monkeypatch.setattr(linalg, "_P", 7)
+    monkeypatch.setattr(linalg, "_BOUND", 1)
+    assert linalg._certified_rref(vecs) is None
+    assert typed(kernel(vecs, ncols)) == typed(want_ker)
+    assert typed(Subspace(ncols, vecs).basis) == typed(want_basis)
+    # the small prime itself works: a system it can rebuild is certified
+    assert linalg._certified_rref([{0: 1, 1: -1}, {1: 1}]) == {0: {0: 1}, 1: {1: 1}}
+
+
+def test_radical_data_takes_the_exact_path():
+    assert linalg._certified_rref([{0: 1}, {1: sqrt_rational(2)}]) is None
+    assert linalg._certified_rref([{0: ONE}]) is None
+
+
+def record_rref_inputs(monkeypatch, runs):
+    """The inputs and results of every certified elimination of the oracle runs."""
+    seen = []
+    certified = linalg._certified_rref
+
+    def record(vecs):
+        rows = certified(vecs)
+        seen.append(([dict(v) for v in vecs], rows))
+        return rows
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_certified_rref", record)
+        for tag, n in runs:
+            seminormal.regular_decompose(tag, n)
+    return seen
+
+
+def test_oracle_kernels_are_certified(monkeypatch):
+    # a silent fallback to the exact path would only show as lost speed
+    seen = record_rref_inputs(monkeypatch, [("A", 4), ("CA", 3)])
+    assert seen and all(rows is not None for _, rows in seen)
+
+
+def test_oracle_kernels_and_subspaces_match_exact(monkeypatch):
+    seen = record_rref_inputs(monkeypatch, [("A", n) for n in range(1, 6)] + [
+        ("CA", n) for n in range(1, 5)
+    ])
+    # at n = 1 the central operator is zero, so its type, and the data's, is
+    # SqrtNumber: only that data may take the exact path
+    for vecs, rows in seen:
+        radical = any(isinstance(x, SqrtNumber) for v in vecs for x in v.values())
+        assert (rows is None) == radical
+    for vecs, _ in seen:
+        ncols = 1 + max((i for v in vecs for i in v), default=0)
+        want_ker, want_basis = exact_kernel_and_basis(vecs, ncols)
+        assert typed(kernel(vecs, ncols)) == typed(want_ker)
+        assert typed(Subspace(ncols, vecs).basis) == typed(want_basis)
