@@ -1,13 +1,14 @@
 """The scalar field: exact sums of rational multiples of square roots.
 
-Every matrix entry in this package is a SqrtNumber.  This walkthrough shows
-the canonical form, exact inversion through Galois conjugates, and the
+A scalar's value decides its type: a rational is an int or a Fraction, and a
+SqrtNumber carries a value with a radical.  This walkthrough shows the
+canonical form, exact inversion through Galois conjugates, and the
 interval-based sign decision.
 """
 
 from fractions import Fraction
 
-from superspin.exactnum import SqrtNumber, rational, sqrt_rational
+from superspin.exactnum import SqrtNumber, sqrt_rational
 
 r2 = sqrt_rational(2)
 r8 = sqrt_rational(8)
@@ -16,7 +17,7 @@ print("sqrt(8)          =", r8, "   (radicand reduced to square-free form)")
 print("sqrt(9/4)        =", sqrt_rational(Fraction(9, 4)))
 print("sqrt(2)*sqrt(3)  =", r2 * sqrt_rational(3))
 
-x = rational(1) + r2
+x = 1 + r2
 print("\nx        =", x)
 print("1/x      =", x.invert(), "   (multiply the sqrt(2) |-> -sqrt(2) conjugate)")
 print("x * 1/x  =", x * x.invert())

@@ -11,13 +11,12 @@ Modules:
   cli          the superspin command-line tool
 """
 
-from .exactnum import SqrtNumber, rational, sqrt_rational
+from .exactnum import SqrtNumber, sqrt_rational
 from .shiftedcomb import ShiftedTableau, StrictPartition
 from .spinalg import SpinElement, SpinWord
 
 __all__ = [
     "SqrtNumber",
-    "rational",
     "sqrt_rational",
     "StrictPartition",
     "ShiftedTableau",

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from . import gradedstruct, seminormal, shiftedcomb, spinalg
-from .exactnum import ONE, SqrtNumber, sqrt_rational
+from .exactnum import Scalar, SqrtNumber, inverse, sqrt_rational
 from .shiftedcomb import StrictPartition, strict_partitions
 
 
@@ -257,7 +257,7 @@ def check_exactnum(max_n: int) -> dict:
     rng = random.Random(20260810)
     radicands = [1, 2, 3, 5, 6, 7, 10, 15]
 
-    def rand_sqrt() -> SqrtNumber:
+    def rand_sqrt() -> Scalar:
         terms = []
         for _ in range(rng.randint(1, 3)):
             d = rng.choice(radicands)
@@ -275,25 +275,25 @@ def check_exactnum(max_n: int) -> dict:
             break
     for trial in range(1000):
         x = rand_sqrt()
-        if x.is_zero():
+        if not x:
             continue
-        if x * x.invert() != ONE:
+        if x * inverse(x) != 1:
             ok = False
             details.append(f"inverse roundtrip failed at {trial}")
             break
     for trial in range(200):
         p = Fraction(rng.randint(0, 40), rng.randint(1, 7))
         q = Fraction(rng.randint(0, 40), rng.randint(1, 7))
-        lhs = sqrt_rational(p) - sqrt_rational(q)
-        want = 0 if p == q else (1 if p > q else -1)
-        if lhs.sign() != want:
+        lhs, rhs = sqrt_rational(p), sqrt_rational(q)
+        if (lhs < rhs, lhs == rhs, lhs > rhs) != (p < q, p == q, p > q):
             ok = False
             details.append(f"sign disagrees with rational comparison: {p} vs {q}")
             break
     # normalization idempotence
     for trial in range(200):
         x = rand_sqrt()
-        if SqrtNumber.from_terms(list(x.terms.items())) != x:
+        terms = x.terms.items() if isinstance(x, SqrtNumber) else [(1, x)]
+        if SqrtNumber.from_terms(terms) != x:
             ok = False
             details.append("normalization not idempotent")
             break

@@ -5,13 +5,15 @@ integers d; radicand 1 carries the rational part.  Because the sqrt(d) are
 linearly independent over Q, the term map is a canonical form: two values are
 equal iff their maps are equal.
 
-The package's scalar rule: a rational value is a Python int when it is
-integral and a Fraction otherwise, and a SqrtNumber carries a value that
-contains a radical (or comes from code that computes on SqrtNumbers).  Python's
-numeric tower then picks the arithmetic from the data: int and Fraction
-operands stay rational, and a SqrtNumber operand makes the result a SqrtNumber.
-`canonical`, `inverse`, `one_like`, `rational_of` and `scalar_json` are the
-helpers that let the linear algebra run on all three types with one code path.
+The package's scalar rule is that the value decides the type: a rational value
+is a Python int when it is integral and a Fraction otherwise, and a SqrtNumber
+carries a value that contains a radical.  Every path that builds a SqrtNumber
+(`from_terms`, `from_json`, `sqrt_rational`, + - * /, `invert`) goes through
+`_scalar`, which returns the int or Fraction when no radical is left.  Python's
+numeric tower then picks the arithmetic from the data, so rational data
+computes in int/Fraction arithmetic wherever it appears.  `canonical`,
+`inverse`, `rational_of` and `scalar_json` let the linear algebra run on all
+three types with one code path.
 """
 
 from __future__ import annotations
@@ -78,22 +80,23 @@ def _sqrt_bounds(d: int, bits: int) -> tuple[Fraction, Fraction]:
 
 
 class SqrtNumber:
-    """Immutable element of the real multi-quadratic field."""
+    """Immutable irrational element of the real multi-quadratic field.
+
+    Every builder and operation returns its result by the scalar rule
+    (`_scalar`): an int or a Fraction when no radical is left, so a
+    SqrtNumber always carries one and never equals a rational.
+    """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[int, Fraction] | None = None):
-        # terms must already be normalized: square-free radicands, no zeros
-        self._terms: dict[int, Fraction] = dict(terms) if terms else {}
+    def __init__(self, terms: Mapping[int, Fraction]):
+        # terms must already be normalized (square-free radicands, no zeros)
+        # and carry a radical; a raw term map goes through from_terms
+        self._terms: dict[int, Fraction] = dict(terms)
         self._hash: int | None = None
 
     @classmethod
-    def from_rational(cls, q) -> SqrtNumber:
-        q = Fraction(q)
-        return cls({1: q} if q else None)
-
-    @classmethod
-    def from_terms(cls, raw: Iterable[tuple[int, Fraction]]) -> SqrtNumber:
+    def from_terms(cls, raw: Iterable[tuple[int, Fraction]]) -> Scalar:
         """Build from (radicand, coeff) pairs, reducing radicands and merging."""
         acc: dict[int, Fraction] = {}
         for d, q in raw:
@@ -108,82 +111,67 @@ class SqrtNumber:
                 acc[f] = c
             elif f in acc:
                 del acc[f]
-        return cls(acc)
+        return _scalar(acc)
 
     @property
     def terms(self) -> dict[int, Fraction]:
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_rational(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and 1 in self._terms)
-
-    def rational_value(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if self.is_rational():
-            return self._terms[1]
-        raise ValueError(f"not rational: {self}")
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+        """Always False: a rational value is an int or a Fraction."""
+        return False
 
     def __eq__(self, other) -> bool:
+        # a rational never equals a SqrtNumber, so only term maps are compared
         if isinstance(other, SqrtNumber):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == SqrtNumber.from_rational(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        # a rational value equals, so must hash as, the int/Fraction it holds
         if self._hash is None:
-            if self.is_rational():
-                self._hash = hash(self._terms.get(1, 0))
-            else:
-                self._hash = hash(tuple(sorted(self._terms.items())))
+            self._hash = hash(tuple(sorted(self._terms.items())))
         return self._hash
 
     def __neg__(self) -> SqrtNumber:
         return SqrtNumber({d: -q for d, q in self._terms.items()})
 
-    def __add__(self, other) -> SqrtNumber:
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __add__(self, other) -> Scalar:
+        if isinstance(other, SqrtNumber):
+            terms = other._terms
+        elif isinstance(other, _RATIONAL):
+            if not other:
+                return self
+            terms = {1: Fraction(other)}
+        else:
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
         acc = dict(self._terms)
-        for d, q in other._terms.items():
+        for d, q in terms.items():
             c = acc.get(d)
             c = q if c is None else c + q
             if c:
                 acc[d] = c
             elif d in acc:
                 del acc[d]
-        return SqrtNumber(acc)
+        return _scalar(acc)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> SqrtNumber:
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __sub__(self, other) -> Scalar:
+        if not isinstance(other, _SCALAR):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> SqrtNumber:
+    def __rsub__(self, other) -> Scalar:
         return (-self) + other
 
-    def __mul__(self, other) -> SqrtNumber:
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __mul__(self, other) -> Scalar:
+        if isinstance(other, _RATIONAL):
+            # a nonzero rational multiple keeps every radical
+            if not other:
+                return 0
+            return SqrtNumber({d: q * other for d, q in self._terms.items()})
+        if not isinstance(other, SqrtNumber):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return ZERO
         acc: dict[int, Fraction] = {}
         for d1, q1 in self._terms.items():
             for d2, q2 in other._terms.items():
@@ -198,7 +186,7 @@ class SqrtNumber:
                     acc[d] = c
                 elif d in acc:
                     del acc[d]
-        return SqrtNumber(acc)
+        return _scalar(acc)
 
     __rmul__ = __mul__
 
@@ -210,31 +198,24 @@ class SqrtNumber:
 
     def invert(self) -> SqrtNumber:
         """Multiplicative inverse; multiplies Galois conjugates to rationalize."""
-        if not self._terms:
-            raise ZeroDivisionError("inverse of zero SqrtNumber")
-        if self.is_rational():
-            return SqrtNumber({1: 1 / self._terms[1]})
         primes: set[int] = set()
         for d in self._terms:
             primes.update(_prime_factors(d))
         p = min(primes)
         conj = self.conjugate(p)
         # self * conj is fixed by the sqrt(p) flip, hence free of sqrt(p)
-        return conj * (self * conj).invert()
+        return conj * inverse(self * conj)
 
-    def __truediv__(self, other) -> SqrtNumber:
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __truediv__(self, other) -> Scalar:
+        if not isinstance(other, _SCALAR):
             return NotImplemented
-        return self * other.invert()
+        return self * inverse(other)
 
-    def __rtruediv__(self, other) -> SqrtNumber:
-        return _coerce(other) * self.invert()
+    def __rtruediv__(self, other) -> Scalar:
+        return other * self.invert()
 
     def sign(self) -> int:
-        """-1, 0 or +1; decided by interval evaluation with doubling precision."""
-        if not self._terms:
-            return 0
+        """-1 or +1; decided by interval evaluation with doubling precision."""
         if all(q > 0 for q in self._terms.values()):
             return 1
         if all(q < 0 for q in self._terms.values()):
@@ -265,21 +246,24 @@ class SqrtNumber:
                     f"sign() undecided at SUPERSPIN_MAX_BITS={max_bits}"
                 )
 
+    def _cmp(self, other) -> int:
+        """The sign of self - other."""
+        diff = self - other
+        if isinstance(diff, SqrtNumber):
+            return diff.sign()
+        return (diff > 0) - (diff < 0)
+
     def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other) -> bool:
-        other = _coerce(other)
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other) -> bool:
-        other = _coerce(other)
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other) -> bool:
-        other = _coerce(other)
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __abs__(self) -> SqrtNumber:
         return -self if self.sign() < 0 else self
@@ -294,8 +278,6 @@ class SqrtNumber:
         return f"SqrtNumber({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for d in sorted(self._terms):
             q = self._terms[d]
@@ -314,7 +296,7 @@ class SqrtNumber:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> SqrtNumber:
+    def from_json(cls, obj: dict) -> Scalar:
         """Read the wire format of `to_json`; any other term is a ValueError."""
         raw = []
         for t in obj["terms"]:
@@ -330,39 +312,32 @@ def _frac_str(q: int | Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _coerce(x) -> SqrtNumber:
-    if isinstance(x, SqrtNumber):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return SqrtNumber.from_rational(x)
-    return NotImplemented
-
-
-def sqrt_rational(q) -> SqrtNumber:
+def sqrt_rational(q) -> Scalar:
     """Exact square root of a nonnegative rational."""
     q = Fraction(q)
     if q < 0:
         raise ValueError(f"sqrt of negative rational {q}")
     if q == 0:
-        return ZERO
+        return 0
     # sqrt(a/b) = sqrt(a*b)/b
     s, f = square_free_decompose(q.numerator * q.denominator)
-    return SqrtNumber({f: Fraction(s, q.denominator)})
-
-
-ZERO = SqrtNumber()
-ONE = SqrtNumber({1: Fraction(1)})
-MINUS_ONE = SqrtNumber({1: Fraction(-1)})
-
-
-def rational(q) -> SqrtNumber:
-    return SqrtNumber.from_rational(q)
+    return _scalar({f: Fraction(s, q.denominator)})
 
 
 Scalar = int | Fraction | SqrtNumber
+_RATIONAL = (int, Fraction)
+_SCALAR = (int, Fraction, SqrtNumber)
 
 
 # -- the scalar rule ----------------------------------------------------------
+
+
+def _scalar(terms: dict[int, Fraction]) -> Scalar:
+    """The value of a normalized term map by the scalar rule: an int or a
+    Fraction when no radical is left, else a SqrtNumber."""
+    if len(terms) > 1 or (terms and 1 not in terms):
+        return SqrtNumber(terms)
+    return canonical(terms.get(1, 0))
 
 
 def canonical(x: Scalar) -> Scalar:
@@ -373,32 +348,17 @@ def canonical(x: Scalar) -> Scalar:
 
 
 def rational_of(x: Scalar) -> int | Fraction | None:
-    """The rational value of any scalar in canonical type; None if it has a radical."""
-    if isinstance(x, SqrtNumber):
-        if not x.is_rational():
-            return None
-        x = x.rational_value()
-    return canonical(x)
+    """The value of a rational scalar in canonical type; None for a SqrtNumber."""
+    return None if isinstance(x, SqrtNumber) else canonical(x)
 
 
 def inverse(x: Scalar) -> Scalar:
-    """1/x in x's own family: int or Fraction for a rational, else SqrtNumber."""
+    """1/x by the scalar rule."""
     if isinstance(x, SqrtNumber):
         return x.invert()
     if not x:
         raise ZeroDivisionError("inverse of zero")
     return canonical(Fraction(x.denominator, x.numerator))
-
-
-def one_like(values: Iterable[Scalar]) -> int | SqrtNumber:
-    """1 in the family of the values: ONE if any is a SqrtNumber, int 1 if all
-    are rational, and ONE when there are none (the type is then unknown)."""
-    seen = False
-    for v in values:
-        if isinstance(v, SqrtNumber):
-            return ONE
-        seen = True
-    return 1 if seen else ONE
 
 
 def scalar_json(x: Scalar) -> dict:

@@ -23,7 +23,7 @@ from itertools import chain
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .exactnum import ONE, inverse
+from .exactnum import inverse
 from .linalg import (
     CheckFailed, Echelon, Mat, Subspace, Vec, eigensplit, kernel, min_poly, plain, poly_apply,
     poly_partial_factors, vecize,
@@ -132,7 +132,7 @@ def m_algebra(n: int, m: int) -> GradedMatrixAlgebra:
     dim = n + m
     parity = tuple([0] * n + [1] * m)
     gens = [
-        (f"e_{r}_{c}", Mat(dim, dim, {r: {c: ONE}}))
+        (f"e_{r}_{c}", Mat(dim, dim, {r: {c: 1}}))
         for r in range(dim)
         for c in range(dim)
     ]
@@ -147,10 +147,10 @@ def q_algebra(n: int) -> GradedMatrixAlgebra:
     for r in range(n):
         for c in range(n):
             gens.append(
-                (f"a_{r}_{c}", Mat(dim, dim, {r: {c: ONE}, n + r: {n + c: ONE}}))
+                (f"a_{r}_{c}", Mat(dim, dim, {r: {c: 1}, n + r: {n + c: 1}}))
             )
             gens.append(
-                (f"b_{r}_{c}", Mat(dim, dim, {r: {n + c: ONE}, n + r: {c: ONE}}))
+                (f"b_{r}_{c}", Mat(dim, dim, {r: {n + c: 1}, n + r: {c: 1}}))
             )
     return GradedMatrixAlgebra(dim, parity, gens)
 
@@ -456,11 +456,10 @@ def split_module_by_central(
     rational eigenvalues multiply as integer matrices.
     """
     central = list(central)
-    one = central[0].one() if central else ONE
-    labeled = eigensplit([Subspace(dim, [{i: one} for i in range(dim)])], central)
+    labeled = eigensplit([Subspace.full(dim)], central)
     out = []
     for piece, label in labeled:
-        proj, scale = Mat.scalar(dim, one), one
+        proj, scale = Mat.scalar(dim, 1), 1
         for k, (op, lam) in enumerate(zip(central, label)):
             # pieces cut from the same piece as this one share label[:k]
             others: list = []
@@ -584,8 +583,8 @@ def adjoin_epsilon(a: GradedMatrixAlgebra) -> GradedMatrixAlgebra:
         for r, row in tg.rows.items():
             rows[d + r] = {d + c: v for c, v in row.items()}
         gens.append((name, Mat(2 * d, 2 * d, rows)))
-    eps_rows = {i: {d + i: ONE} for i in range(d)}
-    eps_rows.update({d + i: {i: ONE} for i in range(d)})
+    eps_rows = {i: {d + i: 1} for i in range(d)}
+    eps_rows.update({d + i: {i: 1} for i in range(d)})
     gens.append(("epsilon", Mat(2 * d, 2 * d, eps_rows)))
     return GradedMatrixAlgebra(2 * d, tuple([0] * (2 * d)), gens)
 

@@ -2,12 +2,11 @@
 
 Vectors are dicts index -> scalar (no stored zeros), matrices are row-major
 dicts of such dicts.  A scalar is an int, a Fraction or a SqrtNumber, by the
-rule in `exactnum`: the same code runs on all three, so rational systems
-compute in int/Fraction arithmetic and a SqrtNumber appears only where the
-data carries one.  Type in is type out: SqrtNumber inputs give SqrtNumber
-results, rational inputs give rational results (a root that needs a radical is
-the one exception).  Everything here is deterministic: pivots are smallest
-column first, eigenvalues are reported in ascending field order.
+rule in `exactnum`: the value decides the type.  The same code runs on all
+three, so rational values compute in int/Fraction arithmetic wherever they
+appear, and a SqrtNumber is only ever a value with a radical.  Everything here
+is deterministic: pivots are smallest column first, eigenvalues are reported
+in ascending field order.
 """
 
 from __future__ import annotations
@@ -19,13 +18,10 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .exactnum import (
-    ONE,
-    ZERO,
     Scalar,
     SqrtNumber,
     canonical,
     inverse,
-    one_like,
     rational_of,
     scalar_json,
     sqrt_rational,
@@ -36,12 +32,6 @@ Vec = dict  # index -> Scalar
 
 class CheckFailed(ValueError):
     """An exact internal check failed: the result contradicts the theory."""
-
-
-def vec_scale(v: Vec, c: Scalar) -> Vec:
-    if not c:
-        return {}
-    return {i: c * x for i, x in v.items()}
 
 
 def _iadd_scaled(u: Vec, v: Vec, c: Scalar) -> None:
@@ -68,13 +58,6 @@ def vec_add_scaled(u: Vec, v: Vec, c: Scalar) -> Vec:
     return out
 
 
-def _scaled_row(v: Vec, c: Scalar) -> Vec:
-    """c*v for a pivot row; rational entries in canonical type (int if integral)."""
-    if isinstance(c, SqrtNumber):
-        return vec_scale(v, c)
-    return {i: canonical(c * x) for i, x in v.items()}
-
-
 class Mat:
     """Sparse matrix over int, Fraction or SqrtNumber scalars (row-major)."""
 
@@ -88,7 +71,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> Mat:
-        return cls(n, n, {i: {i: ONE} for i in range(n)})
+        return cls(n, n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def zero(cls, nrows: int, ncols: int | None = None) -> Mat:
@@ -109,11 +92,7 @@ class Mat:
         return cls(nrows, ncols, rows)
 
     def entry(self, r: int, c: int) -> Scalar:
-        return self.rows.get(r, {}).get(c, ZERO)
-
-    def one(self) -> Scalar:
-        """1 in the scalar family of the entries (ONE if there are none)."""
-        return one_like(v for row in self.rows.values() for v in row.values())
+        return self.rows.get(r, {}).get(c, 0)
 
     def cols(self) -> dict[int, Vec]:
         if self._cols is None:
@@ -370,7 +349,9 @@ class Echelon:
         if not rem:
             return False
         p = min(rem)
-        self.rows[p] = _scaled_row(rem, inverse(rem[p]))
+        inv = inverse(rem[p])
+        # rational entries in canonical type (int if integral)
+        self.rows[p] = {i: canonical(inv * x) for i, x in rem.items()}
         return True
 
     def contains(self, vec: Vec) -> bool:
@@ -542,16 +523,15 @@ def kernel(constraints: Iterable[Vec], ncols: int) -> list[Vec]:
     """Kernel basis of the linear map given by constraint rows over ncols unknowns.
 
     One vector per free column f, in increasing f: 1 at f and, at each pivot
-    column, minus the reduced row's entry at f.  The 1 has the constraints' type.
+    column, minus the reduced row's entry at f.
     """
     rows = _rref_rows([row for row in constraints if row])
-    one = one_like(x for row in rows.values() for x in row.values())
     free: dict[int, Vec] = {}
     for p in sorted(rows):
         for f, c in rows[p].items():
             if f != p:
-                free.setdefault(f, {f: one})[p] = canonical(-c)
-    return [free.get(f, {f: one}) for f in range(ncols) if f not in rows]
+                free.setdefault(f, {f: 1})[p] = canonical(-c)
+    return [free.get(f, {f: 1}) for f in range(ncols) if f not in rows]
 
 
 class Subspace:
@@ -577,7 +557,7 @@ class Subspace:
 
     @classmethod
     def full(cls, n: int) -> Subspace:
-        return cls(n, [{i: ONE} for i in range(n)])
+        return cls(n, [{i: 1} for i in range(n)])
 
     def coords_of(self, vec: Vec) -> Vec | None:
         if self._ech.reduce(vec):
@@ -615,7 +595,7 @@ class Subspace:
 
 
 def min_poly(m: Mat) -> list[Scalar]:
-    """Monic minimal polynomial coefficients, low degree first, in m's type.
+    """Monic minimal polynomial coefficients, low degree first.
 
     Powers of m go into an echelon form until one is dependent.  A vector of
     the span of the independent powers is fixed by its entries at their pivot
@@ -624,7 +604,7 @@ def min_poly(m: Mat) -> list[Scalar]:
     """
     ech = Echelon()
     powers: list[Vec] = []
-    power = Mat.scalar(m.nrows, m.one())
+    power = Mat.identity(m.nrows)
     while True:
         powers.append(vecize(power))
         if not ech.add(powers[-1]):
@@ -632,8 +612,7 @@ def min_poly(m: Mat) -> list[Scalar]:
         power = power * m
     small = [{k: v[p] for k, v in enumerate(powers) if p in v} for p in ech.rows]
     (dependency,) = kernel(small, len(powers))
-    zero = 0 * m.one()
-    return [dependency.get(k, zero) for k in range(len(powers))]
+    return [dependency.get(k, 0) for k in range(len(powers))]
 
 
 def _rational_roots(int_coeffs: list[int]) -> list[Fraction]:
@@ -675,7 +654,7 @@ def _rational_roots(int_coeffs: list[int]) -> list[Fraction]:
 def _deflate(coeffs: list[Scalar], root: Scalar) -> tuple[list, Scalar]:
     """(quotient, remainder) of a monic polynomial divided by (x - root)."""
     deg = len(coeffs) - 1
-    out = [ZERO] * deg
+    out = [0] * deg
     acc = coeffs[deg]
     for i in range(deg - 1, -1, -1):
         out[i] = acc
@@ -692,9 +671,8 @@ def _divide_rational_roots(work: list[Scalar]) -> tuple[list, list[Scalar]]:
     denom = 1
     for q in values:
         denom = denom * q.denominator // gcd(denom, q.denominator)
-    one = one_like(work)
     for r in _rational_roots([int(q * denom) for q in values]):
-        rr = canonical(r * one)
+        rr = canonical(r)
         while len(work) > 1:
             quotient, remainder = _deflate(work, rr)
             if remainder:
@@ -740,21 +718,11 @@ def _quadratic_roots(b: Scalar, c: Scalar) -> tuple | None:
 
 
 def _field_sqrt(u: Scalar) -> Scalar | None:
-    """A square root of u inside the field, if one exists with <= 1 radical.
-
-    A rational u that is not a SqrtNumber gets a rational root as int/Fraction.
-    """
-    if not u:
-        return u
-    if not isinstance(u, SqrtNumber):
-        if u < 0:
-            return None
-        root = sqrt_rational(u)
-        return rational_of(root) if root.is_rational() else root
-    if u.sign() < 0:
+    """A square root of u inside the field, if one exists with <= 1 radical."""
+    if u < 0:
         return None
-    if u.is_rational():
-        return sqrt_rational(u.rational_value())
+    if not isinstance(u, SqrtNumber):
+        return sqrt_rational(u)
     terms = u.terms
     if len(terms) == 2 and 1 in terms:
         # u = a + b*sqrt(d); try (x + y*sqrt(d))^2
@@ -765,17 +733,15 @@ def _field_sqrt(u: Scalar) -> Scalar | None:
         if disc < 0:
             return None
         s = sqrt_rational(disc)
-        if not s.is_rational():
+        if isinstance(s, SqrtNumber):
             return None
-        for x2 in ((a + s.rational_value()) / 2, (a - s.rational_value()) / 2):
-            if x2 < 0:
+        for x2 in ((a + s) / 2, (a - s) / 2):
+            if x2 <= 0:
                 continue
             x = sqrt_rational(x2)
-            if not x.is_rational() or not x:
+            if isinstance(x, SqrtNumber):
                 continue
-            xr = x.rational_value()
-            y = b / (2 * xr)
-            cand = SqrtNumber.from_terms([(1, xr), (d, y)])
+            cand = SqrtNumber.from_terms([(1, x), (d, b / (2 * x))])
             if cand * cand == u:
                 return cand if cand.sign() >= 0 else -cand
     return None
@@ -789,18 +755,17 @@ def poly_partial_factors(coeffs: list[Scalar]) -> list[list[Scalar]]:
     field allows; whatever resists stays as a single factor.
     """
     factors: list[list[Scalar]] = []
-    one = one_like(coeffs)
     found, work = _divide_rational_roots(list(coeffs))
     roots = {rr: found.count(rr) for rr in found}
     for rr, mult in sorted(roots.items()):
-        factor = [one]
+        factor = [1]
         for _ in range(mult):
-            factor = _poly_mul(factor, [-rr, one])
+            factor = _poly_mul(factor, [-rr, 1])
         factors.append(factor)
     pair = _quadratic_roots(work[1], work[0]) if len(work) == 3 else None
     if pair is not None and pair[0] != pair[1]:
-        factors.extend([[-r, one] for r in pair])
-        work = [one]
+        factors.extend([[-r, 1] for r in pair])
+        work = [1]
     if (
         len(work) == 5
         and all(rational_of(cf) is not None for cf in work)
@@ -810,15 +775,15 @@ def poly_partial_factors(coeffs: list[Scalar]) -> list[list[Scalar]]:
         # biquadratic x^4 + p x^2 + q: factor through y = x^2
         pair = _quadratic_roots(work[2], work[0])
         if pair is not None and pair[0] != pair[1]:
-            factors.extend([[-y, 0 * one, one] for y in pair])
-            work = [one]
+            factors.extend([[-y, 0, 1] for y in pair])
+            work = [1]
     if len(work) > 1:
         factors.append(work)
     return factors
 
 
 def _poly_mul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
-    out = [0 * a[0]] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -850,9 +815,7 @@ def eigensplit(
         for piece, label in labeled:
             small = piece.restrict(op)
             if small.nrows and small.is_zero():
-                # op vanishes here; the piece's basis, not small, has a type
-                zero = 0 * one_like(x for b in piece.basis for x in b.values())
-                refined.append((piece, label + [zero]))
+                refined.append((piece, label + [0]))
                 continue
             roots, complete = poly_roots(min_poly(small))
             if not complete:

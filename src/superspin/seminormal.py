@@ -20,7 +20,7 @@ from math import isqrt
 from typing import Callable, Iterator, Sequence
 
 from . import spinalg
-from .exactnum import MINUS_ONE, ONE, ZERO, SqrtNumber, rational, rational_of, sqrt_rational
+from .exactnum import Scalar, rational_of, sqrt_rational
 from .gradedstruct import (
     BlockReport,
     GradedMatrixAlgebra,
@@ -71,7 +71,7 @@ def _kron_chain(blocks: Sequence[dict]) -> Mat:
             c = (c << 1) | cc
             sign *= v
         if ok:
-            rows[r] = {c: ONE if sign > 0 else MINUS_ONE}
+            rows[r] = {c: sign}
     return Mat(dim, dim, rows)
 
 
@@ -238,14 +238,14 @@ class RelationError(CheckFailed):
     """A built representation failed an exact relation check."""
 
 
-def _kappa(s: int, t: int, variant: str) -> SqrtNumber:
+def _kappa(s: int, t: int, variant: str) -> Fraction:
     if variant == "corrected":
         denom = (s - t) ** 2
     elif variant == "printed":
         denom = (s + t) ** 2
     else:
         raise ValueError(f"unknown case-iii variant {variant!r}")
-    return rational(1) - rational(Fraction(s + t, denom))
+    return 1 - Fraction(s + t, denom)
 
 
 def _construct(
@@ -267,14 +267,14 @@ def _construct(
     dim = g * w
     parity = tuple(cparity[j] for _ in range(g) for j in range(w))
 
-    def place(target: dict, brow: int, bcol: int, local: Mat, coef: SqrtNumber):
+    def place(target: dict, brow: int, bcol: int, local: Mat, coef: Scalar):
         if not coef:
             return
         off_r, off_c = brow * w, bcol * w
         for r, row in local.rows.items():
             for c, v in row.items():
                 tgt = target.setdefault(off_r + r, {})
-                val = tgt.get(off_c + c, ZERO) + coef * v
+                val = tgt.get(off_c + c, 0) + coef * v
                 if val:
                     tgt[off_c + c] = val
                 elif off_c + c in tgt:
@@ -285,7 +285,7 @@ def _construct(
         for i in range(1, n + 1):
             rows: dict[int, Vec] = {}
             for t in range(g):
-                place(rows, t, t, p_mats[i - 1], ONE)
+                place(rows, t, t, p_mats[i - 1], 1)
             matrices[f"p_{i}"] = Mat(dim, dim, rows)
     z_cache: dict[int, Mat] = {}
 
@@ -300,17 +300,17 @@ def _construct(
         rows = {}
         for t, tab in enumerate(tabs):
             s, tt = avecs[t][i - 1], avecs[t][i]
-            dcoef = rational(Fraction(1, s - tt))
+            dcoef = Fraction(1, s - tt)
             local = h_mats[i - 1].scale(sqrt_rational(s) * dcoef) - h_mats[i].scale(
                 sqrt_rational(tt) * dcoef
             )
-            place(rows, t, t, local, ONE)
+            place(rows, t, t, local, 1)
             if s + tt != (s - tt) ** 2:
                 other = apply_transposition(tab, i)
                 assert other is not None, "split pair must admit the swap"
                 t2 = tab_index[other]
                 if tabs[t2].length() > tab.length():
-                    coef = ONE
+                    coef = 1
                 else:
                     coef = _kappa(s, tt, variant)
                 place(rows, t2, t, z_op(i), coef)
@@ -500,7 +500,7 @@ def spectrum_of(rep: GradedRep) -> list[tuple[int, ...]]:
                         raise RelationError(
                             f"pi_{i}^2 not block-diagonal on block {t}"
                         )
-                got = row.get(r, ZERO)
+                got = row.get(r, 0)
                 if val is None:
                     val = got
                 elif got != val:
@@ -508,9 +508,10 @@ def spectrum_of(rep: GradedRep) -> list[tuple[int, ...]]:
                 for c, v in row.items():
                     if c != r and v:
                         raise RelationError(f"pi_{i}^2 not scalar on block {t}")
-            if not val.is_rational() or val.rational_value().denominator != 1:
+            a = rational_of(val)
+            if a.__class__ is not int:
                 raise RelationError(f"pi_{i}^2 eigenvalue not an integer")
-            avec.append(int(val.rational_value()))
+            avec.append(a)
         # off-block coupling of pi itself
         for i, pm in enumerate(pis, start=1):
             for r in range(lo, hi):
@@ -526,7 +527,7 @@ def _block_ratio(rep: GradedRep, i: int) -> Mat:
     diff = rep.pi(i) - rep.pi(i + 1)
     rows: dict[int, Vec] = {}
     for t, avec in enumerate(rep.avecs):
-        coef = rational(Fraction(1, avec[i - 1] - avec[i]))
+        coef = Fraction(1, avec[i - 1] - avec[i])
         for r in rep.block_slice(t):
             row = diff.rows.get(r)
             if row:
@@ -885,7 +886,7 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
 def _a_vectors(piece: Subspace, squares: Sequence[Mat]) -> list[tuple[int, ...]]:
     """Joint spectrum of the squared YJM operators on a piece, as a-vectors."""
     labeled = eigensplit([piece], squares)
-    return sorted({tuple(int(rational_of(x)) for x in lab) for _, lab in labeled})
+    return sorted({tuple(int(x) for x in lab) for _, lab in labeled})
 
 
 def _isqrt_exact(x: int) -> int:

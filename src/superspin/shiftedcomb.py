@@ -85,7 +85,9 @@ class StrictPartition:
 
 
 def strict_partitions(n: int) -> list[StrictPartition]:
-    """All strict partitions of n, largest first part first."""
+    """All strict partitions of n, largest first part first (n = 0 has one)."""
+    if n < 0:
+        raise ValueError(f"strict partitions need n >= 0, got {n}")
     if n > MAX_PARTITION_N:
         raise ValueError(f"strict partitions are listed for n <= {MAX_PARTITION_N}")
 

@@ -6,10 +6,11 @@ It has dimension n!, one signed basis word per permutation; the canonical
 reduced word of a permutation is read off its Lehmer code row by row, and
 all sign bookkeeping reduces to a single left-insertion routine on codes.
 
-Coefficients follow the scalar rule of `exactnum`: every structure constant
-is +-1, so the distinguished elements, the centralizer solves and the GZ
-algebras compute in `int` (a `Fraction` where a division makes one), and a
-`SqrtNumber` appears only where the data brings a radical.
+Coefficients follow the scalar rule of `exactnum`, the value decides the type:
+every structure constant is +-1, so the distinguished elements, the
+centralizer solves and the GZ algebras compute in `int` (a `Fraction` where a
+division makes one), and a `SqrtNumber` appears only for a value with a
+radical.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import Scalar, SqrtNumber, canonical, rational_of, scalar_json
+from .exactnum import Scalar, SqrtNumber, canonical, scalar_json
 from .linalg import Echelon, Vec, kernel
 
 Perm = tuple  # one-line notation, 1-based values
@@ -188,8 +189,8 @@ class SpinElement:
     """Linear combination of canonical basis words under the scalar rule.
 
     A coefficient is an `int`, a `Fraction` when not integral, or a
-    `SqrtNumber` when it carries a radical; arithmetic keeps rational
-    coefficients in that canonical type.
+    `SqrtNumber` when it carries a radical; arithmetic keeps every
+    coefficient in that canonical type.
     """
 
     __slots__ = ("n", "coeffs")
@@ -337,8 +338,7 @@ class SpinElement:
             perm = tuple(t["perm"])
             c = SqrtNumber.from_json(t["coeff"])
             if c:
-                q = rational_of(c)
-                coeffs[ctx.index[perm]] = c if q is None else q
+                coeffs[ctx.index[perm]] = c
         return cls(n, coeffs)
 
 

@@ -229,6 +229,66 @@ def test_verify_fuzzed_model(tmp_path):
     check()
 
 
+def test_commands_fuzzed():
+    # every command but verify (fuzzed above) holds the exit-code contract on
+    # small and malformed arguments: 0, 1 or 2, never a traceback.  The sizes
+    # are bounded per command so that each example runs in about 1 s or less.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    junk = st.sampled_from(["", "x", "2.5", "1e3", "3,,1", " 2", "2,2", "0", "-0"])
+
+    def ints(hi):
+        return st.one_of(st.integers(-3, hi).map(str), junk)
+
+    def partitions(size):
+        # comma-joined small ints whose absolute values sum to at most size
+        lists = st.lists(st.integers(-3, 6), max_size=3).filter(
+            lambda ps: sum(map(abs, ps)) <= size
+        )
+        return st.one_of(lists.map(lambda ps: ",".join(map(str, ps))), junk)
+
+    def flags(*names):
+        return st.lists(st.sampled_from(names), max_size=2, unique=True)
+
+    def command(*parts):
+        return st.tuples(*parts).map(lambda t: [x for part in t for x in part])
+
+    def one(strategy):
+        return strategy.map(lambda x: [x])
+
+    argvs = st.one_of(
+        command(st.just(["strict-partitions"]), one(ints(6)), flags("--json")),
+        command(st.just(["tableaux"]), one(partitions(15)), flags("--json")),
+        command(st.just(["spectrum"]), one(partitions(15))),
+        command(st.just(["spectrum"]), one(partitions(6)), st.just(["--oracle"])),
+        command(st.just(["branching-graph"]), one(ints(6)), flags("--dot")),
+        command(st.just(["branching-graph"]), one(ints(4)), st.just(["--oracle"]), flags("--dot")),
+        command(st.just(["build-rep"]), one(partitions(6))),
+        command(st.just(["build-rep"]), one(partitions(5)), st.just(["--algebra", "tensor"])),
+        command(st.just(["supercenter"]), one(ints(6))),
+        command(st.just(["gz"]), one(ints(4))),
+        command(st.just(["decompose-regular"]), one(st.sampled_from(["A", "CA", "B"])), one(ints(4))),
+        command(st.just(["check-all", "--max-n"]), one(ints(3)), flags("--json", "--negative-control")),
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(argvs)
+    def check(argv):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse refusing the arguments
+                rc = exc.code
+        assert time.perf_counter() - start < 5
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    check()
+
+
 def test_verify_missing_file(capsys):
     rc = cli.main(["verify", "/definitely/not/there.json"])
     assert rc == 2
@@ -315,6 +375,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
         ["check-all", "--max-n", "1", "--negative-control"],
         ["supercenter", "0"],
         ["supercenter", "-2"],
+        ["strict-partitions", "-1"],
     ],
 )
 def test_size_caps(capsys, argv):

@@ -3,12 +3,15 @@ import json
 import pytest
 
 from superspin import gradedstruct as gs
+from superspin import linalg
 from superspin import spinalg as sa
-from superspin.exactnum import MINUS_ONE, ONE
+from superspin.exactnum import SqrtNumber
 from superspin.linalg import Echelon, Mat
 
 
 def regular_algebra(n):
+    # the +-1 entries come from the public SqrtNumber constructor, which
+    # returns them as ints by the scalar rule
     ctx = sa.context(n)
     N = len(ctx.perms)
     gens = []
@@ -16,7 +19,7 @@ def regular_algebra(n):
         rows = {}
         for p in range(N):
             s, q = ctx.left_mul_gen(g, p)
-            rows.setdefault(q, {})[p] = ONE if s > 0 else MINUS_ONE
+            rows.setdefault(q, {})[p] = SqrtNumber.from_terms([(1, s)])
         gens.append((f"tau_{g}", Mat(N, N, rows)))
     return gs.GradedMatrixAlgebra(N, tuple(ctx.parity), gens)
 
@@ -26,7 +29,7 @@ def vecize(m):
 
 
 def test_homogeneity_enforced():
-    bad = Mat(2, 2, {0: {0: ONE, 1: ONE}})
+    bad = Mat(2, 2, {0: {0: 1, 1: 1}})
     with pytest.raises(ValueError):
         gs.GradedMatrixAlgebra(2, (0, 1), [("bad", bad)])
 
@@ -128,7 +131,7 @@ def test_decompose_single_block():
 def test_decompose_semisimplicity_check():
     # a nilpotent one-generator algebra fails the trace-form test
     nil = gs.GradedMatrixAlgebra(
-        2, (0, 0), [("n", Mat(2, 2, {0: {1: ONE}}))]
+        2, (0, 0), [("n", Mat(2, 2, {0: {1: 1}}))]
     )
     with pytest.raises(ValueError):
         gs.decompose_semisimple(nil, check_semisimple=True)
@@ -153,7 +156,7 @@ def test_graded_tensor_associative_up_to_blocks():
 
 def test_adjoin_epsilon():
     # trivial grading: C[eps] = C + C
-    trivial = gs.GradedMatrixAlgebra(1, (0,), [("one", Mat(1, 1, {0: {0: ONE}}))])
+    trivial = gs.GradedMatrixAlgebra(1, (0,), [("one", Mat(1, 1, {0: {0: 1}}))])
     assert len(gs.decompose_semisimple(gs.adjoin_epsilon(trivial)).blocks) == 2
     # Q(1)[eps] is the full 2x2 matrix algebra: a single block
     assert len(gs.decompose_semisimple(gs.adjoin_epsilon(gs.q_algebra(1))).blocks) == 1
@@ -183,9 +186,25 @@ def test_graded_centralizer():
     # Z(A,B) has the dimension of Z(A_0, B_0)
     spin_dim = len(sa.graded_centralizer_spin(4, 3)[0])
     assert len(z43["basis"]) == spin_dim
-    outside = Mat(6, 6, {0: {0: ONE}})  # a matrix unit is not in the image
+    outside = Mat(6, 6, {0: {0: 1}})  # a matrix unit is not in the image
     with pytest.raises(ValueError):
         gs.graded_centralizer(a3, [outside])
+
+
+def test_regular_algebra_reaches_the_certified_path(monkeypatch):
+    # the algebra's data is rational by value, so every kernel and subspace
+    # elimination of its decomposition must be certified modulo the prime
+    results = []
+    certified = linalg._certified_rref
+
+    def record(vecs):
+        results.append(certified(vecs))
+        return results[-1]
+
+    monkeypatch.setattr(linalg, "_certified_rref", record)
+    rep = gs.decompose_semisimple(regular_algebra(4))
+    assert rep.summary() == [("Q", 2), ("M", (2, 2))]
+    assert results and all(rows is not None for rows in results)
 
 
 def test_grading_independence_of_semisimplicity():

@@ -3,8 +3,9 @@
 sympy (rref, nullspace, linear solves) is the reference on rational data; a
 textbook incremental Gauss-Jordan with combination tracking, kept below, is
 the slow reference on data with radicals and on the commutant solves.  The
-certified elimination modulo a prime is checked against sympy and against the
-exact path, forced by making `_certified_rref` decline.
+certified elimination modulo a prime, which every rational system takes, is
+checked against sympy and against the exact path, forced by making
+`_certified_rref` decline.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from superspin import gradedstruct, linalg, seminormal
-from superspin.exactnum import ONE, ZERO, SqrtNumber, canonical, rational, sqrt_rational
+from superspin.exactnum import SqrtNumber, canonical, inverse, sqrt_rational
 from superspin.linalg import (
     Echelon,
     Mat,
@@ -57,9 +58,9 @@ class GaussJordan:
         rem, combo = self.reduce(vec)
         if not rem:
             return False
-        combo = _axpy({len(self.pivots): ONE}, combo, -ONE)
+        combo = _axpy({len(self.pivots): 1}, combo, -1)
         p = min(rem)
-        inv = rem[p].invert()
+        inv = inverse(rem[p])
         rem = {i: v * inv for i, v in rem.items()}
         combo = {i: v * inv for i, v in combo.items()}
         for q, (row, rcombo) in list(self.pivots.items()):
@@ -73,7 +74,7 @@ class GaussJordan:
 def _axpy(u, v, c):
     out = dict(u)
     for i, x in v.items():
-        s = out.get(i, ZERO) + c * x
+        s = out.get(i, 0) + c * x
         if s:
             out[i] = s
         else:
@@ -88,7 +89,7 @@ def reference_kernel(constraints, ncols):
     out = []
     for f in range(ncols):
         if f not in gj.pivots:
-            v = {f: ONE}
+            v = {f: 1}
             for p in sorted(gj.pivots):
                 c = gj.pivots[p][0].get(f)
                 if c:
@@ -115,7 +116,7 @@ def reference_min_poly(m: Mat):
         }
         if not gj.add(vec):
             _, combo = gj.reduce(vec)
-            return [-combo.get(i, ZERO) for i in range(deg)] + [ONE]
+            return [-combo.get(i, 0) for i in range(deg)] + [1]
         power, deg = power * m, deg + 1
 
 
@@ -123,11 +124,11 @@ def reference_min_poly(m: Mat):
 
 
 def to_vec(values) -> dict:
-    return {i: rational(v) for i, v in enumerate(values) if v}
+    return {i: canonical(v) for i, v in enumerate(values) if v}
 
 
 def to_dense(vec: dict, n: int) -> list:
-    return [vec.get(i, ZERO).rational_value() for i in range(n)]
+    return [Fraction(vec.get(i, 0)) for i in range(n)]
 
 
 def sym(rows) -> "sympy.Matrix":
@@ -210,7 +211,7 @@ def test_subspace_coords_match_sympy(rows, data):
     inside = {}
     for w, b in zip(weights, sub.basis):
         for j, x in b.items():
-            inside[j] = inside.get(j, ZERO) + rational(w) * x
+            inside[j] = inside.get(j, 0) + w * x
     inside = {j: v for j, v in inside.items() if v}
     assert to_dense(sub.coords_of(inside), sub.dim) == weights
     other = data.draw(st.lists(scalars, min_size=ncols, max_size=ncols))
@@ -246,8 +247,8 @@ def to_mat(rows) -> Mat:
 @given(square(st.integers(-2, 2).map(Fraction), 4))
 def test_min_poly_matches_sympy(rows):
     n = len(rows)
-    m = to_mat([[rational(v) for v in row] for row in rows])
-    got = [c.rational_value() for c in min_poly(m)]
+    m = to_mat([[canonical(v) for v in row] for row in rows])
+    got = [Fraction(c) for c in min_poly(m)]
     # sympy: the first power that is a combination of the lower ones
     vecs = [sympy.eye(n).reshape(n * n, 1)]
     while True:
@@ -263,8 +264,8 @@ def test_min_poly_matches_sympy(rows):
 # -- radicals and the commutant solves against the slow reference ----------------
 
 RADICALS = [
-    ZERO, ZERO, ONE, -ONE, sqrt_rational(2), sqrt_rational(3),
-    ONE + sqrt_rational(2), rational(Fraction(1, 2)) - sqrt_rational(6),
+    0, 0, 1, -1, sqrt_rational(2), sqrt_rational(3),
+    1 + sqrt_rational(2), Fraction(1, 2) - sqrt_rational(6),
 ]
 
 
@@ -275,7 +276,7 @@ def test_radical_systems_match_gauss_jordan(rows, nrows):
     vecs = [{i: v for i, v in enumerate(r) if v} for r in rows[:nrows]]
     assert kernel(vecs, ncols) == reference_kernel(vecs, ncols)
     sub = Subspace(ncols, vecs)
-    probes = vecs + [{i: ONE for i in range(ncols)}]
+    probes = vecs + [{i: 1 for i in range(ncols)}]
     want = [reference_coords(sub.basis, v) for v in probes]
     assert [sub.coords_of(v) for v in probes] == want
     sub._ech.rref()  # a second back-substitution changes no coordinate
@@ -299,37 +300,46 @@ def test_module_commutant_matches_gauss_jordan(monkeypatch):
         v for mod in mods for g in mod.generator_mats() for row in g.rows.values()
         for v in row.values()
     ]
-    assert not all(v.is_rational() for v in entries), "no model carries a radical"
+    assert any(isinstance(v, SqrtNumber) for v in entries), "no model carries a radical"
     cases = [(mod, x) for mod in mods for x in (0, 1)]
     fast = [seminormal.module_commutant(*case) for case in cases]
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_certified_rref", lambda vecs: None)
+        assert fast == [seminormal.module_commutant(*case) for case in cases]
     monkeypatch.setattr(gradedstruct, "kernel", reference_kernel)
     assert fast == [seminormal.module_commutant(*case) for case in cases]
 
 
-# -- rational data against the same data lifted to SqrtNumber --------------------
+# -- rational data against the exact path -------------------------------------
 #
-# The same code computes on int/Fraction and on SqrtNumber scalars; the lifted
-# run is the slow reference.  Values must agree, and the output type must follow
-# the input type whenever the input has an entry to take it from.
+# Rational data computes in int/Fraction arithmetic, and its eliminations are
+# certified modulo a prime; the slow reference is the same call with every
+# elimination forced onto the exact path.  Values and types must agree, and
+# rational results come in canonical type (int when integral).  The test names
+# keep the "lifted" of an earlier reference, the same data as SqrtNumbers,
+# which the scalar rule no longer allows.
 
 
-def lift_vec(v: dict) -> dict:
-    return {i: rational(x) for i, x in v.items()}
+def typed(vecs) -> list:
+    """The vectors with each entry paired with its type, so == compares both."""
+    return [{i: (type(x), x) for i, x in v.items()} for v in vecs]
 
 
-def lift_mat(m: Mat) -> Mat:
-    return Mat(m.nrows, m.ncols, {r: lift_vec(row) for r, row in m.rows.items()})
+def exact_path(fn, *args):
+    """fn(*args) with every certified elimination declined."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_certified_rref", lambda vecs: None)
+        return fn(*args)
 
 
 def family(values) -> set:
     return {"sqrt" if isinstance(v, SqrtNumber) else "rational" for v in values}
 
 
-def assert_family(values, want: str):
+def assert_rational(values):
     values = list(values)
-    assert family(values) <= {want}
-    if want == "rational":  # in canonical type: int when integral
-        assert all(type(canonical(v)) is type(v) for v in values)
+    assert family(values) <= {"rational"}
+    assert all(type(canonical(v)) is type(v) for v in values)
 
 
 def rational_vecs(rows) -> list:
@@ -341,38 +351,31 @@ def rational_vecs(rows) -> list:
 def test_rational_kernel_and_coords_match_lifted(rows, probe):
     ncols = len(rows[0])
     rat = rational_vecs(rows)
-    lifted = [lift_vec(v) for v in rat]
-    typed = any(rat)  # an all-zero system carries no type
-
-    got, want = kernel(rat, ncols), kernel(lifted, ncols)
-    assert got == want
-    if typed:
-        assert_family((x for v in got for x in v.values()), "rational")
-    assert_family((x for v in want for x in v.values()), "sqrt")
+    got, want = kernel(rat, ncols), exact_path(kernel, rat, ncols)
+    assert typed(got) == typed(want)
+    assert_rational(x for v in got for x in v.values())
     ech = Echelon()
     for v in rat:
         ech.add(v)
-    assert_family((x for row in ech.rows.values() for x in row.values()), "rational")
+    assert_rational(x for row in ech.rows.values() for x in row.values())
 
-    sub_rat, sub_sqrt = Subspace(ncols, rat), Subspace(ncols, lifted)
-    probes = rat + rational_vecs([probe[:ncols]])
-    for vec in probes:
-        got, want = sub_rat.coords_of(vec), sub_sqrt.coords_of(lift_vec(vec))
-        assert got == want
+    sub, sub_exact = Subspace(ncols, rat), exact_path(Subspace, ncols, rat)
+    assert typed(sub.basis) == typed(sub_exact.basis)
+    for vec in rat + rational_vecs([probe[:ncols]]):
+        got, want = sub.coords_of(vec), sub_exact.coords_of(vec)
+        assert (got is None) == (want is None)
         if got is not None:
-            assert_family(got.values(), "rational")
-            assert_family(want.values(), "sqrt")
+            assert typed([got]) == typed([want])
+            assert_rational(got.values())
 
 
 @FAST
 @given(square(st.integers(-2, 2).map(Fraction), 4))
 def test_rational_min_poly_matches_lifted(rows):
     m = to_mat([[canonical(v) for v in r] for r in rows])
-    got, want = min_poly(m), min_poly(lift_mat(m))
-    assert got == want
-    assert_family(want, "sqrt")
-    if not m.is_zero():
-        assert_family(got, "rational")
+    got, want = min_poly(m), exact_path(min_poly, m)
+    assert typed([dict(enumerate(got))]) == typed([dict(enumerate(want))])
+    assert_rational(got)
 
 
 def upper_triangular(n_max=4):
@@ -381,36 +384,42 @@ def upper_triangular(n_max=4):
     )
 
 
-def split_of(m: Mat, one) -> list:
+def split_of(m: Mat) -> list:
     """eigensplit of the full space by m and m^2, as (basis, label) pairs."""
-    full = Subspace(m.nrows, [{i: one} for i in range(m.nrows)])
+    full = Subspace.full(m.nrows)
     return [(piece.basis, label) for piece, label in eigensplit([full], [m, m * m])]
+
+
+def typed_split(split) -> list:
+    return [(typed(basis), typed([dict(enumerate(label))])) for basis, label in split]
 
 
 @FAST
 @given(upper_triangular())
 def test_rational_eigensplit_matches_lifted(rows):
-    # triangular, so every eigenvalue is rational
+    # triangular, so every eigenvalue is rational: the diagonal entries
     m = to_mat([[canonical(v) for v in r] for r in rows])
-    got, want = split_of(m, 1), split_of(lift_mat(m), ONE)
-    assert got == want
-    assert family(x for basis, label in got for v in basis for x in v.values()) <= {"rational"}
-    assert_family((lam for _, label in got for lam in label), "rational")
-    assert_family((x for basis, label in want for v in basis for x in v.values()), "sqrt")
-    assert_family((lam for _, label in want for lam in label), "sqrt")
+    got, want = split_of(m), exact_path(split_of, m)
+    assert typed_split(got) == typed_split(want)
+    assert_rational(x for basis, label in got for v in basis for x in v.values())
+    assert_rational(lam for _, label in got for lam in label)
+    eigenvalues = {from_sym(x) for x in sym(rows).eigenvals()}
+    assert [label[0] for _, label in got] == sorted(eigenvalues)
 
 
 def test_rational_eigensplit_with_radical_eigenvalues():
     # [[0, 2], [1, 0]] (+) [3] has eigenvalues -sqrt(2), sqrt(2) and 3: the
-    # radical pieces compute on SqrtNumbers, the rational piece stays on ints
+    # radical pieces carry SqrtNumbers, the rational piece stays on ints
     m = Mat(3, 3, {0: {1: 2}, 1: {0: 1}, 2: {2: 3}})
-    got, want = split_of(m, 1), split_of(lift_mat(m), ONE)
-    assert got == want
-    assert [label for _, label in got] == [
-        [-sqrt_rational(2), rational(2)], [sqrt_rational(2), rational(2)], [3, 9]
-    ]
-    for basis, label in got[:2]:
-        assert family(label) == family(x for v in basis for x in v.values()) == {"sqrt"}
+    got = split_of(m)
+    assert typed_split(got) == typed_split(exact_path(split_of, m))
+    r2 = sqrt_rational(2)
+    assert [label for _, label in got] == [[-r2, 2], [r2, 2], [3, 9]]
+    for (basis, label), lam in zip(got[:2], (-r2, r2)):
+        assert family(label) == {"sqrt", "rational"} and type(label[1]) is int
+        (v,) = basis
+        assert "sqrt" in family(v.values())
+        assert m.apply(v) == {i: lam * x for i, x in v.items()}
     assert got[2] == ([{2: 1}], [3, 9])
     assert family(got[2][1] + list(got[2][0][0].values())) == {"rational"}
 
@@ -420,8 +429,8 @@ def test_rational_eigensplit_with_radical_eigenvalues():
 
 def test_rational_roots_of_large_prime_constant():
     assert _rational_roots([-1000000007, 1]) == [Fraction(1000000007)]
-    roots, complete = poly_roots([rational(-1000000007), ONE])
-    assert complete and roots == [rational(1000000007)]
+    roots, complete = poly_roots([-1000000007, 1])
+    assert complete and roots == [1000000007] and type(roots[0]) is int
 
 
 def test_rational_roots_order():
@@ -434,16 +443,9 @@ def test_rational_roots_order():
 # -- certified elimination modulo a prime against sympy and the exact path -------
 
 
-def typed(vecs) -> list:
-    """The vectors with each entry paired with its type, so == compares both."""
-    return [{i: (type(x), x) for i, x in v.items()} for v in vecs]
-
-
 def exact_kernel_and_basis(vecs, ncols):
     """kernel and Subspace basis by exact elimination alone."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_certified_rref", lambda vecs: None)
-        return kernel(vecs, ncols), Subspace(ncols, vecs).basis
+    return exact_path(kernel, vecs, ncols), exact_path(Subspace, ncols, vecs).basis
 
 
 # entries past the reconstruction bound, whose reduced rows the prime alone
@@ -505,7 +507,11 @@ def test_unlucky_prime_falls_back_to_the_exact_answer(monkeypatch, rows):
 
 def test_radical_data_takes_the_exact_path():
     assert linalg._certified_rref([{0: 1}, {1: sqrt_rational(2)}]) is None
-    assert linalg._certified_rref([{0: ONE}]) is None
+    # a rational value built as a SqrtNumber is an int, and is certified
+    one = SqrtNumber.from_terms([(1, 1)])
+    assert linalg._certified_rref([{0: one}]) == {0: {0: 1}}
+    r2 = sqrt_rational(2)
+    assert linalg._certified_rref([{0: r2 * r2, 1: r2 / r2}]) == {0: {0: 1, 1: Fraction(1, 2)}}
 
 
 def record_rref_inputs(monkeypatch, runs):
@@ -535,11 +541,10 @@ def test_oracle_kernels_and_subspaces_match_exact(monkeypatch):
     seen = record_rref_inputs(monkeypatch, [("A", n) for n in range(1, 6)] + [
         ("CA", n) for n in range(1, 5)
     ])
-    # at n = 1 the central operator is zero, so its type, and the data's, is
-    # SqrtNumber: only that data may take the exact path
+    # the oracle's data is rational at every size, so every elimination is certified
     for vecs, rows in seen:
-        radical = any(isinstance(x, SqrtNumber) for v in vecs for x in v.values())
-        assert (rows is None) == radical
+        assert not any(isinstance(x, SqrtNumber) for v in vecs for x in v.values())
+        assert rows is not None
     for vecs, _ in seen:
         ncols = 1 + max((i for v in vecs for i in v), default=0)
         want_ker, want_basis = exact_kernel_and_basis(vecs, ncols)

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from superspin import linalg
 from superspin import seminormal as sn
 from superspin import shiftedcomb as sc
 from superspin import spinalg
-from superspin.exactnum import SqrtNumber, rational
 from superspin.linalg import CheckFailed, Mat
 from superspin.shiftedcomb import StrictPartition, strict_partitions
 
@@ -387,7 +387,13 @@ def test_build_report_matches_full_adjudication(shape, tensor):
     assert builder(shape).build_report == _reference_build_report(shape, tensor)
 
 
-# -- the oracle's rational fast path against SqrtNumber arithmetic ---------------
+# -- the oracle's certified fast path against the exact path and sympy ----------
+#
+# The oracle's data is rational, so by the scalar rule it computes in
+# int/Fraction arithmetic and its kernels and subspaces are certified modulo a
+# prime.  The slow reference is the same run with every elimination forced onto
+# the exact path; sympy checks the idempotents independently.  The test name
+# keeps the SqrtNumber reference that the scalar rule no longer allows.
 
 ORACLE_BUILDERS = ("_left_mult_mat",)
 
@@ -405,37 +411,51 @@ def _entry_types(m: Mat) -> set:
     return {type(v) for row in m.rows.values() for v in row.values()}
 
 
+def _typed_rows(m: Mat) -> dict:
+    """The rows with each entry paired with its type, so == compares both."""
+    return {r: {c: (type(v), v) for c, v in row.items()} for r, row in m.rows.items()}
+
+
 @pytest.mark.parametrize("tag, n", [("A", 3), ("A", 4), ("CA", 3)])
 def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
-    fast = sn.regular_decompose(tag, n)
-    built_types: set = set()
-    lifted: list = []
+    sympy = pytest.importorskip("sympy")
+    built: list = []
 
-    def lift(m: Mat) -> Mat:
-        """The slow reference: the same matrix with SqrtNumber entries."""
-        built_types.update(_entry_types(m))
-        lifted.append(m)
-        return Mat(
-            m.nrows,
-            m.ncols,
-            {r: {c: rational(v) for c, v in row.items()} for r, row in m.rows.items()},
-        )
+    def record(m: Mat) -> Mat:
+        built.append(m)
+        return m
 
-    for name in ORACLE_BUILDERS:
-        build = getattr(sn, name)
-        monkeypatch.setattr(sn, name, lambda *a, build=build: _map_mats(build(*a), lift))
-    slow = sn.regular_decompose(tag, n)
-    # the lift sees every matrix the oracle builds: the generators, the total
+    with monkeypatch.context() as mp:
+        for name in ORACLE_BUILDERS:
+            build = getattr(sn, name)
+            mp.setattr(sn, name, lambda *a, build=build: _map_mats(build(*a), record))
+        fast = sn.regular_decompose(tag, n)
+    # the record sees every matrix the oracle builds: the generators, the total
     # YJM square, the n squares pi_k^2 and one odd central element per Q block
     n_gens = n - 1 + (n if tag == "CA" else 0)
     n_odd = sum(1 for b in fast.blocks if b.btype == "Q")
-    assert len(lifted) == n_gens + 1 + n + n_odd
+    assert len(built) == n_gens + 1 + n + n_odd
     # the oracle builds its generator and central matrices on ints alone
-    assert built_types == {int}
+    assert set().union(*map(_entry_types, built)) == {int}
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_certified_rref", lambda vecs: None)
+        slow = sn.regular_decompose(tag, n)
     assert slow.to_json() == fast.to_json()
-    # type in is type out, down to the idempotents
+    # the same values in the same canonical types, down to the idempotents
+    assert [_typed_rows(b.idempotent) for b in slow.blocks] == [
+        _typed_rows(b.idempotent) for b in fast.blocks
+    ]
     assert set().union(*(_entry_types(b.idempotent) for b in fast.blocks)) <= {int, Fraction}
-    assert set().union(*(_entry_types(b.idempotent) for b in slow.blocks)) == {SqrtNumber}
+    # sympy: orthogonal idempotents that sum to the identity
+    dim = fast.blocks[0].idempotent.nrows
+    mats = [
+        sympy.Matrix(dim, dim, lambda r, c, m=b.idempotent: sympy.Rational(m.entry(r, c)))
+        for b in fast.blocks
+    ]
+    assert sum(mats, sympy.zeros(dim, dim)) == sympy.eye(dim)
+    for i, e in enumerate(mats):
+        for j, f in enumerate(mats):
+            assert e * f == (e if i == j else sympy.zeros(dim, dim))
 
 
 # -- the oracle's word action: relations, word products and centrality ----------

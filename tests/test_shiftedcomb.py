@@ -19,6 +19,10 @@ def test_strict_partitions_examples():
     assert [p.parts for p in sc.strict_partitions(1)] == [(1,)]
     counts = [len(sc.strict_partitions(n)) for n in range(1, 8)]
     assert counts == [1, 1, 2, 2, 3, 4, 5]
+    # the empty partition is the one strict partition of 0; n < 0 has none to list
+    assert [p.parts for p in sc.strict_partitions(0)] == [()]
+    with pytest.raises(ValueError):
+        sc.strict_partitions(-1)
 
 
 def test_covers_and_successors():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from superspin import spinalg as sa
-from superspin.exactnum import SqrtNumber, canonical, rational, sqrt_rational
+from superspin.exactnum import SqrtNumber, canonical, sqrt_rational
 from superspin.linalg import kernel
 
 
@@ -54,7 +54,7 @@ def test_multiply_associativity_random():
         return sa.SpinElement(
             n,
             {
-                rng.randrange(N): rational(rng.randint(1, 3))
+                rng.randrange(N): rng.randint(1, 3)
                 for _ in range(rng.randint(1, 4))
             },
         )
@@ -279,12 +279,18 @@ def test_even_part_simple_count():
         assert len(center_even_part) == 2 * m_count + q_count
 
 
-# -- the scalar rule: rational coefficients against SqrtNumber arithmetic -------
+# -- the scalar rule: rational coefficients against sympy arithmetic -----------
 
 
-def _lift(x):
-    """The slow reference: the same element with SqrtNumber coefficients."""
-    return sa.SpinElement(x.n, {i: rational(c) for i, c in x.coeffs.items()})
+def _lift(x, sympy):
+    """The slow reference: the same element with sympy.Rational coefficients,
+    which the scalar rule leaves alone."""
+    return sa.SpinElement(x.n, {i: sympy.Rational(c) for i, c in x.coeffs.items()})
+
+
+def _unlift(x):
+    """The reference element back with Fraction coefficients."""
+    return sa.SpinElement(x.n, {i: Fraction(int(c.p), int(c.q)) for i, c in x.coeffs.items()})
 
 
 def _coeff_types(elements) -> set:
@@ -293,6 +299,7 @@ def _coeff_types(elements) -> set:
 
 def test_rational_arithmetic_matches_lifted():
     hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
     n = 4
     scalars = st.one_of(
@@ -306,19 +313,19 @@ def test_rational_arithmetic_matches_lifted():
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(elements, elements, scalars)
     def check(x, y, c):
-        lx, ly = _lift(x), _lift(y)
+        lx, ly, lc = _lift(x, sympy), _lift(y, sympy), sympy.Rational(c)
         for got, want in (
             (x * y, lx * ly),
             (x + y, lx + ly),
             (x - y, lx - ly),
-            (x.scale(c), lx.scale(c)),
-            (x * c, lx * rational(c)),
+            (x.scale(c), lx.scale(lc)),
+            (x * c, lx.scale(lc)),
         ):
+            want = _unlift(want)
             assert got == want
             # rational in, canonical rational out: int whenever integral
             assert all(type(v) is type(canonical(v)) for v in got.coeffs.values())
             assert _coeff_types([got]) <= {int, Fraction}
-            assert _coeff_types([want]) <= {SqrtNumber}
             assert got.to_json() == want.to_json()
 
     check()
@@ -340,7 +347,11 @@ def test_rational_json_roundtrip_gives_rationals():
     half = sa.jm_element(3, 4).scale(Fraction(1, 2)) + sa.SpinElement.one(4)
     for x in sa.supercenter_basis(5) + [half]:
         obj = x.to_json()
-        assert obj == _lift(x).to_json()
+        for term, i in zip(obj["terms"], sorted(x.coeffs)):
+            c = Fraction(x.coeffs[i])
+            assert term["coeff"] == {
+                "terms": [{"radicand": 1, "coeff": f"{c.numerator}/{c.denominator}"}]
+            }
         back = sa.SpinElement.from_json(obj)
         assert back == x
         assert _coeff_types([back]) == _coeff_types([x]) <= {int, Fraction}
