@@ -1,10 +1,11 @@
 """Command-line front end: enumeration, builds, verification, reports.
 
 Exit codes: 0 success, 1 a verification or acceptance check failed, 2 invalid
-input or usage (an unwritable --out file included).  All emitted JSON carries a
-"schema": "superspin/1" field and identical invocations produce byte-identical
-output.  Matrices are rendered straight from their sparse rows (`linalg.dump`),
-byte-identical to json.dumps of the dense `to_json()` form.
+input or usage (an unwritable --out file or a closed stdout included).  All
+emitted JSON carries a "schema": "superspin/1" field and identical invocations
+produce byte-identical output.  Matrices are rendered straight from their
+sparse rows (`linalg.dump`), byte-identical to json.dumps of the dense
+`to_json()` form.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import checks, exactnum, linalg, seminormal, shiftedcomb, spinalg
@@ -35,14 +37,21 @@ def _parse_partition(text: str) -> StrictPartition:
 @contextlib.contextmanager
 def _output(args):
     """The stream to write to: the --out file, else stdout."""
-    if not getattr(args, "out", None):
-        yield sys.stdout
-        return
+    path = getattr(args, "out", None)
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            yield fh
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
+        else:
+            yield sys.stdout
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
     except OSError as exc:
-        raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+        if not path:
+            # a closed pipe: the interpreter's final flush goes to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise UsageError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 def _emit(payload, args) -> None:

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .exactnum import inverse
 from .linalg import (
-    CheckFailed, Echelon, Mat, Subspace, Vec, eigensplit, kernel, min_poly, plain, poly_apply,
+    CheckFailed, Mat, Subspace, Vec, closure, eigensplit, kernel, min_poly, plain, poly_apply,
     poly_partial_factors, vecize,
 )
 
@@ -292,19 +292,12 @@ def _commutant_split(mod: GradedMatrixAlgebra, even_comm: Sequence[Mat]) -> list
         return subs
     # no splitter found: legitimate iff the commutant is a division algebra,
     # which happens for field-irreducible modules of complex/quaternionic type
-    if all(_invertible(x) for x in nonscalar):
+    if all(Subspace(mod.dim, list(x.rows.values())).dim == mod.dim for x in nonscalar):
         return None
     raise CheckFailed(
         "could not split module over the field (commutant is not a division "
         "algebra yet no element yields coprime factors)"
     )
-
-
-def _invertible(m: Mat) -> bool:
-    ech = Echelon()
-    for r in range(m.nrows):
-        ech.add(dict(m.rows.get(r, {})))
-    return ech.rank == m.nrows == m.ncols
 
 
 def _squares_to_nonzero_scalar(j: Mat) -> bool:
@@ -316,21 +309,7 @@ def _squares_to_nonzero_scalar(j: Mat) -> bool:
 def span_closure(gens: Iterable[Mat]) -> list[Mat]:
     """Basis of the (possibly nonunital) span of all words in the generators."""
     gens = [g for g in gens if not g.is_zero()]
-    ech = Echelon()
-    basis: list[Mat] = []
-    queue: list[Mat] = []
-    for g in gens:
-        if ech.add(vecize(g)):
-            basis.append(g)
-            queue.append(g)
-    while queue:
-        m = queue.pop(0)
-        for g in gens:
-            prod = m * g
-            if not prod.is_zero() and ech.add(vecize(prod)):
-                basis.append(prod)
-                queue.append(prod)
-    return basis
+    return closure(gens, gens, vecize)
 
 
 def _vanishing_combinations(mats: Sequence[Mat]) -> list[Vec]:
@@ -354,12 +333,7 @@ def center_of_span(
     span: Sequence[Mat], gens: Sequence[Mat], parity: Sequence[int]
 ) -> tuple[list[Mat], list[Mat]]:
     """(even, odd) bases of the ordinary center, inside the given span."""
-    homog: list[Mat] = []
-    ech = Echelon()
-    for b in span:
-        for part in parity_parts(b, parity):
-            if not part.is_zero() and ech.add(vecize(part)):
-                homog.append(part)
+    homog = closure((part for b in span for part in parity_parts(b, parity)), (), vecize)
     constraints: list[Vec] = []
     for g in gens:
         constraints.extend(_vanishing_combinations([b * g - g * b for b in homog]))
@@ -506,12 +480,8 @@ def decompose_semisimple(
 
 
 def _parity_split_dims(span: Sequence[Mat], parity: Sequence[int]) -> tuple[int, int]:
-    ev, od = Echelon(), Echelon()
-    for b in span:
-        for ech, part in zip((ev, od), parity_parts(b, parity)):
-            if not part.is_zero():
-                ech.add(vecize(part))
-    return ev.rank, od.rank
+    parts = [parity_parts(b, parity) for b in span]
+    return tuple(Subspace(len(parity) ** 2, [vecize(p[k]) for p in parts]).dim for k in (0, 1))
 
 
 def _trace_form_nondegenerate(span: Sequence[Mat]) -> bool:
@@ -527,10 +497,7 @@ def _trace_form_nondegenerate(span: Sequence[Mat]) -> bool:
             if tr:
                 row[j] = tr
         gram.append(row)
-    ech = Echelon()
-    for row in gram:
-        ech.add(row)
-    return ech.rank == n
+    return Subspace(n, gram).dim == n
 
 
 # -- constructions ----------------------------------------------------------------
@@ -595,25 +562,20 @@ def graded_centralizer(
     """Z(A, B): even ordinary plus even twisted centralizer inside span(A)."""
     gens = a.generator_mats()
     span = span_closure(gens)
-    span_ech = Echelon()
-    for m in span:
-        span_ech.add(vecize(m))
-    for bg in b_generators:
-        if not span_ech.contains(vecize(bg)):
-            raise ValueError("B generator outside span of A")
+    span_sub = Subspace(a.dim**2, [vecize(m) for m in span])
+    if not all(span_sub.contains(vecize(bg)) for bg in b_generators):
+        raise ValueError("B generator outside span of A")
     # evenness of the solution inside the span
     oddity = _vanishing_combinations([parity_parts(m, a.parity)[1] for m in span])
-    basis: list[Mat] = []
-    ech = Echelon()
-    for mode in ("plain", "twisted"):
+    solutions: list[Mat] = []
+    for twisted in (False, True):
         constraints: list[Vec] = []
         for bg in b_generators:
-            tb = bg if mode == "plain" else theta(bg, a.parity)
+            tb = theta(bg, a.parity) if twisted else bg
             constraints.extend(_vanishing_combinations([m * bg - tb * m for m in span]))
-        for sol in kernel(constraints + oddity, len(span)):
-            m = _combine(span, sol, a.dim)
-            if not m.is_zero() and ech.add(vecize(m)):
-                basis.append(m)
+        sols = kernel(constraints + oddity, len(span))
+        solutions.extend(_combine(span, sol, a.dim) for sol in sols)
+    basis = closure(solutions, (), vecize)
     commutative = all(x * y == y * x for i, x in enumerate(basis) for y in basis[i + 1 :])
     return {"basis": basis, "is_commutative": commutative}
 

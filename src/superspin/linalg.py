@@ -15,7 +15,7 @@ import heapq
 import json
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactnum import (
     Scalar,
@@ -540,7 +540,8 @@ class Subspace:
     The basis is the reduced echelon form of the spanning vectors, in pivot
     order: each basis vector is 1 at its own pivot column and 0 at the
     others, so a vector of the subspace has its entries at the pivot columns
-    as its coordinates.
+    as its coordinates.  It is the one batch span: `dim` is the rank of the
+    spanning vectors, and two spans are equal iff their bases are.
     """
 
     def __init__(self, dim_ambient: int, basis: Sequence[Vec]):
@@ -565,7 +566,7 @@ class Subspace:
         return {j: canonical(vec[p]) for j, p in enumerate(self._pivots) if vec.get(p)}
 
     def contains(self, vec: Vec) -> bool:
-        return self.coords_of(vec) is not None
+        return not self._ech.reduce(vec)
 
     def lift(self, coords: Vec) -> Vec:
         out: Vec = {}
@@ -592,6 +593,24 @@ class Subspace:
     def sub_lift(self, small: Subspace) -> Subspace:
         """Lift a subspace of this coordinate space into the ambient space."""
         return Subspace(self.dim_ambient, [self.lift(v) for v in small.basis])
+
+
+def closure(seeds: Iterable, gens: Sequence, vec: Callable[..., Vec]) -> list:
+    """A basis of the least span that holds the seeds and is closed under
+    x -> x * g for each g in gens, found breadth first.
+
+    Keeps each seed, then each product x * g (x walking the kept list in
+    order, g running over gens), whose vec(...) is independent of the vectors
+    kept before it.  With gens=() it picks out the independent seeds.
+    """
+    ech = Echelon()
+    kept = [x for x in seeds if ech.add(vec(x))]
+    for x in kept:  # the loop also walks the products appended below
+        for g in gens:
+            y = x * g
+            if ech.add(vec(y)):
+                kept.append(y)
+    return kept
 
 
 def min_poly(m: Mat) -> list[Scalar]:

@@ -46,8 +46,8 @@ class StrictPartition:
 
     @classmethod
     def parse(cls, text: str) -> StrictPartition:
-        parts = tuple(int(p) for p in text.split(",") if p.strip())
-        return cls(parts)
+        # int() refuses an empty field, so "", "3,,1" and "3," are errors
+        return cls(tuple(int(p) for p in text.split(",")))
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)

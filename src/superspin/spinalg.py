@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactnum import Scalar, SqrtNumber, canonical, scalar_json
-from .linalg import Echelon, Vec, kernel
+from .linalg import Subspace, Vec, closure, kernel
 
 Perm = tuple  # one-line notation, 1-based values
 
@@ -575,9 +575,8 @@ def _supercentralizer(n: int, k: int, m: int) -> list[SpinElement]:
 
 def _graded_centralizer(n: int, k: int, m: int) -> list[SpinElement]:
     """Even plain plus even twisted centralizer of A_m inside A_k, in rank n."""
-    ech = Echelon()
     both = _sign_solutions(n, k, m, 0, +1) + _sign_solutions(n, k, m, 0, -1)
-    return [e for e in both if ech.add(e.vec())]
+    return closure(both, (), SpinElement.vec)
 
 
 def supercentralizer(n: int, m: int) -> list[SpinElement]:
@@ -610,50 +609,29 @@ def graded_centralizer_spin(n: int, m: int) -> tuple[list[SpinElement], bool]:
     return basis, commutative
 
 
+def _span(elements: Iterable[SpinElement]) -> Subspace:
+    """The span of the elements' coefficient vectors."""
+    elements = list(elements)
+    return Subspace(dimension(elements[0].n) if elements else 0, [e.vec() for e in elements])
+
+
 def span_dim(elements: Iterable[SpinElement]) -> int:
-    ech = Echelon()
-    for e in elements:
-        ech.add(e.vec())
-    return ech.rank
+    return _span(elements).dim
 
 
 def subalgebra_span(n: int, generators: Sequence[SpinElement]) -> list[SpinElement]:
     """Basis of the unital subalgebra generated by the given elements."""
-    ech = Echelon()
-    basis: list[SpinElement] = []
-    queue: list[SpinElement] = []
-    for e in [SpinElement.one(n)] + list(generators):
-        if e and ech.add(e.vec()):
-            basis.append(e)
-            queue.append(e)
-    while queue:
-        e = queue.pop(0)
-        for g in generators:
-            prod = e * g
-            if prod and ech.add(prod.vec()):
-                basis.append(prod)
-                queue.append(prod)
-    return basis
+    return closure([SpinElement.one(n), *generators], generators, SpinElement.vec)
 
 
 def spans_equal(a: Iterable[SpinElement], b: Iterable[SpinElement]) -> bool:
-    ea, eb = Echelon(), Echelon()
-    la = list(a)
-    lb = list(b)
-    for e in la:
-        ea.add(e.vec())
-    for e in lb:
-        eb.add(e.vec())
-    if ea.rank != eb.rank:
-        return False
-    return all(ea.contains(e.vec()) for e in lb)
+    # the reduced echelon basis of a span is unique
+    return _span(a).basis == _span(b).basis
 
 
 def span_contains(big: Iterable[SpinElement], small: Iterable[SpinElement]) -> bool:
-    ech = Echelon()
-    for e in big:
-        ech.add(e.vec())
-    return all(ech.contains(e.vec()) for e in small)
+    sub = _span(big)
+    return all(sub.contains(e.vec()) for e in small)
 
 
 # -- identity suites ---------------------------------------------------------

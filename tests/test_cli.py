@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -48,9 +52,14 @@ def test_spectrum_oracle(capsys):
     assert json.loads(out)["oracle_checked"] is True
 
 
-def test_spectrum_invalid_partition(capsys):
-    rc = cli.main(["spectrum", "1,3"])
-    assert rc == 2
+@pytest.mark.parametrize("command", ["build-rep", "tableaux", "spectrum"])
+def test_spectrum_invalid_partition(capsys, command):
+    # not decreasing, then empty fields: none names the empty shape or (3, 1)
+    for text in ["1,3", "", "3,,1", ",2", "3,"]:
+        assert cli.main([command, text]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid strict partition {text!r}")
 
 
 def test_branching_graph_dot(capsys):
@@ -357,6 +366,23 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err == f"error: cannot write {path}: No such file or directory\n"
     assert not path.parent.exists()
+
+
+def test_closed_stdout_exits_2():
+    # the reader takes a few bytes of the 290 KB model and closes the pipe
+    src = Path(__file__).resolve().parent.parent / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "superspin.cli", "build-rep", "3,2,1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    ) as proc:
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: cannot write stdout: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 @pytest.mark.parametrize(

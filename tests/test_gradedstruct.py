@@ -66,6 +66,31 @@ def test_double_supercommutant():
     assert all(e1.contains(vecize(m)) for m in second)
 
 
+def _span_closure_reference(gens):
+    # the breadth-first loop that span_closure replaced with linalg.closure
+    gens = [g for g in gens if not g.is_zero()]
+    ech = Echelon()
+    basis, queue = [], []
+    for g in gens:
+        if ech.add(vecize(g)):
+            basis.append(g)
+            queue.append(g)
+    while queue:
+        m = queue.pop(0)
+        for g in gens:
+            prod = m * g
+            if not prod.is_zero() and ech.add(vecize(prod)):
+                basis.append(prod)
+                queue.append(prod)
+    return basis
+
+
+def test_span_closure_matches_the_reference_loop():
+    for alg in (regular_algebra(3), regular_algebra(4), gs.q_algebra(2)):
+        gens = alg.generator_mats()
+        assert gs.span_closure(gens) == _span_closure_reference(gens)
+
+
 def test_classify_module_examples():
     assert gs.classify_module(gs.m_algebra(2, 1))["kind"] == "M"
     assert gs.classify_module(gs.m_algebra(2, 1))["params"] == (2, 1)

@@ -9,6 +9,7 @@ checked against sympy and against the exact path, forced by making
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -550,3 +551,10 @@ def test_oracle_kernels_and_subspaces_match_exact(monkeypatch):
         want_ker, want_basis = exact_kernel_and_basis(vecs, ncols)
         assert typed(kernel(vecs, ncols)) == typed(want_ker)
         assert typed(Subspace(ncols, vecs).basis) == typed(want_basis)
+
+
+def test_only_linalg_names_echelon():
+    # outside linalg a span is a Subspace or a closure, never a raw Echelon
+    package = Path(__file__).resolve().parent.parent / "src" / "superspin"
+    named = [p.name for p in sorted(package.glob("*.py")) if "Echelon" in p.read_text()]
+    assert named == ["linalg.py"]

@@ -12,6 +12,10 @@ def test_strict_partition_validation():
     with pytest.raises(ValueError):
         StrictPartition((3, 0))
     assert StrictPartition.parse("4,2,1").parts == (4, 2, 1)
+    # an empty field is an error, never a skipped part
+    for text in ["", "3,,1", ",2", "3,"]:
+        with pytest.raises(ValueError):
+            StrictPartition.parse(text)
 
 
 def test_strict_partitions_examples():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from superspin import linalg
 from superspin import spinalg as sa
 from superspin.exactnum import SqrtNumber, canonical, sqrt_rational
-from superspin.linalg import kernel
+from superspin.linalg import Echelon, kernel
 
 
 def test_dimension_is_factorial():
@@ -358,3 +359,75 @@ def test_rational_json_roundtrip_gives_rationals():
     assert _coeff_types([sa.SpinElement.from_json(sa.supercenter_basis(5)[0].to_json())]) == {int}
     radical = sa.SpinElement.from_json(sa.jm_element(3, 4).scale(sqrt_rational(2)).to_json())
     assert _coeff_types([radical]) == {SqrtNumber}
+
+
+# -- the span queries against the Echelon loops they replaced ------------------
+
+
+def _subalgebra_span_reference(n, generators):
+    ech = Echelon()
+    basis, queue = [], []
+    for e in [sa.SpinElement.one(n)] + list(generators):
+        if e and ech.add(e.vec()):
+            basis.append(e)
+            queue.append(e)
+    while queue:
+        e = queue.pop(0)
+        for g in generators:
+            prod = e * g
+            if prod and ech.add(prod.vec()):
+                basis.append(prod)
+                queue.append(prod)
+    return basis
+
+
+def _echelon_of(elements):
+    ech = Echelon()
+    for e in elements:
+        ech.add(e.vec())
+    return ech
+
+
+def test_subalgebra_span_matches_the_reference_loop():
+    # the generator lists of gz_algebras: same elements, in the same order
+    for n in range(2, 5):
+        pis = [sa.jm_element(k, n) for k in range(1, n + 1)]
+        for gens in (
+            [e for k in range(1, n + 1) for e in sa.graded_center(n, k)],
+            [e for k in range(1, n) for e in sa._supercentralizer(n, k + 1, k)],
+            [e for k in range(1, n + 1) for e in sa._supercentralizer(n, k, k)],
+            pis,
+            [p * p for p in pis],
+        ):
+            assert sa.subalgebra_span(n, gens) == _subalgebra_span_reference(n, gens)
+        for k in range(1, n + 1):
+            both = sa._sign_solutions(n, k, k, 0, +1) + sa._sign_solutions(n, k, k, 0, -1)
+            ech = Echelon()
+            assert sa.graded_center(n, k) == [e for e in both if ech.add(e.vec())]
+
+
+def test_span_queries_match_the_echelon_reference(monkeypatch):
+    out = sa.gz_algebras(4)
+    gz, sgz, sz = out["gz_basis"], out["sgz_basis"], out["sz_basis"]
+    root2 = sqrt_rational(2)
+    # the same span as gz (sqrt2 I + reversal is invertible), with radical entries
+    radical = [e.scale(root2) + f for e, f in zip(gz, reversed(gz))]
+    seen = []
+    certified = linalg._certified_rref
+
+    def record(vecs):
+        seen.append(certified(vecs))
+        return seen[-1]
+
+    monkeypatch.setattr(linalg, "_certified_rref", record)
+    cases = [(gz, sz), (sz, gz), (sgz, gz), (gz, radical), (radical, sgz), (gz, gz[:-1]), ([], gz)]
+    answers = set()
+    for a, b in cases:
+        ea, eb = _echelon_of(a), _echelon_of(b)
+        contains = all(ea.contains(e.vec()) for e in b)
+        assert sa.span_dim(a) == ea.rank
+        assert sa.span_contains(a, b) == contains
+        assert sa.spans_equal(a, b) == (ea.rank == eb.rank and contains)
+        answers.add((contains, ea.rank == eb.rank))
+    assert answers == {(True, True), (True, False), (False, False)}
+    assert None in seen  # the radical spans took the exact path
