@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from . import checks, exactnum, linalg, seminormal, shiftedcomb, spinalg
+from . import checks, linalg, seminormal, shiftedcomb, spinalg
 from .shiftedcomb import StrictPartition
 
 SCHEMA = "superspin/1"
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     except linalg.CheckFailed as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 1
-    except (ValueError, exactnum.PrecisionExceeded) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -18,7 +18,6 @@ three types with one code path.
 
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
 from math import gcd, isqrt
@@ -33,10 +32,6 @@ _SIGN_START_BITS = 64
 MAX_RADICAND = 10**6
 # the "p/q" form of _frac_str, the only coefficient form the writer emits
 _COEFF = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
-
-
-class PrecisionExceeded(RuntimeError):
-    """sign() hit the SUPERSPIN_MAX_BITS interval-precision cap."""
 
 
 def square_free_decompose(n: int) -> tuple[int, int]:
@@ -221,7 +216,6 @@ class SqrtNumber:
         if all(q < 0 for q in self._terms.values()):
             return -1
         bits = _SIGN_START_BITS
-        max_bits = int(os.environ.get("SUPERSPIN_MAX_BITS", "0")) or None
         while True:
             lo = hi = Fraction(0)
             for d, q in self._terms.items():
@@ -241,10 +235,6 @@ class SqrtNumber:
             if hi < 0:
                 return -1
             bits *= 2
-            if max_bits is not None and bits > max_bits:
-                raise PrecisionExceeded(
-                    f"sign() undecided at SUPERSPIN_MAX_BITS={max_bits}"
-                )
 
     def _cmp(self, other) -> int:
         """The sign of self - other."""

@@ -25,8 +25,7 @@ from typing import Iterable, Sequence
 
 from .exactnum import inverse
 from .linalg import (
-    CheckFailed, Mat, Subspace, Vec, closure, eigensplit, kernel, min_poly, plain, poly_apply,
-    poly_partial_factors, vecize,
+    CheckFailed, Mat, Subspace, Vec, closure, coprime_split, eigensplit, kernel, plain, vecize,
 )
 
 
@@ -271,25 +270,16 @@ def _commutant_split(mod: GradedMatrixAlgebra, even_comm: Sequence[Mat]) -> list
     even_comm is a basis of the even commutant (for parity 0 the super and
     plain commutants agree).  The module is irreducible iff that algebra is a
     division algebra.  Otherwise some element's minimal polynomial has coprime
-    factors whose kernels split the module; products of basis elements are
-    tried as well, since the echelon basis need not contain such an element.
+    factors whose kernels split the module (`linalg.coprime_split`); products
+    of basis elements are tried as well, since the echelon basis need not
+    contain such an element.
     """
     nonscalar = [x for x in even_comm if x != Mat.scalar(mod.dim, x.entry(0, 0))]
     products = (x * y for i, x in enumerate(nonscalar) for y in nonscalar[i:])
     for cand in chain(nonscalar, products):
-        factors = poly_partial_factors(min_poly(cand))
-        if len(factors) < 2:
-            continue
-        subs = []
-        for f in factors:
-            ker = kernel(list(poly_apply(f, cand).rows.values()), mod.dim)
-            if ker:
-                subs.append(Subspace(mod.dim, ker))
-        if len(subs) < 2:
-            continue
-        if sum(s.dim for s in subs) != mod.dim:
-            raise ValueError("coprime factor split lost dimensions")
-        return subs
+        split = coprime_split(cand)
+        if len(split) > 1:
+            return [sub for sub, _ in split]
     # no splitter found: legitimate iff the commutant is a division algebra,
     # which happens for field-irreducible modules of complex/quaternionic type
     if all(Subspace(mod.dim, list(x.rows.values())).dim == mod.dim for x in nonscalar):

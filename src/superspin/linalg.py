@@ -634,40 +634,11 @@ def min_poly(m: Mat) -> list[Scalar]:
     return [dependency.get(k, 0) for k in range(len(powers))]
 
 
-def _rational_roots(int_coeffs: list[int]) -> list[Fraction]:
-    """All rational roots of an integer-coefficient polynomial."""
-
-    def divisors(n: int) -> list[int]:
-        """Positive divisors, increasing, from the pairs (d, n // d) with d*d <= n."""
-        n = abs(n)
-        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-        return small + [n // d for d in reversed(small) if d * d != n]
-
-    while int_coeffs and int_coeffs[-1] == 0:
-        int_coeffs = int_coeffs[:-1]
-    roots = []
-    low = 0
-    while low < len(int_coeffs) and int_coeffs[low] == 0:
-        low += 1
-    if low:
-        roots.append(Fraction(0))
-        int_coeffs = int_coeffs[low:]
-    if len(int_coeffs) <= 1:
-        return roots
-    a0, an = int_coeffs[0], int_coeffs[-1]
-    seen = set(roots)
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(int_coeffs):
-                    acc = acc * cand + c
-                if acc == 0:
-                    seen.add(cand)
-                    roots.append(cand)
-    return roots
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of |n|, increasing, from the pairs (d, n // d) with d*d <= n."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _deflate(coeffs: list[Scalar], root: Scalar) -> tuple[list, Scalar]:
@@ -682,49 +653,35 @@ def _deflate(coeffs: list[Scalar], root: Scalar) -> tuple[list, Scalar]:
 
 
 def _divide_rational_roots(work: list[Scalar]) -> tuple[list, list[Scalar]]:
-    """(rational roots, once per multiplicity, and the cofactor left over)."""
-    roots: list[Scalar] = []
+    """(the rational roots, ascending, each with its multiplicity; the cofactor).
+
+    The candidates are 0 and the p/q of the rational root test on the
+    polynomial scaled to integer coefficients; each is tried once, by
+    deflating for as long as it divides.
+    """
     values = [rational_of(c) for c in work]
     if any(q is None for q in values):
-        return roots, work
-    denom = 1
-    for q in values:
-        denom = denom * q.denominator // gcd(denom, q.denominator)
-    for r in _rational_roots([int(q * denom) for q in values]):
-        rr = canonical(r)
+        return [], work
+    denom = lcm(*(q.denominator for q in values))
+    ints = [int(q * denom) for q in values]
+    low = next(i for i, c in enumerate(ints) if c)
+    candidates = [0] if low else []
+    candidates += [
+        canonical(Fraction(s * p, q))
+        for p in _divisors(ints[low]) for q in _divisors(ints[-1]) if gcd(p, q) == 1
+        for s in (1, -1)
+    ]
+    roots = []
+    for r in candidates:
+        mult = 0
         while len(work) > 1:
-            quotient, remainder = _deflate(work, rr)
+            quotient, remainder = _deflate(work, r)
             if remainder:
                 break
-            roots.append(rr)
-            work = quotient
-    return roots, work
-
-
-def poly_roots(coeffs: list[Scalar]) -> tuple[list[Scalar], bool]:
-    """Roots of a monic polynomial within the multi-quadratic field.
-
-    Finds rational roots first, then closes out a remaining rational quadratic
-    with sqrt_rational.  Returns (sorted roots, fully_factored flag).
-    """
-    work = list(coeffs)
-    roots: list[Scalar] = []
-    changed = True
-    while len(work) > 1 and changed:
-        found, work = _divide_rational_roots(work)
-        roots.extend(found)
-        changed = bool(found)
-        pair = _quadratic_roots(work[1], work[0]) if len(work) == 3 else None
-        if pair is not None:
-            roots.extend(pair)
-            work = [1]
-            changed = True
-        if len(work) == 2:
-            roots.append(-work[0])
-            work = [1]
-            changed = True
-    roots.sort()
-    return roots, len(work) == 1
+            work, mult = quotient, mult + 1
+        if mult:
+            roots.append((r, mult))
+    return sorted(roots), work
 
 
 def _quadratic_roots(b: Scalar, c: Scalar) -> tuple | None:
@@ -766,38 +723,40 @@ def _field_sqrt(u: Scalar) -> Scalar | None:
     return None
 
 
-def poly_partial_factors(coeffs: list[Scalar]) -> list[list[Scalar]]:
-    """Split a monic polynomial into pairwise-coprime monic factors.
+def poly_factors(coeffs: list[Scalar]) -> list[tuple[list[Scalar], Scalar | None]]:
+    """Pairwise-coprime monic factors of a monic polynomial, each with its
+    root r when it is (x - r)^k, else with None.
 
-    Rational roots come off as (x - r)^k factors; a rational-coefficient
-    remainder of degree 2 or a biquadratic degree-4 one is split when the
-    field allows; whatever resists stays as a single factor.
+    Rational roots come off first, ascending, as (x - r)^k factors.  Of the
+    remainder, a quadratic with two field roots splits into its two linear
+    factors, a linear one or a square (x - r)^2 keeps its root, and a rational
+    biquadratic x^4 + p x^2 + q splits into x^2 - y for the two distinct field
+    roots y of y^2 + p y + q; whatever resists stays as one factor.
     """
-    factors: list[list[Scalar]] = []
     found, work = _divide_rational_roots(list(coeffs))
-    roots = {rr: found.count(rr) for rr in found}
-    for rr, mult in sorted(roots.items()):
+    factors: list[tuple[list[Scalar], Scalar | None]] = []
+    for r, mult in found:
         factor = [1]
         for _ in range(mult):
-            factor = _poly_mul(factor, [-rr, 1])
-        factors.append(factor)
-    pair = _quadratic_roots(work[1], work[0]) if len(work) == 3 else None
-    if pair is not None and pair[0] != pair[1]:
-        factors.extend([[-r, 1] for r in pair])
-        work = [1]
-    if (
+            factor = _poly_mul(factor, [-r, 1])
+        factors.append((factor, r))
+    root = -work[0] if len(work) == 2 else None
+    if len(work) == 3 and (pair := _quadratic_roots(work[1], work[0])):
+        if pair[0] != pair[1]:
+            return factors + [([-r, 1], r) for r in pair]
+        root = pair[0]  # work is (x - r)^2
+    elif (
         len(work) == 5
-        and all(rational_of(cf) is not None for cf in work)
+        and all(rational_of(c) is not None for c in work)
         and not work[1]
         and not work[3]
     ):
-        # biquadratic x^4 + p x^2 + q: factor through y = x^2
+        # biquadratic: factor through y = x^2
         pair = _quadratic_roots(work[2], work[0])
         if pair is not None and pair[0] != pair[1]:
-            factors.extend([[-y, 0, 1] for y in pair])
-            work = [1]
+            return factors + [([-y, 0, 1], None) for y in pair]
     if len(work) > 1:
-        factors.append(work)
+        factors.append((work, root))
     return factors
 
 
@@ -811,7 +770,7 @@ def _poly_mul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
     return out
 
 
-def poly_apply(coeffs: list[Scalar], m: Mat) -> Mat:
+def _poly_apply(coeffs: list[Scalar], m: Mat) -> Mat:
     """Evaluate a polynomial at a matrix (Horner)."""
     acc = Mat.scalar(m.nrows, coeffs[-1])
     for c in reversed(coeffs[:-1]):
@@ -819,14 +778,34 @@ def poly_apply(coeffs: list[Scalar], m: Mat) -> Mat:
     return acc
 
 
+def coprime_split(m: Mat) -> list[tuple[Subspace | None, Scalar | None]]:
+    """The space of m cut by the pairwise-coprime factors of its minimal polynomial.
+
+    One (piece, root) pair per factor f of `poly_factors`, in its order: the
+    kernel of f(m), and f's root r when f is (x - r)^k, else None.  The
+    pieces add up to the whole space; a single factor's piece is the whole
+    space, given as None and not formed.
+    """
+    factors = poly_factors(min_poly(m))
+    if len(factors) == 1:
+        return [(None, factors[0][1])]
+    split = [
+        (Subspace(m.nrows, kernel(list(_poly_apply(f, m).rows.values()), m.nrows)), r)
+        for f, r in factors
+    ]
+    if sum(piece.dim for piece, _ in split) != m.nrows:
+        raise CheckFailed("coprime factor split lost dimensions")
+    return split
+
+
 def eigensplit(
     pieces: list[Subspace], operators: Iterable[Mat]
 ) -> list[tuple[Subspace, list[Scalar]]]:
-    """Refine subspaces into joint eigenspaces of commuting operators.
+    """Refine subspaces into joint (generalized) eigenspaces of commuting operators.
 
     Returns (piece, eigenvalue list) pairs, eigenvalues in operator order;
-    a piece is cut into eigenspaces in ascending eigenvalue order.  Raises if
-    an operator's spectrum does not lie in the field.
+    a piece is cut by `coprime_split` in ascending eigenvalue order.  Raises
+    if an operator's spectrum does not lie in the field.
     """
     labeled: list[tuple[Subspace, list[Scalar]]] = [(p, []) for p in pieces]
     for op in operators:
@@ -836,22 +815,10 @@ def eigensplit(
             if small.nrows and small.is_zero():
                 refined.append((piece, label + [0]))
                 continue
-            roots, complete = poly_roots(min_poly(small))
-            if not complete:
+            split = coprime_split(small)
+            if any(lam is None for _, lam in split):
                 raise CheckFailed("minimal polynomial did not split over the field")
-            distinct: list[Scalar] = []
-            for lam in roots:
-                if lam not in distinct:
-                    distinct.append(lam)
-            if len(distinct) == 1:
-                refined.append((piece, label + [distinct[0]]))
-                continue
-            for lam in distinct:
-                shifted = small - Mat.scalar(small.nrows, lam)
-                # rows of (small - lam) are the constraint functionals on v
-                ker = kernel(list(shifted.rows.values()), small.nrows)
-                if ker:
-                    sub = Subspace(piece.dim, ker)
-                    refined.append((piece.sub_lift(sub), label + [lam]))
+            for sub, lam in sorted(split, key=lambda s: s[1]):
+                refined.append((piece if sub is None else piece.sub_lift(sub), label + [lam]))
         labeled = refined
     return labeled

@@ -150,13 +150,6 @@ class GradedRep:
 
     def document(self) -> dict:
         """The JSON layout with the generators as Mat leaves (see linalg.dump)."""
-        basis = []
-        for t, tab in enumerate(self.tableaux):
-            for j in range(self.block_dim):
-                word = [s + 1 for s in range(32) if (j >> s) & 1]
-                basis.append(
-                    {"tableau": [list(r) for r in tab.rows], "clifford_word": word}
-                )
         return {
             "schema": "superspin/1",
             "algebra": self.algebra,
@@ -169,7 +162,7 @@ class GradedRep:
                 {"name": name, "matrix": self.matrices[name]}
                 for name in self.generator_names()
             ],
-            "basis": basis,
+            "basis": _basis_doc(self.tableaux, self.block_dim),
             "build_report": self.build_report,
         }
 
@@ -178,31 +171,33 @@ class GradedRep:
 
     @classmethod
     def from_json(cls, obj: dict) -> GradedRep:
+        """The model of a file; its size and basis must be the builder's for its shape."""
         shape = StrictPartition(tuple(obj["shape"]))
-        tabs = []
-        seen = set()
-        for b in obj["basis"]:
-            rows = tuple(tuple(r) for r in b["tableau"])
-            if rows not in seen:
-                seen.add(rows)
-                tabs.append(ShiftedTableau(shape, rows))
-        avecs = [spectrum_vector(t).a for t in tabs]
+        if obj["algebra"] not in ("A_n", "clifford_tensor_A_n"):
+            raise ValueError(f"unknown algebra {obj['algebra']!r}")
+        if not 1 <= shape.n <= 7:
+            raise ValueError(f"shape {shape} must have 1 to 7 cells")
+        tabs = standard_tableaux(shape)
+        tensor = obj["algebra"] == "clifford_tensor_A_n"
+        block_dim = clifford_module(2 * shape.n if tensor else shape.n)[0]
+        if (obj["block_dim"], obj["dim"]) != (block_dim, len(tabs) * block_dim):
+            raise ValueError(f"block_dim and dim must be {block_dim} and {len(tabs) * block_dim}")
+        if obj["basis"] != _basis_doc(tabs, block_dim):
+            raise ValueError(f"basis must list the standard tableaux of {shape}")
         rep = cls(
             algebra=obj["algebra"],
             n=obj["n"],
             shape=shape,
             tableaux=tabs,
-            avecs=avecs,
-            block_dim=obj["block_dim"],
-            dim=obj["dim"],
+            avecs=[spectrum_vector(t).a for t in tabs],
+            block_dim=block_dim,
+            dim=len(tabs) * block_dim,
             parity=tuple(obj["parity"]),
             matrices={
                 g["name"]: Mat.from_json(g["matrix"]) for g in obj["generators"]
             },
             build_report=obj.get("build_report", {}),
         )
-        if rep.algebra not in ("A_n", "clifford_tensor_A_n"):
-            raise ValueError(f"unknown algebra {rep.algebra!r}")
         if rep.n != shape.n:
             raise ValueError(f"n = {rep.n} does not match shape {shape}")
         if len(rep.parity) != rep.dim or not set(rep.parity) <= {0, 1}:
@@ -214,6 +209,18 @@ class GradedRep:
             if (m.nrows, m.ncols) != (rep.dim, rep.dim):
                 raise ValueError(f"generator {name} is not {rep.dim}x{rep.dim}")
         return rep
+
+
+def _basis_doc(tableaux: Sequence[ShiftedTableau], block_dim: int) -> list[dict]:
+    """The `basis` of a model's JSON: each tableau with each Clifford basis word."""
+    return [
+        {
+            "tableau": [list(r) for r in tab.rows],
+            "clifford_word": [s + 1 for s in range(32) if (j >> s) & 1],
+        }
+        for tab in tableaux
+        for j in range(block_dim)
+    ]
 
 
 def yjm_matrix(k: int, tau: Callable[[int], Mat], dim: int, cache: dict) -> Mat:

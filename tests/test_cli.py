@@ -152,6 +152,23 @@ def _bool_radicand(obj):
     _first_term(obj)["radicand"] = True
 
 
+def _one_by_one_model(obj):
+    # a 1x1 "model" of shape 2,1 where tau_1 = tau_2 = [[1]] holds every relation
+    one = [[{"terms": [{"radicand": 1, "coeff": "1/1"}]}]]
+    obj.update(dim=1, block_dim=1, parity=[0], basis=obj["basis"][:1])
+    obj["generators"] = [{"name": g["name"], "matrix": one} for g in obj["generators"]]
+
+
+def _empty_shape(obj):
+    # no cells and no generators: an empty report
+    obj.update(shape=[], n=0, generators=[])
+
+
+def _nonstandard_tableau(obj):
+    for b in obj["basis"]:
+        b["tableau"] = [[3, 2], [1]]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -166,6 +183,9 @@ def _bool_radicand(obj):
         _exponent_coeff,
         _huge_radicand,
         _bool_radicand,
+        _one_by_one_model,
+        _empty_shape,
+        _nonstandard_tableau,
     ],
 )
 def test_verify_malformed_model(tmp_path, capsys, corrupt):
@@ -439,19 +459,6 @@ def test_relation_error_exits_1(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("build failed verification: ")
 
 
-def test_precision_cap_exits_2(capsys, monkeypatch):
-    from superspin import exactnum
-
-    def capped_sign(self):
-        raise exactnum.PrecisionExceeded("sign() undecided at SUPERSPIN_MAX_BITS=8")
-
-    monkeypatch.setattr(exactnum.SqrtNumber, "sign", capped_sign)
-    assert cli.main(["check-all", "--max-n", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: sign() undecided at SUPERSPIN_MAX_BITS=8\n"
-
-
 @pytest.mark.parametrize("failure", ["blocks", "eigen"])
 def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
     from superspin import linalg, seminormal
@@ -464,7 +471,8 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
         )
         message = "check failed: block dimensions 4 do not sum to 6\n"
     else:
-        monkeypatch.setattr(linalg, "poly_roots", lambda coeffs: ([], False))
+        # every minimal polynomial stays one factor with no root in the field
+        monkeypatch.setattr(linalg, "poly_factors", lambda coeffs: [(list(coeffs), None)])
         message = "check failed: minimal polynomial did not split over the field\n"
     assert cli.main(["decompose-regular", "A", "3"]) == 1
     captured = capsys.readouterr()

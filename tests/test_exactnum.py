@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from superspin.exactnum import (
-    PrecisionExceeded,
     SqrtNumber,
     canonical,
     inverse,
@@ -63,19 +62,6 @@ def test_sign_examples():
     assert (sqrt_rational(6) - 2).sign() == 1
     # close comparison forcing nontrivial interval work
     assert (sqrt_rational(2) + sqrt_rational(3) - sqrt_rational(Fraction(9801, 1009))).sign() != 0
-
-
-def test_sign_precision_cap(monkeypatch):
-    monkeypatch.setenv("SUPERSPIN_MAX_BITS", "16")
-    # decided already at the starting precision: the cap is never consulted
-    assert (sqrt_rational(2) - 1).sign() == 1
-    monkeypatch.setenv("SUPERSPIN_MAX_BITS", "128")
-    # continued-fraction convergent of sqrt(2) within ~1/q^2 < 2^-170
-    p, q = 1, 1
-    while q < 2**85:
-        p, q = p + 2 * q, p + q
-    with pytest.raises(PrecisionExceeded):
-        (sqrt_rational(2) - Fraction(p, q)).sign()
 
 
 def test_field_axioms_random():

@@ -9,21 +9,24 @@ checked against sympy and against the exact path, forced by making
 """
 
 from fractions import Fraction
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
 
 from superspin import gradedstruct, linalg, seminormal
-from superspin.exactnum import SqrtNumber, canonical, inverse, sqrt_rational
+from superspin.exactnum import SqrtNumber, canonical, inverse, rational_of, sqrt_rational
 from superspin.linalg import (
     Echelon,
     Mat,
     Subspace,
-    _rational_roots,
+    _deflate,
+    _poly_mul,
+    _quadratic_roots,
     eigensplit,
     kernel,
     min_poly,
-    poly_roots,
+    poly_factors,
 )
 from superspin.shiftedcomb import strict_partitions
 
@@ -425,20 +428,170 @@ def test_rational_eigensplit_with_radical_eigenvalues():
     assert family(got[2][1] + list(got[2][0][0].values())) == {"rational"}
 
 
-# -- polynomial roots ------------------------------------------------------------
+# -- polynomial factors against the earlier two root finders --------------------
+#
+# The factoriser replaced two routines, `poly_roots` (every root, and whether
+# the polynomial split completely) and `poly_partial_factors` (pairwise-coprime
+# factors), each over its own rational root search.  Both are kept below as
+# they were, as references.
+
+
+def ref_rational_roots(int_coeffs):
+    def divisors(n):
+        n = abs(n)
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in reversed(small) if d * d != n]
+
+    while int_coeffs and int_coeffs[-1] == 0:
+        int_coeffs = int_coeffs[:-1]
+    roots = []
+    low = 0
+    while low < len(int_coeffs) and int_coeffs[low] == 0:
+        low += 1
+    if low:
+        roots.append(Fraction(0))
+        int_coeffs = int_coeffs[low:]
+    if len(int_coeffs) <= 1:
+        return roots
+    a0, an = int_coeffs[0], int_coeffs[-1]
+    seen = set(roots)
+    for p in divisors(a0):
+        for q in divisors(an):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand in seen:
+                    continue
+                acc = Fraction(0)
+                for c in reversed(int_coeffs):
+                    acc = acc * cand + c
+                if acc == 0:
+                    seen.add(cand)
+                    roots.append(cand)
+    return roots
+
+
+def ref_divide_rational_roots(work):
+    roots = []
+    values = [rational_of(c) for c in work]
+    if any(q is None for q in values):
+        return roots, work
+    denom = 1
+    for q in values:
+        denom = denom * q.denominator // gcd(denom, q.denominator)
+    for r in ref_rational_roots([int(q * denom) for q in values]):
+        rr = canonical(r)
+        while len(work) > 1:
+            quotient, remainder = _deflate(work, rr)
+            if remainder:
+                break
+            roots.append(rr)
+            work = quotient
+    return roots, work
+
+
+def ref_poly_roots(coeffs):
+    work = list(coeffs)
+    roots = []
+    changed = True
+    while len(work) > 1 and changed:
+        found, work = ref_divide_rational_roots(work)
+        roots.extend(found)
+        changed = bool(found)
+        pair = _quadratic_roots(work[1], work[0]) if len(work) == 3 else None
+        if pair is not None:
+            roots.extend(pair)
+            work = [1]
+            changed = True
+        if len(work) == 2:
+            roots.append(-work[0])
+            work = [1]
+            changed = True
+    roots.sort()
+    return roots, len(work) == 1
+
+
+def ref_poly_partial_factors(coeffs):
+    factors = []
+    found, work = ref_divide_rational_roots(list(coeffs))
+    roots = {rr: found.count(rr) for rr in found}
+    for rr, mult in sorted(roots.items()):
+        factor = [1]
+        for _ in range(mult):
+            factor = _poly_mul(factor, [-rr, 1])
+        factors.append(factor)
+    pair = _quadratic_roots(work[1], work[0]) if len(work) == 3 else None
+    if pair is not None and pair[0] != pair[1]:
+        factors.extend([[-r, 1] for r in pair])
+        work = [1]
+    if (
+        len(work) == 5
+        and all(rational_of(cf) is not None for cf in work)
+        and not work[1]
+        and not work[3]
+    ):
+        pair = _quadratic_roots(work[2], work[0])
+        if pair is not None and pair[0] != pair[1]:
+            factors.extend([[-y, 0, 1] for y in pair])
+            work = [1]
+    if len(work) > 1:
+        factors.append(work)
+    return factors
+
+
+def poly_product(polys):
+    out = [1]
+    for f in polys:
+        out = [canonical(c) for c in _poly_mul(out, f)]
+    return out
+
+
+def check_factors_against_references(coeffs):
+    """poly_factors(coeffs) against the earlier factoriser and root finder."""
+    got = poly_factors(coeffs)
+    factors = [f for f, _ in got]
+    assert factors == ref_poly_partial_factors(coeffs)
+    assert poly_product(factors) == coeffs
+    for f, root in got:
+        if root is not None:
+            assert f == poly_product([[-root, 1]] * (len(f) - 1))
+            assert type(root) is type(canonical(root))
+    roots, complete = ref_poly_roots(coeffs)
+    if complete:
+        assert sorted(root for _, root in got) == sorted(set(roots))
+    else:
+        assert any(root is None for _, root in got)
+    return got
+
+
+R2 = sqrt_rational(2)
+# (x - r)^k, x^2 - d, x^2 + 1, (x^2 - 2)(x^2 - 3), and (x - sqrt 2)^k, whose
+# radical coefficients leave nothing to the rational root search
+poly_factor_draws = st.one_of(
+    st.tuples(st.fractions(-3, 3, max_denominator=3), st.integers(1, 3)).map(
+        lambda rk: [[-canonical(rk[0]), 1]] * rk[1]
+    ),
+    st.sampled_from([2, 3, 5, 6]).map(lambda d: [[-d, 0, 1]]),
+    st.just([[1, 0, 1]]),
+    st.just([[-2, 0, 1], [-3, 0, 1]]),
+    st.integers(1, 2).map(lambda k: [[-R2, 1]] * k),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(poly_factor_draws, min_size=1, max_size=3))
+def test_poly_factors_match_the_earlier_root_finders(draws):
+    check_factors_against_references(poly_product([f for fs in draws for f in fs]))
 
 
 def test_rational_roots_of_large_prime_constant():
-    assert _rational_roots([-1000000007, 1]) == [Fraction(1000000007)]
-    roots, complete = poly_roots([-1000000007, 1])
-    assert complete and roots == [1000000007] and type(roots[0]) is int
+    got = check_factors_against_references([-1000000007, 1])
+    assert got == [([-1000000007, 1], 1000000007)] and type(got[0][1]) is int
 
 
 def test_rational_roots_order():
-    # (x - 1)(x + 1)(2x - 3)(x - 6) = 2x^4 - 15x^3 + 16x^2 + 15x - 18
-    assert _rational_roots([-18, 15, 16, -15, 2]) == [
-        Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(6)
-    ]
+    # (x - 1)(x + 1)(x - 3/2)(x - 6) = x^4 - 15/2 x^3 + 8 x^2 + 15/2 x - 9
+    coeffs = [-9, Fraction(15, 2), 8, Fraction(-15, 2), 1]
+    got = check_factors_against_references(coeffs)
+    assert [root for _, root in got] == [-1, 1, Fraction(3, 2), 6]
 
 
 # -- certified elimination modulo a prime against sympy and the exact path -------
@@ -554,7 +707,9 @@ def test_oracle_kernels_and_subspaces_match_exact(monkeypatch):
 
 
 def test_only_linalg_names_echelon():
-    # outside linalg a span is a Subspace or a closure, never a raw Echelon
+    # outside linalg a span is a Subspace or a closure, never a raw Echelon,
+    # and a minimal-polynomial split is linalg.coprime_split
     package = Path(__file__).resolve().parent.parent / "src" / "superspin"
-    named = [p.name for p in sorted(package.glob("*.py")) if "Echelon" in p.read_text()]
-    assert named == ["linalg.py"]
+    for name in ("Echelon", "min_poly", "poly_factors"):
+        named = [p.name for p in sorted(package.glob("*.py")) if name in p.read_text()]
+        assert named == ["linalg.py"], name
