@@ -320,29 +320,14 @@ def check_all(max_n: int = 5, negative_control: bool = False) -> list[dict]:
         raise ValueError("2 <= max_n <= 7")
     results = [fn(max_n) for fn in CHECKS]
     if negative_control:
-        shape = StrictPartition((3, 1) if max_n >= 4 else (max_n,))
-        rep = seminormal.mutated_rep(seminormal.build_rep_plain(shape))
-        bad = [r for r in seminormal.verify_relations(rep) if r["status"] == "fail"]
-        results.append(
-            _entry(
-                0,
-                "negative control: sign-flipped build must fail verification",
-                False,
-                f"injected mutation produced {len(bad)} relation failures"
-                if bad
-                else "mutation was NOT detected",
-            )
-        )
+        shape = (3, 1) if max_n >= 4 else (max_n,)
     else:
-        shape = StrictPartition((3,) if max_n >= 3 else (2,))
-        rep = seminormal.mutated_rep(seminormal.build_rep_plain(shape))
-        bad = [r for r in seminormal.verify_relations(rep) if r["status"] == "fail"]
-        results.append(
-            _entry(
-                0,
-                "mutation sensitivity: flipped sign is detected",
-                bool(bad),
-                f"{len(bad)} relation failures on the mutated build",
-            )
-        )
+        shape = (3,) if max_n >= 3 else (2,)
+    rep = seminormal.mutated_rep(seminormal.build_rep_plain(StrictPartition(shape)))
+    bad = [r for r in seminormal.verify_relations(rep) if r["status"] == "fail"]
+    if negative_control:
+        detail = f"injected mutation produced {len(bad)} relation failures" if bad else "mutation was NOT detected"
+        results.append(_entry(0, "negative control: sign-flipped build must fail verification", False, detail))
+    else:
+        results.append(_entry(0, "mutation sensitivity: flipped sign is detected", bool(bad), f"{len(bad)} relation failures on the mutated build"))
     return results

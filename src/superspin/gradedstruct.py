@@ -25,7 +25,8 @@ from typing import Iterable, Sequence
 
 from .exactnum import inverse
 from .linalg import (
-    CheckFailed, Mat, Subspace, Vec, closure, coprime_split, eigensplit, kernel, plain, vecize,
+    CheckFailed, Mat, Subspace, Vec, centralizer, closure, coprime_split, eigensplit, kernel,
+    plain, vecize,
 )
 
 
@@ -302,35 +303,13 @@ def span_closure(gens: Iterable[Mat]) -> list[Mat]:
     return closure(gens, gens, vecize)
 
 
-def _vanishing_combinations(mats: Sequence[Mat]) -> list[Vec]:
-    """Rows of the system sum_i x_i mats[i] = 0, one per matrix entry."""
-    rows: dict[tuple[int, int], Vec] = {}
-    for i, m in enumerate(mats):
-        for r, row in m.rows.items():
-            for c, v in row.items():
-                rows.setdefault((r, c), {})[i] = v
-    return list(rows.values())
-
-
-def _combine(mats: Sequence[Mat], coeffs: Vec, dim: int) -> Mat:
-    out = Mat.zero(dim)
-    for i, c in coeffs.items():
-        out = out + mats[i].scale(c)
-    return out
-
-
 def center_of_span(
     span: Sequence[Mat], gens: Sequence[Mat], parity: Sequence[int]
 ) -> tuple[list[Mat], list[Mat]]:
-    """(even, odd) bases of the ordinary center, inside the given span."""
-    homog = closure((part for b in span for part in parity_parts(b, parity)), (), vecize)
-    constraints: list[Vec] = []
-    for g in gens:
-        constraints.extend(_vanishing_combinations([b * g - g * b for b in homog]))
+    """(even, odd) bases of the ordinary center, inside a span of homogeneous
+    elements (such as a `span_closure`), whose solutions are then homogeneous."""
     even_out, odd_out = [], []
-    dim = homog[0].nrows if homog else 0
-    for sol in kernel(constraints, len(homog)):
-        m = _combine(homog, sol, dim)
+    for m in centralizer(span, gens, vecize):
         (even_out if matrix_parity(m, parity) == 0 else odd_out).append(m)
     return even_out, odd_out
 
@@ -457,21 +436,18 @@ def decompose_semisimple(
             f"central split found {len(pieces)} pieces for {len(even_center)} "
             "central dimensions; non-semisimple or non-split input"
         )
-    report = BlockReport(algebra_dim=sum(_parity_split_dims(span, a.parity)))
+    # a span_closure of homogeneous generators is independent and homogeneous
+    # element by element, so its graded dimensions are counts of parities
+    report = BlockReport(algebra_dim=len(span))
     for piece, proj in pieces:
         block = a.restrict(piece)
         block_span = span_closure(block.generator_mats())
-        ev_dim, od_dim = _parity_split_dims(block_span, block.parity)
+        ev_dim = [matrix_parity(m, block.parity) for m in block_span].count(0)
         has_odd_center = any(not piece.annihilated_by(z) for z in odd_center)
         report.blocks.append(
-            simple_block(has_odd_center, ev_dim + od_dim, ev_dim, idempotent=proj)
+            simple_block(has_odd_center, len(block_span), ev_dim, idempotent=proj)
         )
     return report
-
-
-def _parity_split_dims(span: Sequence[Mat], parity: Sequence[int]) -> tuple[int, int]:
-    parts = [parity_parts(b, parity) for b in span]
-    return tuple(Subspace(len(parity) ** 2, [vecize(p[k]) for p in parts]).dim for k in (0, 1))
 
 
 def _trace_form_nondegenerate(span: Sequence[Mat]) -> bool:
@@ -555,16 +531,9 @@ def graded_centralizer(
     span_sub = Subspace(a.dim**2, [vecize(m) for m in span])
     if not all(span_sub.contains(vecize(bg)) for bg in b_generators):
         raise ValueError("B generator outside span of A")
-    # evenness of the solution inside the span
-    oddity = _vanishing_combinations([parity_parts(m, a.parity)[1] for m in span])
-    solutions: list[Mat] = []
-    for twisted in (False, True):
-        constraints: list[Vec] = []
-        for bg in b_generators:
-            tb = theta(bg, a.parity) if twisted else bg
-            constraints.extend(_vanishing_combinations([m * bg - tb * m for m in span]))
-        sols = kernel(constraints + oddity, len(span))
-        solutions.extend(_combine(span, sol, a.dim) for sol in sols)
+    even = [m for m in span if matrix_parity(m, a.parity) == 0]
+    solutions = centralizer(even, b_generators, vecize)
+    solutions += centralizer(even, b_generators, vecize, lambda g: theta(g, a.parity))
     basis = closure(solutions, (), vecize)
     commutative = all(x * y == y * x for i, x in enumerate(basis) for y in basis[i + 1 :])
     return {"basis": basis, "is_commutative": commutative}

@@ -613,6 +613,32 @@ def closure(seeds: Iterable, gens: Sequence, vec: Callable[..., Vec]) -> list:
     return kept
 
 
+def centralizer(
+    basis: Sequence, gens: Iterable, vec: Callable[..., Vec], twist: Callable | None = None
+) -> list:
+    """The x in the span of basis with x g = twist(g) x for each g in gens
+    (twist(g) = g by default).
+
+    One combination sum_i c_i basis[i] per vector c of `kernel` of the system
+    sum_i c_i vec(basis[i] g - twist(g) basis[i]) = 0, in kernel's order.  With
+    gens=() that is the basis itself.
+    """
+    rows: dict[tuple[int, int], Vec] = {}
+    for k, g in enumerate(gens):
+        tg = g if twist is None else twist(g)
+        for i, b in enumerate(basis):
+            for t, c in vec(b * g - tg * b).items():
+                rows.setdefault((k, t), {})[i] = c
+    out = []
+    for sol in kernel(rows.values(), len(basis)):
+        terms = (basis[i].scale(c) for i, c in sol.items())
+        x = next(terms)
+        for term in terms:
+            x = x + term
+        out.append(x)
+    return out
+
+
 def min_poly(m: Mat) -> list[Scalar]:
     """Monic minimal polynomial coefficients, low degree first.
 

@@ -179,11 +179,13 @@ class GradedRep:
             raise ValueError(f"shape {shape} must have 1 to 7 cells")
         tabs = standard_tableaux(shape)
         tensor = obj["algebra"] == "clifford_tensor_A_n"
-        block_dim = clifford_module(2 * shape.n if tensor else shape.n)[0]
+        block_dim, _, cparity = clifford_module(2 * shape.n if tensor else shape.n)
         if (obj["block_dim"], obj["dim"]) != (block_dim, len(tabs) * block_dim):
             raise ValueError(f"block_dim and dim must be {block_dim} and {len(tabs) * block_dim}")
         if obj["basis"] != _basis_doc(tabs, block_dim):
             raise ValueError(f"basis must list the standard tableaux of {shape}")
+        if tuple(obj["parity"]) != cparity * len(tabs):
+            raise ValueError("parity must be the Clifford module's parity on each tableau")
         rep = cls(
             algebra=obj["algebra"],
             n=obj["n"],
@@ -200,8 +202,6 @@ class GradedRep:
         )
         if rep.n != shape.n:
             raise ValueError(f"n = {rep.n} does not match shape {shape}")
-        if len(rep.parity) != rep.dim or not set(rep.parity) <= {0, 1}:
-            raise ValueError(f"parity must have {rep.dim} entries, each 0 or 1")
         names = rep.generator_names()
         if set(rep.matrices) != set(names):
             raise ValueError(f"generators must be exactly {', '.join(names)}")
@@ -272,7 +272,7 @@ def _construct(
         h_mats = gens
     g = len(tabs)
     dim = g * w
-    parity = tuple(cparity[j] for _ in range(g) for j in range(w))
+    parity = cparity * g
 
     def place(target: dict, brow: int, bcol: int, local: Mat, coef: Scalar):
         if not coef:

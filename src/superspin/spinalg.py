@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactnum import Scalar, SqrtNumber, canonical, scalar_json
-from .linalg import Subspace, Vec, closure, kernel
+from .linalg import Subspace, Vec, centralizer, closure
 
 Perm = tuple  # one-line notation, 1-based values
 
@@ -789,24 +789,8 @@ def gz_algebras(n: int) -> dict:
     pi2_algebra = subalgebra_span(n, [p * p for p in pis])
     # maximality: the centralizer of GZ inside the even part equals GZ
     ctx = context(n)
-    even_idx = [i for i in range(len(ctx.perms)) if ctx.parity[i] == 0]
-    pos = {i: k for k, i in enumerate(even_idx)}
-    constraints: list[Vec] = []
-    for z in gz_basis:
-        zmat_rows: dict[int, Vec] = {}
-        for u in even_idx:
-            # coefficient vector of word_u * z - z * word_u
-            comm = SpinElement(n, {u: 1}) * z - z * SpinElement(n, {u: 1})
-            for t, c in comm.coeffs.items():
-                zmat_rows.setdefault(t, {})[pos[u]] = (
-                    zmat_rows.get(t, {}).get(pos[u], 0) + c
-                )
-        constraints.extend(row for row in zmat_rows.values() if row)
-    ker = kernel(constraints, len(even_idx))
-    centralizer = [
-        SpinElement(n, {even_idx[j]: c for j, c in v.items()}) for v in ker
-    ]
-    maximal = spans_equal(centralizer, gz_basis)
+    even_words = [SpinElement(n, {u: 1}) for u in range(len(ctx.perms)) if ctx.parity[u] == 0]
+    maximal = spans_equal(centralizer(even_words, gz_basis, SpinElement.vec), gz_basis)
     return {
         "gz_basis": gz_basis,
         "sgz_basis": sgz_basis,

@@ -169,6 +169,11 @@ def _nonstandard_tableau(obj):
         b["tableau"] = [[3, 2], [1]]
 
 
+def _even_parity(obj):
+    # every basis vector even, which makes the odd generators tau_i even
+    obj["parity"] = [0] * len(obj["parity"])
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -186,6 +191,7 @@ def _nonstandard_tableau(obj):
         _one_by_one_model,
         _empty_shape,
         _nonstandard_tableau,
+        _even_parity,
     ],
 )
 def test_verify_malformed_model(tmp_path, capsys, corrupt):

@@ -216,6 +216,80 @@ def test_graded_centralizer():
         gs.graded_centralizer(a3, [outside])
 
 
+# the solves that center_of_span and graded_centralizer replaced with
+# linalg.centralizer: a kernel over the homogeneous parts of the span, and a
+# kernel over the whole span with its odd parts forced to vanish
+
+
+def _vanishing_combinations(mats):
+    rows = {}
+    for i, m in enumerate(mats):
+        for r, row in m.rows.items():
+            for c, v in row.items():
+                rows.setdefault((r, c), {})[i] = v
+    return list(rows.values())
+
+
+def _combine(mats, coeffs, dim):
+    out = Mat.zero(dim)
+    for i, c in coeffs.items():
+        out = out + mats[i].scale(c)
+    return out
+
+
+def _center_of_span_reference(span, gens, parity):
+    parts = (part for b in span for part in gs.parity_parts(b, parity))
+    homog = linalg.closure(parts, (), vecize)
+    constraints = []
+    for g in gens:
+        constraints.extend(_vanishing_combinations([b * g - g * b for b in homog]))
+    even_out, odd_out = [], []
+    dim = homog[0].nrows if homog else 0
+    for sol in linalg.kernel(constraints, len(homog)):
+        m = _combine(homog, sol, dim)
+        (even_out if gs.matrix_parity(m, parity) == 0 else odd_out).append(m)
+    return even_out, odd_out
+
+
+def _graded_centralizer_reference(a, b_generators):
+    span = gs.span_closure(a.generator_mats())
+    oddity = _vanishing_combinations([gs.parity_parts(m, a.parity)[1] for m in span])
+    solutions = []
+    for twisted in (False, True):
+        constraints = []
+        for bg in b_generators:
+            tb = gs.theta(bg, a.parity) if twisted else bg
+            constraints.extend(_vanishing_combinations([m * bg - tb * m for m in span]))
+        sols = linalg.kernel(constraints + oddity, len(span))
+        solutions.extend(_combine(span, sol, a.dim) for sol in sols)
+    return linalg.closure(solutions, (), vecize)
+
+
+def test_centralizer_solves_match_the_reference_kernels():
+    algebras = [
+        regular_algebra(3),
+        regular_algebra(4),
+        gs.adjoin_epsilon(regular_algebra(3)),
+        gs.graded_tensor(gs.m_algebra(1, 1), gs.q_algebra(2)),
+        gs.m_algebra(2, 1),
+    ]
+    for alg in algebras:
+        gens = alg.generator_mats()
+        span = gs.span_closure(gens)
+        # center_of_span solves over the span itself, which is homogeneous
+        assert all(gs.matrix_parity(m, alg.parity) is not None for m in span)
+        assert gs.center_of_span(span, gens, alg.parity) == _center_of_span_reference(
+            span, gens, alg.parity
+        )
+        for b_gens in (gens, gens[:2]):
+            got = gs.graded_centralizer(alg, b_gens)["basis"]
+            want = _graded_centralizer_reference(alg, b_gens)
+            assert len(got) == len(want)
+            assert linalg.Subspace(alg.dim**2, [vecize(m) for m in got]).basis == (
+                linalg.Subspace(alg.dim**2, [vecize(m) for m in want]).basis
+            )
+
+
 def test_regular_algebra_reaches_the_certified_path(monkeypatch):
     # the algebra's data is rational by value, so every kernel and subspace
     # elimination of its decomposition must be certified modulo the prime

@@ -706,10 +706,26 @@ def test_oracle_kernels_and_subspaces_match_exact(monkeypatch):
         assert typed(Subspace(ncols, vecs).basis) == typed(want_basis)
 
 
+def test_centralizer_examples():
+    units = [Mat(2, 2, {r: {c: 1}}) for r in range(2) for c in range(2)]
+    assert linalg.centralizer(units, (), linalg.vecize) == units
+    # x z = -z x for z = diag(1, -1): the off-diagonal units, in basis order
+    z = Mat(2, 2, {0: {0: 1}, 1: {1: -1}})
+    anti = linalg.centralizer(units, [z], linalg.vecize, lambda g: -g)
+    assert anti == [units[1], units[2]]
+
+
 def test_only_linalg_names_echelon():
     # outside linalg a span is a Subspace or a closure, never a raw Echelon,
-    # and a minimal-polynomial split is linalg.coprime_split
+    # a minimal-polynomial split is linalg.coprime_split, and a solve in a
+    # span is linalg.centralizer; gradedstruct's module_commutant alone forms
+    # its own kernel, over matrix entries
     package = Path(__file__).resolve().parent.parent / "src" / "superspin"
-    for name in ("Echelon", "min_poly", "poly_factors"):
+    for name, owners in [
+        ("Echelon", ["linalg.py"]),
+        ("min_poly", ["linalg.py"]),
+        ("poly_factors", ["linalg.py"]),
+        ("kernel", ["gradedstruct.py", "linalg.py"]),
+    ]:
         named = [p.name for p in sorted(package.glob("*.py")) if name in p.read_text()]
-        assert named == ["linalg.py"], name
+        assert named == owners, name
