@@ -46,6 +46,7 @@ COMMANDS = [
     ("check-all --max-n 3", ["check-all", "--max-n", "3"]),
     ("check-all --max-n 3 --json", ["check-all", "--max-n", "3", "--json"]),
     ("check-all --max-n 3 --negative-control", ["check-all", "--max-n", "3", "--negative-control"]),
+    ("check-all --max-n 4 --negative-control", ["check-all", "--max-n", "4", "--negative-control"]),
 ]
 
 
