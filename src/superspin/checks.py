@@ -36,29 +36,29 @@ def check_counting(max_n: int) -> dict:
     return _entry(1, "strict = odd partition counts = supercenter dim", ok, " ".join(details))
 
 
-def check_relation_suite(max_n: int) -> dict:
-    ok = True
-    details = []
-    for n in range(1, min(max_n, 6) + 1):
+def _builds(lo: int, max_n: int):
+    """(tag, shape, model or its RelationError) for each plain and tensor model
+    with lo <= n <= min(max_n, 6).  A build verifies every relation and the
+    spectrum of the model it returns, and raises RelationError otherwise."""
+    for n in range(lo, min(max_n, 6) + 1):
         for shape in strict_partitions(n):
             for builder, tag in (
                 (seminormal.build_rep_plain, "plain"),
                 (seminormal.build_rep_clifford_tensor, "tensor"),
             ):
                 try:
-                    rep = builder(shape)
-                    bad = [
-                        r
-                        for r in seminormal.verify_relations(rep)
-                        if r["status"] == "fail"
-                    ]
-                    if bad:
-                        ok = False
-                        details.append(f"{tag}:{shape}:{bad[0]['identity']}")
+                    yield tag, shape, builder(shape)
                 except seminormal.RelationError as exc:
-                    ok = False
-                    details.append(f"{tag}:{shape}:{exc}")
-    return _entry(2, "seminormal builders satisfy all relations exactly", ok, " ".join(details) or f"all shapes |a|<={min(max_n, 6)}")
+                    yield tag, shape, exc
+
+
+def check_relation_suite(max_n: int) -> dict:
+    details = [
+        f"{tag}:{shape}:{rep}"
+        for tag, shape, rep in _builds(1, max_n)
+        if isinstance(rep, seminormal.RelationError)
+    ]
+    return _entry(2, "seminormal builders satisfy all relations exactly", not details, " ".join(details) or f"all shapes |a|<={min(max_n, 6)}")
 
 
 def check_oracle_equivalence(max_n: int) -> dict:
@@ -214,29 +214,20 @@ def check_typo_adjudication(max_n: int) -> dict:
     ok = True
     details = []
     saw_distinguishing = False
-    for n in range(2, min(max_n, 6) + 1):
-        for shape in strict_partitions(n):
-            for builder, tag in (
-                (seminormal.build_rep_plain, "plain"),
-                (seminormal.build_rep_clifford_tensor, "tensor"),
-            ):
-                try:
-                    rep = builder(shape)
-                except seminormal.RelationError as exc:
-                    ok = False
-                    details.append(f"{tag}:{shape}: no variant passes ({exc})")
-                    continue
-                rep_report = rep.build_report
-                if rep_report["variant_outcomes"].get("corrected") != "pass":
-                    ok = False
-                    details.append(f"{tag}:{shape}: corrected variant fails")
-                if rep_report["variant_distinguishable"]:
-                    saw_distinguishing = True
-                    if rep_report["variant_outcomes"].get("printed") == "pass":
-                        ok = False
-                        details.append(
-                            f"{tag}:{shape}: printed variant unexpectedly passes"
-                        )
+    for tag, shape, rep in _builds(2, max_n):
+        if isinstance(rep, seminormal.RelationError):
+            ok = False
+            details.append(f"{tag}:{shape}: no variant passes ({rep})")
+            continue
+        rep_report = rep.build_report
+        if rep_report["variant_outcomes"].get("corrected") != "pass":
+            ok = False
+            details.append(f"{tag}:{shape}: corrected variant fails")
+        if rep_report["variant_distinguishable"]:
+            saw_distinguishing = True
+            if rep_report["variant_outcomes"].get("printed") == "pass":
+                ok = False
+                details.append(f"{tag}:{shape}: printed variant unexpectedly passes")
     adj = gradedstruct.tensor_formula_adjudication()
     if adj["selected_variant"] is None:
         ok = False

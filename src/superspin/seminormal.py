@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import spinalg
 from .exactnum import Scalar, rational_of, sqrt_rational
@@ -104,49 +104,36 @@ def clifford_module(m: int) -> tuple[int, list[Mat], tuple[int, ...]]:
 
 
 @dataclass
-class GradedRep:
+class GradedRep(GradedMatrixAlgebra):
+    """A seminormal model: the graded module of its algebra's generators, with
+    the tableau labels of its blocks.  The generators are in the order tau_1 ..
+    tau_{n-1}, then p_1 .. p_n for the Clifford-extended algebra."""
+
     algebra: str  # "A_n" or "clifford_tensor_A_n"
     n: int
     shape: StrictPartition
     tableaux: list[ShiftedTableau]
     avecs: list[tuple[int, ...]]
     block_dim: int
-    dim: int
-    parity: tuple[int, ...]
-    matrices: dict[str, Mat]
     build_report: dict = field(default_factory=dict)
     _pi_cache: dict = field(default_factory=dict, repr=False)
     _irreducible: list = field(default_factory=list, repr=False)  # see _first_summand
 
     def tau(self, i: int) -> Mat:
-        return self.matrices[f"tau_{i}"]
+        return self.generator(f"tau_{i}")
 
     def p(self, i: int) -> Mat:
-        return self.matrices[f"p_{i}"]
+        return self.generator(f"p_{i}")
 
     @property
     def has_clifford(self) -> bool:
         return self.algebra == "clifford_tensor_A_n"
 
-    def generator_names(self) -> list[str]:
-        names = [f"tau_{i}" for i in range(1, self.n)]
-        if self.has_clifford:
-            names += [f"p_{i}" for i in range(1, self.n + 1)]
-        return names
-
     def pi(self, k: int) -> Mat:
-        return yjm_matrix(k, self.tau, self.dim, self._pi_cache)
+        return yjm_matrix(self, k, self._pi_cache)
 
     def block_slice(self, t: int) -> range:
         return range(t * self.block_dim, (t + 1) * self.block_dim)
-
-    def module(self) -> GradedMatrixAlgebra:
-        """The model as a graded module of its algebra's generators."""
-        return GradedMatrixAlgebra(
-            self.dim,
-            self.parity,
-            [(name, self.matrices[name]) for name in self.generator_names()],
-        )
 
     def document(self) -> dict:
         """The JSON layout with the generators as Mat leaves (see linalg.dump)."""
@@ -158,10 +145,7 @@ class GradedRep:
             "dim": self.dim,
             "block_dim": self.block_dim,
             "parity": list(self.parity),
-            "generators": [
-                {"name": name, "matrix": self.matrices[name]}
-                for name in self.generator_names()
-            ],
+            "generators": [{"name": name, "matrix": g} for name, g in self.generators],
             "basis": _basis_doc(self.tableaux, self.block_dim),
             "build_report": self.build_report,
         }
@@ -186,29 +170,19 @@ class GradedRep:
             raise ValueError(f"basis must list the standard tableaux of {shape}")
         if tuple(obj["parity"]) != cparity * len(tabs):
             raise ValueError("parity must be the Clifford module's parity on each tableau")
-        rep = cls(
-            algebra=obj["algebra"],
-            n=obj["n"],
-            shape=shape,
-            tableaux=tabs,
-            avecs=[spectrum_vector(t).a for t in tabs],
-            block_dim=block_dim,
-            dim=len(tabs) * block_dim,
-            parity=tuple(obj["parity"]),
-            matrices={
-                g["name"]: Mat.from_json(g["matrix"]) for g in obj["generators"]
-            },
+        if obj["n"] != shape.n:
+            raise ValueError(f"n = {obj['n']} does not match shape {shape}")
+        names = [f"tau_{i}" for i in range(1, shape.n)]
+        names += [f"p_{i}" for i in range(1, shape.n + 1)] if tensor else []
+        mats = {g["name"]: Mat.from_json(g["matrix"]) for g in obj["generators"]}
+        if set(mats) != set(names):
+            raise ValueError(f"generators must be exactly {', '.join(names)}")
+        return cls(
+            len(tabs) * block_dim, cparity * len(tabs), [(name, mats[name]) for name in names],
+            algebra=obj["algebra"], n=shape.n, shape=shape, tableaux=tabs,
+            avecs=[spectrum_vector(t).a for t in tabs], block_dim=block_dim,
             build_report=obj.get("build_report", {}),
         )
-        if rep.n != shape.n:
-            raise ValueError(f"n = {rep.n} does not match shape {shape}")
-        names = rep.generator_names()
-        if set(rep.matrices) != set(names):
-            raise ValueError(f"generators must be exactly {', '.join(names)}")
-        for name, m in rep.matrices.items():
-            if (m.nrows, m.ncols) != (rep.dim, rep.dim):
-                raise ValueError(f"generator {name} is not {rep.dim}x{rep.dim}")
-        return rep
 
 
 def _basis_doc(tableaux: Sequence[ShiftedTableau], block_dim: int) -> list[dict]:
@@ -223,8 +197,8 @@ def _basis_doc(tableaux: Sequence[ShiftedTableau], block_dim: int) -> list[dict]
     ]
 
 
-def yjm_matrix(k: int, tau: Callable[[int], Mat], dim: int, cache: dict) -> Mat:
-    """The YJM element pi_k, by pi_1 = 0 and pi_{k+1} = tau_k - tau_k pi_k tau_k.
+def yjm_matrix(mod: GradedMatrixAlgebra, k: int, cache: dict) -> Mat:
+    """The YJM element pi_k of a module, by pi_1 = 0 and pi_{k+1} = tau_k - tau_k pi_k tau_k.
 
     The recurrence is the relation tau_k pi_k + pi_{k+1} tau_k = 1 solved for
     pi_{k+1} with tau_k^2 = 1, so each step costs two products of sparse
@@ -233,10 +207,10 @@ def yjm_matrix(k: int, tau: Callable[[int], Mat], dim: int, cache: dict) -> Mat:
     hit = cache.get(k)
     if hit is None:
         if k == 1:
-            hit = Mat.zero(dim)
+            hit = Mat.zero(mod.dim)
         else:
-            t = tau(k - 1)
-            hit = t - t * yjm_matrix(k - 1, tau, dim, cache) * t
+            t = mod.generator(f"tau_{k - 1}")
+            hit = t - t * yjm_matrix(mod, k - 1, cache) * t
         cache[k] = hit
     return hit
 
@@ -272,7 +246,6 @@ def _construct(
         h_mats = gens
     g = len(tabs)
     dim = g * w
-    parity = cparity * g
 
     def place(target: dict, brow: int, bcol: int, local: Mat, coef: Scalar):
         if not coef:
@@ -287,13 +260,6 @@ def _construct(
                 elif off_c + c in tgt:
                     del tgt[off_c + c]
 
-    matrices: dict[str, Mat] = {}
-    if tensor:
-        for i in range(1, n + 1):
-            rows: dict[int, Vec] = {}
-            for t in range(g):
-                place(rows, t, t, p_mats[i - 1], 1)
-            matrices[f"p_{i}"] = Mat(dim, dim, rows)
     z_cache: dict[int, Mat] = {}
 
     def z_op(i: int) -> Mat:
@@ -303,8 +269,9 @@ def _construct(
             z_cache[i] = hit
         return hit
 
+    generators: list[tuple[str, Mat]] = []
     for i in range(1, n):
-        rows = {}
+        rows: dict[int, Vec] = {}
         for t, tab in enumerate(tabs):
             s, tt = avecs[t][i - 1], avecs[t][i]
             dcoef = Fraction(1, s - tt)
@@ -321,17 +288,16 @@ def _construct(
                 else:
                     coef = _kappa(s, tt, variant)
                 place(rows, t2, t, z_op(i), coef)
-        matrices[f"tau_{i}"] = Mat(dim, dim, rows)
+        generators.append((f"tau_{i}", Mat(dim, dim, rows)))
+    for i, p_mat in enumerate(p_mats, start=1):
+        rows = {}
+        for t in range(g):
+            place(rows, t, t, p_mat, 1)
+        generators.append((f"p_{i}", Mat(dim, dim, rows)))
     return GradedRep(
-        algebra="clifford_tensor_A_n" if tensor else "A_n",
-        n=n,
-        shape=shape,
-        tableaux=tabs,
-        avecs=avecs,
-        block_dim=w,
-        dim=dim,
-        parity=parity,
-        matrices=matrices,
+        dim, cparity * g, generators,
+        algebra="clifford_tensor_A_n" if tensor else "A_n", n=n, shape=shape,
+        tableaux=tabs, avecs=avecs, block_dim=w,
         build_report={"case_iii_variant": variant},
     )
 
@@ -611,7 +577,7 @@ def analyze_local_pair(rep: GradedRep, i: int) -> list[LocalPairAnalysis]:
 def _first_summand(rep: GradedRep) -> list:
     """[module, classification] of the model's first irreducible summand, memoised."""
     if not rep._irreducible:
-        pieces = split_into_irreducibles(rep.module())
+        pieces = split_into_irreducibles(rep)
         mod = min(pieces, key=lambda p: (p.dim, p.parity))
         rep._irreducible.extend((mod, classify_module(mod)))
     return rep._irreducible
@@ -625,14 +591,7 @@ def extract_irreducible(rep: GradedRep) -> GradedMatrixAlgebra:
 def identify_shape(mod: GradedMatrixAlgebra, level: int) -> StrictPartition:
     """Shape whose tableau spectra match the joint YJM-square spectrum."""
     cache: dict[int, Mat] = {}
-
-    def tau(i: int) -> Mat:
-        return mod.generator(f"tau_{i}")
-
-    squares = []
-    for k in range(1, level + 1):
-        pi = yjm_matrix(k, tau, mod.dim, cache)
-        squares.append(pi * pi)
+    squares = [pi * pi for pi in (yjm_matrix(mod, k, cache) for k in range(1, level + 1))]
     return _shape_of_avec(_a_vectors(Subspace.full(mod.dim), squares)[0])
 
 
@@ -664,11 +623,9 @@ def restrict_and_branch(rep: GradedRep) -> list[dict]:
     if own["kind"] == "reducible":
         raise ValueError("cannot branch an unclassifiable module")
     s_top = own["complex_count"]
-    sub_names = [f"tau_{i}" for i in range(1, n - 1)]
-    if rep.has_clifford:
-        sub_names += [f"p_{i}" for i in range(1, n)]
+    top = (f"tau_{n - 1}", f"p_{n}")  # the generators of rank n alone
     restricted = GradedMatrixAlgebra(
-        mod.dim, mod.parity, [(name, mod.generator(name)) for name in sub_names]
+        mod.dim, mod.parity, [(name, g) for name, g in mod.generators if name not in top]
     )
     pieces = split_into_irreducibles(restricted)
     tally: dict[tuple[int, ...], dict] = {}
@@ -910,15 +867,15 @@ def _shape_of_avec(avec: Sequence[int]) -> StrictPartition:
 
 def mutated_rep(rep: GradedRep) -> GradedRep:
     """Negative control: flip the sign of one generator entry."""
-    tau1 = rep.matrices["tau_1"]
+    tau1 = rep.tau(1)
     rows = {r: dict(row) for r, row in tau1.rows.items()}
     r0 = min(rows)
     c0 = min(rows[r0])
     rows[r0][c0] = -rows[r0][c0]
-    mats = dict(rep.matrices)
-    mats["tau_1"] = Mat(tau1.nrows, tau1.ncols, rows)
+    gens = [(name, Mat(tau1.nrows, tau1.ncols, rows) if name == "tau_1" else g)
+            for name, g in rep.generators]
     # fresh caches: the mutated tau_1 gives different pi_k and summands
     return replace(
-        rep, matrices=mats, build_report=dict(rep.build_report, mutated=True),
+        rep, generators=gens, build_report=dict(rep.build_report, mutated=True),
         _pi_cache={}, _irreducible=[],
     )

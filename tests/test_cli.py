@@ -169,6 +169,12 @@ def _nonstandard_tableau(obj):
         b["tableau"] = [[3, 2], [1]]
 
 
+def _inhomogeneous_generator(obj):
+    # an even entry in the odd generator tau_1
+    tau1 = next(g for g in obj["generators"] if g["name"] == "tau_1")
+    tau1["matrix"][0][0] = {"terms": [{"radicand": 1, "coeff": "1/1"}]}
+
+
 def _even_parity(obj):
     # every basis vector even, which makes the odd generators tau_i even
     obj["parity"] = [0] * len(obj["parity"])
@@ -192,6 +198,7 @@ def _even_parity(obj):
         _empty_shape,
         _nonstandard_tableau,
         _even_parity,
+        _inhomogeneous_generator,
     ],
 )
 def test_verify_malformed_model(tmp_path, capsys, corrupt):

@@ -54,6 +54,17 @@ def test_mutated_rep_fails():
     assert failures and failures[0]["defect_norm"] > 0
 
 
+@pytest.mark.parametrize(
+    "builder, parts",
+    [(sn.build_rep_plain, (3, 1)), (sn.build_rep_clifford_tensor, (2, 1))],
+)
+def test_spectrum_rejects_mutated_model(builder, parts):
+    # the flipped tau_1 entry breaks pi_2^2 = a_2 on the first tableau's block
+    rep = sn.mutated_rep(builder(StrictPartition(parts)))
+    with pytest.raises(sn.RelationError, match="pi_2\\^2 not scalar on block 0"):
+        sn.spectrum_of(rep)
+
+
 def test_mutated_rep_has_its_own_pi():
     # pi_2 = tau_1, so the mutated model's pi_2 must follow its own tau_1 even
     # after the original's pi cache has been filled
@@ -287,8 +298,7 @@ def test_graded_rep_json_roundtrip():
     back = sn.GradedRep.from_json(obj)
     assert back.dim == rep.dim
     assert back.parity == rep.parity
-    for name in rep.generator_names():
-        assert back.matrices[name] == rep.matrices[name]
+    assert back.generators == rep.generators
     assert sn.spectrum_of(back) == sn.spectrum_of(rep)
 
 
