@@ -27,8 +27,8 @@ for an in sn.analyze_local_pair(rep, 3):
           f"partner={an.partner_block}")
 
 print("\nextracted irreducible and its classification:")
-irr = sn.extract_irreducible(rep)
-print("  dim:", irr.dim, sn.classify_module(irr))
+irr, cls = sn.first_summand(rep)
+print("  dim:", irr.dim, cls)
 print("  (complex type: over the real field the minimal model is the fused")
 print("   antipodal pair, recognized by supercommutant dimensions (2, 2))")
 

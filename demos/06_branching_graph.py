@@ -9,10 +9,11 @@ models must agree.
 
 import math
 
+from superspin import seminormal as sn
 from superspin import shiftedcomb as sc
 
 n = 5
-g = sc.schur_branching_graph(n, source="combinatorial")
+g = sc.schur_branching_graph(n)
 g.validate()
 print(f"combinatorial graph up to level {n}:")
 for level, ids in enumerate(g.levels, start=1):
@@ -24,9 +25,9 @@ for b in sc.algebra_from_graph(g):
     print(f"  {b['partition']}: {b['type']} params={b['params']} dim={b['dimension']}")
 print("  total:", sum(b["dimension"] for b in sc.algebra_from_graph(g)), f"= {n}! =", math.factorial(n))
 
-g2 = sc.schur_branching_graph(4, source="from_reps")
+g2 = sn.branching_graph_from_reps(4)
 print("\nfrom_reps graph at n=4 agrees with the combinatorial one:")
-ref = sc.schur_branching_graph(4, source="combinatorial")
+ref = sc.schur_branching_graph(4)
 print("  same vertices:", set(ref.vertices) == set(g2.vertices))
 print("  same edges:   ", ref.edges == g2.edges)
 

@@ -77,7 +77,7 @@ def check_oracle_equivalence(max_n: int) -> dict:
             details.append(f"n={n}: partitions {shapes} != {want}")
         for b in report.blocks:
             shape = StrictPartition(tuple(b.partition))
-            cls = seminormal.classify_module(seminormal.reference_irreducible(shape))
+            _, cls = seminormal.first_summand(seminormal.build_rep_plain(shape))
             if cls["kind"] != b.btype or cls["params"] != b.params:
                 ok = False
                 details.append(
@@ -158,8 +158,8 @@ def check_branching(max_n: int) -> dict:
     ok = True
     details = []
     for n in range(2, min(max_n, 5) + 1):
-        g1 = shiftedcomb.schur_branching_graph(n, source="combinatorial")
-        g2 = shiftedcomb.schur_branching_graph(n, source="from_reps")
+        g1 = shiftedcomb.schur_branching_graph(n)
+        g2 = seminormal.branching_graph_from_reps(n)
         g1.validate()
         g2.validate()
         if set(g1.vertices) != set(g2.vertices):

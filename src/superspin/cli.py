@@ -120,12 +120,14 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_branching_graph(args) -> int:
-    source = "from_reps" if args.oracle else "combinatorial"
-    g = shiftedcomb.schur_branching_graph(args.n, source=source)
+    if args.oracle:
+        g = seminormal.branching_graph_from_reps(args.n)
+    else:
+        g = shiftedcomb.schur_branching_graph(args.n)
     g.validate()
     rc = 0
     if args.oracle:
-        ref = shiftedcomb.schur_branching_graph(args.n, source="combinatorial")
+        ref = shiftedcomb.schur_branching_graph(args.n)
         if (
             set(ref.vertices) != set(g.vertices)
             or ref.orbit_edge_support() != g.orbit_edge_support()

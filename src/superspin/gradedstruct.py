@@ -71,24 +71,6 @@ class GradedMatrixAlgebra:
             [(name, sub.restrict(g)) for name, g in self.generators],
         )
 
-    def to_json(self) -> dict:
-        return {
-            "schema": "superspin/1",
-            "dim": self.dim,
-            "parity": list(self.parity),
-            "generators": [
-                {"name": name, "matrix": g.to_json()} for name, g in self.generators
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> GradedMatrixAlgebra:
-        return cls(
-            obj["dim"],
-            tuple(obj["parity"]),
-            [(g["name"], Mat.from_json(g["matrix"])) for g in obj["generators"]],
-        )
-
 
 def subspace_parity(sub: Subspace, parity: Sequence[int]) -> tuple[int, ...]:
     """Parity of each basis vector of a graded subspace."""
@@ -416,9 +398,7 @@ def split_module_by_central(
     return out
 
 
-def decompose_semisimple(
-    a: GradedMatrixAlgebra, check_semisimple: bool = False
-) -> BlockReport:
+def decompose_semisimple(a: GradedMatrixAlgebra) -> BlockReport:
     """Split the span of the generators into simple graded blocks.
 
     Blocks are cut by eigenspaces of the even ordinary center; each block is
@@ -427,8 +407,6 @@ def decompose_semisimple(
     """
     gens = a.generator_mats()
     span = span_closure(gens)
-    if check_semisimple and not _trace_form_nondegenerate(span):
-        raise ValueError("input algebra is not semisimple (degenerate trace form)")
     even_center, odd_center = center_of_span(span, gens, a.parity)
     pieces = split_module_by_central(a.dim, even_center)
     if len(pieces) != len(even_center):
@@ -448,22 +426,6 @@ def decompose_semisimple(
             simple_block(has_odd_center, len(block_span), ev_dim, idempotent=proj)
         )
     return report
-
-
-def _trace_form_nondegenerate(span: Sequence[Mat]) -> bool:
-    n = len(span)
-    gram: list[Vec] = []
-    for i in range(n):
-        row: Vec = {}
-        for j in range(n):
-            prod = span[i] * span[j]
-            tr = 0
-            for r in range(prod.nrows):
-                tr = tr + prod.entry(r, r)
-            if tr:
-                row[j] = tr
-        gram.append(row)
-    return Subspace(n, gram).dim == n
 
 
 # -- constructions ----------------------------------------------------------------

@@ -34,6 +34,7 @@ from .gradedstruct import (
 )
 from .linalg import CheckFailed, Mat, Subspace, Vec, eigensplit, plain
 from .shiftedcomb import (
+    BranchingGraph,
     ShiftedTableau,
     StrictPartition,
     apply_transposition,
@@ -117,7 +118,7 @@ class GradedRep(GradedMatrixAlgebra):
     block_dim: int
     build_report: dict = field(default_factory=dict)
     _pi_cache: dict = field(default_factory=dict, repr=False)
-    _irreducible: list = field(default_factory=list, repr=False)  # see _first_summand
+    _irreducible: tuple = field(default=(), repr=False)  # see first_summand
 
     def tau(self, i: int) -> Mat:
         return self.generator(f"tau_{i}")
@@ -574,18 +575,14 @@ def analyze_local_pair(rep: GradedRep, i: int) -> list[LocalPairAnalysis]:
 # -- module machinery (splitting, classification, branching) ----------------------
 
 
-def _first_summand(rep: GradedRep) -> list:
-    """[module, classification] of the model's first irreducible summand, memoised."""
+def first_summand(rep: GradedRep) -> tuple[GradedMatrixAlgebra, dict]:
+    """(module, classification) of the model's deterministic first graded-irreducible
+    summand, memoised on the model."""
     if not rep._irreducible:
         pieces = split_into_irreducibles(rep)
         mod = min(pieces, key=lambda p: (p.dim, p.parity))
-        rep._irreducible.extend((mod, classify_module(mod)))
+        rep._irreducible = (mod, classify_module(mod))
     return rep._irreducible
-
-
-def extract_irreducible(rep: GradedRep) -> GradedMatrixAlgebra:
-    """Deterministic first graded-irreducible summand of a built model."""
-    return _first_summand(rep)[0]
 
 
 def identify_shape(mod: GradedMatrixAlgebra, level: int) -> StrictPartition:
@@ -595,17 +592,12 @@ def identify_shape(mod: GradedMatrixAlgebra, level: int) -> StrictPartition:
     return _shape_of_avec(_a_vectors(Subspace.full(mod.dim), squares)[0])
 
 
-def reference_irreducible(shape: StrictPartition, tensor: bool = False) -> GradedMatrixAlgebra:
-    """Canonical irreducible module for a shape (the '+' antipode)."""
-    return extract_irreducible((build_rep_clifford_tensor if tensor else build_rep_plain)(shape))
-
-
 def empirical_type(shape: StrictPartition, tensor: bool = False) -> str:
     """M or Q by actual classification of the built irreducible module."""
     rep = (build_rep_clifford_tensor if tensor else build_rep_plain)(shape)
-    kind = _first_summand(rep)[1]["kind"]
+    kind = first_summand(rep)[1]["kind"]
     if kind not in ("M", "Q"):
-        raise ValueError(f"reference module for {shape} did not classify: {kind}")
+        raise CheckFailed(f"reference module for {shape} did not classify: {kind}")
     return kind
 
 
@@ -619,9 +611,9 @@ def restrict_and_branch(rep: GradedRep) -> list[dict]:
     n = rep.n
     if n < 2:
         raise ValueError("n >= 2 required")
-    mod, own = _first_summand(rep)
+    mod, own = first_summand(rep)
     if own["kind"] == "reducible":
-        raise ValueError("cannot branch an unclassifiable module")
+        raise CheckFailed("cannot branch an unclassifiable module")
     s_top = own["complex_count"]
     top = (f"tau_{n - 1}", f"p_{n}")  # the generators of rank n alone
     restricted = GradedMatrixAlgebra(
@@ -636,7 +628,7 @@ def restrict_and_branch(rep: GradedRep) -> list[dict]:
             shape = StrictPartition((1,))
         cls = classify_module(piece)
         if cls["kind"] == "reducible":
-            raise ValueError("restriction produced an unclassifiable summand")
+            raise CheckFailed("restriction produced an unclassifiable summand")
         entry = tally.setdefault(
             shape.parts,
             {
@@ -655,7 +647,7 @@ def restrict_and_branch(rep: GradedRep) -> list[dict]:
         denom = s_top * (2 if entry["type"] == "M" and own["kind"] == "Q" else 1)
         n_summands = entry["complex_summands"]
         if n_summands % denom:
-            raise ValueError(
+            raise CheckFailed(
                 f"summand count {n_summands} not divisible by fusion degree {denom}"
             )
         entry["multiplicity"] = n_summands // denom
@@ -663,10 +655,12 @@ def restrict_and_branch(rep: GradedRep) -> list[dict]:
     return out
 
 
-def branching_graph_from_reps(n: int):
+def branching_graph_from_reps(n: int) -> BranchingGraph:
     """Branching graph computed from restrictions of the built irreducibles."""
-    from .shiftedcomb import BranchingGraph
-
+    if n < 1:
+        raise ValueError("the branching graph needs n >= 1")
+    if n > 6:
+        raise ValueError("from_reps source limited to n <= 6")
     g = BranchingGraph(n, source_tag="from_reps")
     ids: dict[tuple[int, ...], list[str]] = {}
     for level in range(1, n + 1):
@@ -877,5 +871,5 @@ def mutated_rep(rep: GradedRep) -> GradedRep:
     # fresh caches: the mutated tau_1 gives different pi_k and summands
     return replace(
         rep, generators=gens, build_report=dict(rep.build_report, mutated=True),
-        _pi_cache={}, _irreducible=[],
+        _pi_cache={}, _irreducible=(),
     )

@@ -15,6 +15,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
+from . import spinalg
+from .linalg import CheckFailed
+
 # Size caps: past them enumeration runs for minutes or exhausts memory, so the
 # request is refused.  At the caps, on a 2-core VM: strict_partitions(90)
 # lists 189,586 partitions in 2 s, the 12,376 tableaux of (6,5,4,3) take 1 s,
@@ -379,28 +382,28 @@ class BranchingGraph:
     def validate(self) -> None:
         for vid, w in self.omega.items():
             if self.omega[w] != vid:
-                raise ValueError("omega is not an involution")
+                raise CheckFailed("omega is not an involution")
             if (self.vertices[vid].vtype == "Q") != (w == vid):
-                raise ValueError("type labels inconsistent with omega")
+                raise CheckFailed("type labels inconsistent with omega")
         for (u, v), m in self.edges.items():
             if self.vertices[u].level + 1 != self.vertices[v].level:
-                raise ValueError("edge does not connect adjacent levels")
+                raise CheckFailed("edge does not connect adjacent levels")
             if m <= 0:
-                raise ValueError("edge multiplicities must be positive")
+                raise CheckFailed("edge multiplicities must be positive")
             im = self.edges.get((self.omega[u], self.omega[v]), 0)
             if im != m:
-                raise ValueError("omega is not a graph automorphism")
+                raise CheckFailed("omega is not a graph automorphism")
         for lvl, ids in enumerate(self.levels, start=1):
             for vid in ids:
                 if lvl < len(self.levels) and not any(
                     u == vid for (u, _) in self.edges
                 ):
-                    raise ValueError(f"vertex {vid} has no successor")
+                    raise CheckFailed(f"vertex {vid} has no successor")
                 if lvl > 1 and not any(v == vid for (_, v) in self.edges):
-                    raise ValueError(f"vertex {vid} has no predecessor")
+                    raise CheckFailed(f"vertex {vid} has no predecessor")
         src = self.sources()
         if len(src) != 2 or self.omega[src[0]] != src[1]:
-            raise ValueError("bottom level must be two omega-swapped vertices")
+            raise CheckFailed("bottom level must be two omega-swapped vertices")
 
     def orbit_label(self, vid: str) -> tuple[int, tuple[int, ...]]:
         v = self.vertices[vid]
@@ -494,24 +497,16 @@ class BranchingGraph:
         }
 
 
-def schur_branching_graph(n: int, source: str = "combinatorial") -> BranchingGraph:
-    """The branching graph of the spin chain up to level n.
+def schur_branching_graph(n: int) -> BranchingGraph:
+    """The combinatorial branching graph of the spin chain up to level n.
 
-    The combinatorial source uses shifted-diagram cover relations with unit
-    multiplicities and the validated parity-of-corank type pattern
-    (`conjectured_type`).  The from_reps source computes edges and types from
-    restrictions of the built seminormal representations.
+    Edges are the shifted-diagram cover relations with unit multiplicities,
+    and types follow the validated parity-of-corank pattern
+    (`conjectured_type`).  `seminormal.branching_graph_from_reps` computes
+    the same graph from restrictions of the built models.
     """
     if n < 1:
         raise ValueError("the branching graph needs n >= 1")
-    if source == "from_reps":
-        if n > 6:
-            raise ValueError("from_reps source limited to n <= 6")
-        from . import seminormal
-
-        return seminormal.branching_graph_from_reps(n)
-    if source != "combinatorial":
-        raise ValueError(f"unknown source {source!r}")
     if n > MAX_GRAPH_N:
         raise ValueError(f"combinatorial source limited to n <= {MAX_GRAPH_N}")
     g = BranchingGraph(n, source_tag="combinatorial")
@@ -555,7 +550,7 @@ def algebra_from_graph(g: BranchingGraph) -> list[dict]:
             )
         else:
             if n_t != m_t:
-                raise ValueError("Q vertex with asymmetric path counts")
+                raise CheckFailed("Q vertex with asymmetric path counts")
             blocks.append(
                 {
                     "type": "Q",
@@ -581,8 +576,6 @@ def odd_partition_count_check(n: int) -> dict:
     """Compare strict-partition, odd-partition and supercenter dimensions."""
     if n > 7:
         raise ValueError("n <= 7")
-    from . import spinalg
-
     strict_count = len(strict_partitions(n))
     odd_count = len(spinalg.odd_partitions(n))
     supercenter_dim: int | None = None

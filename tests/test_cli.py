@@ -236,23 +236,45 @@ def test_verify_fuzzed_model(tmp_path):
     )
     coeffs = st.one_of(junk, st.sampled_from(["1/0", "1e10000000", "-0/1", "3/2", " 1/2"]))
     radicands = st.one_of(junk, st.sampled_from([0, 1, 2, 10**6, 10**6 + 1, 10**18 + 7]))
-    entry = st.tuples(
-        st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(["coeff", "radicand"]),
-        st.one_of(coeffs, radicands),
+    # (generator, cell, where, value): where picks the generator's name, its
+    # matrix, a row to overwrite or drop, an entry, or one term of an entry
+    edit = st.tuples(
+        st.integers(0, 10**6), st.integers(0, 10**6),
+        st.sampled_from(["coeff", "radicand", "name", "matrix", "row", "drop_row", "entry"]),
+        st.one_of(coeffs, radicands, st.builds(lambda: {"terms": []})),
     )
 
     @hypothesis.settings(max_examples=150, deadline=None)
-    @hypothesis.given(st.lists(header, max_size=2), st.lists(entry, max_size=3))
-    def check(headers, entries):
+    @hypothesis.given(st.lists(header, max_size=2), st.lists(edit, max_size=3))
+    def check(headers, edits):
         obj = json.loads(base)
         gens = obj["generators"]
-        for g, cell, field, value in entries:
-            matrix = gens[g % len(gens)]["matrix"]
-            row = matrix[cell % len(matrix)]
-            terms = row[cell // len(matrix) % len(row)]["terms"]
+        for g, cell, where, value in edits:
+            gen = gens[g % len(gens)]
+            if where in ("name", "matrix"):
+                gen[where] = value
+                continue
+            matrix = gen["matrix"]
+            if not isinstance(matrix, list) or not matrix:
+                continue
+            r = cell % len(matrix)
+            if where == "drop_row":
+                del matrix[r]
+                continue
+            if where == "row":
+                matrix[r] = value
+                continue
+            row = matrix[r]
+            if not isinstance(row, list) or not row:
+                continue
+            c = cell // len(matrix) % len(row)
+            if where == "entry" or not isinstance(row[c], dict):
+                row[c] = value
+                continue
+            terms = row[c]["terms"]
             if not terms:
                 terms.append({"radicand": 1, "coeff": "1/1"})
-            terms[0][field] = value
+            terms[0][where] = value
         for action, key, value in headers:
             if action == "drop":
                 obj.pop(key, None)
@@ -472,10 +494,11 @@ def test_relation_error_exits_1(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("build failed verification: ")
 
 
-@pytest.mark.parametrize("failure", ["blocks", "eigen"])
+@pytest.mark.parametrize("failure", ["blocks", "eigen", "unclassified", "omega"])
 def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
-    from superspin import linalg, seminormal
+    from superspin import linalg, seminormal, shiftedcomb
 
+    argv = ["decompose-regular", "A", "3"]
     if failure == "blocks":
         # drop one central piece: the block dimensions no longer sum to 3! = 6
         split = seminormal.split_module_by_central
@@ -483,11 +506,27 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
             seminormal, "split_module_by_central", lambda dim, ops: split(dim, ops)[1:]
         )
         message = "check failed: block dimensions 4 do not sum to 6\n"
-    else:
+    elif failure == "eigen":
         # every minimal polynomial stays one factor with no root in the field
         monkeypatch.setattr(linalg, "poly_factors", lambda coeffs: [(list(coeffs), None)])
         message = "check failed: minimal polynomial did not split over the field\n"
-    assert cli.main(["decompose-regular", "A", "3"]) == 1
+    elif failure == "unclassified":
+        # fresh models, so that no summand was classified before the patch
+        monkeypatch.setattr(seminormal, "_BUILD_CACHE", {})
+        monkeypatch.setattr(seminormal, "classify_module", lambda mod: {"kind": "reducible"})
+        argv = ["branching-graph", "3", "--oracle"]
+        message = "check failed: reference module for 2 did not classify: reducible\n"
+    else:
+        # one extra "+" -> "+" edge per cover breaks the omega symmetry
+        add_edge = shiftedcomb.BranchingGraph.add_edge
+
+        def lopsided(graph, u, v, mult=1):
+            add_edge(graph, u, v, mult + (u.endswith("|+") and v.endswith("|+")))
+
+        monkeypatch.setattr(shiftedcomb.BranchingGraph, "add_edge", lopsided)
+        argv = ["branching-graph", "4"]
+        message = "check failed: omega is not a graph automorphism\n"
+    assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message

@@ -8,6 +8,7 @@ checked against sympy and against the exact path, forced by making
 `_certified_rref` decline.
 """
 
+import ast
 from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
@@ -729,3 +730,18 @@ def test_only_linalg_names_echelon():
     ]:
         named = [p.name for p in sorted(package.glob("*.py")) if name in p.read_text()]
         assert named == owners, name
+
+
+def test_no_import_inside_a_function():
+    # every module imports at its top, so its header shows all it depends on
+    package = Path(__file__).resolve().parent.parent / "src" / "superspin"
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found |= {
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                }
+    assert sorted(found) == []

@@ -85,8 +85,8 @@ def test_irreducible_summand_is_split_once(monkeypatch):
 
     monkeypatch.setattr(sn, "split_into_irreducibles", counting)
     rep = sn._construct(StrictPartition((3, 1)), False, "corrected")
-    first = sn.extract_irreducible(rep)
-    assert sn.extract_irreducible(rep) is first
+    first = sn.first_summand(rep)[0]
+    assert sn.first_summand(rep)[0] is first
     assert calls == [rep.dim]
     # branching reuses the summand and splits only its restriction
     sn.restrict_and_branch(rep)
@@ -95,8 +95,8 @@ def test_irreducible_summand_is_split_once(monkeypatch):
 
 def test_mutated_rep_has_its_own_summand():
     rep = sn.build_rep_plain(StrictPartition((3,)))
-    good = sn.extract_irreducible(rep)
-    bad = sn.extract_irreducible(sn.mutated_rep(rep))
+    good = sn.first_summand(rep)[0]
+    bad = sn.first_summand(sn.mutated_rep(rep))[0]
     assert bad.generator("tau_1") != good.generator("tau_1")
     assert sn.classify_module(good)["pattern"] == "antipodal_pair"
     assert sn.classify_module(bad)["pattern"] == "single"
@@ -128,7 +128,7 @@ def test_classification_against_oracle():
         for b in sn.regular_decompose("A", n).blocks:
             oracle[tuple(b.partition)] = (b.btype, b.params)
     for parts, want in oracle.items():
-        cls = sn.classify_module(sn.reference_irreducible(StrictPartition(parts)))
+        cls = sn.classify_module(sn.first_summand(sn.build_rep_plain(StrictPartition(parts)))[0])
         assert (cls["kind"], cls["params"]) == want, parts
 
 
@@ -136,7 +136,7 @@ def test_fused_pair_over_real_field():
     # the shape (3) module is complex-type: its minimal field model is the
     # fused antipodal pair of the M(1,1) module, with dims twice the complex
     # module and supercommutant pattern (2, 2)
-    irr = sn.reference_irreducible(StrictPartition((3,)))
+    irr = sn.first_summand(sn.build_rep_plain(StrictPartition((3,))))[0]
     cls = sn.classify_module(irr)
     assert irr.dim == 4
     assert cls == {
@@ -152,7 +152,7 @@ def test_q_module_ungraded_split():
     # the (2,1) module is Q(1): 1-dimensional ungraded pieces with tau_i = +-1
     from superspin.linalg import kernel
 
-    irr = sn.reference_irreducible(StrictPartition((2, 1)))
+    irr = sn.first_summand(sn.build_rep_plain(StrictPartition((2, 1))))[0]
     assert irr.dim == 2
     t1, t2 = irr.generator("tau_1"), irr.generator("tau_2")
     assert t1 == t2  # forced by pi_3 = 0 on this module
@@ -238,8 +238,8 @@ def test_branching_supports_match_covers():
 
 def test_branching_graph_from_reps_matches():
     for n in (2, 3, 4):
-        g1 = sc.schur_branching_graph(n, source="combinatorial")
-        g2 = sc.schur_branching_graph(n, source="from_reps")
+        g1 = sc.schur_branching_graph(n)
+        g2 = sn.branching_graph_from_reps(n)
         g2.validate()
         assert set(g1.vertices) == set(g2.vertices)
         assert g1.edges == g2.edges
