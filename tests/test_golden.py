@@ -36,6 +36,8 @@ COMMANDS = [
     ("verify <build-rep 3,1 --algebra tensor>", ["verify", "{model:build-rep 3,1 --algebra tensor}"]),
     ("build-rep 4,2", ["build-rep", "4,2", "--out", "{out}"]),
     ("verify <build-rep 4,2>", ["verify", "{model:build-rep 4,2}"]),
+    ("build-rep 5 --algebra tensor", ["build-rep", "5", "--algebra", "tensor", "--out", "{out}"]),
+    ("verify <build-rep 5 --algebra tensor>", ["verify", "{model:build-rep 5 --algebra tensor}"]),
     ("supercenter 5", ["supercenter", "5"]),
     ("supercenter 7", ["supercenter", "7"]),
     ("gz 4", ["gz", "4"]),
