@@ -164,7 +164,7 @@ def cmd_verify(args) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         rep = seminormal.GradedRep.from_json(obj)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         sys.stderr.write(f"cannot load representation: {exc}\n")
         return 2
     report = seminormal.verify_relations(rep)

@@ -410,7 +410,7 @@ def decompose_semisimple(a: GradedMatrixAlgebra) -> BlockReport:
     even_center, odd_center = center_of_span(span, gens, a.parity)
     pieces = split_module_by_central(a.dim, even_center)
     if len(pieces) != len(even_center):
-        raise ValueError(
+        raise CheckFailed(
             f"central split found {len(pieces)} pieces for {len(even_center)} "
             "central dimensions; non-semisimple or non-split input"
         )
@@ -517,7 +517,7 @@ def tensor_formula_adjudication() -> dict:
     def block_of(t: GradedMatrixAlgebra) -> tuple[str, object]:
         rep = decompose_semisimple(t)
         if len(rep.blocks) != 1:
-            raise ValueError("tensor of simple algebras should stay simple")
+            raise CheckFailed("tensor of simple algebras should stay simple")
         b = rep.blocks[0]
         return (b.btype, b.params)
 

@@ -50,30 +50,13 @@ INV_SQRT2 = SQRT2.invert()
 
 # -- real Clifford modules -------------------------------------------------------
 
-_X = {(0, 1): 1, (1, 0): 1}
-_Z = {(0, 0): 1, (1, 1): -1}
-_YR = {(0, 1): -1, (1, 0): 1}
-_I2 = {(0, 0): 1, (1, 1): 1}
 
-
-def _kron_chain(blocks: Sequence[dict]) -> Mat:
-    dim = 1 << len(blocks)
-    rows: dict[int, Vec] = {}
-    for r in range(dim):
-        c, sign = 0, 1
-        ok = True
-        for slot, blk in enumerate(blocks):
-            bit = (r >> (len(blocks) - 1 - slot)) & 1
-            hit = [(cc, v) for (rr, cc), v in blk.items() if rr == bit]
-            if not hit:
-                ok = False
-                break
-            cc, v = hit[0]
-            c = (c << 1) | cc
-            sign *= v
-        if ok:
-            rows[r] = {c: sign}
-    return Mat(dim, dim, rows)
+def _signed_perm(dim: int, flip: int, zmask: int = 0, ymask: int = 0) -> Mat:
+    """r -> r XOR flip with sign (-1)^(|r & zmask| + |~r & ymask|)."""
+    return Mat(dim, dim, {
+        r: {r ^ flip: (-1) ** ((r & zmask).bit_count() + (~r & ymask).bit_count())}
+        for r in range(dim)
+    })
 
 
 def clifford_module(m: int) -> tuple[int, list[Mat], tuple[int, ...]]:
@@ -81,22 +64,25 @@ def clifford_module(m: int) -> tuple[int, list[Mat], tuple[int, ...]]:
 
     Uses paired slots with one extra realification slot, so the dimension is
     2^(ceil(m/2) + 1) for m >= 2; the quaternionic obstruction over real
-    scalars rules out the complex-minimal size for some ranks.
+    scalars rules out the complex-minimal size for some ranks.  Slot j of k is
+    bit k+1-j of the basis index and the realification slot is bit 0.  Pair j
+    is X on slot j, then Y on slots j and 0, each after Z on slots 1..j-1: X
+    flips a bit, Z signs a set bit, Y flips a bit and signs a clear one, so
+    every generator is a signed permutation.
     """
     if m == 0:
         return 1, [], (0,)
     if m == 1:
-        return 2, [_kron_chain([_X])], (0, 1)
+        return 2, [_signed_perm(2, 1)], (0, 1)
     k = (m + 1) // 2
+    dim = 1 << (k + 1)
     gens: list[Mat] = []
     for j in range(1, k + 1):
-        pre = [_Z] * (j - 1)
-        post = [_I2] * (k - j)
-        gens.append(_kron_chain(pre + [_X] + post + [_I2]))
+        bit = 1 << (k + 1 - j)
+        earlier = dim - 2 * bit  # the bits of slots 1 .. j-1
+        gens.append(_signed_perm(dim, bit, earlier))
         if 2 * j <= m:
-            gens.append(_kron_chain(pre + [_YR] + post + [_YR]))
-    gens = gens[:m]
-    dim = 1 << (k + 1)
+            gens.append(_signed_perm(dim, bit | 1, earlier, bit | 1))
     parity = tuple(bin(i >> 1).count("1") % 2 for i in range(dim))
     return dim, gens, parity
 
@@ -855,8 +841,12 @@ def _isqrt_exact(x: int) -> int:
 
 
 def _shape_of_avec(avec: Sequence[int]) -> StrictPartition:
-    b = tuple((-1 + _isqrt_exact(1 + 8 * a)) // 2 for a in avec)
-    return tableau_from_bvector(b).shape
+    """Shape of the tableau with this a-vector; that none has it is a check failure."""
+    try:
+        b = tuple((-1 + _isqrt_exact(1 + 8 * a)) // 2 for a in avec)
+        return tableau_from_bvector(b).shape
+    except ValueError as exc:
+        raise CheckFailed(f"no shifted tableau has a-vector {tuple(avec)}: {exc}") from None
 
 
 def mutated_rep(rep: GradedRep) -> GradedRep:

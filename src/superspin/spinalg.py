@@ -100,33 +100,17 @@ class SpinContext:
                 sign = _left_insert(code, g)
                 target = tuple(g + 1 if v == g else g if v == g + 1 else v for v in perm)
                 self.left[g - 1][pidx] = sign * (self.index[target] + 1)
-        # right[g-1][p]: word_p * t_g = sign * word_q, by length recursion
-        self.right: list[list[int]] = [
-            [0] * len(self.perms) for _ in range(max(n - 1, 0))
-        ]
-        order = sorted(range(len(self.perms)), key=lambda i: self.lengths[i])
-        for pidx in order:
-            word = self.words[pidx]
-            if not word:
-                for g in range(1, n):
-                    self.right[g - 1][pidx] = self.left[g - 1][pidx]
-                continue
-            # word_p = s * t_h * word_parent with h the leading letter
-            h = word[0]
-            parent_perm = tuple(
-                h + 1 if v == h else h if v == h + 1 else v for v in self.perms[pidx]
-            )
-            ridx = self.index[parent_perm]
-            enc = self.left[h - 1][ridx]
-            s = 1 if enc > 0 else -1
-            assert abs(enc) - 1 == pidx
-            for g in range(1, n):
-                enc_r = self.right[g - 1][ridx]
-                r = 1 if enc_r > 0 else -1
-                mid = abs(enc_r) - 1
-                enc_l = self.left[h - 1][mid]
-                s2 = 1 if enc_l > 0 else -1
-                self.right[g - 1][pidx] = s * r * s2 * abs(enc_l)
+        # right[g-1][p] likewise for word_p * t_g.  Every relation reads the
+        # same backwards, so word reversal iota is an anti-automorphism and
+        # word_p * t_g = iota(t_g * iota(word_p)); rev[p] = (sigma, r) means
+        # iota(word_p) = sigma * word_r
+        rev = [self.left_mul_word(reversed(w), self.identity) for w in self.words]
+        self.right: list[list[int]] = [[0] * len(self.perms) for _ in self.left]
+        for g, row in enumerate(self.right, start=1):
+            for pidx, (sigma_p, r_p) in enumerate(rev):
+                s, q = self.left_mul_gen(g, r_p)
+                sigma_q, r_q = rev[q]
+                row[pidx] = sigma_p * s * sigma_q * (r_q + 1)
 
     def left_mul_gen(self, g: int, pidx: int) -> tuple[int, int]:
         enc = self.left[g - 1][pidx]
@@ -366,16 +350,10 @@ def _tau_signed(i: int, j: int, n: int) -> tuple[int, int]:
     hit = _TAU_CACHE.get(key)
     if hit is not None:
         return hit
+    # t_ij = (-1)^(j-i-1) t_{j-1} ... t_{i+1} t_i t_{i+1} ... t_{j-1}
     ctx = context(n)
-    if j == i + 1:
-        sw = canonical_form([i], n)
-        out = (sw.sign, ctx.index[sw.perm])
-    else:
-        # t_ij = -t_{i,j-1} * t_{j-1} * t_{i,j-1}; the two sign copies square away
-        _, p1 = _tau_signed(i, j - 1, n)
-        s2, p2 = ctx.right_mul_gen(p1, j - 1)
-        s3, p3 = ctx.right_mul_word(p2, ctx.words[p1])
-        out = (-(s2 * s3), p3)
+    sign, pidx = ctx.left_mul_word([*range(j - 1, i, -1), *range(i, j)], ctx.identity)
+    out = ((-1) ** (j - i - 1) * sign, pidx)
     _TAU_CACHE[key] = out
     return out
 

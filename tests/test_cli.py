@@ -358,6 +358,16 @@ def test_verify_missing_file(capsys):
     assert rc == 2
 
 
+def test_verify_deeply_nested_json(tmp_path, capsys):
+    # json.load recurses once per bracket and raises RecursionError on this file
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot load representation: ")
+
+
 def test_supercenter(capsys):
     rc, out = run(capsys, "supercenter", "3")
     assert rc == 0
@@ -494,9 +504,12 @@ def test_relation_error_exits_1(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("build failed verification: ")
 
 
-@pytest.mark.parametrize("failure", ["blocks", "eigen", "unclassified", "omega"])
+@pytest.mark.parametrize(
+    "failure",
+    ["blocks", "eigen", "unclassified", "omega", "central", "simple", "avec", "bvector"],
+)
 def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
-    from superspin import linalg, seminormal, shiftedcomb
+    from superspin import gradedstruct, linalg, seminormal, shiftedcomb
 
     argv = ["decompose-regular", "A", "3"]
     if failure == "blocks":
@@ -516,6 +529,38 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
         monkeypatch.setattr(seminormal, "classify_module", lambda mod: {"kind": "reducible"})
         argv = ["branching-graph", "3", "--oracle"]
         message = "check failed: reference module for 2 did not classify: reducible\n"
+    elif failure == "central":
+        # criterion 6 loses a central piece of every tensor-product algebra
+        split = gradedstruct.split_module_by_central
+        monkeypatch.setattr(
+            gradedstruct, "split_module_by_central", lambda dim, ops: split(dim, ops)[1:]
+        )
+        argv = ["check-all", "--max-n", "2"]
+        message = (
+            "check failed: central split found 0 pieces for 1 central dimensions; "
+            "non-semisimple or non-split input\n"
+        )
+    elif failure == "simple":
+        # every block reported twice: a tensor of simple algebras looks split
+        decompose = gradedstruct.decompose_semisimple
+
+        def doubled(a):
+            report = decompose(a)
+            report.blocks += report.blocks
+            return report
+
+        monkeypatch.setattr(gradedstruct, "decompose_semisimple", doubled)
+        argv = ["check-all", "--max-n", "2"]
+        message = "check failed: tensor of simple algebras should stay simple\n"
+    elif failure in ("avec", "bvector"):
+        # a joint YJM spectrum that no tableau has: a_2 = 2 is not triangular,
+        # a_2 = 3 gives b = (0, 2), which cannot follow b_1 = 0
+        avec = (0, 2) if failure == "avec" else (0, 3)
+        monkeypatch.setattr(seminormal, "_BUILD_CACHE", {})
+        monkeypatch.setattr(seminormal, "_a_vectors", lambda piece, squares: [avec])
+        argv = ["branching-graph", "3", "--oracle"]
+        why = "17 is not a perfect square" if failure == "avec" else "invalid b-vector (0, 2)"
+        message = f"check failed: no shifted tableau has a-vector {avec}: {why}\n"
     else:
         # one extra "+" -> "+" edge per cover breaks the omega symmetry
         add_edge = shiftedcomb.BranchingGraph.add_edge

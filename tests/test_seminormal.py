@@ -27,6 +27,40 @@ def test_clifford_module_relations():
                     assert (parity[r] + parity[c]) % 2 == 1
 
 
+_X2 = [[0, 1], [1, 0]]
+_Z2 = [[1, 0], [0, -1]]
+_Y2 = [[0, -1], [1, 0]]
+_I2 = [[1, 0], [0, 1]]
+
+
+def _kron(blocks):
+    out = [[1]]
+    for b in blocks:
+        out = [[x * y for x in ra for y in rb] for ra in out for rb in b]
+    return out
+
+
+def test_clifford_module_is_a_kronecker_product():
+    # generators 2j-1 and 2j are Z^(j-1) (X or Y) I^(k-j) on the k paired
+    # slots, then I or Y on the realification slot; one generator is X alone
+    for m in range(0, 15):
+        k = (m + 1) // 2
+        if m == 1:
+            blocks, slots = [[_X2]], 1
+        else:
+            blocks, slots = [], (k + 1 if m else 0)
+            for j in range(1, k + 1):
+                pre, post = [_Z2] * (j - 1), [_I2] * (k - j)
+                blocks += [pre + [_X2] + post + [_I2], pre + [_Y2] + post + [_Y2]]
+        dim, gens, parity = sn.clifford_module(m)
+        assert dim == 2**slots
+        dense = [[[g.entry(r, c) for c in range(dim)] for r in range(dim)] for g in gens]
+        assert dense == [_kron(b) for b in blocks[:m]]
+        # odd on the paired slots; the realification slot, bit 0, is even
+        real = 1 if m >= 2 else 0
+        assert parity == tuple(bin(r >> real).count("1") % 2 for r in range(dim))
+
+
 def test_build_and_verify_all_shapes():
     for shape in shapes_up_to(5):
         for builder in (sn.build_rep_plain, sn.build_rep_clifford_tensor):

@@ -36,6 +36,16 @@ def test_canonical_word_evaluates_back():
             assert len(ctx.words[pidx]) == ctx.lengths[pidx]
 
 
+def test_right_table_matches_canonical_form():
+    # word_p * t_g normalised by the left table alone
+    for n in range(1, 8):
+        ctx = sa.context(n)
+        for pidx, word in enumerate(ctx.words):
+            for g in range(1, n):
+                sign, q = ctx.right_mul_gen(pidx, g)
+                assert sa.canonical_form(word + (g,), n) == sa.SpinWord(sign, ctx.perms[q], n)
+
+
 def test_multiply_examples():
     t1 = sa.SpinElement.generator(1, 3)
     t2 = sa.SpinElement.generator(2, 3)
@@ -75,6 +85,18 @@ def test_transposition_element_examples():
     assert sa.transposition_element(2, 1, 3) == -sa.transposition_element(1, 2, 3)
     with pytest.raises(ValueError):
         sa.transposition_element(2, 2, 4)
+
+
+def test_transposition_element_by_conjugation():
+    # t_{i,i+1} = t_i and t_ij = -t_{i,j-1} t_{j-1} t_{i,j-1}, by element products
+    for n in range(2, 8):
+        for i in range(1, n):
+            want = sa.SpinElement.generator(i, n)
+            for j in range(i + 1, n + 1):
+                if j > i + 1:
+                    want = -(want * sa.SpinElement.generator(j - 1, n) * want)
+                sign, pidx = sa._tau_signed(i, j, n)
+                assert sa.SpinElement(n, {pidx: sign}) == want
 
 
 def test_jm_examples():
