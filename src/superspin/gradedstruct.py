@@ -316,9 +316,6 @@ class Block:
             "partition": list(self.partition) if self.partition else None,
         }
 
-    def to_json(self) -> dict:
-        return plain(self.document())
-
 
 def simple_block(has_odd_center: bool, alg_dim: int, even_dim: int, **fields) -> Block:
     """The simple block with the given algebra dimension and even dimension.

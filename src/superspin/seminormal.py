@@ -14,7 +14,7 @@ regular-representation oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Sequence
@@ -93,11 +93,10 @@ def clifford_module(m: int) -> tuple[int, list[Mat], tuple[int, ...]]:
 @dataclass
 class GradedRep(GradedMatrixAlgebra):
     """A seminormal model: the graded module of its algebra's generators, with
-    the tableau labels of its blocks.  The generators are in the order tau_1 ..
-    tau_{n-1}, then p_1 .. p_n for the Clifford-extended algebra."""
+    the tableau labels of its blocks.  `new` makes every model, deriving all but
+    the generators from the shape and the algebra."""
 
     algebra: str  # "A_n" or "clifford_tensor_A_n"
-    n: int
     shape: StrictPartition
     tableaux: list[ShiftedTableau]
     avecs: list[tuple[int, ...]]
@@ -105,6 +104,29 @@ class GradedRep(GradedMatrixAlgebra):
     build_report: dict = field(default_factory=dict)
     _pi_cache: dict = field(default_factory=dict, repr=False)
     _irreducible: tuple = field(default=(), repr=False)  # see first_summand
+
+    @classmethod
+    def new(cls, shape: StrictPartition, tensor: bool, generators: list[tuple[str, Mat]],
+            build_report: dict | None = None) -> GradedRep:
+        """The model of `shape` with these generators, which must be tau_1 ..
+        tau_{n-1}, then p_1 .. p_n for the Clifford-extended algebra, in order."""
+        n = shape.n
+        names = [f"tau_{i}" for i in range(1, n)]
+        names += [f"p_{i}" for i in range(1, n + 1)] if tensor else []
+        if [name for name, _ in generators] != names:
+            raise ValueError(f"generators must be exactly {', '.join(names)}, in order")
+        tabs = standard_tableaux(shape)
+        block_dim, _, cparity = clifford_module(2 * n if tensor else n)
+        return cls(
+            len(tabs) * block_dim, cparity * len(tabs), generators,
+            algebra="clifford_tensor_A_n" if tensor else "A_n", shape=shape,
+            tableaux=tabs, avecs=[spectrum_vector(t).a for t in tabs],
+            block_dim=block_dim, build_report=build_report or {},
+        )
+
+    @property
+    def n(self) -> int:
+        return self.shape.n
 
     def tau(self, i: int) -> Mat:
         return self.generator(f"tau_{i}")
@@ -123,7 +145,8 @@ class GradedRep(GradedMatrixAlgebra):
         return range(t * self.block_dim, (t + 1) * self.block_dim)
 
     def document(self) -> dict:
-        """The JSON layout with the generators as Mat leaves (see linalg.dump)."""
+        """The JSON layout with the generators as Mat leaves (see linalg.dump).
+        The basis lists each tableau with each Clifford basis word."""
         return {
             "schema": "superspin/1",
             "algebra": self.algebra,
@@ -133,7 +156,11 @@ class GradedRep(GradedMatrixAlgebra):
             "block_dim": self.block_dim,
             "parity": list(self.parity),
             "generators": [{"name": name, "matrix": g} for name, g in self.generators],
-            "basis": _basis_doc(self.tableaux, self.block_dim),
+            "basis": [
+                {"tableau": [list(r) for r in tab.rows],
+                 "clifford_word": [s + 1 for s in range(32) if (j >> s) & 1]}
+                for tab in self.tableaux for j in range(self.block_dim)
+            ],
             "build_report": self.build_report,
         }
 
@@ -142,46 +169,22 @@ class GradedRep(GradedMatrixAlgebra):
 
     @classmethod
     def from_json(cls, obj: dict) -> GradedRep:
-        """The model of a file; its size and basis must be the builder's for its shape."""
+        """The model of a file, which must match the builder's document of it."""
         shape = StrictPartition(tuple(obj["shape"]))
         if obj["algebra"] not in ("A_n", "clifford_tensor_A_n"):
             raise ValueError(f"unknown algebra {obj['algebra']!r}")
         if not 1 <= shape.n <= 7:
             raise ValueError(f"shape {shape} must have 1 to 7 cells")
-        tabs = standard_tableaux(shape)
-        tensor = obj["algebra"] == "clifford_tensor_A_n"
-        block_dim, _, cparity = clifford_module(2 * shape.n if tensor else shape.n)
-        if (obj["block_dim"], obj["dim"]) != (block_dim, len(tabs) * block_dim):
-            raise ValueError(f"block_dim and dim must be {block_dim} and {len(tabs) * block_dim}")
-        if obj["basis"] != _basis_doc(tabs, block_dim):
-            raise ValueError(f"basis must list the standard tableaux of {shape}")
-        if tuple(obj["parity"]) != cparity * len(tabs):
-            raise ValueError("parity must be the Clifford module's parity on each tableau")
-        if obj["n"] != shape.n:
-            raise ValueError(f"n = {obj['n']} does not match shape {shape}")
-        names = [f"tau_{i}" for i in range(1, shape.n)]
-        names += [f"p_{i}" for i in range(1, shape.n + 1)] if tensor else []
-        mats = {g["name"]: Mat.from_json(g["matrix"]) for g in obj["generators"]}
-        if set(mats) != set(names):
-            raise ValueError(f"generators must be exactly {', '.join(names)}")
-        return cls(
-            len(tabs) * block_dim, cparity * len(tabs), [(name, mats[name]) for name in names],
-            algebra=obj["algebra"], n=shape.n, shape=shape, tableaux=tabs,
-            avecs=[spectrum_vector(t).a for t in tabs], block_dim=block_dim,
-            build_report=obj.get("build_report", {}),
+        rep = cls.new(
+            shape, obj["algebra"] == "clifford_tensor_A_n",
+            [(g["name"], Mat.from_json(g["matrix"])) for g in obj["generators"]],
+            obj.get("build_report", {}),
         )
-
-
-def _basis_doc(tableaux: Sequence[ShiftedTableau], block_dim: int) -> list[dict]:
-    """The `basis` of a model's JSON: each tableau with each Clifford basis word."""
-    return [
-        {
-            "tableau": [list(r) for r in tab.rows],
-            "clifford_word": [s + 1 for s in range(32) if (j >> s) & 1],
-        }
-        for tab in tableaux
-        for j in range(block_dim)
-    ]
+        doc = rep.document()
+        for key in ("schema", "n", "dim", "block_dim", "parity", "basis"):
+            if obj.get(key) != doc[key]:
+                raise ValueError(f"{key} does not match the builder's model of {shape}")
+        return rep
 
 
 def yjm_matrix(mod: GradedMatrixAlgebra, k: int, cache: dict) -> Mat:
@@ -223,41 +226,21 @@ def _construct(
     tabs = standard_tableaux(shape)
     avecs = [spectrum_vector(t).a for t in tabs]
     tab_index = {t: i for i, t in enumerate(tabs)}
-    m = 2 * n if tensor else n
-    w, gens, cparity = clifford_module(m)
-    if tensor:
-        p_mats = gens[:n]
-        h_mats = gens[n:]
-    else:
-        p_mats = []
-        h_mats = gens
-    g = len(tabs)
-    dim = g * w
+    w, gens, _ = clifford_module(2 * n if tensor else n)
+    p_mats, h_mats = (gens[:n], gens[n:]) if tensor else ([], gens)
+    dim = len(tabs) * w
 
     def place(target: dict, brow: int, bcol: int, local: Mat, coef: Scalar):
-        if not coef:
-            return
+        # no two calls for one generator write the same block, and coef != 0
         off_r, off_c = brow * w, bcol * w
         for r, row in local.rows.items():
-            for c, v in row.items():
-                tgt = target.setdefault(off_r + r, {})
-                val = tgt.get(off_c + c, 0) + coef * v
-                if val:
-                    tgt[off_c + c] = val
-                elif off_c + c in tgt:
-                    del tgt[off_c + c]
-
-    z_cache: dict[int, Mat] = {}
-
-    def z_op(i: int) -> Mat:
-        hit = z_cache.get(i)
-        if hit is None:
-            hit = (h_mats[i - 1] - h_mats[i]).scale(INV_SQRT2)
-            z_cache[i] = hit
-        return hit
+            target.setdefault(off_r + r, {}).update(
+                (off_c + c, coef * v) for c, v in row.items()
+            )
 
     generators: list[tuple[str, Mat]] = []
     for i in range(1, n):
+        z = (h_mats[i - 1] - h_mats[i]).scale(INV_SQRT2)
         rows: dict[int, Vec] = {}
         for t, tab in enumerate(tabs):
             s, tt = avecs[t][i - 1], avecs[t][i]
@@ -266,27 +249,21 @@ def _construct(
                 sqrt_rational(tt) * dcoef
             )
             place(rows, t, t, local, 1)
+            # a split pair: kappa = 0 would need s + t = (s - t)^2 (corrected)
+            # or s + t = 1 (printed), and both pairs are fused
             if s + tt != (s - tt) ** 2:
                 other = apply_transposition(tab, i)
                 assert other is not None, "split pair must admit the swap"
                 t2 = tab_index[other]
-                if tabs[t2].length() > tab.length():
-                    coef = 1
-                else:
-                    coef = _kappa(s, tt, variant)
-                place(rows, t2, t, z_op(i), coef)
+                coef = 1 if tabs[t2].length() > tab.length() else _kappa(s, tt, variant)
+                place(rows, t2, t, z, coef)
         generators.append((f"tau_{i}", Mat(dim, dim, rows)))
     for i, p_mat in enumerate(p_mats, start=1):
         rows = {}
-        for t in range(g):
+        for t in range(len(tabs)):
             place(rows, t, t, p_mat, 1)
         generators.append((f"p_{i}", Mat(dim, dim, rows)))
-    return GradedRep(
-        dim, cparity * g, generators,
-        algebra="clifford_tensor_A_n" if tensor else "A_n", n=n, shape=shape,
-        tableaux=tabs, avecs=avecs, block_dim=w,
-        build_report={"case_iii_variant": variant},
-    )
+    return GradedRep.new(shape, tensor, generators, {"case_iii_variant": variant})
 
 
 def verify_relations(rep: GradedRep) -> list[dict]:
@@ -398,17 +375,10 @@ def _build(shape, tensor: bool) -> GradedRep:
         "variant_distinguishable": distinguishable,
         "relations_checked": len(report),
     }
-    _check_spectrum_contract(rep)
-    return rep
-
-
-def _check_spectrum_contract(rep: GradedRep) -> None:
-    spec = spectrum_of(rep)
-    want = sorted(rep.avecs)
+    spec, want = spectrum_of(rep), sorted(rep.avecs)
     if spec != want:
-        raise RelationError(
-            f"spectrum contract failed for {rep.shape}: {spec} != {want}"
-        )
+        raise RelationError(f"spectrum contract failed for {shape}: {spec} != {want}")
+    return rep
 
 
 _BUILD_CACHE: dict[tuple[bool, tuple[int, ...]], GradedRep] = {}
@@ -443,43 +413,23 @@ def spectrum_of(rep: GradedRep) -> list[tuple[int, ...]]:
     pi_i^2 is formed once, so this doubles as a check that they are
     block-diagonal with the tableau-prescribed scalar squares.
     """
-    n = rep.n
-    out = []
-    pis = [rep.pi(i) for i in range(1, n + 1)]
-    squares = [pm * pm for pm in pis]
-    for t in range(len(rep.tableaux)):
-        sl = rep.block_slice(t)
-        lo, hi = sl.start, sl.stop
-        avec = []
-        for i, sq in enumerate(squares, start=1):
-            val = None
-            for r in range(lo, hi):
-                row = sq.rows.get(r, {})
-                for c, v in row.items():
-                    if not lo <= c < hi:
-                        raise RelationError(
-                            f"pi_{i}^2 not block-diagonal on block {t}"
-                        )
-                got = row.get(r, 0)
-                if val is None:
-                    val = got
-                elif got != val:
-                    raise RelationError(f"pi_{i}^2 not scalar on block {t}")
-                for c, v in row.items():
-                    if c != r and v:
-                        raise RelationError(f"pi_{i}^2 not scalar on block {t}")
+    w = rep.block_dim
+    avecs: list[list[int]] = [[] for _ in rep.tableaux]
+    for i in range(1, rep.n + 1):
+        pm = rep.pi(i)
+        if any(r // w != c // w for r, row in pm.rows.items() for c in row):
+            raise RelationError(f"pi_{i} not block-diagonal")
+        sq = pm * pm
+        for t, avec in enumerate(avecs):
+            sl = rep.block_slice(t)
+            val = sq.entry(sl.start, sl.start)
+            if any(sq.rows.get(r, {}) != ({r: val} if val else {}) for r in sl):
+                raise RelationError(f"pi_{i}^2 not scalar on block {t}")
             a = rational_of(val)
             if a.__class__ is not int:
                 raise RelationError(f"pi_{i}^2 eigenvalue not an integer")
             avec.append(a)
-        # off-block coupling of pi itself
-        for i, pm in enumerate(pis, start=1):
-            for r in range(lo, hi):
-                for c in pm.rows.get(r, {}):
-                    if not lo <= c < hi:
-                        raise RelationError(f"pi_{i} not block-diagonal")
-        out.append(tuple(avec))
-    return sorted(out)
+    return sorted(map(tuple, avecs))
 
 
 def _block_ratio(rep: GradedRep, i: int) -> Mat:
@@ -858,8 +808,4 @@ def mutated_rep(rep: GradedRep) -> GradedRep:
     rows[r0][c0] = -rows[r0][c0]
     gens = [(name, Mat(tau1.nrows, tau1.ncols, rows) if name == "tau_1" else g)
             for name, g in rep.generators]
-    # fresh caches: the mutated tau_1 gives different pi_k and summands
-    return replace(
-        rep, generators=gens, build_report=dict(rep.build_report, mutated=True),
-        _pi_cache={}, _irreducible=(),
-    )
+    return GradedRep.new(rep.shape, rep.has_clifford, gens, dict(rep.build_report, mutated=True))

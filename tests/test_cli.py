@@ -180,6 +180,26 @@ def _even_parity(obj):
     obj["parity"] = [0] * len(obj["parity"])
 
 
+def _duplicate_generator(obj):
+    # a sign-flipped copy of tau_1 ahead of the real one: a loader keyed by
+    # name would keep the last entry and accept the file
+    obj["generators"].insert(0, json.loads(json.dumps(obj["generators"][0])))
+    term = _first_term(obj)
+    term["coeff"] = term["coeff"][1:] if term["coeff"].startswith("-") else "-" + term["coeff"]
+
+
+def _reordered_generators(obj):
+    obj["generators"].reverse()
+
+
+def _wrong_schema(obj):
+    obj["schema"] = "superspin/99"
+
+
+def _missing_schema(obj):
+    del obj["schema"]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -199,6 +219,10 @@ def _even_parity(obj):
         _nonstandard_tableau,
         _even_parity,
         _inhomogeneous_generator,
+        _duplicate_generator,
+        _reordered_generators,
+        _wrong_schema,
+        _missing_schema,
     ],
 )
 def test_verify_malformed_model(tmp_path, capsys, corrupt):

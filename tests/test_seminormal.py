@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,40 @@ def test_spectrum_rejects_mutated_model(builder, parts):
     rep = sn.mutated_rep(builder(StrictPartition(parts)))
     with pytest.raises(sn.RelationError, match="pi_2\\^2 not scalar on block 0"):
         sn.spectrum_of(rep)
+
+
+def _edited_tau1(parts, edit):
+    """The plain model of parts, read back from its file after edit(tau_1's rows)."""
+    obj = sn.build_rep_plain(StrictPartition(parts)).to_json()
+    edit(obj["generators"][0]["matrix"])
+    return sn.GradedRep.from_json(obj)
+
+
+def test_spectrum_rejects_off_block_pi():
+    # one odd entry of tau_1 = pi_2 joining blocks 0 and 1 of the two tableaux
+    rep = sn.build_rep_plain(StrictPartition((3, 1)))
+    w = rep.block_dim
+    r = 0
+    c = next(c for c in range(w, 2 * w) if rep.parity[c] != rep.parity[r])
+
+    def join(rows):
+        rows[r][c] = {"terms": [{"radicand": 1, "coeff": "1/1"}]}
+
+    with pytest.raises(sn.RelationError, match="^pi_2 not block-diagonal$"):
+        sn.spectrum_of(_edited_tau1((3, 1), join))
+
+
+def test_spectrum_rejects_a_fractional_eigenvalue():
+    # tau_1 / 2 = pi_2 / 2 squares to I / 4 on every block
+    def halve(rows):
+        for row in rows:
+            for cell in row:
+                for term in cell["terms"]:
+                    x = Fraction(term["coeff"]) / 2
+                    term["coeff"] = f"{x.numerator}/{x.denominator}"
+
+    with pytest.raises(sn.RelationError, match="^pi_2\\^2 eigenvalue not an integer$"):
+        sn.spectrum_of(_edited_tau1((3, 1), halve))
 
 
 def test_mutated_rep_has_its_own_pi():
@@ -326,14 +362,37 @@ def test_empirical_type_matches_conjecture():
 
 
 def test_graded_rep_json_roundtrip():
-    rep = sn.build_rep_plain(StrictPartition((2, 1)))
-    obj = rep.to_json()
-    assert obj["schema"] == "superspin/1"
-    back = sn.GradedRep.from_json(obj)
-    assert back.dim == rep.dim
-    assert back.parity == rep.parity
-    assert back.generators == rep.generators
-    assert sn.spectrum_of(back) == sn.spectrum_of(rep)
+    for shape in shapes_up_to(4):
+        for builder in (sn.build_rep_plain, sn.build_rep_clifford_tensor):
+            rep = builder(shape)
+            obj = rep.to_json()
+            assert obj["schema"] == "superspin/1"
+            back = sn.GradedRep.from_json(obj)
+            assert back.document() == rep.document(), (shape, builder)
+            assert sn.spectrum_of(back) == sn.spectrum_of(rep)
+
+
+def test_only_graded_rep_new_makes_a_model():
+    # built, loaded and mutated models all come from GradedRep.new: nothing else
+    # in the package calls GradedRep(...), GradedRep's cls(...) or a dataclass replace
+    package = Path(sn.__file__).resolve().parent
+    found = []
+
+    def visit(node, scope, path):
+        if isinstance(node, ast.Call) and scope != ["GradedRep", "new"]:
+            callee = ast.unparse(node.func)
+            if callee in ("GradedRep", "replace", "dataclasses.replace") or (
+                callee == "cls" and scope[:1] == ["GradedRep"]
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + [node.name]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, path)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), [], path)
+    assert found == []
 
 
 def test_size_limits():
