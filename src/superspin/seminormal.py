@@ -10,17 +10,25 @@ transposed neighbor.  The ascending coefficient is 1; the descending one is
 adjudicated between the printed scalar and the corrected denominator, and the
 whole construction is validated by exact relation checks, spectra, and the
 regular-representation oracle.
+
+A built model keeps each generator as a block matrix over the Clifford algebra
+(`CliffordMat`: per tableau pair, a map from Clifford words to coefficients)
+and is checked in that form, at about 1/w of the dense cost for blocks of size
+w; its dense generators are expanded once, for the JSON writer and the module
+solves.  Loaded and mutated models carry only dense generators.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import spinalg
-from .exactnum import Scalar, rational_of, sqrt_rational
+from .exactnum import Scalar, rational_of, scalar_json, sqrt_rational
 from .gradedstruct import (
     BlockReport,
     GradedMatrixAlgebra,
@@ -32,7 +40,7 @@ from .gradedstruct import (
     split_module_by_central,
     subspace_parity,
 )
-from .linalg import CheckFailed, Mat, Subspace, Vec, eigensplit, plain
+from .linalg import CheckFailed, Mat, Subspace, Vec, eigensplit, plain, vec_add_scaled
 from .shiftedcomb import (
     BranchingGraph,
     ShiftedTableau,
@@ -59,8 +67,10 @@ def _signed_perm(dim: int, flip: int, zmask: int = 0, ymask: int = 0) -> Mat:
     })
 
 
-def clifford_module(m: int) -> tuple[int, list[Mat], tuple[int, ...]]:
-    """(dim, generators, parity) for m anticommuting odd involutions over the field.
+@cache
+def clifford_module(m: int) -> tuple[int, tuple[Mat, ...], tuple[int, ...]]:
+    """(dim, generators, parity) for m anticommuting odd involutions over the field,
+    made once per m and shared.
 
     Uses paired slots with one extra realification slot, so the dimension is
     2^(ceil(m/2) + 1) for m >= 2; the quaternionic obstruction over real
@@ -71,9 +81,9 @@ def clifford_module(m: int) -> tuple[int, list[Mat], tuple[int, ...]]:
     every generator is a signed permutation.
     """
     if m == 0:
-        return 1, [], (0,)
+        return 1, (), (0,)
     if m == 1:
-        return 2, [_signed_perm(2, 1)], (0, 1)
+        return 2, (_signed_perm(2, 1),), (0, 1)
     k = (m + 1) // 2
     dim = 1 << (k + 1)
     gens: list[Mat] = []
@@ -84,7 +94,112 @@ def clifford_module(m: int) -> tuple[int, list[Mat], tuple[int, ...]]:
         if 2 * j <= m:
             gens.append(_signed_perm(dim, bit | 1, earlier, bit | 1))
     parity = tuple(bin(i >> 1).count("1") % 2 for i in range(dim))
-    return dim, gens, parity
+    return dim, tuple(gens), parity
+
+
+def word_product(u: int, v: int) -> tuple[int, int]:
+    """(sign, word) with e_u e_v = sign * e_{u XOR v} for ascending Clifford words.
+
+    A word is the bitmask of an ascending product of anticommuting involutions
+    (bit i-1 for e_i); the sign counts the pairs i in u, j in v with i > j.
+    """
+    swaps, rest = 0, v
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        swaps += (u >> low.bit_length()).bit_count()
+    return (-1 if swaps & 1 else 1), u ^ v
+
+
+def _word_action(m: int, u: int) -> list[tuple[int, int, int]]:
+    """(row, column, sign) of each entry of word u on clifford_module(m), the
+    ascending product of its generators, composed as signed permutations.  The
+    entries come in row order, the order the module solves see them in."""
+    w, gens, _ = clifford_module(m)
+    cols = [g.cols() for g in gens]
+    out = []
+    for c in range(w):
+        r, s = c, 1
+        for i in reversed(range(m)):
+            if u >> i & 1:
+                ((r, x),) = cols[i][r].items()
+                s *= x
+        out.append((r, c, s))
+    return sorted(out)
+
+
+class CliffordMat:
+    """A g x g block matrix over the Clifford algebra Cl_m: the sum of E_ab (x) c_ab.
+
+    `blocks` maps (a, b) to c_ab, a nonzero map {word: coefficient} (see
+    `word_product`).  `expand` is the dense matrix on g copies of
+    `clifford_module(m)`, word u acting as the ascending product of its
+    generators; expansion is an algebra homomorphism, so a relation that holds
+    here holds densely.
+    """
+
+    __slots__ = ("g", "m", "blocks")
+
+    def __init__(self, g: int, m: int, blocks: dict[tuple[int, int], dict[int, Scalar]]):
+        self.g, self.m, self.blocks = g, m, {k: el for k, el in blocks.items() if el}
+
+    def is_zero(self) -> bool:
+        return not self.blocks
+
+    def scale(self, c: Scalar) -> CliffordMat:
+        return CliffordMat(self.g, self.m, {
+            k: vec_add_scaled({}, el, c) for k, el in self.blocks.items()
+        })
+
+    def __neg__(self) -> CliffordMat:
+        return self.scale(-1)
+
+    def __add__(self, other: CliffordMat, c: Scalar = 1) -> CliffordMat:
+        blocks = dict(self.blocks)
+        for k, el in other.blocks.items():
+            blocks[k] = vec_add_scaled(blocks.get(k, {}), el, c)
+        return CliffordMat(self.g, self.m, blocks)
+
+    def __sub__(self, other: CliffordMat) -> CliffordMat:
+        return self.__add__(other, -1)
+
+    def __mul__(self, other: CliffordMat) -> CliffordMat:
+        by_row: dict[int, list] = {}
+        for (b, c), el in other.blocks.items():
+            by_row.setdefault(b, []).append((c, el))
+        blocks: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for (a, b), x in self.blocks.items():
+            for c, y in by_row.get(b, ()):
+                tgt = blocks.setdefault((a, c), {})
+                for u, xu in x.items():
+                    for v, yv in y.items():
+                        sign, w = word_product(u, v)
+                        p = xu * yv if sign > 0 else -(xu * yv)
+                        s = tgt.get(w)
+                        s = p if s is None else s + p
+                        if s:
+                            tgt[w] = s
+                        else:
+                            del tgt[w]
+        return CliffordMat(self.g, self.m, blocks)
+
+    def expand(self) -> Mat:
+        w = clifford_module(self.m)[0]
+        rows: dict[int, Vec] = {}
+        words: dict[int, list] = {}
+        for (a, b), el in self.blocks.items():
+            for u, x in el.items():
+                if u not in words:
+                    words[u] = _word_action(self.m, u)
+                signed = {1: x, -1: -x}
+                for r, c, s in words[u]:
+                    tgt, key = rows.setdefault(a * w + r, {}), b * w + c
+                    v = tgt[key] + signed[s] if key in tgt else signed[s]
+                    if v:
+                        tgt[key] = v
+                    else:
+                        del tgt[key]
+        return Mat(self.g * w, self.g * w, {r: row for r, row in rows.items() if row})
 
 
 # -- graded representations ------------------------------------------------------
@@ -102,26 +217,33 @@ class GradedRep(GradedMatrixAlgebra):
     avecs: list[tuple[int, ...]]
     block_dim: int
     build_report: dict = field(default_factory=dict)
+    factored: dict = field(default_factory=dict, repr=False)  # name -> CliffordMat if built
     _pi_cache: dict = field(default_factory=dict, repr=False)
+    _fpi_cache: dict = field(default_factory=dict, repr=False)  # of the factored pi_k
     _irreducible: tuple = field(default=(), repr=False)  # see first_summand
 
     @classmethod
-    def new(cls, shape: StrictPartition, tensor: bool, generators: list[tuple[str, Mat]],
+    def new(cls, shape: StrictPartition, tensor: bool,
+            generators: list[tuple[str, Mat | CliffordMat]],
             build_report: dict | None = None) -> GradedRep:
         """The model of `shape` with these generators, which must be tau_1 ..
-        tau_{n-1}, then p_1 .. p_n for the Clifford-extended algebra, in order."""
+        tau_{n-1}, then p_1 .. p_n for the Clifford-extended algebra, in order.
+        Generators given as CliffordMats are kept as the model's factored form
+        and expanded once into its dense generators."""
         n = shape.n
         names = [f"tau_{i}" for i in range(1, n)]
         names += [f"p_{i}" for i in range(1, n + 1)] if tensor else []
         if [name for name, _ in generators] != names:
             raise ValueError(f"generators must be exactly {', '.join(names)}, in order")
+        factored = dict(generators) if all(isinstance(g, CliffordMat) for _, g in generators) else {}
         tabs = standard_tableaux(shape)
         block_dim, _, cparity = clifford_module(2 * n if tensor else n)
         return cls(
-            len(tabs) * block_dim, cparity * len(tabs), generators,
+            len(tabs) * block_dim, cparity * len(tabs),
+            [(name, g.expand() if isinstance(g, CliffordMat) else g) for name, g in generators],
             algebra="clifford_tensor_A_n" if tensor else "A_n", shape=shape,
             tableaux=tabs, avecs=[spectrum_vector(t).a for t in tabs],
-            block_dim=block_dim, build_report=build_report or {},
+            block_dim=block_dim, build_report=build_report or {}, factored=factored,
         )
 
     @property
@@ -138,8 +260,19 @@ class GradedRep(GradedMatrixAlgebra):
     def has_clifford(self) -> bool:
         return self.algebra == "clifford_tensor_A_n"
 
-    def pi(self, k: int) -> Mat:
-        return yjm_matrix(self, k, self._pi_cache)
+    def one(self, factored: bool = False) -> Mat | CliffordMat:
+        """The identity, as a Mat or in the factored form of a built model."""
+        if factored:
+            blocks = {(t, t): {0: 1} for t in range(len(self.tableaux))}
+            return CliffordMat(len(self.tableaux), self.n * (1 + self.has_clifford), blocks)
+        return Mat.identity(self.dim)
+
+    def pi(self, k: int, factored: bool = False) -> Mat | CliffordMat:
+        """pi_k as a Mat, or in the factored form of a built model."""
+        cache = self._fpi_cache if factored else self._pi_cache
+        if not cache:
+            cache[1] = self.one(factored).scale(0)
+        return yjm_matrix(self.factored.__getitem__ if factored else self.generator, k, cache)
 
     def block_slice(self, t: int) -> range:
         return range(t * self.block_dim, (t + 1) * self.block_dim)
@@ -169,8 +302,12 @@ class GradedRep(GradedMatrixAlgebra):
 
     @classmethod
     def from_json(cls, obj: dict) -> GradedRep:
-        """The model of a file, which must match the builder's document of it."""
-        shape = StrictPartition(tuple(obj["shape"]))
+        """The model of a file, which must match the builder's document of it,
+        value and JSON type alike."""
+        parts = obj["shape"]
+        if not isinstance(parts, list) or any(type(p) is not int for p in parts):
+            raise ValueError("shape must be a list of integers")
+        shape = StrictPartition(tuple(parts))
         if obj["algebra"] not in ("A_n", "clifford_tensor_A_n"):
             raise ValueError(f"unknown algebra {obj['algebra']!r}")
         if not 1 <= shape.n <= 7:
@@ -182,26 +319,24 @@ class GradedRep(GradedMatrixAlgebra):
         )
         doc = rep.document()
         for key in ("schema", "n", "dim", "block_dim", "parity", "basis"):
-            if obj.get(key) != doc[key]:
+            if json.dumps(obj.get(key), sort_keys=True) != json.dumps(doc[key], sort_keys=True):
                 raise ValueError(f"{key} does not match the builder's model of {shape}")
         return rep
 
 
-def yjm_matrix(mod: GradedMatrixAlgebra, k: int, cache: dict) -> Mat:
-    """The YJM element pi_k of a module, by pi_1 = 0 and pi_{k+1} = tau_k - tau_k pi_k tau_k.
+def yjm_matrix(generator: Callable, k: int, cache: dict):
+    """The YJM element pi_k of a module, by pi_{k+1} = tau_k - tau_k pi_k tau_k.
 
     The recurrence is the relation tau_k pi_k + pi_{k+1} tau_k = 1 solved for
     pi_{k+1} with tau_k^2 = 1, so each step costs two products of sparse
-    matrices.  `cache` maps k to pi_k and keeps it from one call to the next.
+    matrices, dense or factored alike: `generator` maps a name to its matrix.
+    `cache` maps k to pi_k, starts with pi_1 = 0 and keeps pi_k from one call
+    to the next.
     """
     hit = cache.get(k)
     if hit is None:
-        if k == 1:
-            hit = Mat.zero(mod.dim)
-        else:
-            t = mod.generator(f"tau_{k - 1}")
-            hit = t - t * yjm_matrix(mod, k - 1, cache) * t
-        cache[k] = hit
+        t = generator(f"tau_{k - 1}")
+        hit = cache[k] = t - t * yjm_matrix(generator, k - 1, cache) * t
     return hit
 
 
@@ -222,33 +357,22 @@ def _kappa(s: int, t: int, variant: str) -> Fraction:
 def _construct(
     shape: StrictPartition, tensor: bool, variant: str
 ) -> GradedRep:
+    """The model in factored form: p_i is bit i-1 and h_i bit n+i-1 for tensor,
+    h_i bit i-1 for plain, matching the order of clifford_module's generators."""
     n = shape.n
     tabs = standard_tableaux(shape)
     avecs = [spectrum_vector(t).a for t in tabs]
     tab_index = {t: i for i, t in enumerate(tabs)}
-    w, gens, _ = clifford_module(2 * n if tensor else n)
-    p_mats, h_mats = (gens[:n], gens[n:]) if tensor else ([], gens)
-    dim = len(tabs) * w
-
-    def place(target: dict, brow: int, bcol: int, local: Mat, coef: Scalar):
-        # no two calls for one generator write the same block, and coef != 0
-        off_r, off_c = brow * w, bcol * w
-        for r, row in local.rows.items():
-            target.setdefault(off_r + r, {}).update(
-                (off_c + c, coef * v) for c, v in row.items()
-            )
-
-    generators: list[tuple[str, Mat]] = []
+    g, m, h = len(tabs), 2 * n if tensor else n, n if tensor else 0
+    generators: list[tuple[str, CliffordMat]] = []
     for i in range(1, n):
-        z = (h_mats[i - 1] - h_mats[i]).scale(INV_SQRT2)
-        rows: dict[int, Vec] = {}
+        hi, hj = 1 << (h + i - 1), 1 << (h + i)
+        blocks: dict[tuple[int, int], dict[int, Scalar]] = {}
         for t, tab in enumerate(tabs):
             s, tt = avecs[t][i - 1], avecs[t][i]
             dcoef = Fraction(1, s - tt)
-            local = h_mats[i - 1].scale(sqrt_rational(s) * dcoef) - h_mats[i].scale(
-                sqrt_rational(tt) * dcoef
-            )
-            place(rows, t, t, local, 1)
+            local = {hi: sqrt_rational(s) * dcoef, hj: -(sqrt_rational(tt) * dcoef)}
+            blocks[t, t] = {u: x for u, x in local.items() if x}
             # a split pair: kappa = 0 would need s + t = (s - t)^2 (corrected)
             # or s + t = 1 (printed), and both pairs are fused
             if s + tt != (s - tt) ** 2:
@@ -256,13 +380,11 @@ def _construct(
                 assert other is not None, "split pair must admit the swap"
                 t2 = tab_index[other]
                 coef = 1 if tabs[t2].length() > tab.length() else _kappa(s, tt, variant)
-                place(rows, t2, t, z, coef)
-        generators.append((f"tau_{i}", Mat(dim, dim, rows)))
-    for i, p_mat in enumerate(p_mats, start=1):
-        rows = {}
-        for t in range(len(tabs)):
-            place(rows, t, t, p_mat, 1)
-        generators.append((f"p_{i}", Mat(dim, dim, rows)))
+                blocks[t2, t] = {hi: coef * INV_SQRT2, hj: -(coef * INV_SQRT2)}
+        generators.append((f"tau_{i}", CliffordMat(g, m, blocks)))
+    for i in range(1, n + 1 if tensor else 1):
+        p_i = {(t, t): {1 << (i - 1): 1} for t in range(g)}
+        generators.append((f"p_{i}", CliffordMat(g, m, p_i)))
     return GradedRep.new(shape, tensor, generators, {"case_iii_variant": variant})
 
 
@@ -272,20 +394,30 @@ def verify_relations(rep: GradedRep) -> list[dict]:
 
 
 def _relation_checks(rep: GradedRep) -> Iterator[dict]:
-    """The checks of `verify_relations`, yielded one at a time in its order."""
+    """The checks of `verify_relations`, yielded one at a time in its order.
+
+    A built model is checked in its factored form, where a zero defect passes;
+    any other defect is expanded and decided densely, so every verdict is the
+    dense one.
+    """
     n = rep.n
-    one = Mat.identity(rep.dim)
+    factored = bool(rep.factored)
+    generator = rep.factored.__getitem__ if factored else rep.generator
+    one = rep.one(factored)
 
-    def check(name: str, lhs: Mat, rhs: Mat) -> dict:
+    def check(name: str, lhs, rhs) -> dict:
         defect = lhs - rhs
-        ok = defect.is_zero()
-        return {
-            "identity": name,
-            "status": "pass" if ok else "fail",
-            "defect_norm": 0.0 if ok else defect.max_abs_float(),
-        }
+        if factored and not defect.is_zero():
+            defect = defect.expand()
+        entry = {"identity": name, "status": "pass", "defect_norm": 0.0}
+        if not defect.is_zero():
+            r = min(r for r, row in defect.rows.items() if row)
+            c = min(defect.rows[r])
+            first = {"row": r, "col": c, "value": scalar_json(defect.rows[r][c])}
+            entry.update(status="fail", defect_norm=defect.max_abs_float(), first_defect=first)
+        return entry
 
-    taus = {i: rep.tau(i) for i in range(1, n)}
+    taus = {i: generator(f"tau_{i}") for i in range(1, n)}
     for i in range(1, n):
         yield check(f"tau_{i}^2 = 1", taus[i] * taus[i], one)
     for i in range(1, n - 1):
@@ -299,25 +431,26 @@ def _relation_checks(rep: GradedRep) -> Iterator[dict]:
             prod = taus[i] * taus[j]
             yield check(f"(tau_{i} tau_{j})^2 = -1", prod * prod, -one)
     if rep.has_clifford:
-        ps = {i: rep.p(i) for i in range(1, n + 1)}
+        zero = one.scale(0)
+        ps = {i: generator(f"p_{i}") for i in range(1, n + 1)}
         for i in range(1, n + 1):
             yield check(f"p_{i}^2 = 1", ps[i] * ps[i], one)
             for j in range(i + 1, n + 1):
                 yield check(
                     f"p_{i} p_{j} + p_{j} p_{i} = 0",
                     ps[i] * ps[j] + ps[j] * ps[i],
-                    Mat.zero(rep.dim),
+                    zero,
                 )
         for i in range(1, n + 1):
             for j in range(1, n):
                 yield check(
                     f"tau_{j} p_{i} + p_{i} tau_{j} = 0",
                     taus[j] * ps[i] + ps[i] * taus[j],
-                    Mat.zero(rep.dim),
+                    zero,
                 )
         # the commuting family x_i = p_i pi_i / sqrt(2)
         xs = {
-            i: (ps[i] * rep.pi(i)).scale(INV_SQRT2) for i in range(1, n + 1)
+            i: (ps[i] * rep.pi(i, factored)).scale(INV_SQRT2) for i in range(1, n + 1)
         }
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -411,8 +544,14 @@ def spectrum_of(rep: GradedRep) -> list[tuple[int, ...]]:
 
     The pi_i are reassembled from the tau matrices (`yjm_matrix`) and each
     pi_i^2 is formed once, so this doubles as a check that they are
-    block-diagonal with the tableau-prescribed scalar squares.
+    block-diagonal with the tableau-prescribed scalar squares.  A built model
+    is checked in its factored form; where that check fails, the dense one
+    decides and names the failure.
     """
+    if rep.factored:
+        spec = _factored_spectrum(rep)
+        if spec is not None:
+            return spec
     w = rep.block_dim
     avecs: list[list[int]] = [[] for _ in rep.tableaux]
     for i in range(1, rep.n + 1):
@@ -428,6 +567,25 @@ def spectrum_of(rep: GradedRep) -> list[tuple[int, ...]]:
             a = rational_of(val)
             if a.__class__ is not int:
                 raise RelationError(f"pi_{i}^2 eigenvalue not an integer")
+            avec.append(a)
+    return sorted(map(tuple, avecs))
+
+
+def _factored_spectrum(rep: GradedRep) -> list[tuple[int, ...]] | None:
+    """`spectrum_of` on the factored form: each pi_i block-diagonal with pi_i^2
+    an integer scalar on each block.  None when that fails, and the dense check
+    decides."""
+    avecs: list[list[int]] = [[] for _ in rep.tableaux]
+    for i in range(1, rep.n + 1):
+        pm = rep.pi(i, factored=True)
+        if any(a != b for a, b in pm.blocks):
+            return None
+        sq = (pm * pm).blocks
+        for t, avec in enumerate(avecs):
+            el = sq.get((t, t), {})
+            a = rational_of(el.get(0, 0))
+            if el.keys() - {0} or a.__class__ is not int:
+                return None
             avec.append(a)
     return sorted(map(tuple, avecs))
 
@@ -523,8 +681,8 @@ def first_summand(rep: GradedRep) -> tuple[GradedMatrixAlgebra, dict]:
 
 def identify_shape(mod: GradedMatrixAlgebra, level: int) -> StrictPartition:
     """Shape whose tableau spectra match the joint YJM-square spectrum."""
-    cache: dict[int, Mat] = {}
-    squares = [pi * pi for pi in (yjm_matrix(mod, k, cache) for k in range(1, level + 1))]
+    cache = {1: Mat.zero(mod.dim)}
+    squares = [pi * pi for pi in (yjm_matrix(mod.generator, k, cache) for k in range(1, level + 1))]
     return _shape_of_avec(_a_vectors(Subspace.full(mod.dim), squares)[0])
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from superspin import cli
+from superspin import cli, seminormal
+from superspin.shiftedcomb import StrictPartition
 
 
 def run(capsys, *argv):
@@ -200,6 +201,26 @@ def _missing_schema(obj):
     del obj["schema"]
 
 
+def _float_dim(obj):
+    # 8.0 == 8 in Python, but the builder writes the integer 8
+    obj["dim"] = float(obj["dim"])
+
+
+def _float_n(obj):
+    obj["n"] = 3.0
+
+
+def _bool_parity(obj):
+    obj["parity"] = [bool(p) for p in obj["parity"]]
+
+
+def _bool_shape(obj):
+    # the model of shape 1 written by build-rep 1, with the shape part true
+    obj.clear()
+    obj.update(seminormal.build_rep_plain(StrictPartition((1,))).to_json())
+    obj["shape"] = [True]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -223,6 +244,10 @@ def _missing_schema(obj):
         _reordered_generators,
         _wrong_schema,
         _missing_schema,
+        _float_dim,
+        _float_n,
+        _bool_parity,
+        _bool_shape,
     ],
 )
 def test_verify_malformed_model(tmp_path, capsys, corrupt):

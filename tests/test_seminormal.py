@@ -8,6 +8,7 @@ from superspin import linalg
 from superspin import seminormal as sn
 from superspin import shiftedcomb as sc
 from superspin import spinalg
+from superspin.exactnum import scalar_json
 from superspin.linalg import CheckFailed, Mat
 from superspin.shiftedcomb import StrictPartition, strict_partitions
 
@@ -418,10 +419,6 @@ def test_large_instance_smoke():
     assert time.time() - start < 300
 
 
-@pytest.mark.skipif(
-    not __import__("os").environ.get("SUPERSPIN_RUN_SLOW"),
-    reason="tensor rank-7 smoke test takes about 20 s on 2 cores; set SUPERSPIN_RUN_SLOW=1",
-)
 def test_large_instance_tensor_smoke():
     import time
 
@@ -447,11 +444,16 @@ def _reference_pi(rep, k):
     return total
 
 
+def _dense_copy(rep):
+    """The model with its dense generators alone, checked by dense products."""
+    return sn.GradedRep.new(rep.shape, rep.has_clifford, rep.generators, rep.build_report)
+
+
 def _reference_build_report(shape, tensor):
     """Both variants constructed and fully verified, pi from the reference sum."""
     outcomes, chosen = {}, None
     for variant in ("corrected", "printed"):
-        rep = sn._construct(shape, tensor, variant)
+        rep = _dense_copy(sn._construct(shape, tensor, variant))
         for k in range(1, rep.n + 1):
             rep._pi_cache[k] = _reference_pi(rep, k)
         report = sn.verify_relations(rep)
@@ -488,6 +490,91 @@ def test_yjm_recurrence_matches_transposition_sum():
 def test_build_report_matches_full_adjudication(shape, tensor):
     builder = sn.build_rep_clifford_tensor if tensor else sn.build_rep_plain
     assert builder(shape).build_report == _reference_build_report(shape, tensor)
+
+
+# -- the factored form against the dense one: word products, reports, spectra ---
+
+
+def test_word_product_matches_dense_words():
+    for m in range(7):
+        dim, gens, _ = sn.clifford_module(m)
+        words = []
+        for u in range(1 << m):
+            prod = Mat.identity(dim)
+            for i in range(m):
+                if u >> i & 1:
+                    prod = prod * gens[i]
+            assert sn.CliffordMat(1, m, {(0, 0): {u: 1}}).expand() == prod, (m, u)
+            words.append(prod)
+        for u, wu in enumerate(words):
+            for v, wv in enumerate(words):
+                sign, w = sn.word_product(u, v)
+                assert wu * wv == words[w].scale(sign), (m, u, v)
+
+
+def _spectrum_outcome(rep):
+    try:
+        return sn.spectrum_of(rep)
+    except sn.RelationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "shape, tensor, variant",
+    [
+        (s, tensor, variant)
+        for s in shapes_up_to(6) + [StrictPartition((4, 2, 1))]
+        for tensor in ((False, True) if s.n <= 6 else (False,))
+        for variant in ("corrected", "printed")
+    ],
+    ids=str,
+)
+def test_factored_checks_match_dense(shape, tensor, variant):
+    rep = sn._construct(shape, tensor, variant)
+    dense = _dense_copy(rep)
+    assert (bool(rep.factored), bool(dense.factored)) == (shape.n > 1 or tensor, False)
+    assert sn.verify_relations(rep) == sn.verify_relations(dense)
+    assert _spectrum_outcome(rep) == _spectrum_outcome(dense)
+
+
+@pytest.mark.parametrize("parts, tensor", [((5, 1), False), ((3, 2), True)])
+def test_builds_take_the_factored_path(monkeypatch, parts, tensor):
+    # a silent fall-back to the dense check would multiply Mats
+    def refuse(self, other):
+        raise AssertionError("dense product while checking a built model")
+
+    monkeypatch.setattr(linalg.Mat, "__mul__", refuse)
+    rep = sn._build(StrictPartition(parts), tensor)
+    assert all(r["status"] == "pass" for r in sn.verify_relations(rep))
+    assert sn.spectrum_of(rep) == sorted(rep.avecs)
+
+
+def test_failure_names_the_first_defect_entry():
+    rep = sn.mutated_rep(sn.build_rep_plain(StrictPartition((3, 1))))
+    t = {i: rep.tau(i) for i in range(1, 4)}
+    one = Mat.identity(rep.dim)
+    defects = {
+        "tau_1^2 = 1": t[1] * t[1] - one,
+        "tau_2^2 = 1": t[2] * t[2] - one,
+        "tau_3^2 = 1": t[3] * t[3] - one,
+        "tau_1 tau_2 tau_1 = tau_2 tau_1 tau_2": t[1] * t[2] * t[1] - t[2] * t[1] * t[2],
+        "tau_2 tau_3 tau_2 = tau_3 tau_2 tau_3": t[2] * t[3] * t[2] - t[3] * t[2] * t[3],
+        "(tau_1 tau_3)^2 = -1": t[1] * t[3] * t[1] * t[3] + one,
+    }
+    report = sn.verify_relations(rep)
+    assert [r["identity"] for r in report] == list(defects)
+    assert any(r["status"] == "fail" for r in report)
+    for entry in report:
+        defect = defects[entry["identity"]]
+        cells = [(r, c) for r in range(rep.dim) for c in range(rep.dim) if defect.entry(r, c)]
+        if not cells:
+            assert entry == {"identity": entry["identity"], "status": "pass", "defect_norm": 0.0}
+            continue
+        r, c = cells[0]
+        assert entry["status"] == "fail"
+        assert entry["first_defect"] == {
+            "row": r, "col": c, "value": scalar_json(defect.entry(r, c)),
+        }
 
 
 # -- the oracle's certified fast path against the exact path and sympy ----------
