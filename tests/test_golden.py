@@ -38,6 +38,10 @@ COMMANDS = [
     ("verify <build-rep 4,2>", ["verify", "{model:build-rep 4,2}"]),
     ("build-rep 5 --algebra tensor", ["build-rep", "5", "--algebra", "tensor", "--out", "{out}"]),
     ("verify <build-rep 5 --algebra tensor>", ["verify", "{model:build-rep 5 --algebra tensor}"]),
+    ("build-rep 3,2 --algebra tensor", ["build-rep", "3,2", "--algebra", "tensor", "--out", "{out}"]),
+    ("verify <build-rep 3,2 --algebra tensor>", ["verify", "{model:build-rep 3,2 --algebra tensor}"]),
+    ("build-rep 5,1", ["build-rep", "5,1", "--out", "{out}"]),
+    ("verify <build-rep 5,1>", ["verify", "{model:build-rep 5,1}"]),
     ("supercenter 5", ["supercenter", "5"]),
     ("supercenter 7", ["supercenter", "7"]),
     ("gz 4", ["gz", "4"]),
