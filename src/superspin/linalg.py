@@ -28,6 +28,7 @@ from .exactnum import (
 )
 
 Vec = dict  # index -> Scalar
+_ZERO_CELL = scalar_json(0)  # the writer's zero, {"terms": []}
 
 
 class CheckFailed(ValueError):
@@ -206,6 +207,7 @@ class Mat:
 
     @classmethod
     def from_json(cls, dense: list) -> Mat:
+        """Read the layout of `to_json`; the writer's zero cell is skipped unread."""
         nrows = len(dense)
         ncols = len(dense[0]) if dense else 0
         if any(len(rowvals) != ncols for rowvals in dense):
@@ -213,6 +215,8 @@ class Mat:
         rows: dict[int, Vec] = {}
         for r, rowvals in enumerate(dense):
             for c, obj in enumerate(rowvals):
+                if obj == _ZERO_CELL:
+                    continue
                 v = SqrtNumber.from_json(obj)
                 if v:
                     rows.setdefault(r, {})[c] = v

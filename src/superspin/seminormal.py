@@ -15,7 +15,9 @@ A built model keeps each generator as a block matrix over the Clifford algebra
 (`CliffordMat`: per tableau pair, a map from Clifford words to coefficients)
 and is checked in that form, at about 1/w of the dense cost for blocks of size
 w; its dense generators are expanded once, for the JSON writer and the module
-solves.  Loaded and mutated models carry only dense generators.
+solves.  A loaded model whose matrices equal the builder's takes the builder's
+factored form; any other loaded model, and a mutated one, carries only dense
+generators.
 """
 
 from __future__ import annotations
@@ -321,6 +323,15 @@ class GradedRep(GradedMatrixAlgebra):
         for key in ("schema", "n", "dim", "block_dim", "parity", "basis"):
             if json.dumps(obj.get(key), sort_keys=True) != json.dumps(doc[key], sort_keys=True):
                 raise ValueError(f"{key} does not match the builder's model of {shape}")
+        # the builder's matrices are the expansion of its factored form, so a
+        # file holding exactly them is checked in that form; any other file,
+        # or one of a shape the builder fails, is checked densely
+        try:
+            built = _cached_build(shape, rep.has_clifford)
+        except RelationError:
+            return rep
+        if rep.generators == built.generators:
+            rep.factored = built.factored
         return rep
 
 

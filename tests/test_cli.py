@@ -77,6 +77,14 @@ def test_branching_graph_dot(capsys):
     assert json.loads(out)["source"] == "from_reps"
 
 
+def _dense_report(obj):
+    """verify_relations of the file's model from its dense generators alone,
+    in JSON form."""
+    rep = seminormal.GradedRep.from_json(obj)
+    dense = seminormal.GradedRep.new(rep.shape, rep.has_clifford, rep.generators)
+    return json.loads(json.dumps(seminormal.verify_relations(dense)))
+
+
 def test_build_verify_roundtrip(tmp_path, capsys):
     path = tmp_path / "rep.json"
     rc = cli.main(["build-rep", "2,1", "--out", str(path)])
@@ -85,8 +93,9 @@ def test_build_verify_roundtrip(tmp_path, capsys):
     assert rc == 0
     report = json.loads(out)["report"]
     assert all(r["status"] == "pass" for r in report)
-    # mutate one sign and expect failure
     obj = json.loads(path.read_text())
+    assert seminormal.GradedRep.from_json(obj).factored
+    # mutate one sign and expect failure
     entry = obj["generators"][0]["matrix"][0]
     for i, cell in enumerate(entry):
         if cell["terms"]:
@@ -96,6 +105,28 @@ def test_build_verify_roundtrip(tmp_path, capsys):
     bad.write_text(json.dumps(obj))
     rc, out = run(capsys, "verify", str(bad))
     assert rc == 1
+    # a file that differs from the builder's model is checked densely
+    assert not seminormal.GradedRep.from_json(obj).factored
+    report = json.loads(out)["report"]
+    assert any("first_defect" in r for r in report)
+    assert report == _dense_report(obj)
+
+
+def test_verify_without_a_built_model(tmp_path, capsys, monkeypatch):
+    # a valid file whose shape the builder cannot make is checked densely
+    path = tmp_path / "rep.json"
+    assert cli.main(["build-rep", "3,1", "--out", str(path)]) == 0
+
+    def no_variant(shape, tensor):
+        raise seminormal.RelationError(f"no case-(iii) variant for shape {shape}")
+
+    monkeypatch.setattr(seminormal, "_build", no_variant)
+    monkeypatch.setattr(seminormal, "_BUILD_CACHE", {})
+    rc, out = run(capsys, "verify", str(path))
+    assert rc == 0
+    obj = json.loads(path.read_text())
+    assert not seminormal.GradedRep.from_json(obj).factored
+    assert json.loads(out)["report"] == _dense_report(obj)
 
 
 def _drop_generator(obj):
@@ -214,6 +245,16 @@ def _bool_parity(obj):
     obj["parity"] = [bool(p) for p in obj["parity"]]
 
 
+def _zero_cell_as(name, value):
+    """A corruption that puts `value` in the first zero cell of tau_1's first
+    row: the loader skips only the writer's zero, {"terms": []}, unread."""
+    def corrupt(obj):
+        row = obj["generators"][0]["matrix"][0]
+        row[row.index({"terms": []})] = value
+    corrupt.__name__ = name
+    return corrupt
+
+
 def _bool_shape(obj):
     # the model of shape 1 written by build-rep 1, with the shape part true
     obj.clear()
@@ -248,6 +289,11 @@ def _bool_shape(obj):
         _float_n,
         _bool_parity,
         _bool_shape,
+        _zero_cell_as("_null_terms_cell", {"terms": None}),
+        _zero_cell_as("_empty_dict_cell", {}),
+        _zero_cell_as("_list_cell", []),
+        _zero_cell_as("_int_cell", 0),
+        _zero_cell_as("_zero_radicand_cell", {"terms": [{"radicand": 0, "coeff": "1/1"}]}),
     ],
 )
 def test_verify_malformed_model(tmp_path, capsys, corrupt):
@@ -331,13 +377,18 @@ def test_verify_fuzzed_model(tmp_path):
                 obj[key] = value
         path = tmp_path / "fuzzed.json"
         path.write_text(json.dumps(obj))
-        err = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(["verify", str(path)])
         assert time.perf_counter() - start < 10
         assert rc in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        if rc != 2:
+            # a file that matches the builder's model is checked in factored
+            # form, any other densely: either way the dense report
+            report = json.loads(out.getvalue())["report"]
+            assert report == _dense_report(json.loads(path.read_text()))
 
     check()
 

@@ -537,16 +537,53 @@ def test_factored_checks_match_dense(shape, tensor, variant):
     assert _spectrum_outcome(rep) == _spectrum_outcome(dense)
 
 
+def _file_data(rep):
+    """The JSON data of rep.to_json() with one shared zero cell, so that the
+    tensor files of n = 6 (up to 4.5 million cells) fit in memory."""
+    obj = linalg.plain({k: v for k, v in rep.document().items() if k != "generators"})
+    zero = scalar_json(0)
+    obj["generators"] = [
+        {"name": name, "matrix": [
+            [scalar_json(row[c]) if c in row else zero for c in range(g.ncols)]
+            for row in (g.rows.get(r, {}) for r in range(g.nrows))
+        ]}
+        for name, g in rep.generators
+    ]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "shape, tensor",
+    [(s, tensor) for s in shapes_up_to(6) for tensor in (False, True)]
+    + [(StrictPartition((4, 2, 1)), False), (StrictPartition((7,)), False)],
+    ids=str,
+)
+def test_loaded_files_take_the_factored_path(shape, tensor):
+    rep = (sn.build_rep_clifford_tensor if tensor else sn.build_rep_plain)(shape)
+    obj = _file_data(rep)
+    if rep.dim <= 64:
+        assert obj == rep.to_json()
+    loaded = sn.GradedRep.from_json(obj)
+    dense = _dense_copy(loaded)
+    assert (bool(loaded.factored), bool(dense.factored)) == (shape.n > 1 or tensor, False)
+    assert sn.verify_relations(loaded) == sn.verify_relations(dense)
+    assert _spectrum_outcome(loaded) == _spectrum_outcome(dense)
+
+
 @pytest.mark.parametrize("parts, tensor", [((5, 1), False), ((3, 2), True)])
 def test_builds_take_the_factored_path(monkeypatch, parts, tensor):
     # a silent fall-back to the dense check would multiply Mats
     def refuse(self, other):
-        raise AssertionError("dense product while checking a built model")
+        raise AssertionError("dense product while checking a built or loaded model")
 
+    obj = sn._build(StrictPartition(parts), tensor).to_json()
     monkeypatch.setattr(linalg.Mat, "__mul__", refuse)
+    monkeypatch.setattr(sn, "_BUILD_CACHE", {})  # the loader builds under the patch
     rep = sn._build(StrictPartition(parts), tensor)
-    assert all(r["status"] == "pass" for r in sn.verify_relations(rep))
-    assert sn.spectrum_of(rep) == sorted(rep.avecs)
+    loaded = sn.GradedRep.from_json(obj)
+    for model in (rep, loaded):
+        assert all(r["status"] == "pass" for r in sn.verify_relations(model))
+        assert sn.spectrum_of(model) == sorted(model.avecs)
 
 
 def test_failure_names_the_first_defect_entry():
