@@ -30,6 +30,7 @@ COMMANDS = [
     ("spectrum 3,2,1 --oracle", ["spectrum", "3,2,1", "--oracle"]),
     ("branching-graph 5 --oracle", ["branching-graph", "5", "--oracle"]),
     ("branching-graph 4 --dot", ["branching-graph", "4", "--dot"]),
+    ("branching-graph 30", ["branching-graph", "30"]),
     ("build-rep 3,2", ["build-rep", "3,2", "--out", "{out}"]),
     ("build-rep 3,1 --algebra tensor", ["build-rep", "3,1", "--algebra", "tensor", "--out", "{out}"]),
     ("verify <build-rep 3,2>", ["verify", "{model:build-rep 3,2}"]),
@@ -45,6 +46,7 @@ COMMANDS = [
     ("supercenter 5", ["supercenter", "5"]),
     ("supercenter 7", ["supercenter", "7"]),
     ("gz 4", ["gz", "4"]),
+    ("gz 5", ["gz", "5"]),
     ("decompose-regular A 4", ["decompose-regular", "A", "4"]),
     ("decompose-regular CA 3", ["decompose-regular", "CA", "3"]),
     ("decompose-regular A 5", ["decompose-regular", "A", "5"]),
