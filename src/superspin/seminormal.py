@@ -305,7 +305,9 @@ class GradedRep(GradedMatrixAlgebra):
     @classmethod
     def from_json(cls, obj: dict) -> GradedRep:
         """The model of a file, which must match the builder's document of it,
-        value and JSON type alike."""
+        value and JSON type alike: the builder's model itself, checked in its
+        factored form, when the file holds exactly its generators, else a dense
+        model (also when the builder fails the shape)."""
         parts = obj["shape"]
         if not isinstance(parts, list) or any(type(p) is not int for p in parts):
             raise ValueError("shape must be a list of integers")
@@ -314,24 +316,18 @@ class GradedRep(GradedMatrixAlgebra):
             raise ValueError(f"unknown algebra {obj['algebra']!r}")
         if not 1 <= shape.n <= 7:
             raise ValueError(f"shape {shape} must have 1 to 7 cells")
-        rep = cls.new(
-            shape, obj["algebra"] == "clifford_tensor_A_n",
-            [(g["name"], Mat.from_json(g["matrix"])) for g in obj["generators"]],
-            obj.get("build_report", {}),
-        )
+        tensor = obj["algebra"] == "clifford_tensor_A_n"
+        generators = [(g["name"], Mat.from_json(g["matrix"])) for g in obj["generators"]]
+        try:
+            rep = _cached_build(shape, tensor)
+        except RelationError:
+            rep = None
+        if rep is None or generators != rep.generators:
+            rep = cls.new(shape, tensor, generators, obj.get("build_report", {}))
         doc = rep.document()
         for key in ("schema", "n", "dim", "block_dim", "parity", "basis"):
             if json.dumps(obj.get(key), sort_keys=True) != json.dumps(doc[key], sort_keys=True):
                 raise ValueError(f"{key} does not match the builder's model of {shape}")
-        # the builder's matrices are the expansion of its factored form, so a
-        # file holding exactly them is checked in that form; any other file,
-        # or one of a shape the builder fails, is checked densely
-        try:
-            built = _cached_build(shape, rep.has_clifford)
-        except RelationError:
-            return rep
-        if rep.generators == built.generators:
-            rep.factored = built.factored
         return rep
 
 
@@ -900,17 +896,13 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     graded dimensions.  Every matrix is a left multiplication on one word
     basis (`_left_mult_mat`).
     """
-    if tag in ("A", "A_n", "plain"):
-        tensor = False
-        if n > 5:
-            raise ValueError("n <= 5 for the plain regular representation")
-    elif tag in ("CA", "clifford_tensor_A_n", "tensor"):
-        tensor = True
-        if n > 4:
-            raise ValueError("n <= 4 for the Clifford-extended regular representation")
-    else:
+    caps = {"A": (5, "plain"), "CA": (4, "Clifford-extended")}
+    if tag not in caps:
         raise ValueError(f"unknown algebra tag {tag!r}")
-    words = _TensorWords(n, tensor)
+    cap, name = caps[tag]
+    if n > cap:
+        raise ValueError(f"n <= {cap} for the {name} regular representation")
+    words = _TensorWords(n, tag == "CA")
     dim, parity = words.size, words.parity
     # every generator is odd: this checks the parity vector against the action
     for letter in words.generators:

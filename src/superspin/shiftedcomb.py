@@ -21,9 +21,10 @@ from .linalg import CheckFailed
 # Size caps: past them enumeration runs for minutes or exhausts memory, so the
 # request is refused.  At the caps, on a 2-core VM: strict_partitions(90)
 # lists 189,586 partitions in 2 s, the 12,376 tableaux of (6,5,4,3) take 1 s,
-# and the combinatorial graph up to level 30 (2,034 shapes) takes 2 s, where
-# level 40 takes 39 s.  The cell cap keeps the fill recursion, one level per
-# cell, far below Python's recursion limit.
+# and `branching-graph 30` (2,034 shapes) takes 0.3 s; building and validating
+# level 40 takes 0.5 s, so raising the graph cap is left to a timed change.
+# The cell cap keeps the fill recursion, one level per cell, far below
+# Python's recursion limit.
 MAX_PARTITION_N = 90
 MAX_TABLEAU_CELLS = 100
 MAX_TABLEAUX = 20_000
@@ -393,13 +394,13 @@ class BranchingGraph:
             im = self.edges.get((self.omega[u], self.omega[v]), 0)
             if im != m:
                 raise CheckFailed("omega is not a graph automorphism")
+        starts = {u for u, _ in self.edges}
+        ends = {v for _, v in self.edges}
         for lvl, ids in enumerate(self.levels, start=1):
             for vid in ids:
-                if lvl < len(self.levels) and not any(
-                    u == vid for (u, _) in self.edges
-                ):
+                if lvl < len(self.levels) and vid not in starts:
                     raise CheckFailed(f"vertex {vid} has no successor")
-                if lvl > 1 and not any(v == vid for (_, v) in self.edges):
+                if lvl > 1 and vid not in ends:
                     raise CheckFailed(f"vertex {vid} has no predecessor")
         src = self.sources()
         if len(src) != 2 or self.omega[src[0]] != src[1]:
@@ -414,25 +415,30 @@ class BranchingGraph:
             (self.orbit_label(u), self.orbit_label(v)) for (u, v) in self.edges
         }
 
+    def _successors(self) -> dict[str, list[tuple[str, int]]]:
+        """vertex -> [(successor, multiplicity)], in edge order."""
+        succ: dict[str, list[tuple[str, int]]] = {}
+        for (u, v), m in self.edges.items():
+            succ.setdefault(u, []).append((v, m))
+        return succ
+
     def path_counts(self) -> dict[str, tuple[int, int]]:
         """(paths from source +, paths from source -) for every vertex."""
         src = self.sources()
         counts = {vid: [0, 0] for vid in self.vertices}
         counts[src[0]][0] = 1
         counts[src[1]][1] = 1
+        succ = self._successors()
         for ids in self.levels[:-1]:
             for u in ids:
-                for (a, b), m in self.edges.items():
-                    if a == u:
-                        counts[b][0] += counts[u][0] * m
-                        counts[b][1] += counts[u][1] * m
+                for b, m in succ.get(u, ()):
+                    counts[b][0] += counts[u][0] * m
+                    counts[b][1] += counts[u][1] * m
         return {vid: (c[0], c[1]) for vid, c in counts.items()}
 
     def maximal_paths(self) -> list[tuple[str, ...]]:
         out: list[tuple[str, ...]] = []
-        succ: dict[str, list[tuple[str, int]]] = {}
-        for (u, v), m in self.edges.items():
-            succ.setdefault(u, []).append((v, m))
+        succ = self._successors()
 
         def rec(path: tuple[str, ...]):
             u = path[-1]

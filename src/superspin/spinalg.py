@@ -447,55 +447,6 @@ def cycle_sum(alpha: Sequence[int], n: int) -> SpinElement:
 # -- centralizer-type solves -----------------------------------------------------
 
 
-def _solve_sign_relations(
-    variables: Iterable[int], relations: Iterable[tuple[int, int, int]]
-) -> list[dict[int, int]]:
-    """Solve c_u = s * c_v systems; basis of the solution space as sign maps."""
-    parent: dict[int, int] = {v: v for v in variables}
-    relsign: dict[int, int] = {v: 1 for v in parent}
-    dead: set[int] = set()
-
-    def find2(x: int) -> tuple[int, int]:
-        s = 1
-        root = x
-        while parent[root] != root:
-            s *= relsign[root]
-            root = parent[root]
-        # compress
-        cur, acc = x, s
-        while parent[cur] != cur:
-            nxt, ns = parent[cur], relsign[cur]
-            parent[cur], relsign[cur] = root, acc
-            acc //= ns
-            cur = nxt
-        return root, s
-
-    for u, v, s in relations:
-        ru, su = find2(u)
-        rv, sv = find2(v)
-        if ru == rv:
-            if su != s * sv:
-                dead.add(ru)
-        else:
-            parent[rv] = ru
-            relsign[rv] = su * s * sv
-            if rv in dead:
-                dead.discard(rv)
-                dead.add(ru)
-    comps: dict[int, list[tuple[int, int]]] = {}
-    for v in parent:
-        r, s = find2(v)
-        comps.setdefault(r, []).append((v, s))
-    out = []
-    for r in sorted(comps):
-        if r in dead:
-            continue
-        members = sorted(comps[r])
-        base = members[0][1]
-        out.append({v: s * base for v, s in members})
-    return out
-
-
 def _sub_indices(n: int, m: int, eps: int) -> list[int]:
     """Indices of the basis words of parity eps lying in the rank-m subalgebra."""
     ctx = context(n)
@@ -520,16 +471,36 @@ def sign_centralizer(
     so w^-1 is the reversed word.  The variables must be closed under
     conjugation by the words: the words of one parity in a subalgebra that
     contains the words are.
+
+    The couplings form a signed graph; each component, walked from its least
+    variable with sign +1, is one solution unless a coupling contradicts it.
+    Solutions are listed by least variable, each with its keys ascending.
     """
-    variables = list(variables)
-    relations = []
+    variables = sorted(variables)
+    coupled: dict[int, list[tuple[int, int]]] = {u: [] for u in variables}
     for w in words:
         inverse = tuple(reversed(w))
         for u in variables:
             sr, rho = basis.right_mul_word(u, w)
             sl, v = basis.left_mul_word(inverse, rho)
-            relations.append((u, v, eps * sl * sr))
-    return _solve_sign_relations(variables, relations)
+            coupled[u].append((v, eps * sl * sr))
+            coupled[v].append((u, eps * sl * sr))
+    sign: dict[int, int] = {}
+    out = []
+    for root in variables:
+        if root in sign:
+            continue
+        sign[root], component, consistent = 1, [root], True
+        for u in component:  # the component grows as the walk reaches variables
+            for v, s in coupled[u]:
+                if v not in sign:
+                    sign[v] = sign[u] * s
+                    component.append(v)
+                elif sign[v] != sign[u] * s:
+                    consistent = False
+        if consistent:
+            out.append({u: sign[u] for u in sorted(component)})
+    return out
 
 
 def _sign_solutions(

@@ -341,10 +341,13 @@ def test_regular_decompose_examples():
         ("M", (2, 2)),
         ("Q", 4),
     ]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n <= 5 for the plain"):
         sn.regular_decompose("A", 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n <= 4 for the Clifford-extended"):
         sn.regular_decompose("CA", 5)
+    for tag in ("A_n", "plain", "clifford_tensor_A_n", "tensor"):
+        with pytest.raises(ValueError, match="unknown algebra tag"):
+            sn.regular_decompose(tag, 3)
 
 
 def test_regular_idempotents():
@@ -564,6 +567,7 @@ def test_loaded_files_take_the_factored_path(shape, tensor):
     if rep.dim <= 64:
         assert obj == rep.to_json()
     loaded = sn.GradedRep.from_json(obj)
+    assert loaded is rep  # the builder's file is the builder's model
     dense = _dense_copy(loaded)
     assert (bool(loaded.factored), bool(dense.factored)) == (shape.n > 1 or tensor, False)
     assert sn.verify_relations(loaded) == sn.verify_relations(dense)

@@ -222,6 +222,63 @@ def test_sign_solve_matches_commutation_kernel():
             assert sa.spans_equal(sa.even_part_centralizer(n, m), even), (n, m)
 
 
+class _CouplingStub:
+    """A word basis for a given coupling graph: under the one-letter word (k,),
+    variable u goes to variable v with sign s for each u: (v, s) in
+    couplings[k], and to itself with sign +1 otherwise."""
+
+    def __init__(self, couplings):
+        self.couplings = couplings
+
+    def right_mul_word(self, u, word):
+        (k,) = word
+        return self.couplings[k].get(u, (u, 1))[1], (k, u)
+
+    def left_mul_word(self, word, rho):
+        k, u = rho
+        return 1, self.couplings[k].get(u, (u, 1))[0]
+
+
+def _coupling_kernel(couplings, nvars, eps):
+    """Kernel of the rows c_u - eps * s * c_v, by linalg.kernel."""
+    rows = []
+    for k in couplings:
+        for u in range(nvars):
+            v, s = couplings[k].get(u, (u, 1))
+            row = {u: 1}
+            row[v] = row.get(v, 0) - eps * s
+            rows.append({c: x for c, x in row.items() if x})
+    return kernel(rows, nvars)
+
+
+def test_sign_walk_on_a_hand_made_coupling_graph():
+    # a word that anticommutes with every variable, and one that pairs them
+    paired = {
+        0: {u: (u, -1) for u in range(4)},
+        1: {0: (1, -1), 1: (0, -1), 2: (3, 1), 3: (2, 1)},
+    }
+    cases = [
+        (
+            {
+                0: {0: (1, 1), 3: (3, -1), 7: (5, -1)},  # triangle; 3 against itself
+                1: {1: (2, 1), 5: (6, 1)},  # the walk from 5 reaches 7 before 6
+                2: {2: (0, -1), 9: (8, -1)},  # closes the triangle inconsistently
+            },
+            10, 1, [{4: 1}, {5: 1, 6: 1, 7: -1}, {8: 1, 9: -1}],
+        ),
+        (paired, 4, -1, [{0: 1, 1: 1}, {2: 1, 3: -1}]),
+        (paired, 4, 1, []),
+    ]
+    for couplings, nvars, eps, want in cases:
+        stub = _CouplingStub(couplings)
+        words = [(k,) for k in couplings]
+        got = sa.sign_centralizer(stub, reversed(range(nvars)), words, eps)
+        assert got == want and all(list(sol) == sorted(sol) for sol in got)
+        ref = _coupling_kernel(couplings, nvars, eps)
+        assert len(got) == len(ref)
+        assert linalg.Subspace(nvars, got).basis == linalg.Subspace(nvars, ref).basis
+
+
 def test_graded_centralizer_commutative():
     for n in (2, 3, 4, 5):
         basis, commutative = sa.graded_centralizer_spin(n, n - 1)
