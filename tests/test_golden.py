@@ -55,6 +55,10 @@ COMMANDS = [
     ("check-all --max-n 3 --json", ["check-all", "--max-n", "3", "--json"]),
     ("check-all --max-n 3 --negative-control", ["check-all", "--max-n", "3", "--negative-control"]),
     ("check-all --max-n 4 --negative-control", ["check-all", "--max-n", "4", "--negative-control"]),
+    ("decompose-regular A 2", ["decompose-regular", "A", "2"]),
+    ("decompose-regular CA 2", ["decompose-regular", "CA", "2"]),
+    ("decompose-regular A 3", ["decompose-regular", "A", "3"]),
+    ("check-all --max-n 5", ["check-all", "--max-n", "5"]),
 ]
 
 
