@@ -23,10 +23,9 @@ from itertools import chain
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .exactnum import inverse
 from .linalg import (
     CheckFailed, Mat, Subspace, Vec, centralizer, closure, coprime_split, eigensplit, kernel,
-    plain, vecize,
+    lagrange_projector, plain, vecize,
 )
 
 
@@ -373,25 +372,22 @@ def split_module_by_central(
 
     The projector onto a joint eigenspace is the product, over the operators
     that cut it from a larger piece, of prod (op - mu) / (lam - mu) with mu
-    running over the op's other eigenvalues on that piece.  The scalars
-    1 / (lam - mu) are collected and applied once, so integer operators with
-    rational eigenvalues multiply as integer matrices.
+    running over the op's other eigenvalues on that piece
+    (`linalg.lagrange_projector`).
     """
     central = list(central)
     labeled = eigensplit([Subspace.full(dim)], central)
     out = []
     for piece, label in labeled:
-        proj, scale = Mat.scalar(dim, 1), 1
-        for k, (op, lam) in enumerate(zip(central, label)):
-            # pieces cut from the same piece as this one share label[:k]
-            others: list = []
-            for _, lab in labeled:
-                if lab[:k] == label[:k] and lab[k] != lam and lab[k] not in others:
-                    others.append(lab[k])
-            for mu in others:
-                proj = proj * (op - Mat.scalar(dim, mu))
-                scale = scale * inverse(lam - mu)
-        out.append((piece, proj.scale(scale)))
+        # pieces cut from the same piece as this one share label[:k]
+        terms = [
+            (op, lam, mu)
+            for k, (op, lam) in enumerate(zip(central, label))
+            for mu in dict.fromkeys(
+                lab[k] for _, lab in labeled if lab[:k] == label[:k] and lab[k] != lam
+            )
+        ]
+        out.append((piece, lagrange_projector(dim, terms)))
     return out
 
 

@@ -664,6 +664,27 @@ def min_poly(m: Mat) -> list[Scalar]:
     return [dependency.get(k, 0) for k in range(len(powers))]
 
 
+def cyclic_span(v: Vec, ops: Sequence[Mat], dim: int) -> Subspace:
+    """The least subspace of the dim-space that holds v and is invariant under
+    ops: v, then each op applied to a kept vector, when independent of those kept."""
+    ech = Echelon()
+    kept = [v] if ech.add(v) else []
+    for x in kept:  # the loop also walks the vectors appended below
+        kept += [y for op in ops if ech.add(y := op.apply(x))]
+    return Subspace(dim, kept)
+
+
+def lagrange_projector(dim: int, terms: Iterable[tuple[Mat, Scalar, Scalar]]) -> Mat:
+    """The product of (op - mu) / (lam - mu) over (op, lam, mu) in terms, in
+    order, with the scalars 1 / (lam - mu) applied once at the end: integer
+    operators with rational eigenvalues multiply as integer matrices."""
+    proj, scale = Mat.scalar(dim, 1), 1
+    for op, lam, mu in terms:
+        proj = proj * (op - Mat.scalar(dim, mu))
+        scale = scale * inverse(lam - mu)
+    return proj.scale(scale)
+
+
 def _divisors(n: int) -> list[int]:
     """Positive divisors of |n|, increasing, from the pairs (d, n // d) with d*d <= n."""
     n = abs(n)

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import isqrt, lcm
 from typing import Callable, Iterator, Sequence
 
 from . import spinalg
@@ -39,10 +39,9 @@ from .gradedstruct import (
     module_commutant,
     simple_block,
     split_into_irreducibles,
-    split_module_by_central,
-    subspace_parity,
 )
-from .linalg import CheckFailed, Mat, Subspace, Vec, eigensplit, plain, vec_add_scaled
+from .linalg import CheckFailed, Mat, Subspace, Vec, cyclic_span, eigensplit, plain
+from .linalg import lagrange_projector, vec_add_scaled
 from .shiftedcomb import (
     BranchingGraph,
     ShiftedTableau,
@@ -223,6 +222,7 @@ class GradedRep(GradedMatrixAlgebra):
     _pi_cache: dict = field(default_factory=dict, repr=False)
     _fpi_cache: dict = field(default_factory=dict, repr=False)  # of the factored pi_k
     _irreducible: tuple = field(default=(), repr=False)  # see first_summand
+    _relations: tuple = field(default=(), repr=False)  # the build's report, see _build
 
     @classmethod
     def new(cls, shape: StrictPartition, tensor: bool,
@@ -396,8 +396,9 @@ def _construct(
 
 
 def verify_relations(rep: GradedRep) -> list[dict]:
-    """Exact check of every defining relation; failures carry the defect norm."""
-    return list(_relation_checks(rep))
+    """Exact check of every defining relation; failures carry the defect norm.
+    A built model gives a copy of the report its build made."""
+    return [dict(r) for r in rep._relations] or list(_relation_checks(rep))
 
 
 def _relation_checks(rep: GradedRep) -> Iterator[dict]:
@@ -509,6 +510,7 @@ def _build(shape, tensor: bool) -> GradedRep:
             f"{outcomes}"
         )
     variant, rep, report = chosen
+    rep._relations = tuple(report)
     rep.build_report = {
         "case_iii_variant": variant,
         "variant_outcomes": outcomes,
@@ -889,12 +891,12 @@ def _odd_center(words: _TensorWords) -> list[Vec]:
 def regular_decompose(tag: str, n: int) -> BlockReport:
     """Decompose the regular representation into labeled graded blocks.
 
-    This is the oracle: it splits by eigenspaces of the total YJM square (a
-    central element with integer block spectrum), labels each block with its
-    joint a-vector set and matching strict partition, reads M/Q off the odd
-    part of the ordinary center, and recovers the block parameters from exact
-    graded dimensions.  Every matrix is a left multiplication on one word
-    basis (`_left_mult_mat`).
+    This is the oracle: it cuts one block per root of the total YJM square c
+    (a central element with integer block spectrum), reads the block off its
+    central idempotent alone, labels it with its joint a-vector set and
+    matching strict partition, reads M/Q off the odd part of the ordinary
+    center, and recovers the block parameters from exact graded dimensions.
+    Every matrix is a left multiplication on one word basis (`_left_mult_mat`).
     """
     caps = {"A": (5, "plain"), "CA": (4, "Clifford-extended")}
     if tag not in caps:
@@ -903,12 +905,11 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     if n > cap:
         raise ValueError(f"n <= {cap} for the {name} regular representation")
     words = _TensorWords(n, tag == "CA")
-    dim, parity = words.size, words.parity
+    dim, parity, one = words.size, words.parity, words.ctx.identity  # one: the identity word
     # every generator is odd: this checks the parity vector against the action
     for letter in words.generators:
-        _, word = words.left_mul_word([letter], words.ctx.identity)  # the letter's own word
-        gen = _left_mult_mat(words, {word: 1})
-        if matrix_parity(gen, parity) != 1:
+        _, word = words.left_mul_word([letter], one)  # the letter's own word
+        if matrix_parity(_left_mult_mat(words, {word: 1}), parity) != 1:
             raise CheckFailed(f"generator {letter[0]}_{letter[1]} is not odd")
 
     # the central splitting operator is the total YJM square
@@ -918,17 +919,29 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     pi2_mats = [_left_mult_mat(words, sq.coeffs) for sq in squares]
     odd_mats = [_left_mult_mat(words, sol) for sol in _odd_center(words)]
 
-    pieces = split_module_by_central(dim, [central_mat])
+    # the action is faithful, so p(c) = 0 iff p(c) 1 = 0: c has its roots on the
+    # span of 1 under c, where a simple root has a piece of dimension 1
+    labeled = eigensplit([cyclic_span({one: 1}, [central_mat], dim)], [central_mat])
+    roots = [lam for _, (lam,) in labeled]
     report = BlockReport(algebra_dim=dim)
-    for piece, proj in pieces:
-        # the piece is a two-sided ideal, so it is the block algebra as a space
-        ev_dim = subspace_parity(piece, parity).count(0)
-        has_odd_center = any(not piece.annihilated_by(m) for m in odd_mats)
-        spectrum = _a_vectors(piece, pi2_mats)
+    for piece, (lam,) in labeled:
+        if piece.dim > 1 or rational_of(lam) is None:
+            raise CheckFailed(f"central root {lam} is repeated or irrational")
+        # proj is left multiplication by the block's central idempotent e, its
+        # traces the dimensions of eA and its even part; x vanishes on eA iff
+        # x e = 0, for x odd central or a spectral projector of the pi_k^2
+        proj = lagrange_projector(dim, [(central_mat, lam, mu) for mu in roots if mu != lam])
+        e = {r: row[one] for r, row in proj.rows.items() if one in row}
+        den = lcm(*(x.denominator for x in e.values()))  # e matters up to scale
+        e = {r: x.numerator * (den // x.denominator) for r, x in e.items()}
+        dims = [sum(proj.entry(i, i) for i in range(dim) if parity[i] <= p) for p in (1, 0)]
+        if any(d != int(d) for d in dims):
+            raise CheckFailed(f"idempotent traces {dims} are not integers")
+        spectrum = _a_vectors(cyclic_span(e, pi2_mats, dim), pi2_mats)
         partition = _shape_of_avec(spectrum[0]).parts if spectrum else None
         report.blocks.append(
             simple_block(
-                has_odd_center, piece.dim, ev_dim,
+                any(z.apply(e) for z in odd_mats), int(dims[0]), int(dims[1]),
                 idempotent=proj, spectrum=spectrum, partition=partition,
             )
         )

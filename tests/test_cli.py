@@ -606,19 +606,36 @@ def test_relation_error_exits_1(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "failure",
-    ["blocks", "eigen", "unclassified", "omega", "central", "simple", "avec", "bvector"],
+    [
+        "blocks", "eigen", "unclassified", "omega", "central", "simple", "avec", "bvector",
+        "repeated",
+    ],
 )
 def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
     from superspin import gradedstruct, linalg, seminormal, shiftedcomb
 
     argv = ["decompose-regular", "A", "3"]
     if failure == "blocks":
-        # drop one central piece: the block dimensions no longer sum to 3! = 6
-        split = seminormal.split_module_by_central
+        # the root 1 of the total YJM square (the Q(1) block) gets a zero
+        # idempotent: the block dimensions no longer sum to 3! = 6
+        project = seminormal.lagrange_projector
         monkeypatch.setattr(
-            seminormal, "split_module_by_central", lambda dim, ops: split(dim, ops)[1:]
+            seminormal, "lagrange_projector",
+            lambda dim, terms: linalg.Mat.zero(dim) if terms[0][1] == 1 else project(dim, terms),
         )
         message = "check failed: block dimensions 4 do not sum to 6\n"
+    elif failure == "repeated":
+        # the roots 1 and 4 of the total YJM square come back as one root with
+        # a two-dimensional piece of the span of 1, as a repeated root would
+        split = seminormal.eigensplit
+
+        def merged(pieces, ops):
+            (first, label), (second, _), *rest = split(pieces, ops)
+            both = linalg.Subspace(first.dim_ambient, first.basis + second.basis)
+            return [(both, label)] + rest
+
+        monkeypatch.setattr(seminormal, "eigensplit", merged)
+        message = "check failed: central root 1 is repeated or irrational\n"
     elif failure == "eigen":
         # every minimal polynomial stays one factor with no root in the field
         monkeypatch.setattr(linalg, "poly_factors", lambda coeffs: [(list(coeffs), None)])

@@ -1,10 +1,11 @@
 import ast
+import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from superspin import linalg
+from superspin import cli, gradedstruct, linalg
 from superspin import seminormal as sn
 from superspin import shiftedcomb as sc
 from superspin import spinalg
@@ -574,6 +575,35 @@ def test_loaded_files_take_the_factored_path(shape, tensor):
     assert _spectrum_outcome(loaded) == _spectrum_outcome(dense)
 
 
+def test_verify_of_a_builders_file_reuses_the_build_report(monkeypatch, tmp_path, capsys):
+    checks = sn._relation_checks
+    calls = []
+    monkeypatch.setattr(sn, "_relation_checks", lambda rep: calls.append(rep) or checks(rep))
+    path = tmp_path / "model.json"
+    assert cli.main(["build-rep", "3,2", "--out", str(path)]) == 0
+    # a process that only verifies the file builds the model once, and the
+    # verify reads the report of that build
+    monkeypatch.setattr(sn, "_BUILD_CACHE", {})
+    calls.clear()
+    assert cli.main(["verify", str(path)]) == 0
+    assert len(calls) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    built = sn.build_rep_plain(StrictPartition((3, 2)))
+    assert report == sn.verify_relations(_dense_copy(built))
+    # a copy: changing what verify_relations returned changes no later report
+    sn.verify_relations(built)[0]["status"] = "fail"
+    assert sn.verify_relations(built) == report
+    # a sign-flipped file is a dense model and gets the dense report
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(json.dumps(sn.mutated_rep(built).to_json()))
+    calls.clear()
+    assert cli.main(["verify", str(flipped)]) == 1
+    assert len(calls) == 1 and not calls[0].factored
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report == sn.verify_relations(sn.mutated_rep(built))
+    assert any(r["status"] == "fail" and "first_defect" in r for r in report)
+
+
 @pytest.mark.parametrize("parts, tensor", [((5, 1), False), ((3, 2), True)])
 def test_builds_take_the_factored_path(monkeypatch, parts, tensor):
     # a silent fall-back to the dense check would multiply Mats
@@ -769,3 +799,63 @@ def test_oracle_checks_its_parity_vector(monkeypatch):
     monkeypatch.setattr(sn._TensorWords, "__init__", misgraded)
     with pytest.raises(CheckFailed, match="is not odd"):
         sn.regular_decompose("A", 3)
+
+
+# -- the oracle's idempotent blocks against blocks built as subspaces -----------
+
+
+def _subspace_blocks(tag, n):
+    """The oracle's report computed on each block as a subspace of the word
+    space: cut by `split_module_by_central`, with graded dimensions, the odd
+    centre and the joint spectrum read on the whole block."""
+    words = sn._TensorWords(n, tag == "CA")
+    squares = [p * p for p in (spinalg.jm_element(k, n) for k in range(1, n + 1))]
+    total = sum(squares, spinalg.SpinElement.zero(n))
+    central = sn._left_mult_mat(words, total.coeffs)
+    pi2_mats = [sn._left_mult_mat(words, sq.coeffs) for sq in squares]
+    odd_mats = [sn._left_mult_mat(words, sol) for sol in sn._odd_center(words)]
+    report = gradedstruct.BlockReport(algebra_dim=words.size)
+    for piece, proj in gradedstruct.split_module_by_central(words.size, [central]):
+        spectrum = sn._a_vectors(piece, pi2_mats)
+        block = gradedstruct.simple_block(
+            any(not piece.annihilated_by(z) for z in odd_mats),
+            piece.dim,
+            gradedstruct.subspace_parity(piece, words.parity).count(0),
+            idempotent=proj,
+            spectrum=spectrum,
+            partition=sn._shape_of_avec(spectrum[0]).parts if spectrum else None,
+        )
+        report.blocks.append(block)
+    return report
+
+
+@pytest.mark.parametrize(
+    "tag, n", [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("CA", 2), ("CA", 3), ("CA", 4)]
+)
+def test_idempotent_blocks_match_subspace_blocks(tag, n):
+    fast = sn.regular_decompose(tag, n)
+    slow = _subspace_blocks(tag, n)
+    assert fast.to_json() == slow.to_json()
+    assert [_typed_rows(b.idempotent) for b in fast.blocks] == [
+        _typed_rows(b.idempotent) for b in slow.blocks
+    ]
+
+
+def test_oracle_builds_no_block_subspace(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle worked on a block as a subspace")
+
+    sizes = []
+    init = linalg.Subspace.__init__
+
+    def record(self, dim_ambient, basis):
+        init(self, dim_ambient, basis)
+        sizes.append(self.dim)
+
+    monkeypatch.setattr(linalg.Subspace, "annihilated_by", refuse)
+    monkeypatch.setattr(gradedstruct, "split_module_by_central", refuse)
+    monkeypatch.setattr(linalg.Subspace, "__init__", record)
+    report = sn.regular_decompose("A", 5)
+    # the largest span formed is far below the smallest block
+    assert sorted(b.dimension for b in report.blocks) == [16, 32, 72]
+    assert 0 < max(sizes) <= 6
