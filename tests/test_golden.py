@@ -59,6 +59,12 @@ COMMANDS = [
     ("decompose-regular CA 2", ["decompose-regular", "CA", "2"]),
     ("decompose-regular A 3", ["decompose-regular", "A", "3"]),
     ("check-all --max-n 5", ["check-all", "--max-n", "5"]),
+    ("build-rep 4,2,1", ["build-rep", "4,2,1", "--out", "{out}"]),
+    ("verify <build-rep 4,2,1>", ["verify", "{model:build-rep 4,2,1}"]),
+    ("build-rep 7", ["build-rep", "7", "--out", "{out}"]),
+    ("verify <build-rep 7>", ["verify", "{model:build-rep 7}"]),
+    ("build-rep 4 --algebra tensor", ["build-rep", "4", "--algebra", "tensor", "--out", "{out}"]),
+    ("verify <build-rep 4 --algebra tensor>", ["verify", "{model:build-rep 4 --algebra tensor}"]),
 ]
 
 
