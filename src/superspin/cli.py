@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -28,10 +27,9 @@ class UsageError(ValueError):
 
 def _parse_partition(text: str) -> StrictPartition:
     try:
-        p = StrictPartition.parse(text)
+        return StrictPartition.parse(text)
     except ValueError as exc:
         raise UsageError(f"invalid strict partition {text!r}: {exc}") from exc
-    return p
 
 
 @contextlib.contextmanager
@@ -145,16 +143,10 @@ TENSOR_BUILD_MAX_N = 6
 
 
 def cmd_build_rep(args) -> int:
-    shape = _parse_partition(args.partition)
-    if args.algebra == "tensor" and shape.n > TENSOR_BUILD_MAX_N:
-        raise UsageError(
-            f"build-rep --algebra tensor is capped at |shape| <= {TENSOR_BUILD_MAX_N}"
-        )
-    builder = (
-        seminormal.build_rep_clifford_tensor
-        if args.algebra == "tensor"
-        else seminormal.build_rep_plain
-    )
+    shape, tensor = _parse_partition(args.partition), args.algebra == "tensor"
+    if tensor and shape.n > TENSOR_BUILD_MAX_N:
+        raise UsageError(f"build-rep --algebra tensor is capped at |shape| <= {TENSOR_BUILD_MAX_N}")
+    builder = seminormal.build_rep_clifford_tensor if tensor else seminormal.build_rep_plain
     _emit(builder(shape).document(), args)
     return 0
 
@@ -162,8 +154,7 @@ def cmd_build_rep(args) -> int:
 def cmd_verify(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        rep = seminormal.GradedRep.from_json(obj)
+            rep = seminormal.GradedRep.read(fh.read())
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         sys.stderr.write(f"cannot load representation: {exc}\n")
         return 2

@@ -15,7 +15,7 @@ import heapq
 import json
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactnum import (
     Scalar,
@@ -245,7 +245,23 @@ def plain(doc):
 
 
 def dump(doc, fh) -> None:
-    """Write json.dumps(plain(doc), sort_keys=True, indent=2) to fh, byte for byte.
+    """Write json.dumps(plain(doc), sort_keys=True, indent=2) to fh, byte for byte."""
+    fh.writelines(_chunks(doc))
+
+
+def matches(doc, text: str, end: str = "") -> bool:
+    """Whether dump(doc) followed by `end` writes exactly `text`, compared chunk
+    by chunk in place; the compare stops at the first chunk that differs."""
+    pos = 0
+    for chunk in _chunks(doc):
+        if not text.startswith(chunk, pos):
+            return False
+        pos += len(chunk)
+    return text[pos:] == end
+
+
+def _chunks(doc) -> Iterator[str]:
+    """The text of `dump`, in pieces.
 
     The skeleton goes through json.dumps with each Mat as the placeholder
     string "\\0"; the placeholders are then replaced, in order, by the Mats
@@ -264,22 +280,22 @@ def dump(doc, fh) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2, default=leaf)
     parts = text.split('"\\u0000"') if mats else [text]
     if len(parts) != len(mats) + 1:
-        fh.write(json.dumps(plain(doc), sort_keys=True, indent=2))
+        yield json.dumps(plain(doc), sort_keys=True, indent=2)
         return
-    fh.write(parts[0])
+    yield parts[0]
     caches: dict[int, dict] = {}  # indent -> {scalar: entry text}
     for m, before, after in zip(mats, parts, parts[1:]):
         line = before[before.rfind("\n") + 1 :]
         indent = len(line) - len(line.lstrip(" "))
-        _render(m, indent, caches.setdefault(indent, {}), fh.write)
-        fh.write(after)
+        yield from _render(m, indent, caches.setdefault(indent, {}))
+        yield after
 
 
-def _render(m: Mat, indent: int, cache: dict, write) -> None:
-    """Write m.to_json() as json.dumps(indent=2) writes it on a line indented
-    by `indent`; `cache` maps each scalar to its entry text at that indent."""
+def _render(m: Mat, indent: int, cache: dict) -> Iterator[str]:
+    """The text of m.to_json() as json.dumps(indent=2) writes it on a line
+    indented by `indent`; `cache` maps each scalar to its entry text there."""
     if not m.nrows:
-        write("[]")
+        yield "[]"
         return
     pad = " " * (indent + 4)
 
@@ -295,9 +311,9 @@ def _render(m: Mat, indent: int, cache: dict, write) -> None:
         for c, v in m.rows.get(r, {}).items():
             t = cache.get(v)
             texts[c] = t if t is not None else cache.setdefault(v, cell(v))
-        write(sep + ("[\n" + ",\n".join(texts) + close if texts else "[]"))
+        yield sep + ("[\n" + ",\n".join(texts) + close if texts else "[]")
         sep = ",\n" + " " * (indent + 2)
-    write("\n" + " " * indent + "]")
+    yield "\n" + " " * indent + "]"
 
 
 class Echelon:

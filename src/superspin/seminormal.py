@@ -15,9 +15,9 @@ A built model keeps each generator as a block matrix over the Clifford algebra
 (`CliffordMat`: per tableau pair, a map from Clifford words to coefficients)
 and is checked in that form, at about 1/w of the dense cost for blocks of size
 w; its dense generators are expanded once, for the JSON writer and the module
-solves.  A loaded model whose matrices equal the builder's takes the builder's
-factored form; any other loaded model, and a mutated one, carries only dense
-generators.
+solves.  A file with the builder's bytes is read as the builder's model, unparsed,
+and a loaded model with the builder's matrices takes its factored form; any
+other loaded model, and a mutated one, carries only dense generators.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .gradedstruct import (
     split_into_irreducibles,
 )
 from .linalg import CheckFailed, Mat, Subspace, Vec, cyclic_span, eigensplit, plain
-from .linalg import lagrange_projector, vec_add_scaled
+from .linalg import lagrange_projector, matches, vec_add_scaled
 from .shiftedcomb import (
     BranchingGraph,
     ShiftedTableau,
@@ -302,12 +302,10 @@ class GradedRep(GradedMatrixAlgebra):
     def to_json(self) -> dict:
         return plain(self.document())
 
-    @classmethod
-    def from_json(cls, obj: dict) -> GradedRep:
-        """The model of a file, which must match the builder's document of it,
-        value and JSON type alike: the builder's model itself, checked in its
-        factored form, when the file holds exactly its generators, else a dense
-        model (also when the builder fails the shape)."""
+    @staticmethod
+    def header(obj: dict) -> tuple[StrictPartition, bool]:
+        """(shape, tensor) that a model file names: a strict partition of 1 to 7,
+        given as integers, and a known algebra."""
         parts = obj["shape"]
         if not isinstance(parts, list) or any(type(p) is not int for p in parts):
             raise ValueError("shape must be a list of integers")
@@ -316,7 +314,32 @@ class GradedRep(GradedMatrixAlgebra):
             raise ValueError(f"unknown algebra {obj['algebra']!r}")
         if not 1 <= shape.n <= 7:
             raise ValueError(f"shape {shape} must have 1 to 7 cells")
-        tensor = obj["algebra"] == "clifford_tensor_A_n"
+        return shape, obj["algebra"] == "clifford_tensor_A_n"
+
+    @classmethod
+    def read(cls, text: str) -> GradedRep:
+        """The model of a file's text: the builder's model, unparsed, if the text
+        is byte for byte the CLI's file of the model it names, else from_json of
+        the parsed text.  The writer's first and last keys name the model, the
+        algebra and the shape, which are checked before any build."""
+        decode, tail = json.JSONDecoder().raw_decode, '\n  "shape": '
+        try:
+            obj = {"shape": decode(text, text.rfind(tail) + len(tail))[0],
+                   "algebra": decode(text, len('{\n  "algebra": '))[0]}
+            rep = _cached_build(*cls.header(obj))
+            if matches(rep.document(), text, "\n"):
+                return rep
+        except (ValueError, RecursionError):  # a RelationError included
+            pass
+        return cls.from_json(json.loads(text))
+
+    @classmethod
+    def from_json(cls, obj: dict) -> GradedRep:
+        """The model of a file, which must match the builder's document of it,
+        value and JSON type alike: the builder's model itself, checked in its
+        factored form, when the file holds exactly its generators, else a dense
+        model (also when the builder fails the shape)."""
+        shape, tensor = cls.header(obj)
         generators = [(g["name"], Mat.from_json(g["matrix"])) for g in obj["generators"]]
         try:
             rep = _cached_build(shape, tensor)

@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from superspin import cli, seminormal
-from superspin.shiftedcomb import StrictPartition
+from superspin.shiftedcomb import StrictPartition, strict_partitions
 
 
 def run(capsys, *argv):
@@ -466,6 +467,126 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cannot load representation: ")
+
+
+def _verify(path):
+    """(exit code, stdout, stderr) of `verify path`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["verify", str(path)])
+    return rc, out.getvalue(), err.getvalue()
+
+
+_ZERO_CELL = {"terms": []}
+
+
+def _parsed_verify(text):
+    """(exit code, stdout) of verify by the parse path: from_json of the parsed
+    text, then verify_relations.  The parse shares one zero cell, which gives
+    equal data, so that the tensor files of n = 6 (up to 222 MB) fit in memory."""
+    obj = json.loads(text, object_hook=lambda d: _ZERO_CELL if d == _ZERO_CELL else d)
+    report = seminormal.verify_relations(seminormal.GradedRep.from_json(obj))
+    out = json.dumps({"schema": cli.SCHEMA, "report": report}, sort_keys=True, indent=2)
+    return (0 if all(r["status"] == "pass" for r in report) else 1), out + "\n"
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a builder's file was parsed")
+
+
+@pytest.mark.parametrize(
+    "parts, tensor",
+    [(s.parts, tensor) for k in range(1, 7) for s in strict_partitions(k) for tensor in (False, True)]
+    + [((4, 2, 1), False), ((7,), False)],
+    ids=str,
+)
+def test_verify_of_a_builders_file_matches_the_parse(tmp_path, monkeypatch, parts, tensor):
+    # the file is compared with the builder's bytes and never parsed, and it
+    # gives the verdict of the parse path
+    path = tmp_path / "model.json"
+    flag = ["--algebra", "tensor"] if tensor else []
+    assert cli.main(["build-rep", ",".join(map(str, parts)), *flag, "--out", str(path)]) == 0
+    monkeypatch.setattr(json, "load", _raise)
+    monkeypatch.setattr(json, "loads", _raise)
+    rc, out, err = _verify(path)
+    monkeypatch.undo()
+    assert (rc, err) == (0, "")
+    assert (rc, out) == _parsed_verify(path.read_text(encoding="utf-8"))
+    path.unlink()  # up to 222 MB
+
+
+def _near_misses(text):
+    """label -> the text of the builder's file with one change."""
+    at = text.rfind('\n  "shape": ') + len('\n  "shape": ')
+
+    def tail(value):
+        return text[:at] + json.dumps(value, indent=2).replace("\n", "\n  ") + "\n}\n"
+
+    obj = json.loads(text)
+    row = obj["generators"][0]["matrix"][0]
+    term = next(cell for cell in row if cell["terms"])["terms"][0]
+    term["coeff"] = term["coeff"][1:] if term["coeff"].startswith("-") else "-" + term["coeff"]
+    return {
+        "indent=1": json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n",
+        "no final newline": text[:-1],
+        "sign flip": json.dumps(obj, sort_keys=True, indent=2) + "\n",
+        "[30]": tail([30]),
+        "[3, 3]": tail([3, 3]),
+        '"x"': tail("x"),
+        "unknown algebra": text.replace('"algebra": "A_n"', '"algebra": "B_n"', 1),
+        "deep shape": text[:at] + "[" * 5000 + "]" * 5000 + "\n}\n",
+    }
+
+
+def test_verify_of_near_misses_takes_the_parse_path(tmp_path, monkeypatch):
+    source = tmp_path / "model.json"
+    assert cli.main(["build-rep", "3,2", "--out", str(source)]) == 0
+    text = source.read_text(encoding="utf-8")
+    builders = _verify(source)
+    loads, builds = json.loads, seminormal._cached_build
+    parses, built = [], []
+    monkeypatch.setattr(json, "loads", lambda *a, **k: parses.append(1) or loads(*a, **k))
+    monkeypatch.setattr(seminormal, "_cached_build", lambda *a: built.append(a) or builds(*a))
+    results = {}
+    for label, variant in _near_misses(text).items():
+        path = tmp_path / "variant.json"
+        path.write_text(variant, encoding="utf-8")
+        parses.clear()
+        built.clear()
+        results[label] = _verify(path)
+        assert parses, label
+        if label not in ("indent=1", "no final newline", "sign flip"):
+            assert not built, label  # the header fails before any build
+    assert results["indent=1"] == results["no final newline"] == builders
+    rc, out, err = results["sign flip"]
+    assert (rc, err) == (1, "")
+    report = json.loads(out)["report"]
+    assert any("first_defect" in r for r in report)
+    assert report == _dense_report(json.loads(_near_misses(text)["sign flip"]))
+    assert {label: r for label, r in results.items() if r[0] == 2} == {
+        "[30]": (2, "", "cannot load representation: shape 30 must have 1 to 7 cells\n"),
+        "[3, 3]": (2, "", "cannot load representation: parts must be strictly decreasing: (3, 3)\n"),
+        '"x"': (2, "", "cannot load representation: shape must be a list of integers\n"),
+        "unknown algebra": (2, "", "cannot load representation: unknown algebra 'B_n'\n"),
+        "deep shape": (2, "", "cannot load representation: maximum recursion depth exceeded "
+                              "while decoding a JSON array from a unicode string\n"),
+    }
+
+
+def test_verify_memory_of_a_builders_file(tmp_path, monkeypatch):
+    # the parse path peaked at 6x the size of the tensor (3,2) file (44.8 MB
+    # for 7.4 MB), the byte compare at 2x: the text, and its bytes while read
+    path = tmp_path / "model.json"
+    assert cli.main(["build-rep", "3,2", "--algebra", "tensor", "--out", str(path)]) == 0
+    monkeypatch.setattr(seminormal, "_BUILD_CACHE", {})  # built anew, as in a fresh process
+    tracemalloc.start()
+    try:
+        rc = _verify(path)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 3 * path.stat().st_size
 
 
 def test_supercenter(capsys):
