@@ -65,6 +65,7 @@ COMMANDS = [
     ("verify <build-rep 7>", ["verify", "{model:build-rep 7}"]),
     ("build-rep 4 --algebra tensor", ["build-rep", "4", "--algebra", "tensor", "--out", "{out}"]),
     ("verify <build-rep 4 --algebra tensor>", ["verify", "{model:build-rep 4 --algebra tensor}"]),
+    ("check-all --max-n 7", ["check-all", "--max-n", "7"]),
 ]
 
 
