@@ -584,16 +584,11 @@ def odd_partition_count_check(n: int) -> dict:
         raise ValueError("n <= 7")
     strict_count = len(strict_partitions(n))
     odd_count = len(spinalg.odd_partitions(n))
-    supercenter_dim: int | None = None
-    if n <= 6:
-        supercenter_dim = len(spinalg.supercentralizer(n, n))
-    counts = [strict_count, odd_count] + (
-        [supercenter_dim] if supercenter_dim is not None else []
-    )
+    supercenter_dim = len(spinalg.supercentralizer(n, n))
     return {
         "n": n,
         "strict_count": strict_count,
         "odd_count": odd_count,
         "supercenter_dim": supercenter_dim,
-        "all_equal": len(set(counts)) == 1,
+        "all_equal": strict_count == odd_count == supercenter_dim,
     }

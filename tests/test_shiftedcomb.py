@@ -239,5 +239,5 @@ def test_odd_partition_count_check():
     r2 = sc.odd_partition_count_check(2)
     assert (r2["strict_count"], r2["odd_count"], r2["supercenter_dim"]) == (1, 1, 1)
     r7 = sc.odd_partition_count_check(7)
-    assert r7["strict_count"] == r7["odd_count"] == 5
-    assert r7["supercenter_dim"] is None and r7["all_equal"]
+    assert r7["strict_count"] == r7["odd_count"] == r7["supercenter_dim"] == 5
+    assert r7["all_equal"]
