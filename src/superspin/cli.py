@@ -153,8 +153,7 @@ def cmd_build_rep(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            rep = seminormal.GradedRep.read(fh.read())
+        rep = seminormal.GradedRep.read(args.file)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         sys.stderr.write(f"cannot load representation: {exc}\n")
         return 2

@@ -249,15 +249,15 @@ def dump(doc, fh) -> None:
     fh.writelines(_chunks(doc))
 
 
-def matches(doc, text: str, end: str = "") -> bool:
-    """Whether dump(doc) followed by `end` writes exactly `text`, compared chunk
-    by chunk in place; the compare stops at the first chunk that differs."""
-    pos = 0
+def matches(doc, fh, end: bytes = b"") -> bool:
+    """Whether dump(doc) followed by `end` writes exactly the rest of the binary
+    stream fh: each chunk, encoded as UTF-8, is compared with as many bytes read
+    from fh, and the compare stops at the first chunk that differs."""
     for chunk in _chunks(doc):
-        if not text.startswith(chunk, pos):
+        data = chunk.encode()
+        if fh.read(len(data)) != data:
             return False
-        pos += len(chunk)
-    return text[pos:] == end
+    return fh.read(len(end) + 1) == end
 
 
 def _chunks(doc) -> Iterator[str]:

@@ -22,6 +22,7 @@ other loaded model, and a mutated one, carries only dense generators.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -317,20 +318,31 @@ class GradedRep(GradedMatrixAlgebra):
         return shape, obj["algebra"] == "clifford_tensor_A_n"
 
     @classmethod
-    def read(cls, text: str) -> GradedRep:
-        """The model of a file's text: the builder's model, unparsed, if the text
-        is byte for byte the CLI's file of the model it names, else from_json of
-        the parsed text.  The writer's first and last keys name the model, the
-        algebra and the shape, which are checked before any build."""
-        decode, tail = json.JSONDecoder().raw_decode, '\n  "shape": '
-        try:
-            obj = {"shape": decode(text, text.rfind(tail) + len(tail))[0],
-                   "algebra": decode(text, len('{\n  "algebra": '))[0]}
-            rep = _cached_build(*cls.header(obj))
-            if matches(rep.document(), text, "\n"):
-                return rep
-        except (ValueError, RecursionError):  # a RelationError included
-            pass
+    def read(cls, path) -> GradedRep:
+        """The model of a file: the builder's model, unparsed, if the file is byte
+        for byte the CLI's file of the model it names, else from_json of its
+        parsed UTF-8 text.  The writer's first and last keys name the model: the
+        algebra and the shape are read from a short head and tail of the file
+        and checked before any build, and the file is then compared with the
+        writer's output as it is read, so no copy of it is held.  A stream that
+        cannot seek, such as a pipe, is parsed."""
+        decode, key = json.JSONDecoder().raw_decode, '\n  "shape": '
+        with open(path, "rb") as fh:
+            if fh.seekable():
+                try:
+                    head = fh.read(64).decode()
+                    fh.seek(max(0, fh.seek(0, 2) - 256))
+                    tail = fh.read().decode()
+                    obj = {"shape": decode(tail, tail.rindex(key) + len(key))[0],
+                           "algebra": decode(head, len('{\n  "algebra": '))[0]}
+                    rep = _cached_build(*cls.header(obj))
+                    fh.seek(0)
+                    if matches(rep.document(), fh, b"\n"):
+                        return rep
+                except (ValueError, RecursionError):  # a RelationError included
+                    pass
+                fh.seek(0)
+            text = io.TextIOWrapper(fh, encoding="utf-8").read()  # open(path)'s text mode
         return cls.from_json(json.loads(text))
 
     @classmethod

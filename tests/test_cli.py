@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -573,9 +574,68 @@ def test_verify_of_near_misses_takes_the_parse_path(tmp_path, monkeypatch):
     }
 
 
+def _parse_path(path):
+    """(exit code, stdout, stderr) of verify by the parse path alone: the file
+    read as UTF-8 text, parsed, then from_json and verify_relations."""
+    try:
+        rc, out = _parsed_verify(path.read_text(encoding="utf-8"))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        return 2, "", f"cannot load representation: {exc}\n"
+    return rc, out, ""
+
+
+def test_verify_of_changed_bytes_takes_the_parse_path(tmp_path, monkeypatch):
+    # bytes that differ from the builder's are judged by the parse of their
+    # text, with its newline translation and its UTF-8 errors
+    source = tmp_path / "model.json"
+    assert cli.main(["build-rep", "3,2", "--out", str(source)]) == 0
+    data = source.read_bytes()
+    builders = _verify(source)
+    inside = data.index(b'"matrix": [') + 40  # in the first row of the first matrix
+    variants = {
+        "CRLF": data.replace(b"\n", b"\r\n"),
+        "bytes after the final newline": data + b"\n",
+        "invalid UTF-8": data[:inside] + b"\xff" + data[inside + 1 :],
+        "cut mid-matrix": data[:inside],
+        "empty": b"",
+    }
+    loads, parses = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda *a, **k: parses.append(1) or loads(*a, **k))
+    results = {}
+    for label, variant in variants.items():
+        path = tmp_path / "variant.json"
+        path.write_bytes(variant)
+        parses.clear()
+        results[label] = _verify(path)
+        assert parses or label == "invalid UTF-8", label
+        assert results[label] == _parse_path(path), label
+    assert results["CRLF"] == results["bytes after the final newline"] == builders
+    assert results["invalid UTF-8"] == (
+        2, "", f"cannot load representation: 'utf-8' codec can't decode byte 0xff "
+               f"in position {inside}: invalid start byte\n")
+    assert results["cut mid-matrix"][:2] == (2, "")
+    assert results["empty"] == (
+        2, "", "cannot load representation: Expecting value: line 1 column 1 (char 0)\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_verify_of_a_builders_file_through_a_fifo(tmp_path):
+    # a pipe cannot seek: its text is read once and parsed
+    source, fifo = tmp_path / "model.json", tmp_path / "model.fifo"
+    assert cli.main(["build-rep", "3,2", "--out", str(source)]) == 0
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(source.read_bytes(),), daemon=True)
+    writer.start()
+    result = _verify(fifo)
+    writer.join(timeout=10)
+    assert result[0] == 0
+    assert result == _verify(source)
+
+
 def test_verify_memory_of_a_builders_file(tmp_path, monkeypatch):
     # the parse path peaked at 6x the size of the tensor (3,2) file (44.8 MB
-    # for 7.4 MB), the byte compare at 2x: the text, and its bytes while read
+    # for 7.4 MB); the byte compare reads the file in the writer's chunks and
+    # holds no copy of it (0.66 MB)
     path = tmp_path / "model.json"
     assert cli.main(["build-rep", "3,2", "--algebra", "tensor", "--out", str(path)]) == 0
     monkeypatch.setattr(seminormal, "_BUILD_CACHE", {})  # built anew, as in a fresh process
@@ -586,7 +646,7 @@ def test_verify_memory_of_a_builders_file(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert peak < 3 * path.stat().st_size
+    assert peak < path.stat().st_size / 4
 
 
 def test_supercenter(capsys):
