@@ -396,11 +396,16 @@ def _kappa(s: int, t: int, variant: str) -> Fraction:
     return 1 - Fraction(s + t, denom)
 
 
-def _construct(
+def _construct(shape: StrictPartition, tensor: bool, variant: str) -> GradedRep:
+    """The model of the variant's generators (see _generators)."""
+    return GradedRep.new(shape, tensor, _generators(shape, tensor, variant), {"case_iii_variant": variant})
+
+
+def _generators(
     shape: StrictPartition, tensor: bool, variant: str
-) -> GradedRep:
-    """The model in factored form: p_i is bit i-1 and h_i bit n+i-1 for tensor,
-    h_i bit i-1 for plain, matching the order of clifford_module's generators."""
+) -> list[tuple[str, CliffordMat]]:
+    """The generators in factored form: p_i is bit i-1 and h_i bit n+i-1 for
+    tensor, h_i bit i-1 for plain, matching the order of clifford_module's."""
     n = shape.n
     tabs = standard_tableaux(shape)
     avecs = [spectrum_vector(t).a for t in tabs]
@@ -427,7 +432,7 @@ def _construct(
     for i in range(1, n + 1 if tensor else 1):
         p_i = {(t, t): {1 << (i - 1): 1} for t in range(g)}
         generators.append((f"p_{i}", CliffordMat(g, m, p_i)))
-    return GradedRep.new(shape, tensor, generators, {"case_iii_variant": variant})
+    return generators
 
 
 def verify_relations(rep: GradedRep) -> list[dict]:
@@ -436,17 +441,20 @@ def verify_relations(rep: GradedRep) -> list[dict]:
     return [dict(r) for r in rep._relations] or list(_relation_checks(rep))
 
 
-def _relation_checks(rep: GradedRep) -> Iterator[dict]:
+def _relation_checks(rep: GradedRep, factored: dict | None = None) -> Iterator[dict]:
     """The checks of `verify_relations`, yielded one at a time in its order.
 
     A built model is checked in its factored form, where a zero defect passes;
     any other defect is expanded and decided densely, so every verdict is the
-    dense one.
+    dense one.  Given `factored`, other factored generators of rep's shape and
+    algebra, those are checked instead, and no model of them is made.
     """
     n = rep.n
-    factored = bool(rep.factored)
-    generator = rep.factored.__getitem__ if factored else rep.generator
-    one = rep.one(factored)
+    pis = {} if factored else rep._fpi_cache if rep.factored else rep._pi_cache
+    factored = factored or rep.factored
+    generator = factored.__getitem__ if factored else rep.generator
+    one = rep.one(bool(factored))
+    pis.setdefault(1, one.scale(0))
 
     def check(name: str, lhs, rhs) -> dict:
         defect = lhs - rhs
@@ -493,7 +501,7 @@ def _relation_checks(rep: GradedRep) -> Iterator[dict]:
                 )
         # the commuting family x_i = p_i pi_i / sqrt(2)
         xs = {
-            i: (ps[i] * rep.pi(i, factored)).scale(INV_SQRT2) for i in range(1, n + 1)
+            i: (ps[i] * yjm_matrix(generator, i, pis)).scale(INV_SQRT2) for i in range(1, n + 1)
         }
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
@@ -510,9 +518,9 @@ def _build(shape, tensor: bool) -> GradedRep:
     The corrected variant is constructed and fully verified first.  The two
     scalars differ only on split pairs with both a-values nonzero; without
     one the printed matrices equal the corrected ones and share their outcome.
-    Otherwise the printed variant is built too and its scan stops at the first
-    failing relation: only a passing variant is kept, and a passing scan is
-    the full report.
+    Otherwise the printed variant's factored generators are scanned too, up to
+    the first failing relation, and its model is made only if it passes and is
+    kept: a passing scan is the full report.
     """
     distinguishable = any(
         avec[i - 1] + avec[i] != (avec[i - 1] - avec[i]) ** 2
@@ -524,19 +532,19 @@ def _build(shape, tensor: bool) -> GradedRep:
     outcomes = {}
     chosen = None
     for variant in ("corrected", "printed") if distinguishable else ("corrected",):
-        rep = _construct(shape, tensor, variant)
         if variant == "corrected":
+            rep = _construct(shape, tensor, variant)
             report = verify_relations(rep)
         else:
             report = []
-            for r in _relation_checks(rep):
+            for r in _relation_checks(rep, dict(_generators(shape, tensor, variant))):
                 report.append(r)
                 if r["status"] == "fail":
                     break
         bad = [r for r in report if r["status"] == "fail"]
         outcomes[variant] = "pass" if not bad else f"fail:{bad[0]['identity']}"
         if not bad and chosen is None:
-            chosen = (variant, rep, report)
+            chosen = (variant, rep if variant == "corrected" else _construct(shape, tensor, variant), report)
     if not distinguishable:
         outcomes["printed"] = outcomes["corrected"]
     if chosen is None:

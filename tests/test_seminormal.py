@@ -620,6 +620,17 @@ def test_builds_take_the_factored_path(monkeypatch, parts, tensor):
         assert sn.spectrum_of(model) == sorted(model.avecs)
 
 
+def test_printed_variant_is_scanned_before_its_model_is_made(monkeypatch):
+    # the printed variant of (4,2) fails its factored scan, so the corrected
+    # model is the only one made and expanded
+    made, new = [], sn.GradedRep.new.__func__
+    monkeypatch.setattr(sn.GradedRep, "new", classmethod(lambda cls, *a: made.append(a) or new(cls, *a)))
+    rep = sn._build(StrictPartition((4, 2)), False)
+    assert rep.build_report["variant_distinguishable"]
+    assert rep.build_report["variant_outcomes"]["printed"].startswith("fail:")
+    assert [a[0] for a in made] == [StrictPartition((4, 2))]
+
+
 def test_failure_names_the_first_defect_entry():
     rep = sn.mutated_rep(sn.build_rep_plain(StrictPartition((3, 1))))
     t = {i: rep.tau(i) for i in range(1, 4)}
