@@ -321,10 +321,9 @@ class GradedRep(GradedMatrixAlgebra):
     def read(cls, path) -> GradedRep:
         """The model of a file: the builder's model, unparsed, if the file is byte
         for byte the CLI's file of the model it names, else from_json of its
-        parsed UTF-8 text.  The writer's first and last keys name the model: the
-        algebra and the shape are read from a short head and tail of the file
-        and checked before any build, and the file is then compared with the
-        writer's output as it is read, so no copy of it is held.  A stream that
+        parsed UTF-8 text.  The algebra and the shape, the writer's first and last
+        keys, are read from a short head and tail and checked before any build;
+        the file is then compared as it is read, so no copy is held.  A stream that
         cannot seek, such as a pipe, is parsed."""
         decode, key = json.JSONDecoder().raw_decode, '\n  "shape": '
         with open(path, "rb") as fh:
@@ -398,7 +397,8 @@ def _kappa(s: int, t: int, variant: str) -> Fraction:
 
 def _construct(shape: StrictPartition, tensor: bool, variant: str) -> GradedRep:
     """The model of the variant's generators (see _generators)."""
-    return GradedRep.new(shape, tensor, _generators(shape, tensor, variant), {"case_iii_variant": variant})
+    generators = _generators(shape, tensor, variant)
+    return GradedRep.new(shape, tensor, generators, {"case_iii_variant": variant})
 
 
 def _generators(
@@ -544,7 +544,8 @@ def _build(shape, tensor: bool) -> GradedRep:
         bad = [r for r in report if r["status"] == "fail"]
         outcomes[variant] = "pass" if not bad else f"fail:{bad[0]['identity']}"
         if not bad and chosen is None:
-            chosen = (variant, rep if variant == "corrected" else _construct(shape, tensor, variant), report)
+            chosen = (variant, rep if variant == "corrected"
+                      else _construct(shape, tensor, variant), report)
     if not distinguishable:
         outcomes["printed"] = outcomes["corrected"]
     if chosen is None:
