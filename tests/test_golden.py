@@ -66,6 +66,8 @@ COMMANDS = [
     ("build-rep 4 --algebra tensor", ["build-rep", "4", "--algebra", "tensor", "--out", "{out}"]),
     ("verify <build-rep 4 --algebra tensor>", ["verify", "{model:build-rep 4 --algebra tensor}"]),
     ("check-all --max-n 7", ["check-all", "--max-n", "7"]),
+    ("decompose-regular A 1", ["decompose-regular", "A", "1"]),
+    ("decompose-regular CA 1", ["decompose-regular", "CA", "1"]),
 ]
 
 
