@@ -53,6 +53,7 @@ from .shiftedcomb import (
     strict_partitions,
     tableau_from_bvector,
 )
+from .spinalg import word_product
 
 SQRT2 = sqrt_rational(2)
 INV_SQRT2 = SQRT2.invert()
@@ -97,20 +98,6 @@ def clifford_module(m: int) -> tuple[int, tuple[Mat, ...], tuple[int, ...]]:
             gens.append(_signed_perm(dim, bit | 1, earlier, bit | 1))
     parity = tuple(bin(i >> 1).count("1") % 2 for i in range(dim))
     return dim, tuple(gens), parity
-
-
-def word_product(u: int, v: int) -> tuple[int, int]:
-    """(sign, word) with e_u e_v = sign * e_{u XOR v} for ascending Clifford words.
-
-    A word is the bitmask of an ascending product of anticommuting involutions
-    (bit i-1 for e_i); the sign counts the pairs i in u, j in v with i > j.
-    """
-    swaps, rest = 0, v
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        swaps += (u >> low.bit_length()).bit_count()
-    return (-1 if swaps & 1 else 1), u ^ v
 
 
 def _word_action(m: int, u: int) -> list[tuple[int, int, int]]:
@@ -826,105 +813,38 @@ def branching_graph_from_reps(n: int) -> BranchingGraph:
 # -- the brute-force regular-representation oracle --------------------------------
 
 
-class _TensorWords:
-    """Word basis of a regular representation: e_S t_p for a Clifford subset S.
-
-    Word s * nperm + p is e_S t_p, where e_S = p_{i1} ... p_{ik} over the set
-    S of bits of s (bit i-1 for p_i, i1 < ... < ik) and t_p is the canonical
-    spin word of permutation p.  The plain spin algebra is the case without
-    Clifford generators, where the word index is the permutation index.
-    A letter is ("tau", g) or ("p", i), the generator it names.
-    """
-
-    def __init__(self, n: int, clifford: bool):
-        self.ctx = spinalg.context(n)
-        self.nperm = len(self.ctx.perms)
-        self.nclif = n if clifford else 0
-        self.size = self.nperm << self.nclif
-        self.parity = tuple(
-            (bin(idx // self.nperm).count("1") + self.ctx.parity[idx % self.nperm]) % 2
-            for idx in range(self.size)
-        )
-        self.generators = [("tau", g) for g in range(1, n)] + [
-            ("p", i) for i in range(1, self.nclif + 1)
-        ]
-
-    def letters(self, idx: int) -> list[tuple[str, int]]:
-        """The letters of word idx, left to right."""
-        s, p = divmod(idx, self.nperm)
-        clif = [("p", i) for i in range(1, self.nclif + 1) if (s >> (i - 1)) & 1]
-        return clif + [("tau", g) for g in self.ctx.words[p]]
-
-    def _left_mul(self, letter: tuple[str, int], idx: int) -> tuple[int, int]:
-        """(sign, q) with letter * word_idx = sign * word_q."""
-        kind, k = letter
-        s, p = divmod(idx, self.nperm)
-        if kind == "tau":
-            # t_k e_S = (-1)^|S| e_S t_k
-            sign, q = self.ctx.left_mul_gen(k, p)
-            return (-sign if bin(s).count("1") % 2 else sign), s * self.nperm + q
-        # p_k e_S = (-1)^{#(i in S, i < k)} e_{S ^ {k}}
-        below = bin(s & ((1 << (k - 1)) - 1)).count("1")
-        return (-1 if below % 2 else 1), (s ^ (1 << (k - 1))) * self.nperm + p
-
-    def _right_mul(self, idx: int, letter: tuple[str, int]) -> tuple[int, int]:
-        """(sign, q) with word_idx * letter = sign * word_q."""
-        kind, k = letter
-        s, p = divmod(idx, self.nperm)
-        if kind == "tau":
-            sign, q = self.ctx.right_mul_gen(p, k)
-            return sign, s * self.nperm + q
-        # e_S t_p p_k = (-1)^{p(t_p)} e_S p_k t_p, e_S p_k = (-1)^{#(i in S, i > k)} e_{S ^ {k}}
-        above = bin(s >> k).count("1") + self.ctx.parity[p]
-        return (-1 if above % 2 else 1), (s ^ (1 << (k - 1))) * self.nperm + p
-
-    def left_mul_word(self, word: Sequence[tuple[str, int]], idx: int) -> tuple[int, int]:
-        """(sign, q) with (product of the letters of word) * word_idx = sign * word_q."""
-        sign = 1
-        for letter in reversed(word):
-            s, idx = self._left_mul(letter, idx)
-            sign *= s
-        return sign, idx
-
-    def right_mul_word(self, idx: int, word: Sequence[tuple[str, int]]) -> tuple[int, int]:
-        """(sign, q) with word_idx * (product of the letters of word) = sign * word_q."""
-        sign = 1
-        for letter in word:
-            s, idx = self._right_mul(idx, letter)
-            sign *= s
-        return sign, idx
-
-
-def _left_mult_mat(words: _TensorWords, coeffs: Vec) -> Mat:
-    """Left multiplication by the sum of c * word_idx over coeffs, on the word basis.
+def _left_mult_mat(ctx: spinalg.SpinContext, coeffs: Vec) -> Mat:
+    """Left multiplication by the sum of c * word_idx over coeffs, on the word
+    basis of a context, plain or Clifford-extended.
 
     The coefficients are the oracle's integers, so the matrix is an `int`
     matrix.
     """
+    size = len(ctx.words)
     rows: dict[int, Vec] = {}
     for idx, coeff in coeffs.items():
-        letters = words.letters(idx)
-        for col in range(words.size):
-            sign, q = words.left_mul_word(letters, col)
+        letters = ctx.words[idx]
+        for col in range(size):
+            sign, q = ctx.left_mul_word(letters, col)
             tgt = rows.setdefault(q, {})
             val = tgt.get(col, 0) + (coeff if sign > 0 else -coeff)
             if val:
                 tgt[col] = val
             elif col in tgt:
                 del tgt[col]
-    return Mat(words.size, words.size, rows)
+    return Mat(size, size, rows)
 
 
-def _odd_center(words: _TensorWords) -> list[Vec]:
+def _odd_center(ctx: spinalg.SpinContext) -> list[Vec]:
     """A basis of the odd part of the ordinary center, as sign vectors.
 
     The center is the sign centralizer of the generators; each solution lies
     in one parity, and the odd ones are kept.
     """
-    gens = [(letter,) for letter in words.generators]
+    gens = [(g,) for g in range(1, len(ctx.left) + 1)]
     out = []
-    for sol in spinalg.sign_centralizer(words, range(words.size), gens):
-        odd = [idx for idx in sol if words.parity[idx]]
+    for sol in spinalg.sign_centralizer(ctx, range(len(ctx.words)), gens):
+        odd = [idx for idx in sol if ctx.parity[idx]]
         if odd and len(odd) != len(sol):
             raise CheckFailed("mixed-parity central component")
         if odd:
@@ -940,7 +860,8 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     central idempotent alone, labels it with its joint a-vector set and
     matching strict partition, reads M/Q off the odd part of the ordinary
     center, and recovers the block parameters from exact graded dimensions.
-    Every matrix is a left multiplication on one word basis (`_left_mult_mat`).
+    Every matrix is a left multiplication on the word basis of the algebra's
+    context (`_left_mult_mat`).
     """
     caps = {"A": (5, "plain"), "CA": (4, "Clifford-extended")}
     if tag not in caps:
@@ -948,20 +869,21 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     cap, name = caps[tag]
     if n > cap:
         raise ValueError(f"n <= {cap} for the {name} regular representation")
-    words = _TensorWords(n, tag == "CA")
-    dim, parity, one = words.size, words.parity, words.ctx.identity  # one: the identity word
+    ctx = spinalg.context(n, clifford=tag == "CA")
+    dim, parity, one = len(ctx.words), ctx.parity, ctx.identity  # one: the identity word
     # every generator is odd: this checks the parity vector against the action
-    for letter in words.generators:
-        _, word = words.left_mul_word([letter], one)  # the letter's own word
-        if matrix_parity(_left_mult_mat(words, {word: 1}), parity) != 1:
-            raise CheckFailed(f"generator {letter[0]}_{letter[1]} is not odd")
+    for g in range(1, len(ctx.left) + 1):
+        _, word = ctx.left_mul_gen(g, one)  # the letter's own word
+        if matrix_parity(_left_mult_mat(ctx, {word: 1}), parity) != 1:
+            letter = f"tau_{g}" if g < n else f"p_{g - n + 1}"
+            raise CheckFailed(f"generator {letter} is not odd")
 
     # the central splitting operator is the total YJM square
     squares = [p * p for p in (spinalg.jm_element(k, n) for k in range(1, n + 1))]
     total = sum(squares, spinalg.SpinElement.zero(n))
-    central_mat = _left_mult_mat(words, total.coeffs)
-    pi2_mats = [_left_mult_mat(words, sq.coeffs) for sq in squares]
-    odd_mats = [_left_mult_mat(words, sol) for sol in _odd_center(words)]
+    central_mat = _left_mult_mat(ctx, total.coeffs)
+    pi2_mats = [_left_mult_mat(ctx, sq.coeffs) for sq in squares]
+    odd_mats = [_left_mult_mat(ctx, sol) for sol in _odd_center(ctx)]
 
     # the action is faithful, so p(c) = 0 iff p(c) 1 = 0: c has its roots on the
     # span of 1 under c, where a simple root has a piece of dimension 1
@@ -996,9 +918,15 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
 
 
 def _a_vectors(piece: Subspace, squares: Sequence[Mat]) -> list[tuple[int, ...]]:
-    """Joint spectrum of the squared YJM operators on a piece, as a-vectors."""
-    labeled = eigensplit([piece], squares)
-    return sorted({tuple(int(x) for x in lab) for _, lab in labeled})
+    """Joint spectrum of the squared YJM operators on a piece, as a-vectors;
+    an eigenvalue that is not an integer is a check failure."""
+    avecs = set()
+    for _, label in eigensplit([piece], squares):
+        for x in label:
+            if rational_of(x).__class__ is not int:
+                raise CheckFailed(f"eigenvalue {x} not an integer")
+        avecs.add(tuple(map(rational_of, label)))
+    return sorted(avecs)
 
 
 def _isqrt_exact(x: int) -> int:

@@ -74,10 +74,32 @@ def _left_insert(code: list[int], letter: int) -> int:
         j += 1
 
 
-class SpinContext:
-    """Per-rank tables: permutations, codes, and signed generator products."""
+def word_product(u: int, v: int) -> tuple[int, int]:
+    """(sign, word) with e_u e_v = sign * e_{u XOR v} for ascending Clifford words.
 
-    def __init__(self, n: int):
+    A word is the bitmask of an ascending product of anticommuting involutions
+    (bit i-1 for e_i); the sign counts the pairs i in u, j in v with i > j.
+    """
+    swaps, rest = 0, v
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        swaps += (u >> low.bit_length()).bit_count()
+    return (-1 if swaps & 1 else 1), u ^ v
+
+
+class SpinContext:
+    """Per-rank tables: permutations, codes, and signed generator products.
+
+    With `clifford`, the tables are those of the Clifford extension
+    Cl_n (x) A_n: word s * n! + p is e_S t_p, where e_S = p_{i1} ... p_{ik}
+    over the set S of bits of s (bit i-1 for p_i, i1 < ... < ik), and letter
+    n-1+i is p_i.  `perms`, `index`, `codes` and `lengths` stay those of the
+    plain words t_p; `words`, `parity`, `left` and `right` cover every word
+    and letter.
+    """
+
+    def __init__(self, n: int, clifford: bool = False):
         if n < 1:
             raise ValueError("rank must be >= 1")
         self.n = n
@@ -111,6 +133,40 @@ class SpinContext:
                 s, q = self.left_mul_gen(g, r_p)
                 sigma_q, r_q = rev[q]
                 row[pidx] = sigma_p * s * sigma_q * (r_q + 1)
+        if clifford:
+            self._extend()
+
+    def _extend(self) -> None:
+        """Replace the plain tables by those of the Clifford extension.
+
+        t_g e_S = (-1)^|S| e_S t_g, and e_S t_p t_g needs no reordering; p_i
+        moves past e_S by `word_product` and, on the right, past t_p with the
+        sign of its parity.
+        """
+        n, nperm, subsets = self.n, len(self.words), range(1 << self.n)
+        tau_left = [[self.left_mul_gen(g, p) for p in range(nperm)] for g in range(1, n)]
+        tau_right = [[self.right_mul_gen(p, g) for p in range(nperm)] for g in range(1, n)]
+        self.left = [
+            [(-1) ** s.bit_count() * sign * (s * nperm + q + 1) for s in subsets for sign, q in row]
+            for row in tau_left
+        ]
+        self.right = [
+            [sign * (s * nperm + q + 1) for s in subsets for sign, q in row] for row in tau_right
+        ]
+        for i in range(n):
+            bit = 1 << i
+            self.left.append([
+                word_product(bit, s)[0] * ((s ^ bit) * nperm + p + 1)
+                for s in subsets for p in range(nperm)
+            ])
+            self.right.append([
+                word_product(s, bit)[0] * (-1) ** e * ((s ^ bit) * nperm + p + 1)
+                for s in subsets for p, e in enumerate(self.parity)
+            ])
+        self.words = [
+            tuple(n + i for i in range(n) if s >> i & 1) + w for s in subsets for w in self.words
+        ]
+        self.parity = [(s.bit_count() + e) % 2 for s in subsets for e in self.parity]
 
     def left_mul_gen(self, g: int, pidx: int) -> tuple[int, int]:
         enc = self.left[g - 1][pidx]
@@ -135,14 +191,14 @@ class SpinContext:
         return sign, pidx
 
 
-_CTX: dict[int, SpinContext] = {}
+_CTX: dict[tuple[int, bool], SpinContext] = {}
 
 
-def context(n: int) -> SpinContext:
-    ctx = _CTX.get(n)
+def context(n: int, clifford: bool = False) -> SpinContext:
+    ctx = _CTX.get((n, clifford))
     if ctx is None:
-        ctx = SpinContext(n)
-        _CTX[n] = ctx
+        ctx = SpinContext(n, clifford)
+        _CTX[n, clifford] = ctx
     return ctx
 
 
@@ -458,14 +514,13 @@ def _sub_indices(n: int, m: int, eps: int) -> list[int]:
 
 
 def sign_centralizer(
-    basis, variables: Iterable[int], words: Iterable[Sequence], eps: int = 1
+    ctx: SpinContext, variables: Iterable[int], words: Iterable[Sequence], eps: int = 1
 ) -> list[dict[int, int]]:
     """Basis of {x in span(word_u : u in variables) : x w = eps * w x for each w}.
 
-    `basis` is a word basis with `right_mul_word` and `left_mul_word` (a
-    `SpinContext`, or the regular representation's tensor words); each w is
-    a sequence of its letters.  The coefficient of word_rho = sr * word_u w
-    is sr * c_u in x w and sl * c_v in w x, where w word_v = sl * word_rho.
+    `ctx` is a context, plain or Clifford-extended, and each w is a sequence
+    of its letters.  The coefficient of word_rho = sr * word_u w is sr * c_u
+    in x w and sl * c_v in w x, where w word_v = sl * word_rho.
     So each relation couples two coefficients, c_u = eps * sl * sr * c_v, and
     word_v is read off as sl * w^-1 word_rho: every letter is an involution,
     so w^-1 is the reversed word.  The variables must be closed under
@@ -481,8 +536,8 @@ def sign_centralizer(
     for w in words:
         inverse = tuple(reversed(w))
         for u in variables:
-            sr, rho = basis.right_mul_word(u, w)
-            sl, v = basis.left_mul_word(inverse, rho)
+            sr, rho = ctx.right_mul_word(u, w)
+            sl, v = ctx.left_mul_word(inverse, rho)
             coupled[u].append((v, eps * sl * sr))
             coupled[v].append((u, eps * sl * sr))
     sign: dict[int, int] = {}

@@ -137,6 +137,14 @@ def test_spectrum_rejects_a_fractional_eigenvalue():
         sn.spectrum_of(_edited_tau1((3, 1), halve))
 
 
+def test_a_vectors_reject_a_fractional_eigenvalue():
+    # the joint spectrum is not truncated to an a-vector of integers
+    piece = linalg.Subspace.full(1)
+    with pytest.raises(CheckFailed, match="^eigenvalue 5/2 not an integer$"):
+        sn._a_vectors(piece, [Mat.scalar(1, Fraction(5, 2))])
+    assert sn._a_vectors(piece, [Mat.scalar(1, 3), Mat.scalar(1, 0)]) == [(3, 0)]
+
+
 def test_mutated_rep_has_its_own_pi():
     # pi_2 = tau_1, so the mutated model's pi_2 must follow its own tau_1 even
     # after the original's pi cache has been filled
@@ -737,8 +745,8 @@ def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
     "tag, n", [("A", 3), ("A", 4), ("A", 5), ("CA", 2), ("CA", 3), ("CA", 4)]
 )
 def test_oracle_word_action_is_central(tag, n):
-    words = sn._TensorWords(n, tag == "CA")
-    ctx, N = spinalg.context(n), words.size
+    ext = spinalg.context(n, clifford=tag == "CA")
+    ctx, N = spinalg.context(n), len(ext.words)
     nclif = n if tag == "CA" else 0
     one, zero = Mat.scalar(N, 1), Mat.zero(N)
 
@@ -748,8 +756,8 @@ def test_oracle_word_action_is_central(tag, n):
         assert sw.sign == 1
         return sum(1 << (i - 1) for i in subset) * len(ctx.perms) + ctx.index[sw.perm]
 
-    taus = [sn._left_mult_mat(words, {index((), [g]): 1}) for g in range(1, n)]
-    ps = [sn._left_mult_mat(words, {index((i,), []): 1}) for i in range(1, nclif + 1)]
+    taus = [sn._left_mult_mat(ext, {index((), [g]): 1}) for g in range(1, n)]
+    ps = [sn._left_mult_mat(ext, {index((i,), []): 1}) for i in range(1, nclif + 1)]
     gens = taus + ps
     # the generator matrices satisfy the defining relations
     for i, t in enumerate(taus, start=1):
@@ -774,14 +782,14 @@ def test_oracle_word_action_is_central(tag, n):
                 prod = prod * ps[i - 1]
         for g in ctx.words[perm]:
             prod = prod * taus[g - 1]
-        assert sn._left_mult_mat(words, {idx: 1}) == prod, idx
+        assert sn._left_mult_mat(ext, {idx: 1}) == prod, idx
     # the odd centre has one element per Q block; it and the central
     # splitting elements commute with every generator.  Tensoring with the
     # Clifford superalgebra on n generators, of type Q for odd n, swaps M and Q.
     squares = [p * p for p in (spinalg.jm_element(k, n) for k in range(1, n + 1))]
     central = [sum(squares, spinalg.SpinElement.zero(n))] + spinalg.supercenter_basis(n)
-    central_mats = [sn._left_mult_mat(words, z.coeffs) for z in central]
-    odd_mats = [sn._left_mult_mat(words, sol) for sol in sn._odd_center(words)]
+    central_mats = [sn._left_mult_mat(ext, z.coeffs) for z in central]
+    odd_mats = [sn._left_mult_mat(ext, sol) for sol in sn._odd_center(ext)]
     n_q = sum(
         1
         for shape in strict_partitions(n)
@@ -800,16 +808,12 @@ def test_oracle_word_action_is_central(tag, n):
                 assert zm.cols().get(col, {}) == prod.coeffs
 
 
-def test_oracle_checks_its_parity_vector(monkeypatch):
-    init = sn._TensorWords.__init__
-
-    def misgraded(self, n, clifford):
-        init(self, n, clifford)
-        self.parity = (1 - self.parity[0],) + self.parity[1:]
-
-    monkeypatch.setattr(sn._TensorWords, "__init__", misgraded)
+@pytest.mark.parametrize("tag, n", [("A", 3), ("CA", 2)])
+def test_oracle_checks_its_parity_vector(monkeypatch, tag, n):
+    ctx = spinalg.context(n, clifford=tag == "CA")
+    monkeypatch.setattr(ctx, "parity", [1 - ctx.parity[0]] + ctx.parity[1:])
     with pytest.raises(CheckFailed, match="is not odd"):
-        sn.regular_decompose("A", 3)
+        sn.regular_decompose(tag, n)
 
 
 # -- the oracle's idempotent blocks against blocks built as subspaces -----------
@@ -819,19 +823,19 @@ def _subspace_blocks(tag, n):
     """The oracle's report computed on each block as a subspace of the word
     space: cut by `split_module_by_central`, with graded dimensions, the odd
     centre and the joint spectrum read on the whole block."""
-    words = sn._TensorWords(n, tag == "CA")
+    ext = spinalg.context(n, clifford=tag == "CA")
     squares = [p * p for p in (spinalg.jm_element(k, n) for k in range(1, n + 1))]
     total = sum(squares, spinalg.SpinElement.zero(n))
-    central = sn._left_mult_mat(words, total.coeffs)
-    pi2_mats = [sn._left_mult_mat(words, sq.coeffs) for sq in squares]
-    odd_mats = [sn._left_mult_mat(words, sol) for sol in sn._odd_center(words)]
-    report = gradedstruct.BlockReport(algebra_dim=words.size)
-    for piece, proj in gradedstruct.split_module_by_central(words.size, [central]):
+    central = sn._left_mult_mat(ext, total.coeffs)
+    pi2_mats = [sn._left_mult_mat(ext, sq.coeffs) for sq in squares]
+    odd_mats = [sn._left_mult_mat(ext, sol) for sol in sn._odd_center(ext)]
+    report = gradedstruct.BlockReport(algebra_dim=len(ext.words))
+    for piece, proj in gradedstruct.split_module_by_central(len(ext.words), [central]):
         spectrum = sn._a_vectors(piece, pi2_mats)
         block = gradedstruct.simple_block(
             any(not piece.annihilated_by(z) for z in odd_mats),
             piece.dim,
-            gradedstruct.subspace_parity(piece, words.parity).count(0),
+            gradedstruct.subspace_parity(piece, ext.parity).count(0),
             idempotent=proj,
             spectrum=spectrum,
             partition=sn._shape_of_avec(spectrum[0]).parts if spectrum else None,

@@ -46,6 +46,16 @@ def test_right_table_matches_canonical_form():
                 assert sa.canonical_form(word + (g,), n) == sa.SpinWord(sign, ctx.perms[q], n)
 
 
+def test_clifford_right_table_matches_left_table():
+    # word_idx * g normalised by the left table alone, over every tau_g and p_i
+    for n in range(1, 6):
+        ctx = sa.context(n, clifford=True)
+        assert len(ctx.words) == len(ctx.perms) << n
+        for idx, word in enumerate(ctx.words):
+            for g in range(1, 2 * n):
+                assert ctx.right_mul_gen(idx, g) == ctx.left_mul_word(word + (g,), ctx.identity)
+
+
 def test_multiply_examples():
     t1 = sa.SpinElement.generator(1, 3)
     t2 = sa.SpinElement.generator(2, 3)
