@@ -387,7 +387,7 @@ def split_module_by_central(
                 lab[k] for _, lab in labeled if lab[:k] == label[:k] and lab[k] != lam
             )
         ]
-        out.append((piece, lagrange_projector(dim, terms)))
+        out.append((piece, lagrange_projector(Mat.identity(dim), terms)))
     return out
 
 

@@ -680,9 +680,10 @@ def min_poly(m: Mat) -> list[Scalar]:
     return [dependency.get(k, 0) for k in range(len(powers))]
 
 
-def cyclic_span(v: Vec, ops: Sequence[Mat], dim: int) -> Subspace:
+def cyclic_span(v: Vec, ops: Sequence, dim: int) -> Subspace:
     """The least subspace of the dim-space that holds v and is invariant under
-    ops: v, then each op applied to a kept vector, when independent of those kept."""
+    ops (each with an `apply`, as a `Mat` has): v, then each op applied to a
+    kept vector, when independent of those kept."""
     ech = Echelon()
     kept = [v] if ech.add(v) else []
     for x in kept:  # the loop also walks the vectors appended below
@@ -690,13 +691,14 @@ def cyclic_span(v: Vec, ops: Sequence[Mat], dim: int) -> Subspace:
     return Subspace(dim, kept)
 
 
-def lagrange_projector(dim: int, terms: Iterable[tuple[Mat, Scalar, Scalar]]) -> Mat:
+def lagrange_projector(one, terms: Iterable[tuple]):
     """The product of (op - mu) / (lam - mu) over (op, lam, mu) in terms, in
-    order, with the scalars 1 / (lam - mu) applied once at the end: integer
-    operators with rational eigenvalues multiply as integer matrices."""
-    proj, scale = Mat.scalar(dim, 1), 1
+    order, from `one`, the ops' unit (an identity `Mat` or a unit element), with
+    the scalars 1 / (lam - mu) applied once at the end: integer operators with
+    rational eigenvalues multiply in integers."""
+    proj, scale = one, 1
     for op, lam, mu in terms:
-        proj = proj * (op - Mat.scalar(dim, mu))
+        proj = proj * (op - one.scale(mu))
         scale = scale * inverse(lam - mu)
     return proj.scale(scale)
 

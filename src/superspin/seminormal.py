@@ -17,7 +17,9 @@ and is checked in that form, at about 1/w of the dense cost for blocks of size
 w; its dense generators are expanded once, for the JSON writer and the module
 solves.  A file with the builder's bytes is read as the builder's model, unparsed,
 and a loaded model with the builder's matrices takes its factored form; any
-other loaded model, and a mutated one, carries only dense generators.
+other loaded model, and a mutated one, carries only dense generators.  The
+oracle multiplies elements of the algebra and builds no matrix but the central
+idempotent of each block.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .gradedstruct import (
     BlockReport,
     GradedMatrixAlgebra,
     classify_module,
-    matrix_parity,
     module_commutant,
     simple_block,
     split_into_irreducibles,
@@ -813,30 +814,8 @@ def branching_graph_from_reps(n: int) -> BranchingGraph:
 # -- the brute-force regular-representation oracle --------------------------------
 
 
-def _left_mult_mat(ctx: spinalg.SpinContext, coeffs: Vec) -> Mat:
-    """Left multiplication by the sum of c * word_idx over coeffs, on the word
-    basis of a context, plain or Clifford-extended.
-
-    The coefficients are the oracle's integers, so the matrix is an `int`
-    matrix.
-    """
-    size = len(ctx.words)
-    rows: dict[int, Vec] = {}
-    for idx, coeff in coeffs.items():
-        letters = ctx.words[idx]
-        for col in range(size):
-            sign, q = ctx.left_mul_word(letters, col)
-            tgt = rows.setdefault(q, {})
-            val = tgt.get(col, 0) + (coeff if sign > 0 else -coeff)
-            if val:
-                tgt[col] = val
-            elif col in tgt:
-                del tgt[col]
-    return Mat(size, size, rows)
-
-
-def _odd_center(ctx: spinalg.SpinContext) -> list[Vec]:
-    """A basis of the odd part of the ordinary center, as sign vectors.
+def _odd_center(ctx: spinalg.SpinContext) -> list[spinalg.SpinElement]:
+    """A basis of the odd part of the ordinary center, as elements of signs.
 
     The center is the sign centralizer of the generators; each solution lies
     in one parity, and the odd ones are kept.
@@ -848,7 +827,7 @@ def _odd_center(ctx: spinalg.SpinContext) -> list[Vec]:
         if odd and len(odd) != len(sol):
             raise CheckFailed("mixed-parity central component")
         if odd:
-            out.append(sol)
+            out.append(spinalg.SpinElement(ctx, sol))
     return out
 
 
@@ -857,11 +836,12 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
 
     This is the oracle: it cuts one block per root of the total YJM square c
     (a central element with integer block spectrum), reads the block off its
-    central idempotent alone, labels it with its joint a-vector set and
+    central idempotent e alone, labels it with its joint a-vector set and
     matching strict partition, reads M/Q off the odd part of the ordinary
     center, and recovers the block parameters from exact graded dimensions.
-    Every matrix is a left multiplication on the word basis of the algebra's
-    context (`_left_mult_mat`).
+    It multiplies elements of the algebra's context, plain or Clifford-extended,
+    reads the dimensions off e's identity coefficient, and builds one matrix per
+    block, left multiplication by e.
     """
     caps = {"A": (5, "plain"), "CA": (4, "Clifford-extended")}
     if tag not in caps:
@@ -871,44 +851,42 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
         raise ValueError(f"n <= {cap} for the {name} regular representation")
     ctx = spinalg.context(n, clifford=tag == "CA")
     dim, parity, one = len(ctx.words), ctx.parity, ctx.identity  # one: the identity word
-    # every generator is odd: this checks the parity vector against the action
-    for g in range(1, len(ctx.left) + 1):
-        _, word = ctx.left_mul_gen(g, one)  # the letter's own word
-        if matrix_parity(_left_mult_mat(ctx, {word: 1}), parity) != 1:
+    # every generator is odd: this checks the parity vector against the table
+    for g, row in enumerate(ctx.left, start=1):
+        if any(parity[abs(q) - 1] == parity[p] for p, q in enumerate(row)):
             letter = f"tau_{g}" if g < n else f"p_{g - n + 1}"
             raise CheckFailed(f"generator {letter} is not odd")
 
-    # the central splitting operator is the total YJM square
-    squares = [p * p for p in (spinalg.jm_element(k, n) for k in range(1, n + 1))]
-    total = sum(squares, spinalg.SpinElement.zero(n))
-    central_mat = _left_mult_mat(ctx, total.coeffs)
-    pi2_mats = [_left_mult_mat(ctx, sq.coeffs) for sq in squares]
-    odd_mats = [_left_mult_mat(ctx, sol) for sol in _odd_center(ctx)]
+    # the central splitting element is the total YJM square; plain word p is
+    # word 0 * n! + p of the extension, so the plain coefficients carry over
+    pis = (spinalg.jm_element(k, n) for k in range(1, n + 1))
+    squares = [spinalg.SpinElement(ctx, (p * p).coeffs) for p in pis]
+    total = sum(squares, spinalg.SpinElement(ctx))
+    unit, odd_center = spinalg.SpinElement(ctx, {one: 1}), _odd_center(ctx)
 
     # the action is faithful, so p(c) = 0 iff p(c) 1 = 0: c has its roots on the
     # span of 1 under c, where a simple root has a piece of dimension 1
-    labeled = eigensplit([cyclic_span({one: 1}, [central_mat], dim)], [central_mat])
+    labeled = eigensplit([cyclic_span({one: 1}, [total], dim)], [total])
     roots = [lam for _, (lam,) in labeled]
     report = BlockReport(algebra_dim=dim)
     for piece, (lam,) in labeled:
         if piece.dim > 1 or rational_of(lam) is None:
             raise CheckFailed(f"central root {lam} is repeated or irrational")
-        # proj is left multiplication by the block's central idempotent e, its
-        # traces the dimensions of eA and its even part; x vanishes on eA iff
-        # x e = 0, for x odd central or a spectral projector of the pi_k^2
-        proj = lagrange_projector(dim, [(central_mat, lam, mu) for mu in roots if mu != lam])
-        e = {r: row[one] for r, row in proj.rows.items() if one in row}
-        den = lcm(*(x.denominator for x in e.values()))  # e matters up to scale
-        e = {r: x.numerator * (den // x.denominator) for r, x in e.items()}
-        dims = [sum(proj.entry(i, i) for i in range(dim) if parity[i] <= p) for p in (1, 0)]
+        # e is the block's central idempotent: x vanishes on eA iff x e = 0, for
+        # x odd central or a spectral projector of the pi_k^2.  A word other
+        # than 1 moves every word, so eA has dimension e_1 * dim
+        e = lagrange_projector(unit, [(total, lam, mu) for mu in roots if mu != lam])
+        dims = [e.coeffs.get(one, 0) * k for k in (dim, parity.count(0))]
         if any(d != int(d) for d in dims):
             raise CheckFailed(f"idempotent traces {dims} are not integers")
-        spectrum = _a_vectors(cyclic_span(e, pi2_mats, dim), pi2_mats)
+        # e matters up to scale: an integer multiple keeps the products in ints
+        whole = e.scale(lcm(*(x.denominator for x in e.coeffs.values())))
+        spectrum = _a_vectors(cyclic_span(whole.coeffs, squares, dim), squares)
         partition = _shape_of_avec(spectrum[0]).parts if spectrum else None
         report.blocks.append(
             simple_block(
-                any(z.apply(e) for z in odd_mats), int(dims[0]), int(dims[1]),
-                idempotent=proj, spectrum=spectrum, partition=partition,
+                any(z * whole for z in odd_center), int(dims[0]), int(dims[1]),
+                idempotent=e.matrix(), spectrum=spectrum, partition=partition,
             )
         )
     total_dim = report.total_block_dim()

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactnum import Scalar, SqrtNumber, canonical, scalar_json
-from .linalg import Subspace, Vec, centralizer, closure
+from .linalg import Mat, Subspace, Vec, centralizer, closure
 
 Perm = tuple  # one-line notation, 1-based values
 
@@ -94,14 +94,17 @@ class SpinContext:
     With `clifford`, the tables are those of the Clifford extension
     Cl_n (x) A_n: word s * n! + p is e_S t_p, where e_S = p_{i1} ... p_{ik}
     over the set S of bits of s (bit i-1 for p_i, i1 < ... < ik), and letter
-    n-1+i is p_i.  `perms`, `index`, `codes` and `lengths` stay those of the
-    plain words t_p; `words`, `parity`, `left` and `right` cover every word
-    and letter.
+    n-1+i is p_i.  It is built from the cached plain context, whose `perms`,
+    `index`, `codes` and `lengths` it shares for the plain words t_p; `words`,
+    `parity`, `left` and `right` cover every word and letter.
     """
 
     def __init__(self, n: int, clifford: bool = False):
         if n < 1:
             raise ValueError("rank must be >= 1")
+        if clifford:
+            self._extend(context(n))
+            return
         self.n = n
         self.perms: list[Perm] = list(itertools.permutations(range(1, n + 1)))
         self.index: dict[Perm, int] = {p: i for i, p in enumerate(self.perms)}
@@ -133,16 +136,16 @@ class SpinContext:
                 s, q = self.left_mul_gen(g, r_p)
                 sigma_q, r_q = rev[q]
                 row[pidx] = sigma_p * s * sigma_q * (r_q + 1)
-        if clifford:
-            self._extend()
 
-    def _extend(self) -> None:
-        """Replace the plain tables by those of the Clifford extension.
+    def _extend(self, plain: SpinContext) -> None:
+        """Take over the tables of the plain context, then replace its word and
+        letter tables by those of the Clifford extension.
 
         t_g e_S = (-1)^|S| e_S t_g, and e_S t_p t_g needs no reordering; p_i
         moves past e_S by `word_product` and, on the right, past t_p with the
         sign of its parity.
         """
+        vars(self).update(vars(plain))
         n, nperm, subsets = self.n, len(self.words), range(1 << self.n)
         tau_left = [[self.left_mul_gen(g, p) for p in range(nperm)] for g in range(1, n)]
         tau_right = [[self.right_mul_gen(p, g) for p in range(nperm)] for g in range(1, n)]
@@ -177,18 +180,23 @@ class SpinContext:
         return (1 if enc > 0 else -1), abs(enc) - 1
 
     def right_mul_word(self, pidx: int, word: Iterable[int]) -> tuple[int, int]:
-        sign = 1
-        for g in word:
-            s, pidx = self.right_mul_gen(pidx, g)
-            sign *= s
-        return sign, pidx
+        return _walk([self.right[g - 1] for g in word], pidx)
 
     def left_mul_word(self, word: Iterable[int], pidx: int) -> tuple[int, int]:
-        sign = 1
-        for g in reversed(list(word)):
-            s, pidx = self.left_mul_gen(g, pidx)
-            sign *= s
-        return sign, pidx
+        return _walk([self.left[g - 1] for g in reversed(list(word))], pidx)
+
+
+def _walk(tables: Sequence[list[int]], pidx: int) -> tuple[int, int]:
+    """(sign, q) with word_pidx sent to sign * word_q by the signed letter
+    tables, applied in order."""
+    sign = 1
+    for table in tables:
+        enc = table[pidx]
+        if enc < 0:
+            sign, pidx = -sign, -enc - 1
+        else:
+            pidx = enc - 1
+    return sign, pidx
 
 
 _CTX: dict[tuple[int, bool], SpinContext] = {}
@@ -226,36 +234,37 @@ def canonical_form(word: Sequence[int], n: int) -> SpinWord:
 
 
 class SpinElement:
-    """Linear combination of canonical basis words under the scalar rule.
+    """Linear combination of the basis words of a context, plain or
+    Clifford-extended, under the scalar rule.
 
     A coefficient is an `int`, a `Fraction` when not integral, or a
     `SqrtNumber` when it carries a radical; arithmetic keeps every
-    coefficient in that canonical type.
+    coefficient in that canonical type; elements of two contexts do not mix.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, n: int, coeffs: dict[int, Scalar] | None = None):
-        self.n = n
+    def __init__(self, ctx: SpinContext, coeffs: dict[int, Scalar] | None = None):
+        self.ctx = ctx
         self.coeffs: dict[int, Scalar] = coeffs if coeffs is not None else {}
 
-    # -- constructors --------------------------------------------------------
+    # -- constructors on the plain context of rank n --------------------------
 
     @classmethod
     def zero(cls, n: int) -> SpinElement:
-        return cls(n)
+        return cls(context(n))
 
     @classmethod
     def one(cls, n: int) -> SpinElement:
-        return cls(n, {context(n).identity: 1})
+        ctx = context(n)
+        return cls(ctx, {ctx.identity: 1})
 
     @classmethod
     def from_word(cls, word: Sequence[int], n: int, coeff: Scalar = 1) -> SpinElement:
         sw = canonical_form(word, n)
         c = canonical(coeff) if sw.sign > 0 else -canonical(coeff)
-        if not c:
-            return cls(n)
-        return cls(n, {context(n).index[sw.perm]: c})
+        ctx = context(n)
+        return cls(ctx, {ctx.index[sw.perm]: c} if c else None)
 
     @classmethod
     def generator(cls, i: int, n: int) -> SpinElement:
@@ -272,24 +281,21 @@ class SpinElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpinElement):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.ctx is other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted((k, v) for k, v in self.coeffs.items()))))
+        return hash(tuple(sorted(self.coeffs.items())))
 
     def parity(self) -> int | None:
         """0 or 1 for homogeneous elements, None for mixed or zero."""
-        if not self.coeffs:
-            return None
-        ctx = context(self.n)
-        ps = {ctx.parity[i] for i in self.coeffs}
+        ps = {self.ctx.parity[i] for i in self.coeffs}
         return ps.pop() if len(ps) == 1 else None
 
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: SpinElement) -> SpinElement:
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
+        if self.ctx is not other.ctx:
+            raise ValueError("context mismatch")
         acc = dict(self.coeffs)
         for i, c in other.coeffs.items():
             s = acc.get(i)
@@ -298,33 +304,31 @@ class SpinElement:
                 acc[i] = canonical(s)
             elif i in acc:
                 del acc[i]
-        return SpinElement(self.n, acc)
+        return SpinElement(self.ctx, acc)
 
     def __sub__(self, other: SpinElement) -> SpinElement:
         return self + (-other)
 
     def __neg__(self) -> SpinElement:
-        return SpinElement(self.n, {i: -c for i, c in self.coeffs.items()})
+        return SpinElement(self.ctx, {i: -c for i, c in self.coeffs.items()})
 
     def scale(self, c: Scalar) -> SpinElement:
         if not c:
-            return SpinElement(self.n)
-        return SpinElement(self.n, {i: canonical(c * v) for i, v in self.coeffs.items()})
+            return SpinElement(self.ctx)
+        return SpinElement(self.ctx, {i: canonical(c * v) for i, v in self.coeffs.items()})
 
     def __mul__(self, other) -> SpinElement:
         if isinstance(other, (int, Fraction, SqrtNumber)):
             return self.scale(other)
         if not isinstance(other, SpinElement):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        ctx = context(self.n)
-        acc: dict[int, Scalar] = {}
-        words = ctx.words
+        if self.ctx is not other.ctx:
+            raise ValueError("context mismatch")
+        ctx, acc = self.ctx, {}
         for b, cb in other.coeffs.items():
-            wb = words[b]
+            tables = [ctx.right[g - 1] for g in ctx.words[b]]
             for a, ca in self.coeffs.items():
-                sign, t = ctx.right_mul_word(a, wb)
+                sign, t = _walk(tables, a)
                 v = ca * cb
                 if sign < 0:
                     v = -v
@@ -334,7 +338,7 @@ class SpinElement:
                     acc[t] = s
                 elif t in acc:
                     del acc[t]
-        return SpinElement(self.n, {t: canonical(s) for t, s in acc.items()})
+        return SpinElement(ctx, {t: canonical(s) for t, s in acc.items()})
 
     def __rmul__(self, other) -> SpinElement:
         if isinstance(other, (int, Fraction, SqrtNumber)):
@@ -342,7 +346,7 @@ class SpinElement:
         return NotImplemented
 
     def __pow__(self, k: int) -> SpinElement:
-        out = SpinElement.one(self.n)
+        out = SpinElement(self.ctx, {self.ctx.identity: 1})
         for _ in range(k):
             out = out * self
         return out
@@ -350,36 +354,49 @@ class SpinElement:
     def vec(self) -> Vec:
         return dict(self.coeffs)
 
+    # -- left multiplication on the word basis ---------------------------------
+
+    def apply(self, v: Vec) -> Vec:
+        """The coefficients of this element times v, v a coefficient vector."""
+        return (self * SpinElement(self.ctx, v)).coeffs
+
+    def matrix(self) -> Mat:
+        """Left multiplication on the word basis, as a matrix: each word sends
+        a column to one row, a different row per word, so no entry adds."""
+        ctx, size = self.ctx, len(self.ctx.words)
+        rows: dict[int, Vec] = {}
+        for a, c in self.coeffs.items():
+            tables = [ctx.left[g - 1] for g in reversed(ctx.words[a])]
+            for col in range(size):
+                sign, q = _walk(tables, col)
+                rows.setdefault(q, {})[col] = c if sign > 0 else -c
+        return Mat(size, size, rows)
+
     def __repr__(self) -> str:
-        ctx = context(self.n)
         if not self.coeffs:
             return "SpinElement(0)"
-        parts = [
-            f"({self.coeffs[i]})*t{list(ctx.words[i])}" for i in sorted(self.coeffs)
-        ]
+        parts = [f"({c})*t{list(self.ctx.words[i])}" for i, c in sorted(self.coeffs.items())]
         return "SpinElement[" + " + ".join(parts) + "]"
 
     # -- JSON wire format ------------------------------------------------------
 
     def to_json(self) -> dict:
-        ctx = context(self.n)
         terms = [
-            {"perm": list(ctx.perms[i]), "coeff": scalar_json(self.coeffs[i])}
+            {"perm": list(self.ctx.perms[i]), "coeff": scalar_json(self.coeffs[i])}
             for i in sorted(self.coeffs)
         ]
-        return {"n": self.n, "terms": terms}
+        return {"n": self.ctx.n, "terms": terms}
 
     @classmethod
     def from_json(cls, obj: dict) -> SpinElement:
-        n = obj["n"]
-        ctx = context(n)
+        ctx = context(obj["n"])
         coeffs: dict[int, Scalar] = {}
         for t in obj["terms"]:
             perm = tuple(t["perm"])
             c = SqrtNumber.from_json(t["coeff"])
             if c:
                 coeffs[ctx.index[perm]] = c
-        return cls(n, coeffs)
+        return cls(ctx, coeffs)
 
 
 # -- distinguished elements -----------------------------------------------------
@@ -394,7 +411,7 @@ def transposition_element(i: int, j: int, n: int) -> SpinElement:
     if i > j:
         return -transposition_element(j, i, n)
     sign, pidx = _tau_signed(i, j, n)
-    return SpinElement(n, {pidx: sign})
+    return SpinElement(context(n), {pidx: sign})
 
 
 _TAU_CACHE: dict[tuple[int, int, int], tuple[int, int]] = {}
@@ -497,7 +514,7 @@ def cycle_sum(alpha: Sequence[int], n: int) -> SpinElement:
             acc[pidx] = c
         elif pidx in acc:
             del acc[pidx]
-    return SpinElement(n, acc)
+    return SpinElement(ctx, acc)
 
 
 # -- centralizer-type solves -----------------------------------------------------
@@ -568,7 +585,8 @@ def _sign_solutions(
     if words is None:
         words = [(g,) for g in range(1, m)]
     variables = _sub_indices(n, k, parity)
-    return [SpinElement(n, sol) for sol in sign_centralizer(context(n), variables, words, eps)]
+    ctx = context(n)
+    return [SpinElement(ctx, sol) for sol in sign_centralizer(ctx, variables, words, eps)]
 
 
 def _supercentralizer(n: int, k: int, m: int) -> list[SpinElement]:
@@ -616,7 +634,7 @@ def graded_centralizer_spin(n: int, m: int) -> tuple[list[SpinElement], bool]:
 def _span(elements: Iterable[SpinElement]) -> Subspace:
     """The span of the elements' coefficient vectors."""
     elements = list(elements)
-    return Subspace(dimension(elements[0].n) if elements else 0, [e.vec() for e in elements])
+    return Subspace(len(elements[0].ctx.words) if elements else 0, [e.vec() for e in elements])
 
 
 def span_dim(elements: Iterable[SpinElement]) -> int:
@@ -793,7 +811,7 @@ def gz_algebras(n: int) -> dict:
     pi2_algebra = subalgebra_span(n, [p * p for p in pis])
     # maximality: the centralizer of GZ inside the even part equals GZ
     ctx = context(n)
-    even_words = [SpinElement(n, {u: 1}) for u in range(len(ctx.perms)) if ctx.parity[u] == 0]
+    even_words = [SpinElement(ctx, {u: 1}) for u in range(len(ctx.perms)) if ctx.parity[u] == 0]
     maximal = spans_equal(centralizer(even_words, gz_basis, SpinElement.vec), gz_basis)
     return {
         "gz_basis": gz_basis,

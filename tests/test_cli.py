@@ -802,7 +802,7 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
         project = seminormal.lagrange_projector
         monkeypatch.setattr(
             seminormal, "lagrange_projector",
-            lambda dim, terms: linalg.Mat.zero(dim) if terms[0][1] == 1 else project(dim, terms),
+            lambda one, terms: one.scale(0) if terms[0][1] == 1 else project(one, terms),
         )
         message = "check failed: block dimensions 4 do not sum to 6\n"
     elif failure == "repeated":

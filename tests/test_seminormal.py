@@ -1,5 +1,7 @@
 import ast
 import json
+import operator
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -675,18 +677,6 @@ def test_failure_names_the_first_defect_entry():
 # the exact path; sympy checks the idempotents independently.  The test name
 # keeps the SqrtNumber reference that the scalar rule no longer allows.
 
-ORACLE_BUILDERS = ("_left_mult_mat",)
-
-
-def _map_mats(x, f):
-    """x with f applied to every Mat inside its lists and tuples."""
-    if isinstance(x, Mat):
-        return f(x)
-    if isinstance(x, (list, tuple)):
-        return type(x)(_map_mats(y, f) for y in x)
-    return x
-
-
 def _entry_types(m: Mat) -> set:
     return {type(v) for row in m.rows.values() for v in row.values()}
 
@@ -700,23 +690,36 @@ def _typed_rows(m: Mat) -> dict:
 def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
     sympy = pytest.importorskip("sympy")
     built: list = []
+    operators: list = []
+    matrix, span, odd_center = spinalg.SpinElement.matrix, sn.cyclic_span, sn._odd_center
 
-    def record(m: Mat) -> Mat:
-        built.append(m)
-        return m
+    def build(x):
+        built.append(matrix(x))
+        return built[-1]
+
+    def spans(v, ops, dim):
+        operators.extend(ops)
+        return span(v, ops, dim)
+
+    def odd(ctx):
+        out = odd_center(ctx)
+        operators.extend(out)
+        return out
 
     with monkeypatch.context() as mp:
-        for name in ORACLE_BUILDERS:
-            build = getattr(sn, name)
-            mp.setattr(sn, name, lambda *a, build=build: _map_mats(build(*a), record))
+        mp.setattr(spinalg.SpinElement, "matrix", build)
+        mp.setattr(sn, "cyclic_span", spans)
+        mp.setattr(sn, "_odd_center", odd)
         fast = sn.regular_decompose(tag, n)
-    # the record sees every matrix the oracle builds: the generators, the total
-    # YJM square, the n squares pi_k^2 and one odd central element per Q block
-    n_gens = n - 1 + (n if tag == "CA" else 0)
+    # the record sees every matrix the oracle builds: one per block, the
+    # idempotent it prints
+    assert len(built) == len(fast.blocks)
+    assert all(m is b.idempotent for m, b in zip(built, fast.blocks))
+    # the oracle's operators, the total YJM square, the n squares pi_k^2 and
+    # one odd central element per Q block, have int coefficients alone
     n_odd = sum(1 for b in fast.blocks if b.btype == "Q")
-    assert len(built) == n_gens + 1 + n + n_odd
-    # the oracle builds its generator and central matrices on ints alone
-    assert set().union(*map(_entry_types, built)) == {int}
+    assert len({id(x) for x in operators}) == 1 + n + n_odd
+    assert {type(c) for x in operators for c in x.coeffs.values()} == {int}
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "_certified_rref", lambda vecs: None)
         slow = sn.regular_decompose(tag, n)
@@ -741,6 +744,57 @@ def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
 # -- the oracle's word action: relations, word products and centrality ----------
 
 
+def _left_mult_mat(ctx, coeffs):
+    """The reference left multiplication by the sum of c * word_idx over
+    coeffs on the word basis of a context, one letter at a time per column,
+    accumulating each entry."""
+    size = len(ctx.words)
+    rows = {}
+    for idx, coeff in coeffs.items():
+        letters = ctx.words[idx]
+        for col in range(size):
+            sign, q = ctx.left_mul_word(letters, col)
+            tgt = rows.setdefault(q, {})
+            val = tgt.get(col, 0) + (coeff if sign > 0 else -coeff)
+            if val:
+                tgt[col] = val
+            elif col in tgt:
+                del tgt[col]
+    return Mat(size, size, rows)
+
+
+@pytest.mark.parametrize(
+    "tag, n", [("A", 3), ("A", 4), ("A", 5), ("CA", 2), ("CA", 3), ("CA", 4)]
+)
+def test_element_products_match_left_multiplication(tag, n):
+    # seeded random pairs: x * y, x.apply(v) and x.matrix() against the
+    # reference left multiplication
+    ctx = spinalg.context(n, clifford=tag == "CA")
+    rng = random.Random(f"{tag}{n}")
+    scalars = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+    def rand():
+        size = rng.randint(1, 6)
+        return {rng.randrange(len(ctx.words)): rng.choice(scalars) for _ in range(size)}
+
+    for _ in range(12):
+        x, y = spinalg.SpinElement(ctx, rand()), spinalg.SpinElement(ctx, rand())
+        lx, ly = _left_mult_mat(ctx, x.coeffs), _left_mult_mat(ctx, y.coeffs)
+        assert (x * y).coeffs == lx.apply(y.coeffs)
+        assert _left_mult_mat(ctx, (x * y).coeffs) == lx * ly
+        v = rand()
+        assert x.apply(v) == lx.apply(v)
+        assert x.matrix() == lx
+    # a plain and an extended element of the same rank do not mix
+    plain = spinalg.SpinElement.one(n)
+    ext = spinalg.SpinElement(spinalg.context(n, clifford=True), {plain.ctx.identity: 1})
+    for op in (operator.add, operator.mul):
+        with pytest.raises(ValueError):
+            op(plain, ext)
+        with pytest.raises(ValueError):
+            op(ext, plain)
+
+
 @pytest.mark.parametrize(
     "tag, n", [("A", 3), ("A", 4), ("A", 5), ("CA", 2), ("CA", 3), ("CA", 4)]
 )
@@ -756,8 +810,8 @@ def test_oracle_word_action_is_central(tag, n):
         assert sw.sign == 1
         return sum(1 << (i - 1) for i in subset) * len(ctx.perms) + ctx.index[sw.perm]
 
-    taus = [sn._left_mult_mat(ext, {index((), [g]): 1}) for g in range(1, n)]
-    ps = [sn._left_mult_mat(ext, {index((i,), []): 1}) for i in range(1, nclif + 1)]
+    taus = [_left_mult_mat(ext, {index((), [g]): 1}) for g in range(1, n)]
+    ps = [_left_mult_mat(ext, {index((i,), []): 1}) for i in range(1, nclif + 1)]
     gens = taus + ps
     # the generator matrices satisfy the defining relations
     for i, t in enumerate(taus, start=1):
@@ -782,14 +836,14 @@ def test_oracle_word_action_is_central(tag, n):
                 prod = prod * ps[i - 1]
         for g in ctx.words[perm]:
             prod = prod * taus[g - 1]
-        assert sn._left_mult_mat(ext, {idx: 1}) == prod, idx
+        assert _left_mult_mat(ext, {idx: 1}) == prod, idx
     # the odd centre has one element per Q block; it and the central
     # splitting elements commute with every generator.  Tensoring with the
     # Clifford superalgebra on n generators, of type Q for odd n, swaps M and Q.
     squares = [p * p for p in (spinalg.jm_element(k, n) for k in range(1, n + 1))]
     central = [sum(squares, spinalg.SpinElement.zero(n))] + spinalg.supercenter_basis(n)
-    central_mats = [sn._left_mult_mat(ext, z.coeffs) for z in central]
-    odd_mats = [sn._left_mult_mat(ext, sol) for sol in sn._odd_center(ext)]
+    central_mats = [_left_mult_mat(ext, z.coeffs) for z in central]
+    odd_mats = [_left_mult_mat(ext, z.coeffs) for z in sn._odd_center(ext)]
     n_q = sum(
         1
         for shape in strict_partitions(n)
@@ -804,7 +858,7 @@ def test_oracle_word_action_is_central(tag, n):
         # on the spin algebra the action is the product in spinalg
         for z, zm in zip(central, central_mats):
             for col in range(N):
-                prod = z * spinalg.SpinElement(n, {col: 1})
+                prod = z * spinalg.SpinElement(ext, {col: 1})
                 assert zm.cols().get(col, {}) == prod.coeffs
 
 
@@ -826,9 +880,9 @@ def _subspace_blocks(tag, n):
     ext = spinalg.context(n, clifford=tag == "CA")
     squares = [p * p for p in (spinalg.jm_element(k, n) for k in range(1, n + 1))]
     total = sum(squares, spinalg.SpinElement.zero(n))
-    central = sn._left_mult_mat(ext, total.coeffs)
-    pi2_mats = [sn._left_mult_mat(ext, sq.coeffs) for sq in squares]
-    odd_mats = [sn._left_mult_mat(ext, sol) for sol in sn._odd_center(ext)]
+    central = _left_mult_mat(ext, total.coeffs)
+    pi2_mats = [_left_mult_mat(ext, sq.coeffs) for sq in squares]
+    odd_mats = [_left_mult_mat(ext, z.coeffs) for z in sn._odd_center(ext)]
     report = gradedstruct.BlockReport(algebra_dim=len(ext.words))
     for piece, proj in gradedstruct.split_module_by_central(len(ext.words), [central]):
         spectrum = sn._a_vectors(piece, pi2_mats)
@@ -845,7 +899,8 @@ def _subspace_blocks(tag, n):
 
 
 @pytest.mark.parametrize(
-    "tag, n", [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("CA", 2), ("CA", 3), ("CA", 4)]
+    "tag, n",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("CA", 1), ("CA", 2), ("CA", 3), ("CA", 4)],
 )
 def test_idempotent_blocks_match_subspace_blocks(tag, n):
     fast = sn.regular_decompose(tag, n)

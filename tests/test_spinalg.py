@@ -56,6 +56,17 @@ def test_clifford_right_table_matches_left_table():
                 assert ctx.right_mul_gen(idx, g) == ctx.left_mul_word(word + (g,), ctx.identity)
 
 
+def test_clifford_context_shares_the_cached_plain_tables(monkeypatch):
+    # the extension is built from the cached plain context, whose tables of the
+    # plain words it keeps as its own
+    monkeypatch.setattr(sa, "_CTX", {})
+    for n in range(1, 6):
+        ext = sa.context(n, clifford=True)
+        plain = sa.context(n)
+        for name in ("perms", "index", "codes", "lengths"):
+            assert getattr(ext, name) is getattr(plain, name), (n, name)
+
+
 def test_multiply_examples():
     t1 = sa.SpinElement.generator(1, 3)
     t2 = sa.SpinElement.generator(2, 3)
@@ -73,7 +84,7 @@ def test_multiply_associativity_random():
 
     def rand():
         return sa.SpinElement(
-            n,
+            sa.context(n),
             {
                 rng.randrange(N): rng.randint(1, 3)
                 for _ in range(rng.randint(1, 4))
@@ -106,7 +117,7 @@ def test_transposition_element_by_conjugation():
                 if j > i + 1:
                     want = -(want * sa.SpinElement.generator(j - 1, n) * want)
                 sign, pidx = sa._tau_signed(i, j, n)
-                assert sa.SpinElement(n, {pidx: sign}) == want
+                assert sa.SpinElement(sa.context(n), {pidx: sign}) == want
 
 
 def test_jm_examples():
@@ -173,7 +184,7 @@ def test_supercentralizer_recheck_and_generation():
                 rhs = g * x if eps == 0 else -(g * x)
                 assert lhs == rhs
         lower = [
-            sa.SpinElement(n, dict(e.coeffs))
+            sa.SpinElement(sa.context(n), dict(e.coeffs))
             for e in sa.supercentralizer(n, n)
         ]
         # embed SZ(A_{n-1}) via the inclusion of word bases
@@ -185,7 +196,7 @@ def test_supercentralizer_recheck_and_generation():
             for idx, c in e.coeffs.items():
                 perm = ctxm.perms[idx] + (n,)
                 coeffs[ctxn.index[perm]] = c
-            lifted.append(sa.SpinElement(n, coeffs))
+            lifted.append(sa.SpinElement(ctxn, coeffs))
         generated = sa.subalgebra_span(n, lifted + [sa.jm_element(n, n)])
         assert sa.spans_equal(generated, sa.subalgebra_span(n, basis))
 
@@ -200,12 +211,12 @@ def _commutation_kernel(n, others, eps_of):
         if eps is None:
             constraints.append({u: 1})
             continue
-        word = sa.SpinElement(n, {u: 1})
+        word = sa.SpinElement(sa.context(n), {u: 1})
         for k, y in enumerate(others):
             for t, c in (word * y - (y * word).scale(eps)).coeffs.items():
                 rows.setdefault((k, t), {})[u] = c
     ker = kernel(constraints + list(rows.values()), sa.dimension(n))
-    return [sa.SpinElement(n, v) for v in ker]
+    return [sa.SpinElement(sa.context(n), v) for v in ker]
 
 
 def test_sign_solve_matches_commutation_kernel():
@@ -224,7 +235,7 @@ def test_sign_solve_matches_commutation_kernel():
             assert len(got) == sa.span_dim(plain + twisted)
             # the even part's centralizer, against every even word of A_m
             even_words = [
-                sa.SpinElement(n, {b: 1})
+                sa.SpinElement(ctx, {b: 1})
                 for b, perm in enumerate(ctx.perms)
                 if not parity[b] and perm[m:] == tuple(range(m + 1, n + 1))
             ]
@@ -375,12 +386,12 @@ def test_even_part_simple_count():
 def _lift(x, sympy):
     """The slow reference: the same element with sympy.Rational coefficients,
     which the scalar rule leaves alone."""
-    return sa.SpinElement(x.n, {i: sympy.Rational(c) for i, c in x.coeffs.items()})
+    return sa.SpinElement(x.ctx, {i: sympy.Rational(c) for i, c in x.coeffs.items()})
 
 
 def _unlift(x):
     """The reference element back with Fraction coefficients."""
-    return sa.SpinElement(x.n, {i: Fraction(int(c.p), int(c.q)) for i, c in x.coeffs.items()})
+    return sa.SpinElement(x.ctx, {i: Fraction(int(c.p), int(c.q)) for i, c in x.coeffs.items()})
 
 
 def _coeff_types(elements) -> set:
@@ -397,7 +408,7 @@ def test_rational_arithmetic_matches_lifted():
         st.fractions(min_value=-2, max_value=2, max_denominator=4).map(canonical),
     )
     elements = st.dictionaries(st.integers(0, sa.dimension(n) - 1), scalars, max_size=6).map(
-        lambda d: sa.SpinElement(n, {i: c for i, c in d.items() if c})
+        lambda d: sa.SpinElement(sa.context(n), {i: c for i, c in d.items() if c})
     )
 
     @hypothesis.settings(max_examples=200, deadline=None)
