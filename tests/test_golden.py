@@ -68,6 +68,8 @@ COMMANDS = [
     ("check-all --max-n 7", ["check-all", "--max-n", "7"]),
     ("decompose-regular A 1", ["decompose-regular", "A", "1"]),
     ("decompose-regular CA 1", ["decompose-regular", "CA", "1"]),
+    ("gz 3", ["gz", "3"]),
+    ("check-all --max-n 6", ["check-all", "--max-n", "6"]),
 ]
 
 
