@@ -680,17 +680,6 @@ def min_poly(m: Mat) -> list[Scalar]:
     return [dependency.get(k, 0) for k in range(len(powers))]
 
 
-def cyclic_span(v: Vec, ops: Sequence, dim: int) -> Subspace:
-    """The least subspace of the dim-space that holds v and is invariant under
-    ops (each with an `apply`, as a `Mat` has): v, then each op applied to a
-    kept vector, when independent of those kept."""
-    ech = Echelon()
-    kept = [v] if ech.add(v) else []
-    for x in kept:  # the loop also walks the vectors appended below
-        kept += [y for op in ops if ech.add(y := op.apply(x))]
-    return Subspace(dim, kept)
-
-
 def lagrange_projector(one, terms: Iterable[tuple]):
     """The product of (op - mu) / (lam - mu) over (op, lam, mu) in terms, in
     order, from `one`, the ops' unit (an identity `Mat` or a unit element), with

@@ -18,8 +18,9 @@ w; its dense generators are expanded once, for the JSON writer and the module
 solves.  A file with the builder's bytes is read as the builder's model, unparsed,
 and a loaded model with the builder's matrices takes its factored form; any
 other loaded model, and a mutated one, carries only dense generators.  The
-oracle multiplies elements of the algebra and builds no matrix but the central
-idempotent of each block.
+oracle reads every block off one joint spectrum, that of the squared YJM
+elements on the algebra they generate; it multiplies elements of the algebra
+and builds no matrix but the central idempotent of each block.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .gradedstruct import (
     simple_block,
     split_into_irreducibles,
 )
-from .linalg import CheckFailed, Mat, Subspace, Vec, cyclic_span, eigensplit, plain
+from .linalg import CheckFailed, Mat, Subspace, Vec, eigensplit, plain
 from .linalg import lagrange_projector, matches, vec_add_scaled
 from .shiftedcomb import (
     BranchingGraph,
@@ -815,33 +816,28 @@ def branching_graph_from_reps(n: int) -> BranchingGraph:
 
 
 def _odd_center(ctx: spinalg.SpinContext) -> list[spinalg.SpinElement]:
-    """A basis of the odd part of the ordinary center, as elements of signs.
-
-    The center is the sign centralizer of the generators; each solution lies
-    in one parity, and the odd ones are kept.
-    """
+    """A basis of the odd part of the ordinary center, as elements of signs:
+    the sign centralizer of the generators over the odd words, which
+    conjugation by a generator keeps odd."""
     gens = [(g,) for g in range(1, len(ctx.left) + 1)]
-    out = []
-    for sol in spinalg.sign_centralizer(ctx, range(len(ctx.words)), gens):
-        odd = [idx for idx in sol if ctx.parity[idx]]
-        if odd and len(odd) != len(sol):
-            raise CheckFailed("mixed-parity central component")
-        if odd:
-            out.append(spinalg.SpinElement(ctx, sol))
-    return out
+    odd = [idx for idx, p in enumerate(ctx.parity) if p]
+    return [spinalg.SpinElement(ctx, sol) for sol in spinalg.sign_centralizer(ctx, odd, gens)]
 
 
 def regular_decompose(tag: str, n: int) -> BlockReport:
     """Decompose the regular representation into labeled graded blocks.
 
-    This is the oracle: it cuts one block per root of the total YJM square c
-    (a central element with integer block spectrum), reads the block off its
-    central idempotent e alone, labels it with its joint a-vector set and
-    matching strict partition, reads M/Q off the odd part of the ordinary
-    center, and recovers the block parameters from exact graded dimensions.
-    It multiplies elements of the algebra's context, plain or Clifford-extended,
-    reads the dimensions off e's identity coefficient, and builds one matrix per
-    block, left multiplication by e.
+    This is the oracle.  It reads every block off one joint spectrum, that of
+    the pi_k^2 on the algebra C[pi_1^2, ..., pi_n^2] they generate, which
+    acts on itself faithfully: the algebra is split semisimple exactly when
+    its joint eigenspaces are lines, one per a-vector.  The central total YJM
+    square c acts on the block of an a-vector by the sum of its entries, so
+    c's roots are the distinct sums and a block's spectrum is the a-vectors
+    of its root.  The rest is read off the block's central idempotent e: the
+    graded dimensions off e's identity coefficient, M/Q off the odd part of
+    the ordinary center.  It multiplies elements of the algebra's context,
+    plain or Clifford-extended, and builds one matrix per block, left
+    multiplication by e.
     """
     caps = {"A": (5, "plain"), "CA": (4, "Clifford-extended")}
     if tag not in caps:
@@ -857,36 +853,37 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
             letter = f"tau_{g}" if g < n else f"p_{g - n + 1}"
             raise CheckFailed(f"generator {letter} is not odd")
 
-    # the central splitting element is the total YJM square; plain word p is
-    # word 0 * n! + p of the extension, so the plain coefficients carry over
+    # plain word p is word 0 * n! + p of the extension, so the plain
+    # coefficients of the pi_k^2 carry over
     pis = (spinalg.jm_element(k, n) for k in range(1, n + 1))
     squares = [spinalg.SpinElement(ctx, (p * p).coeffs) for p in pis]
+    span = Subspace(dim, [x.vec() for x in spinalg.subalgebra_span(squares)])
+    avecs = _a_vectors(span, squares)
+    if len(avecs) != span.dim:
+        raise CheckFailed(
+            f"joint spectrum of the pi_k^2 is not simple: a-vectors {avecs}"
+            f" on C[pi^2] of dimension {span.dim}"
+        )
     total = sum(squares, spinalg.SpinElement(ctx))
+    roots = sorted({sum(a) for a in avecs})
     unit, odd_center = spinalg.SpinElement(ctx, {one: 1}), _odd_center(ctx)
-
-    # the action is faithful, so p(c) = 0 iff p(c) 1 = 0: c has its roots on the
-    # span of 1 under c, where a simple root has a piece of dimension 1
-    labeled = eigensplit([cyclic_span({one: 1}, [total], dim)], [total])
-    roots = [lam for _, (lam,) in labeled]
     report = BlockReport(algebra_dim=dim)
-    for piece, (lam,) in labeled:
-        if piece.dim > 1 or rational_of(lam) is None:
-            raise CheckFailed(f"central root {lam} is repeated or irrational")
-        # e is the block's central idempotent: x vanishes on eA iff x e = 0, for
-        # x odd central or a spectral projector of the pi_k^2.  A word other
-        # than 1 moves every word, so eA has dimension e_1 * dim
+    for lam in roots:
+        # e is the block's central idempotent: odd central z vanishes on eA iff
+        # z e = 0.  A word other than 1 moves every word, so eA has dimension
+        # e_1 * dim
         e = lagrange_projector(unit, [(total, lam, mu) for mu in roots if mu != lam])
         dims = [e.coeffs.get(one, 0) * k for k in (dim, parity.count(0))]
         if any(d != int(d) for d in dims):
             raise CheckFailed(f"idempotent traces {dims} are not integers")
         # e matters up to scale: an integer multiple keeps the products in ints
         whole = e.scale(lcm(*(x.denominator for x in e.coeffs.values())))
-        spectrum = _a_vectors(cyclic_span(whole.coeffs, squares, dim), squares)
-        partition = _shape_of_avec(spectrum[0]).parts if spectrum else None
+        spectrum = [a for a in avecs if sum(a) == lam]
         report.blocks.append(
             simple_block(
                 any(z * whole for z in odd_center), int(dims[0]), int(dims[1]),
-                idempotent=e.matrix(), spectrum=spectrum, partition=partition,
+                idempotent=e.matrix(), spectrum=spectrum,
+                partition=_shape_of_avec(spectrum[0]).parts,
             )
         )
     total_dim = report.total_block_dim()

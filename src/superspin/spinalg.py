@@ -381,6 +381,8 @@ class SpinElement:
     # -- JSON wire format ------------------------------------------------------
 
     def to_json(self) -> dict:
+        if len(self.ctx.words) != len(self.ctx.perms):
+            raise ValueError("an element of the Clifford extension has no JSON form")
         terms = [
             {"perm": list(self.ctx.perms[i]), "coeff": scalar_json(self.coeffs[i])}
             for i in sorted(self.coeffs)
@@ -641,9 +643,11 @@ def span_dim(elements: Iterable[SpinElement]) -> int:
     return _span(elements).dim
 
 
-def subalgebra_span(n: int, generators: Sequence[SpinElement]) -> list[SpinElement]:
-    """Basis of the unital subalgebra generated by the given elements."""
-    return closure([SpinElement.one(n), *generators], generators, SpinElement.vec)
+def subalgebra_span(generators: Sequence[SpinElement]) -> list[SpinElement]:
+    """Basis of the unital subalgebra generated by the given elements, all of
+    one context, plain or Clifford-extended, whose unit it starts from."""
+    ctx = generators[0].ctx
+    return closure([SpinElement(ctx, {ctx.identity: 1}), *generators], generators, SpinElement.vec)
 
 
 def spans_equal(a: Iterable[SpinElement], b: Iterable[SpinElement]) -> bool:
@@ -803,12 +807,12 @@ def gz_algebras(n: int) -> dict:
     if not 2 <= n <= 5:
         raise ValueError("size limit (2 <= n <= 5)")
     # GZ from the graded centers, SGZ and SZ from the supercentralizers of the chain
-    gz_basis = subalgebra_span(n, [e for k in range(1, n + 1) for e in graded_center(n, k)])
-    sgz_basis = subalgebra_span(n, [e for k in range(1, n) for e in _supercentralizer(n, k + 1, k)])
-    sz_basis = subalgebra_span(n, [e for k in range(1, n + 1) for e in _supercentralizer(n, k, k)])
+    gz_basis = subalgebra_span([e for k in range(1, n + 1) for e in graded_center(n, k)])
+    sgz_basis = subalgebra_span([e for k in range(1, n) for e in _supercentralizer(n, k + 1, k)])
+    sz_basis = subalgebra_span([e for k in range(1, n + 1) for e in _supercentralizer(n, k, k)])
     pis = [jm_element(k, n) for k in range(1, n + 1)]
-    pi_algebra = subalgebra_span(n, pis)
-    pi2_algebra = subalgebra_span(n, [p * p for p in pis])
+    pi_algebra = subalgebra_span(pis)
+    pi2_algebra = subalgebra_span([p * p for p in pis])
     # maximality: the centralizer of GZ inside the even part equals GZ
     ctx = context(n)
     even_words = [SpinElement(ctx, {u: 1}) for u in range(len(ctx.perms)) if ctx.parity[u] == 0]

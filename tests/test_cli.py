@@ -806,8 +806,8 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
         )
         message = "check failed: block dimensions 4 do not sum to 6\n"
     elif failure == "repeated":
-        # the roots 1 and 4 of the total YJM square come back as one root with
-        # a two-dimensional piece of the span of 1, as a repeated root would
+        # the first two joint eigenspaces of the pi_k^2 on C[pi^2] come back as
+        # one two-dimensional piece, as a repeated joint eigenvalue would
         split = seminormal.eigensplit
 
         def merged(pieces, ops):
@@ -816,7 +816,10 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
             return [(both, label)] + rest
 
         monkeypatch.setattr(seminormal, "eigensplit", merged)
-        message = "check failed: central root 1 is repeated or irrational\n"
+        message = (
+            "check failed: joint spectrum of the pi_k^2 is not simple: "
+            "a-vectors [(0, 1, 0)] on C[pi^2] of dimension 2\n"
+        )
     elif failure == "eigen":
         # every minimal polynomial stays one factor with no root in the field
         monkeypatch.setattr(linalg, "poly_factors", lambda coeffs: [(list(coeffs), None)])

@@ -691,15 +691,20 @@ def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
     sympy = pytest.importorskip("sympy")
     built: list = []
     operators: list = []
-    matrix, span, odd_center = spinalg.SpinElement.matrix, sn.cyclic_span, sn._odd_center
+    matrix, span, odd_center = spinalg.SpinElement.matrix, spinalg.subalgebra_span, sn._odd_center
+    project = sn.lagrange_projector
 
     def build(x):
         built.append(matrix(x))
         return built[-1]
 
-    def spans(v, ops, dim):
-        operators.extend(ops)
-        return span(v, ops, dim)
+    def spans(generators):
+        operators.extend(generators)
+        return span(generators)
+
+    def projector(one, terms):
+        operators.extend(op for op, _, _ in terms)
+        return project(one, terms)
 
     def odd(ctx):
         out = odd_center(ctx)
@@ -708,7 +713,8 @@ def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
 
     with monkeypatch.context() as mp:
         mp.setattr(spinalg.SpinElement, "matrix", build)
-        mp.setattr(sn, "cyclic_span", spans)
+        mp.setattr(spinalg, "subalgebra_span", spans)
+        mp.setattr(sn, "lagrange_projector", projector)
         mp.setattr(sn, "_odd_center", odd)
         fast = sn.regular_decompose(tag, n)
     # the record sees every matrix the oracle builds: one per block, the
@@ -915,17 +921,25 @@ def test_oracle_builds_no_block_subspace(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle worked on a block as a subspace")
 
-    sizes = []
-    init = linalg.Subspace.__init__
+    sizes, splits = [], []
+    init, split = linalg.Subspace.__init__, sn.eigensplit
 
     def record(self, dim_ambient, basis):
         init(self, dim_ambient, basis)
         sizes.append(self.dim)
 
+    def count(pieces, ops):
+        splits.append(len(pieces))
+        return split(pieces, ops)
+
     monkeypatch.setattr(linalg.Subspace, "annihilated_by", refuse)
     monkeypatch.setattr(gradedstruct, "split_module_by_central", refuse)
     monkeypatch.setattr(linalg.Subspace, "__init__", record)
+    monkeypatch.setattr(sn, "eigensplit", count)
     report = sn.regular_decompose("A", 5)
-    # the largest span formed is far below the smallest block
+    # the largest span formed is C[pi^2], of dimension 6, the number of
+    # standard shifted tableaux of size 5, far below the smallest block; one
+    # eigensplit reads its joint spectrum
     assert sorted(b.dimension for b in report.blocks) == [16, 32, 72]
-    assert 0 < max(sizes) <= 6
+    assert max(sizes) == 6 == sum(len(sc.standard_tableaux(s)) for s in strict_partitions(5))
+    assert splits == [1]

@@ -197,8 +197,8 @@ def test_supercentralizer_recheck_and_generation():
                 perm = ctxm.perms[idx] + (n,)
                 coeffs[ctxn.index[perm]] = c
             lifted.append(sa.SpinElement(ctxn, coeffs))
-        generated = sa.subalgebra_span(n, lifted + [sa.jm_element(n, n)])
-        assert sa.spans_equal(generated, sa.subalgebra_span(n, basis))
+        generated = sa.subalgebra_span(lifted + [sa.jm_element(n, n)])
+        assert sa.spans_equal(generated, sa.subalgebra_span(basis))
 
 
 def _commutation_kernel(n, others, eps_of):
@@ -358,6 +358,15 @@ def test_spin_element_json_roundtrip():
     assert sa.SpinElement.from_json(obj) == x
 
 
+def test_extended_element_has_no_json_form():
+    # the wire format names plain permutations only: an element of the
+    # Clifford extension, with or without a Clifford letter, is refused
+    ctx = sa.context(2, clifford=True)
+    for coeffs in ({2: 1}, {0: 1}, {0: 1, 3: -2}):
+        with pytest.raises(ValueError, match="Clifford extension"):
+            sa.SpinElement(ctx, coeffs).to_json()
+
+
 def test_even_part_centralizer_lemma():
     # the graded centralizer equals the ordinary centralizer of the even parts
     for n in (3, 4, 5):
@@ -464,10 +473,11 @@ def test_rational_json_roundtrip_gives_rationals():
 # -- the span queries against the Echelon loops they replaced ------------------
 
 
-def _subalgebra_span_reference(n, generators):
+def _subalgebra_span_reference(generators):
+    ctx = generators[0].ctx
     ech = Echelon()
     basis, queue = [], []
-    for e in [sa.SpinElement.one(n)] + list(generators):
+    for e in [sa.SpinElement(ctx, {ctx.identity: 1})] + list(generators):
         if e and ech.add(e.vec()):
             basis.append(e)
             queue.append(e)
@@ -479,6 +489,19 @@ def _subalgebra_span_reference(n, generators):
                 basis.append(prod)
                 queue.append(prod)
     return basis
+
+
+def test_subalgebra_span_on_the_clifford_extension():
+    # C[pi_1^2, ..., pi_n^2] on the extended context, the oracle's one span:
+    # plain word p is extended word p, so it is the plain span word for word
+    for n in range(2, 5):
+        ext = sa.context(n, clifford=True)
+        plain = [p * p for p in (sa.jm_element(k, n) for k in range(1, n + 1))]
+        squares = [sa.SpinElement(ext, dict(x.coeffs)) for x in plain]
+        got = sa.subalgebra_span(squares)
+        assert all(x.ctx is ext for x in got)
+        assert [x.coeffs for x in got] == [x.coeffs for x in sa.subalgebra_span(plain)]
+        assert got == _subalgebra_span_reference(squares)
 
 
 def _echelon_of(elements):
@@ -499,7 +522,7 @@ def test_subalgebra_span_matches_the_reference_loop():
             pis,
             [p * p for p in pis],
         ):
-            assert sa.subalgebra_span(n, gens) == _subalgebra_span_reference(n, gens)
+            assert sa.subalgebra_span(gens) == _subalgebra_span_reference(gens)
         for k in range(1, n + 1):
             both = sa._sign_solutions(n, k, k, 0, +1) + sa._sign_solutions(n, k, k, 0, -1)
             ech = Echelon()
