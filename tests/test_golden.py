@@ -70,6 +70,7 @@ COMMANDS = [
     ("decompose-regular CA 1", ["decompose-regular", "CA", "1"]),
     ("gz 3", ["gz", "3"]),
     ("check-all --max-n 6", ["check-all", "--max-n", "6"]),
+    ("branching-graph 6 --oracle", ["branching-graph", "6", "--oracle"]),
 ]
 
 
