@@ -14,13 +14,13 @@ regular-representation oracle.
 A built model keeps each generator as a block matrix over the Clifford algebra
 (`CliffordMat`: per tableau pair, a map from Clifford words to coefficients)
 and is checked in that form, at about 1/w of the dense cost for blocks of size
-w; its dense generators are expanded once, for the JSON writer and the module
-solves.  A file with the builder's bytes is read as the builder's model, unparsed,
-and a loaded model with the builder's matrices takes its factored form; any
-other loaded model, and a mutated one, carries only dense generators.  The
-oracle reads every block off one joint spectrum, that of the squared YJM
-elements on the algebra they generate; it multiplies elements of the algebra
-and builds no matrix but the central idempotent of each block.
+w; its dense generators are expanded once, and its module solves read rational
+generators off that form.  A file with the builder's bytes is read as the
+builder's model, unparsed, and a loaded model with the builder's matrices takes
+its factored form; any other loaded model, and a mutated one, carries only
+dense generators.  The oracle reads every block off one joint spectrum, that of
+the squared YJM elements on the algebra they generate; it multiplies elements
+of the algebra and builds no matrix but the central idempotent of each block.
 """
 
 from __future__ import annotations
@@ -266,6 +266,12 @@ class GradedRep(GradedMatrixAlgebra):
             cache[1] = self.one(factored).scale(0)
         return yjm_matrix(self.factored.__getitem__ if factored else self.generator, k, cache)
 
+    def rational_shadow(self) -> tuple | None:
+        """A built model's shadow (`_rational_shadow`), made at the first call."""
+        if self.factored and self.shadow is None:
+            self.shadow = _rational_shadow(self) or ()
+        return self.shadow or None
+
     def block_slice(self, t: int) -> range:
         return range(t * self.block_dim, (t + 1) * self.block_dim)
 
@@ -422,6 +428,49 @@ def _generators(
         p_i = {(t, t): {1 << (i - 1): 1} for t in range(g)}
         generators.append((f"p_{i}", CliffordMat(g, m, p_i)))
     return generators
+
+
+def _rational_shadow(rep: GradedRep) -> tuple | None:
+    """(tableau block of each basis index, rational generators) with the
+    supercommutant of the model and, without tau_{n-1}, h_n and p_n, of its
+    restriction one rank down; None if a premise fails in factored form.
+
+    Premises: pi_k's block at T is +-sqrt(a_k(T)) times a word h_k with
+    h_k^2 = 1; the a-vectors, and their prefixes of rank n - 1, are distinct;
+    tau_i's diagonal blocks lie in the span of pi_i's and pi_{i+1}'s.  So a
+    supercommutant X commutes with the pi_k^2 = a_k and is block-diagonal, and
+    supercommutes with pi_k iff with h_k, and with an off-diagonal block of
+    tau_i iff with it over the scalar its coefficients are +- of.
+    """
+    n, g, m = rep.n, len(rep.tableaux), rep.n * (1 + rep.has_clifford)
+    if len(set(rep.avecs)) < g or len({a[:-1] for a in rep.avecs}) < g:
+        return None
+    words, gens = {}, []  # words[k, t]: the word of pi_k's block at t
+    for k in range(1, n + 1):
+        blocks, h = dict(rep.pi(k, factored=True).blocks), {}
+        for t, avec in enumerate(rep.avecs):
+            el, a = blocks.pop((t, t), {}), avec[k - 1]
+            if len(el) != (a != 0):
+                return None
+            if a:
+                (u, c), root = next(iter(el.items())), sqrt_rational(a)
+                if c not in (root, -root) or word_product(u, u) != (1, 0):
+                    return None
+                words[k, t], h[t, t] = u, {u: 1 if c == root else -1}
+        if blocks:
+            return None
+        gens.append((f"h_{k}", CliffordMat(g, m, h).expand()))
+    for i in range(1, n):
+        off = {}
+        for (s, t), el in rep.factored[f"tau_{i}"].blocks.items():
+            c, span = next(iter(el.values())), {words.get((i, t)), words.get((i + 1, t))}
+            if el.keys() - span if s == t else any(x != c and x != -c for x in el.values()):
+                return None
+            if s != t:
+                off[s, t] = {u: 1 if x == c else -1 for u, x in el.items()}
+        gens.append((f"tau_{i}", CliffordMat(g, m, off).expand()))
+    gens += [(name, x) for name, x in rep.generators if name.startswith("p_")]
+    return tuple(t for t in range(g) for _ in range(rep.block_dim)), gens
 
 
 def verify_relations(rep: GradedRep) -> list[dict]:
@@ -737,6 +786,16 @@ def empirical_type(shape: StrictPartition, tensor: bool = False) -> str:
     return kind
 
 
+def _lower_rank(mod: GradedMatrixAlgebra, n: int) -> GradedMatrixAlgebra:
+    """A module of rank n as one of rank n - 1, without tau_{n-1}, p_n and h_n."""
+    top = (f"tau_{n - 1}", f"p_{n}", f"h_{n}")  # the generators of rank n alone
+    shadow = mod.rational_shadow()
+    return GradedMatrixAlgebra(
+        mod.dim, mod.parity, [(name, g) for name, g in mod.generators if name not in top],
+        shadow=shadow and (shadow[0], [(name, g) for name, g in shadow[1] if name not in top]),
+    )
+
+
 def restrict_and_branch(rep: GradedRep) -> list[dict]:
     """Decompose the restriction one level down into labeled graded summands.
 
@@ -751,11 +810,7 @@ def restrict_and_branch(rep: GradedRep) -> list[dict]:
     if own["kind"] == "reducible":
         raise CheckFailed("cannot branch an unclassifiable module")
     s_top = own["complex_count"]
-    top = (f"tau_{n - 1}", f"p_{n}")  # the generators of rank n alone
-    restricted = GradedMatrixAlgebra(
-        mod.dim, mod.parity, [(name, g) for name, g in mod.generators if name not in top]
-    )
-    pieces = split_into_irreducibles(restricted)
+    pieces = split_into_irreducibles(_lower_rank(mod, n))
     tally: dict[tuple[int, ...], dict] = {}
     for piece in pieces:
         if n - 1 >= 2:

@@ -11,7 +11,7 @@ from superspin import cli, gradedstruct, linalg
 from superspin import seminormal as sn
 from superspin import shiftedcomb as sc
 from superspin import spinalg
-from superspin.exactnum import scalar_json
+from superspin.exactnum import SqrtNumber, scalar_json
 from superspin.linalg import CheckFailed, Mat
 from superspin.shiftedcomb import StrictPartition, strict_partitions
 
@@ -943,3 +943,103 @@ def test_oracle_builds_no_block_subspace(monkeypatch):
     assert sorted(b.dimension for b in report.blocks) == [16, 32, 72]
     assert max(sizes) == 6 == sum(len(sc.standard_tableaux(s)) for s in strict_partitions(5))
     assert splits == [1]
+
+
+# -- the rational shadow of a built model -------------------------------------
+#
+# module_commutant solves a built model, and the summands cut from it, over its
+# tableau blocks with rational generators.  The generic solve of the same
+# module without its shadow is the slow path; the kernel is the reduced basis
+# of the solutions, so the two must agree in value, type and order.
+
+_SHADOW_MODELS = [(s, False) for s in shapes_up_to(6)] + [(s, True) for s in shapes_up_to(5)]
+
+
+def _generic(mod):
+    """The module without its shadow."""
+    return gradedstruct.GradedMatrixAlgebra(mod.dim, mod.parity, mod.generators)
+
+
+def _classify_and_branch(rep):
+    """The modules whose commutants classifying and branching rep solves."""
+    solve, seen = gradedstruct.module_commutant, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradedstruct, "module_commutant", lambda mod, x: seen.append(mod) or solve(mod, x))
+        sn.first_summand(rep)
+        if rep.n > 1:
+            sn.restrict_and_branch(rep)
+    return seen
+
+
+@pytest.mark.parametrize("shape, tensor", _SHADOW_MODELS, ids=str)
+def test_shadow_solve_matches_the_generic_solve(shape, tensor):
+    rep = sn._build(shape, tensor)  # a fresh model: nothing solved yet
+    ranks = [rep, sn._lower_rank(rep, shape.n)] if shape.n > 1 else [rep]
+    # each module once: two modules with the same generator matrices are one
+    mods = {tuple(map(id, mod.generator_mats())): mod for mod in ranks + _classify_and_branch(rep)}
+    for mod in mods.values():
+        # plain (1) has no generator and nothing to shadow
+        assert (mod.rational_shadow() is None) == (not rep.generators)
+        for x in (0, 1):
+            fast = gradedstruct.module_commutant(mod, x)
+            slow = gradedstruct.module_commutant(_generic(mod), x)
+            assert [_typed_rows(m) for m in fast] == [_typed_rows(m) for m in slow]
+
+
+@pytest.mark.parametrize("shape, tensor", _SHADOW_MODELS, ids=str)
+def test_classification_eliminates_no_radical_row(monkeypatch, shape, tensor):
+    add = linalg.Echelon.add
+
+    def rational_add(self, vec):
+        assert not any(isinstance(v, SqrtNumber) for v in vec.values()), (
+            "exact elimination of a row with a radical")
+        return add(self, vec)
+
+    rep = sn._build(shape, tensor)
+    monkeypatch.setattr(linalg.Echelon, "add", rational_add)
+    _classify_and_branch(rep)
+
+
+def _tampered(rep, name, key, change, keep_pi=False):
+    """rep with block `key` of its factored generator `name` changed; with
+    keep_pi, rep's YJM elements are kept, so that block alone breaks a premise."""
+    gen = rep.factored[name]
+    blocks = {**gen.blocks, key: change(gen.blocks.get(key, {}))}
+    gens = [(k, sn.CliffordMat(gen.g, gen.m, blocks) if k == name else g)
+            for k, g in rep.factored.items()]
+    model = sn.GradedRep.new(rep.shape, rep.has_clifford, gens)
+    if keep_pi:
+        model._fpi_cache.update(rep._fpi_cache)
+    return model
+
+
+def test_models_that_fail_a_premise_take_the_generic_solve(monkeypatch):
+    shape = StrictPartition((4, 2))
+    rep = sn.build_rep_plain(shape)
+    off = min(k for k in rep.factored["tau_5"].blocks if k[0] != k[1])
+
+    def double_one(el):  # its coefficients are no longer +- one scalar
+        return {**el, min(el): 2 * el[min(el)]}
+
+    def add_h1(el):  # h_1 is in no diagonal block of pi_5 or pi_6
+        return {**el, 1: 1}
+
+    models = {
+        "mutated": sn.mutated_rep(rep),
+        "printed": sn._construct(shape, False, "printed"),
+        "off-diagonal": _tampered(rep, "tau_5", off, double_one),
+        "off-diagonal, rep's pi": _tampered(rep, "tau_5", off, double_one, keep_pi=True),
+        "diagonal, rep's pi": _tampered(rep, "tau_5", (off[1], off[1]), add_h1, keep_pi=True),
+    }
+    assert rep.rational_shadow() is not None
+    assert all(model.factored for name, model in models.items() if name != "mutated")
+    # record the number of unknowns and skip the solve itself
+    ncols = []
+    monkeypatch.setattr(gradedstruct, "kernel", lambda rows, n: ncols.append(n) or [])
+    generic = sum((p + q + 1) % 2 for p in rep.parity for q in rep.parity)
+    for name, model in models.items():
+        assert model.rational_shadow() is None, name
+        gradedstruct.module_commutant(model, 0)
+        assert ncols.pop() == generic, name
+    gradedstruct.module_commutant(rep, 0)
+    assert ncols.pop() == len(rep.tableaux) * rep.block_dim ** 2 // 2
