@@ -9,10 +9,10 @@ invariant graded subspace.  `module_commutant` is the one solver for the
 iff the module is irreducible, drives `split_into_irreducibles` and
 `classify_module`, which types a module as M or Q by its supercommutant.
 
-A module may carry a rational shadow: a block label per basis index and rational
-generators with the same (super)commutant, which is block-diagonal.  The solver
-then solves the shadow inside the blocks, and `restrict` keeps it on a submodule
-whose basis vectors each lie in one block.  A built seminormal model has one.
+A module may label its basis indices when its (super)commutant is
+block-diagonal over the labels, such as a built seminormal model's rational
+module with its tableaux's a-vectors: the solver then takes only the unknowns
+between equal labels, and `restrict` keeps the labels.
 
 The two simple shapes are the full graded matrix algebra on a (n, m)-space and
 the Q-type algebra of [[A, B], [B, A]] matrices; every semisimple algebra
@@ -41,9 +41,8 @@ class GradedMatrixAlgebra:
     dim: int
     parity: tuple[int, ...]
     generators: list[tuple[str, Mat]]
-    # (block label of each basis index, named rational generators), or None
-    shadow: tuple[tuple[int, ...], list[tuple[str, Mat]]] | None = field(
-        default=None, kw_only=True, repr=False, compare=False)
+    # a label per basis index, over which the (super)commutant is block-diagonal
+    labels: tuple | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         self.parity = tuple(self.parity)
@@ -70,23 +69,17 @@ class GradedMatrixAlgebra:
         even = sum(1 for p in self.parity if p == 0)
         return even, self.dim - even
 
-    def rational_shadow(self) -> tuple[tuple[int, ...], list[tuple[str, Mat]]] | None:
-        return self.shadow
-
     def restrict(self, sub: Subspace) -> GradedMatrixAlgebra:
-        """The submodule on an invariant graded subspace, in the subspace's basis.
-        It keeps the shadow when each basis vector lies in one block."""
-        shadow = self.rational_shadow()
-        blocks = shadow and [{shadow[0][i] for i in b} for b in sub.basis]
-        if blocks and all(len(b) == 1 for b in blocks):
-            shadow = (tuple(b.pop() for b in blocks), [(name, sub.restrict(g)) for name, g in shadow[1]])
-        else:
-            shadow = None
+        """The submodule on an invariant graded subspace, in the subspace's basis;
+        a labelled module's basis vectors must each lie in one block."""
+        labels = self.labels and [{self.labels[i] for i in b} for b in sub.basis]
+        if labels and max(map(len, labels)) > 1:
+            raise CheckFailed("a basis vector of the submodule spans two labelled blocks")
         return GradedMatrixAlgebra(
             sub.dim,
             subspace_parity(sub, self.parity),
             [(name, sub.restrict(g)) for name, g in self.generators],
-            shadow=shadow,
+            labels=labels and tuple(x.pop() for x in labels),
         )
 
 
@@ -163,21 +156,19 @@ def module_commutant(mod: GradedMatrixAlgebra, x_parity: int) -> list[Mat]:
     s = (-1)^(p(X) p(G)): the parity-x_parity part of the supercommutant.  For
     x_parity 0 the sign is 1, so that part is the even plain commutant too.
 
-    With a shadow it solves the shadow's generators over the unknowns inside
-    one block.  Those rows are rational, for the certified elimination, and the
-    kernel, the reduced basis of the same solutions, is the generic solve's.
+    A labelled module's unknowns are the entries between equal labels.
     """
     n = mod.dim
-    blocks, gens = mod.rational_shadow() or ((0,) * n, mod.generators)
+    labels = mod.labels or (None,) * n
     unknowns = [
         (r, c)
         for r in range(n)
         for c in range(n)
-        if (mod.parity[r] + mod.parity[c]) % 2 == x_parity and blocks[r] == blocks[c]
+        if (mod.parity[r] + mod.parity[c]) % 2 == x_parity and labels[r] == labels[c]
     ]
     pos = {rc: i for i, rc in enumerate(unknowns)}
     constraints: list[Vec] = []
-    for _, g in gens:
+    for _, g in mod.generators:
         pg = matrix_parity(g, mod.parity)
         s = -1 if x_parity and pg else 1
         rows: dict[tuple[int, int], Vec] = {}

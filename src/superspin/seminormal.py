@@ -14,8 +14,9 @@ regular-representation oracle.
 A built model keeps each generator as a block matrix over the Clifford algebra
 (`CliffordMat`: per tableau pair, a map from Clifford words to coefficients)
 and is checked in that form, at about 1/w of the dense cost for blocks of size
-w; its dense generators are expanded once, and its module solves read rational
-generators off that form.  A file with the builder's bytes is read as the
+w; its dense generators are expanded once.  It is classified on the module of
+rational generators read off that form, labelled with the tableaux's a-vectors,
+which give each summand's shape.  A file with the builder's bytes is read as the
 builder's model, unparsed, and a loaded model with the builder's matrices takes
 its factored form; any other loaded model, and a mutated one, carries only
 dense generators.  The oracle reads every block off one joint spectrum, that of
@@ -212,6 +213,7 @@ class GradedRep(GradedMatrixAlgebra):
     _pi_cache: dict = field(default_factory=dict, repr=False)
     _fpi_cache: dict = field(default_factory=dict, repr=False)  # of the factored pi_k
     _irreducible: tuple = field(default=(), repr=False)  # see first_summand
+    _rational: tuple = field(default=(), repr=False)  # see rational_shadow
     _relations: tuple = field(default=(), repr=False)  # the build's report, see _build
 
     @classmethod
@@ -266,11 +268,12 @@ class GradedRep(GradedMatrixAlgebra):
             cache[1] = self.one(factored).scale(0)
         return yjm_matrix(self.factored.__getitem__ if factored else self.generator, k, cache)
 
-    def rational_shadow(self) -> tuple | None:
-        """A built model's shadow (`_rational_shadow`), made at the first call."""
-        if self.factored and self.shadow is None:
-            self.shadow = _rational_shadow(self) or ()
-        return self.shadow or None
+    def rational_shadow(self) -> GradedMatrixAlgebra | None:
+        """A built model's labelled rational module (`_rational_shadow`), made at
+        the first call, or None."""
+        if not self._rational:
+            self._rational = (_rational_shadow(self) if self.factored else None,)
+        return self._rational[0]
 
     def block_slice(self, t: int) -> range:
         return range(t * self.block_dim, (t + 1) * self.block_dim)
@@ -430,10 +433,11 @@ def _generators(
     return generators
 
 
-def _rational_shadow(rep: GradedRep) -> tuple | None:
-    """(tableau block of each basis index, rational generators) with the
-    supercommutant of the model and, without tau_{n-1}, h_n and p_n, of its
-    restriction one rank down; None if a premise fails in factored form.
+def _rational_shadow(rep: GradedRep) -> GradedMatrixAlgebra | None:
+    """A module of rational generators with the supercommutant of the model
+    and, without tau_{n-1}, h_n and p_n, of its restriction one rank down, each
+    basis index labelled with its tableau's a-vector; None if a premise fails
+    in factored form.
 
     Premises: pi_k's block at T is +-sqrt(a_k(T)) times a word h_k with
     h_k^2 = 1; the a-vectors, and their prefixes of rank n - 1, are distinct;
@@ -470,7 +474,8 @@ def _rational_shadow(rep: GradedRep) -> tuple | None:
                 off[s, t] = {u: 1 if x == c else -1 for u, x in el.items()}
         gens.append((f"tau_{i}", CliffordMat(g, m, off).expand()))
     gens += [(name, x) for name, x in rep.generators if name.startswith("p_")]
-    return tuple(t for t in range(g) for _ in range(rep.block_dim)), gens
+    labels = tuple(avec for avec in rep.avecs for _ in range(rep.block_dim))
+    return GradedMatrixAlgebra(rep.dim, rep.parity, gens, labels=labels)
 
 
 def verify_relations(rep: GradedRep) -> list[dict]:
@@ -761,17 +766,23 @@ def analyze_local_pair(rep: GradedRep, i: int) -> list[LocalPairAnalysis]:
 
 
 def first_summand(rep: GradedRep) -> tuple[GradedMatrixAlgebra, dict]:
-    """(module, classification) of the model's deterministic first graded-irreducible
-    summand, memoised on the model."""
+    """(module, classification) of the deterministic first graded-irreducible summand
+    of the model's labelled rational module, or of the model, memoised on it."""
     if not rep._irreducible:
-        pieces = split_into_irreducibles(rep)
+        pieces = split_into_irreducibles(rep.rational_shadow() or rep)
         mod = min(pieces, key=lambda p: (p.dim, p.parity))
         rep._irreducible = (mod, classify_module(mod))
     return rep._irreducible
 
 
 def identify_shape(mod: GradedMatrixAlgebra, level: int) -> StrictPartition:
-    """Shape whose tableau spectra match the joint YJM-square spectrum."""
+    """Shape whose tableau spectra match the joint YJM-square spectrum: that of the
+    labels' prefixes, or of the pi_k^2 rebuilt from an unlabelled module's tau's."""
+    if mod.labels:
+        shapes = {_shape_of_avec(a) for a in {label[:level] for label in mod.labels}}
+        if len(shapes) != 1:
+            raise CheckFailed(f"a summand has the a-vectors of shapes {sorted(s.parts for s in shapes)}")
+        return shapes.pop()
     cache = {1: Mat.zero(mod.dim)}
     squares = [pi * pi for pi in (yjm_matrix(mod.generator, k, cache) for k in range(1, level + 1))]
     return _shape_of_avec(_a_vectors(Subspace.full(mod.dim), squares)[0])
@@ -789,11 +800,8 @@ def empirical_type(shape: StrictPartition, tensor: bool = False) -> str:
 def _lower_rank(mod: GradedMatrixAlgebra, n: int) -> GradedMatrixAlgebra:
     """A module of rank n as one of rank n - 1, without tau_{n-1}, p_n and h_n."""
     top = (f"tau_{n - 1}", f"p_{n}", f"h_{n}")  # the generators of rank n alone
-    shadow = mod.rational_shadow()
-    return GradedMatrixAlgebra(
-        mod.dim, mod.parity, [(name, g) for name, g in mod.generators if name not in top],
-        shadow=shadow and (shadow[0], [(name, g) for name, g in shadow[1] if name not in top]),
-    )
+    gens = [(name, g) for name, g in mod.generators if name not in top]
+    return GradedMatrixAlgebra(mod.dim, mod.parity, gens, labels=mod.labels)
 
 
 def restrict_and_branch(rep: GradedRep) -> list[dict]:
@@ -813,10 +821,7 @@ def restrict_and_branch(rep: GradedRep) -> list[dict]:
     pieces = split_into_irreducibles(_lower_rank(mod, n))
     tally: dict[tuple[int, ...], dict] = {}
     for piece in pieces:
-        if n - 1 >= 2:
-            shape = identify_shape(piece, n - 1)
-        else:
-            shape = StrictPartition((1,))
+        shape = identify_shape(piece, n - 1)
         cls = classify_module(piece)
         if cls["kind"] == "reducible":
             raise CheckFailed("restriction produced an unclassifiable summand")

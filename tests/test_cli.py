@@ -854,11 +854,18 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, failure):
         argv = ["check-all", "--max-n", "2"]
         message = "check failed: tensor of simple algebras should stay simple\n"
     elif failure in ("avec", "bvector"):
-        # a joint YJM spectrum that no tableau has: a_2 = 2 is not triangular,
-        # a_2 = 3 gives b = (0, 2), which cannot follow b_1 = 0
+        # labels that start with an a-vector no tableau has: a_2 = 2 is not
+        # triangular, a_2 = 3 gives b = (0, 2), which cannot follow b_1 = 0
         avec = (0, 2) if failure == "avec" else (0, 3)
+        shadow = seminormal._rational_shadow
+
+        def relabelled(rep):
+            mod = shadow(rep)
+            mod.labels = tuple(avec + label[len(avec):] for label in mod.labels)
+            return mod
+
         monkeypatch.setattr(seminormal, "_BUILD_CACHE", {})
-        monkeypatch.setattr(seminormal, "_a_vectors", lambda piece, squares: [avec])
+        monkeypatch.setattr(seminormal, "_rational_shadow", relabelled)
         argv = ["branching-graph", "3", "--oracle"]
         why = "17 is not a perfect square" if failure == "avec" else "invalid b-vector (0, 2)"
         message = f"check failed: no shifted tableau has a-vector {avec}: {why}\n"

@@ -32,6 +32,16 @@ def test_homogeneity_enforced():
         gs.GradedMatrixAlgebra(2, (0, 1), [("bad", bad)])
 
 
+def test_restrict_keeps_labels_within_one_block():
+    mod = gs.GradedMatrixAlgebra(3, (0, 0, 1), [("one", Mat.identity(3))], labels=("a", "b", "b"))
+    lines = linalg.Subspace(3, [{2: 1}, {0: 1}])
+    # the even unknowns are the entries between equal labels of equal parity
+    assert gs.module_commutant(mod, 0) == [Mat(3, 3, {i: {i: 1}}) for i in range(3)]
+    assert mod.restrict(lines).labels == ("a", "b")
+    with pytest.raises(linalg.CheckFailed, match="spans two labelled blocks"):
+        mod.restrict(linalg.Subspace(3, [{0: 1, 1: 1}]))
+
+
 def test_supercommutant_examples():
     # Schur: the full graded matrix algebra has scalar supercommutant
     assert len(gs.supercommutant(gs.m_algebra(1, 1))) == 1

@@ -300,8 +300,7 @@ def _small_models():
 
 
 def test_module_commutant_matches_gauss_jordan(monkeypatch):
-    # generic copies: a built model's shadow would give the solve rational rows
-    mods = [gradedstruct.GradedMatrixAlgebra(m.dim, m.parity, m.generators) for m in _small_models()]
+    mods = list(_small_models())
     entries = [
         v for mod in mods for g in mod.generator_mats() for row in g.rows.values()
         for v in row.values()

@@ -234,7 +234,10 @@ def test_q_module_ungraded_split():
     # the (2,1) module is Q(1): 1-dimensional ungraded pieces with tau_i = +-1
     from superspin.linalg import kernel
 
-    irr = sn.first_summand(sn.build_rep_plain(StrictPartition((2, 1))))[0]
+    # the generic route, on a dense copy, so that irr carries the dense tau's
+    shape = StrictPartition((2, 1))
+    rep = sn.build_rep_plain(shape)
+    irr = sn.first_summand(sn.GradedRep.new(shape, False, rep.generators))[0]
     assert irr.dim == 2
     t1, t2 = irr.generator("tau_1"), irr.generator("tau_2")
     assert t1 == t2  # forced by pi_3 = 0 on this module
@@ -945,59 +948,79 @@ def test_oracle_builds_no_block_subspace(monkeypatch):
     assert splits == [1]
 
 
-# -- the rational shadow of a built model -------------------------------------
+# -- the labelled rational module of a built model ------------------------------
 #
-# module_commutant solves a built model, and the summands cut from it, over its
-# tableau blocks with rational generators.  The generic solve of the same
-# module without its shadow is the slow path; the kernel is the reduced basis
-# of the solutions, so the two must agree in value, type and order.
+# A built model is classified and branched on its labelled rational module:
+# rational generators, each basis index labelled with its tableau's a-vector,
+# solved over the tableau blocks.  The generic route is the same calls on a
+# dense copy of the model, which has no labels; the kernel is the reduced basis
+# of the solutions, so the two routes must solve the same sequence of modules
+# to the same commutants, in value, type and order.
 
 _SHADOW_MODELS = [(s, False) for s in shapes_up_to(6)] + [(s, True) for s in shapes_up_to(5)]
 
 
-def _generic(mod):
-    """The module without its shadow."""
-    return gradedstruct.GradedMatrixAlgebra(mod.dim, mod.parity, mod.generators)
-
-
 def _classify_and_branch(rep):
-    """The modules whose commutants classifying and branching rep solves."""
+    """(classification, branching, each solve as (dim, parity, x_parity, commutant))
+    of a model whose first summand is not yet found."""
     solve, seen = gradedstruct.module_commutant, []
+
+    def recorded(mod, x):
+        out = solve(mod, x)
+        seen.append((mod.dim, mod.parity, x, [_typed_rows(m) for m in out]))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gradedstruct, "module_commutant", lambda mod, x: seen.append(mod) or solve(mod, x))
-        sn.first_summand(rep)
-        if rep.n > 1:
-            sn.restrict_and_branch(rep)
-    return seen
+        mp.setattr(gradedstruct, "module_commutant", recorded)
+        cls = sn.first_summand(rep)[1]
+        branches = sn.restrict_and_branch(rep) if rep.n > 1 else None
+    return cls, branches, seen
 
 
 @pytest.mark.parametrize("shape, tensor", _SHADOW_MODELS, ids=str)
 def test_shadow_solve_matches_the_generic_solve(shape, tensor):
     rep = sn._build(shape, tensor)  # a fresh model: nothing solved yet
-    ranks = [rep, sn._lower_rank(rep, shape.n)] if shape.n > 1 else [rep]
-    # each module once: two modules with the same generator matrices are one
-    mods = {tuple(map(id, mod.generator_mats())): mod for mod in ranks + _classify_and_branch(rep)}
-    for mod in mods.values():
-        # plain (1) has no generator and nothing to shadow
-        assert (mod.rational_shadow() is None) == (not rep.generators)
-        for x in (0, 1):
-            fast = gradedstruct.module_commutant(mod, x)
-            slow = gradedstruct.module_commutant(_generic(mod), x)
-            assert [_typed_rows(m) for m in fast] == [_typed_rows(m) for m in slow]
+    dense = sn.GradedRep.new(shape, tensor, rep.generators)
+    # plain (1) has no generator and nothing to label
+    assert (rep.rational_shadow() is None) == (not rep.generators)
+    assert dense.rational_shadow() is None
+    labelled, generic = _classify_and_branch(rep), _classify_and_branch(dense)
+    assert labelled[2], "no module solved"
+    assert labelled == generic
+
+
+_RADICAL_OPS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                "__neg__", "invert", "__truediv__", "__rtruediv__")
 
 
 @pytest.mark.parametrize("shape, tensor", _SHADOW_MODELS, ids=str)
 def test_classification_eliminates_no_radical_row(monkeypatch, shape, tensor):
-    add = linalg.Echelon.add
-
-    def rational_add(self, vec):
-        assert not any(isinstance(v, SqrtNumber) for v in vec.values()), (
-            "exact elimination of a row with a radical")
-        return add(self, vec)
-
+    # once the labelled module is made, classifying and branching do no
+    # arithmetic with a radical at all
     rep = sn._build(shape, tensor)
-    monkeypatch.setattr(linalg.Echelon, "add", rational_add)
-    _classify_and_branch(rep)
+    rep.rational_shadow()
+    calls = []
+
+    def radical_op(name):
+        def fail(*args):
+            calls.append(name)
+            raise AssertionError(f"SqrtNumber.{name} while classifying or branching")
+        return fail
+
+    for name in _RADICAL_OPS:
+        monkeypatch.setattr(SqrtNumber, name, radical_op(name))
+    sn.first_summand(rep)
+    if rep.n > 1:
+        sn.restrict_and_branch(rep)
+    assert not calls
+
+
+def test_identify_shape_reads_one_shape_off_the_labels():
+    mod = sn.build_rep_plain(StrictPartition((3, 1))).rational_shadow()
+    assert sn.identify_shape(mod, 4) == StrictPartition((3, 1))
+    # one rank down, the tableaux of (3, 1) fall into (3) and (2, 1)
+    with pytest.raises(CheckFailed, match=r"shapes \[\(2, 1\), \(3,\)\]"):
+        sn.identify_shape(mod, 3)
 
 
 def _tampered(rep, name, key, change, keep_pi=False):
@@ -1041,5 +1064,5 @@ def test_models_that_fail_a_premise_take_the_generic_solve(monkeypatch):
         assert model.rational_shadow() is None, name
         gradedstruct.module_commutant(model, 0)
         assert ncols.pop() == generic, name
-    gradedstruct.module_commutant(rep, 0)
+    gradedstruct.module_commutant(rep.rational_shadow(), 0)
     assert ncols.pop() == len(rep.tableaux) * rep.block_dim ** 2 // 2
