@@ -1,11 +1,13 @@
 """Command-line front end: enumeration, builds, verification, reports.
 
 Exit codes: 0 success, 1 a verification or acceptance check failed, 2 invalid
-input or usage (an unwritable --out file or a closed stdout included).  All
-emitted JSON carries a "schema": "superspin/1" field and identical invocations
-produce byte-identical output.  Matrices are rendered straight from their
-sparse rows (`linalg.dump`), byte-identical to json.dumps of the dense
-`to_json()` form.
+input or usage (an unwritable --out file or a closed stdout included).  Every
+emitted JSON document carries a "schema" field and identical invocations
+produce byte-identical output.  `build-rep` writes a model in its factored
+form, "superspin/2" (`GradedRep.document`); every other document is
+"superspin/1".  `verify` reads a model file of either schema
+(`GradedRep.read`).  Matrices are rendered straight from their sparse rows
+(`linalg.dump`), byte-identical to json.dumps of the dense `to_json()` form.
 """
 
 from __future__ import annotations
@@ -138,14 +140,8 @@ def cmd_branching_graph(args) -> int:
     return rc
 
 
-# Clifford-tensor models of rank 7 run to 2 GB of dense JSON
-TENSOR_BUILD_MAX_N = 6
-
-
 def cmd_build_rep(args) -> int:
     shape, tensor = _parse_partition(args.partition), args.algebra == "tensor"
-    if tensor and shape.n > TENSOR_BUILD_MAX_N:
-        raise UsageError(f"build-rep --algebra tensor is capped at |shape| <= {TENSOR_BUILD_MAX_N}")
     builder = seminormal.build_rep_clifford_tensor if tensor else seminormal.build_rep_plain
     _emit(builder(shape).document(), args)
     return 0

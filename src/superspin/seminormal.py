@@ -16,12 +16,14 @@ A built model keeps each generator as a block matrix over the Clifford algebra
 and is checked in that form, at about 1/w of the dense cost for blocks of size
 w; its dense generators are expanded once.  It is classified on the module of
 rational generators read off that form, labelled with the tableaux's a-vectors,
-which give each summand's shape.  A file with the builder's bytes is read as the
-builder's model, unparsed, and a loaded model with the builder's matrices takes
-its factored form; any other loaded model, and a mutated one, carries only
-dense generators.  The oracle reads every block off one joint spectrum, that of
-the squared YJM elements on the algebra they generate; it multiplies elements
-of the algebra and builds no matrix but the central idempotent of each block.
+which give each summand's shape.  A model is written in that form
+(superspin/2).  A file with the builder's bytes is read as the builder's model,
+unparsed, in that layout or the dense superspin/1 one; any other superspin/2
+file is loaded in factored form, while a superspin/1 file, and a mutated model,
+carry only dense generators.  The oracle reads every block off one joint
+spectrum, that of the squared YJM elements on the algebra they generate; it
+multiplies elements of the algebra and builds no matrix but the central
+idempotent of each block.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import isqrt, lcm
 from typing import Callable, Iterator, Sequence
 
 from . import spinalg
-from .exactnum import Scalar, rational_of, scalar_json, sqrt_rational
+from .exactnum import Scalar, SqrtNumber, rational_of, scalar_json, sqrt_rational
 from .gradedstruct import (
     BlockReport,
     GradedMatrixAlgebra,
@@ -60,6 +62,7 @@ from .spinalg import word_product
 
 SQRT2 = sqrt_rational(2)
 INV_SQRT2 = SQRT2.invert()
+MODEL_SCHEMA = "superspin/2"  # the layout of `GradedRep.document`
 
 
 # -- real Clifford modules -------------------------------------------------------
@@ -279,8 +282,33 @@ class GradedRep(GradedMatrixAlgebra):
         return range(t * self.block_dim, (t + 1) * self.block_dim)
 
     def document(self) -> dict:
-        """The JSON layout with the generators as Mat leaves (see linalg.dump).
-        The basis lists each tableau with each Clifford basis word."""
+        """The superspin/2 layout of a model with factored generators: each one, in
+        order, as its blocks [row tableau, column tableau, [[word, coefficient],
+        ...]], sorted, with tableaux numbered in `standard_tableaux` order, words
+        as CliffordMat bitmasks and coefficients in the scalar wire format."""
+        if len(self.factored) != len(self.generators):
+            raise ValueError("a model with dense generators alone has no superspin/2 layout")
+        return {
+            "schema": MODEL_SCHEMA,
+            "algebra": self.algebra,
+            "n": self.n,
+            "shape": list(self.shape.parts),
+            "dim": self.dim,
+            "block_dim": self.block_dim,
+            "generators": [
+                {"name": name, "blocks": [
+                    [a, b, [[u, scalar_json(x)] for u, x in sorted(el.items())]]
+                    for (a, b), el in sorted(f.blocks.items())
+                ]}
+                for name, f in self.factored.items()
+            ],
+            "build_report": self.build_report,
+        }
+
+    def dense_document(self) -> dict:
+        """The superspin/1 layout, which `read` compares a file of that schema
+        against: the generators as Mat leaves (see linalg.dump), and the basis,
+        each tableau with each Clifford basis word."""
         return {
             "schema": "superspin/1",
             "algebra": self.algebra,
@@ -318,11 +346,11 @@ class GradedRep(GradedMatrixAlgebra):
     @classmethod
     def read(cls, path) -> GradedRep:
         """The model of a file: the builder's model, unparsed, if the file is byte
-        for byte the CLI's file of the model it names, else from_json of its
-        parsed UTF-8 text.  The algebra and the shape, the writer's first and last
-        keys, are read from a short head and tail and checked before any build;
-        the file is then compared as it is read, so no copy is held.  A stream that
-        cannot seek, such as a pipe, is parsed."""
+        for byte the CLI's file of the model it names, in either layout, else
+        from_json of its parsed UTF-8 text.  The algebra and the shape, the
+        writer's first and last keys, are read from a short head and tail and
+        checked before any build; the file is then compared as it is read, so no
+        copy is held.  A stream that cannot seek, such as a pipe, is parsed."""
         decode, key = json.JSONDecoder().raw_decode, '\n  "shape": '
         with open(path, "rb") as fh:
             if fh.seekable():
@@ -333,9 +361,10 @@ class GradedRep(GradedMatrixAlgebra):
                     obj = {"shape": decode(tail, tail.rindex(key) + len(key))[0],
                            "algebra": decode(head, len('{\n  "algebra": '))[0]}
                     rep = _cached_build(*cls.header(obj))
-                    fh.seek(0)
-                    if matches(rep.document(), fh, b"\n"):
-                        return rep
+                    for doc in (rep.document(), rep.dense_document()):
+                        fh.seek(0)
+                        if matches(doc, fh, b"\n"):
+                            return rep
                 except (ValueError, RecursionError):  # a RelationError included
                     pass
                 fh.seek(0)
@@ -344,23 +373,58 @@ class GradedRep(GradedMatrixAlgebra):
 
     @classmethod
     def from_json(cls, obj: dict) -> GradedRep:
-        """The model of a file, which must match the builder's document of it,
-        value and JSON type alike: the builder's model itself, checked in its
-        factored form, when the file holds exactly its generators, else a dense
-        model (also when the builder fails the shape)."""
+        """The model of a file, made by `new`: from the checked blocks of a
+        superspin/2 file (`_factored_from_json`), so that it is checked in
+        factored form, else from the dense matrices of superspin/1.  The file's
+        schema, n, dim and block_dim, and in superspin/1 its parity and basis,
+        must match the builder's document of the model, value and JSON type
+        alike."""
         shape, tensor = cls.header(obj)
-        generators = [(g["name"], Mat.from_json(g["matrix"])) for g in obj["generators"]]
-        try:
-            rep = _cached_build(shape, tensor)
-        except RelationError:
-            rep = None
-        if rep is None or generators != rep.generators:
-            rep = cls.new(shape, tensor, generators, obj.get("build_report", {}))
-        doc = rep.document()
-        for key in ("schema", "n", "dim", "block_dim", "parity", "basis"):
+        factored = obj.get("schema") == MODEL_SCHEMA
+        if factored:
+            generators = _factored_from_json(obj["generators"], shape, tensor)
+        else:
+            generators = [(g["name"], Mat.from_json(g["matrix"])) for g in obj["generators"]]
+        rep = cls.new(shape, tensor, generators, obj.get("build_report", {}))
+        doc = rep.document() if factored else rep.dense_document()
+        for key in ("schema", "n", "dim", "block_dim") + (() if factored else ("parity", "basis")):
             if json.dumps(obj.get(key), sort_keys=True) != json.dumps(doc[key], sort_keys=True):
                 raise ValueError(f"{key} does not match the builder's model of {shape}")
         return rep
+
+
+def _factored_from_json(
+    gens: list, shape: StrictPartition, tensor: bool
+) -> list[tuple[str, CliffordMat]]:
+    """(name, CliffordMat) of each generator of a superspin/2 file.  Every block
+    must be [row tableau, column tableau, [[word, coefficient], ...]] with
+    tableau indices in range, words below 2^m and nonzero coefficients, given
+    as integers and in the scalar wire format, and no block, nor word in one,
+    may be empty or repeated."""
+    g, m = len(standard_tableaux(shape)), shape.n * (1 + tensor)
+    out = []
+    for gen in gens:
+        blocks: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for block in gen["blocks"]:
+            if not isinstance(block, list) or len(block) != 3:
+                raise ValueError("a block must be [row tableau, column tableau, entries]")
+            a, b, entries = block
+            if any(type(t) is not int or not 0 <= t < g for t in (a, b)):
+                raise ValueError(f"tableau indices must be integers 0 to {g - 1}")
+            if (a, b) in blocks or not isinstance(entries, list) or not entries:
+                raise ValueError(f"block ({a}, {b}) is repeated or empty")
+            el = blocks[a, b] = {}
+            for entry in entries:
+                if not isinstance(entry, list) or len(entry) != 2:
+                    raise ValueError("an entry must be [word, coefficient]")
+                u, x = entry[0], SqrtNumber.from_json(entry[1])
+                if type(u) is not int or not 0 <= u < 1 << m or u in el:
+                    raise ValueError(f"words must be distinct integers 0 to 2^{m} - 1")
+                if not x:
+                    raise ValueError("a coefficient must be nonzero")
+                el[u] = x
+        out.append((gen["name"], CliffordMat(g, m, blocks)))
+    return out
 
 
 def yjm_matrix(generator: Callable, k: int, cache: dict):

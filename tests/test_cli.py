@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from superspin import cli, seminormal
+from superspin import cli, linalg, seminormal
 from superspin.shiftedcomb import StrictPartition, strict_partitions
 
 
@@ -19,6 +19,18 @@ def run(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr().out
     return rc, out
+
+
+def _builder(tensor):
+    return seminormal.build_rep_clifford_tensor if tensor else seminormal.build_rep_plain
+
+
+def _v1_text(parts, tensor=False):
+    """The superspin/1 file of the builder's model: its dense layout, as the
+    writer renders it, with the final newline."""
+    buf = io.StringIO()
+    linalg.dump(_builder(tensor)(StrictPartition(parts)).dense_document(), buf)
+    return buf.getvalue() + "\n"
 
 
 def test_strict_partitions(capsys):
@@ -87,6 +99,12 @@ def _dense_report(obj):
     return json.loads(json.dumps(seminormal.verify_relations(dense)))
 
 
+def _flip_first_coefficient(obj):
+    """Flip the sign of the first coefficient of the first superspin/2 block."""
+    term = obj["generators"][0]["blocks"][0][2][0][1]["terms"][0]
+    term["coeff"] = term["coeff"][1:] if term["coeff"].startswith("-") else "-" + term["coeff"]
+
+
 def test_build_verify_roundtrip(tmp_path, capsys):
     path = tmp_path / "rep.json"
     rc = cli.main(["build-rep", "2,1", "--out", str(path)])
@@ -96,26 +114,24 @@ def test_build_verify_roundtrip(tmp_path, capsys):
     report = json.loads(out)["report"]
     assert all(r["status"] == "pass" for r in report)
     obj = json.loads(path.read_text())
+    assert obj["schema"] == "superspin/2"
     assert seminormal.GradedRep.from_json(obj).factored
-    # mutate one sign and expect failure
-    entry = obj["generators"][0]["matrix"][0]
-    for i, cell in enumerate(entry):
-        if cell["terms"]:
-            cell["terms"][0]["coeff"] = "-" + cell["terms"][0]["coeff"].lstrip("-")
-            break
+    # flip one coefficient's sign and expect failure
+    _flip_first_coefficient(obj)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     rc, out = run(capsys, "verify", str(bad))
     assert rc == 1
-    # a file that differs from the builder's model is checked densely
-    assert not seminormal.GradedRep.from_json(obj).factored
+    # a file that differs from the builder's model is checked in factored form,
+    # with the dense verdicts
+    assert seminormal.GradedRep.from_json(obj).factored
     report = json.loads(out)["report"]
     assert any("first_defect" in r for r in report)
     assert report == _dense_report(obj)
 
 
 def test_verify_without_a_built_model(tmp_path, capsys, monkeypatch):
-    # a valid file whose shape the builder cannot make is checked densely
+    # a valid file whose shape the builder cannot make is loaded without a build
     path = tmp_path / "rep.json"
     assert cli.main(["build-rep", "3,1", "--out", str(path)]) == 0
 
@@ -127,7 +143,7 @@ def test_verify_without_a_built_model(tmp_path, capsys, monkeypatch):
     rc, out = run(capsys, "verify", str(path))
     assert rc == 0
     obj = json.loads(path.read_text())
-    assert not seminormal.GradedRep.from_json(obj).factored
+    assert seminormal.GradedRep.from_json(obj).factored
     assert json.loads(out)["report"] == _dense_report(obj)
 
 
@@ -260,7 +276,7 @@ def _zero_cell_as(name, value):
 def _bool_shape(obj):
     # the model of shape 1 written by build-rep 1, with the shape part true
     obj.clear()
-    obj.update(seminormal.build_rep_plain(StrictPartition((1,))).to_json())
+    obj.update(json.loads(_v1_text((1,))))
     obj["shape"] = [True]
 
 
@@ -300,8 +316,7 @@ def _bool_shape(obj):
 )
 def test_verify_malformed_model(tmp_path, capsys, corrupt):
     path = tmp_path / "rep.json"
-    assert cli.main(["build-rep", "2,1", "--out", str(path)]) == 0
-    obj = json.loads(path.read_text())
+    obj = json.loads(_v1_text((2, 1)))
     corrupt(obj)
     path.write_text(json.dumps(obj))
     assert cli.main(["verify", str(path)]) == 2
@@ -314,10 +329,7 @@ def test_verify_fuzzed_model(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    source = tmp_path / "rep.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["build-rep", "2,1", "--algebra", "tensor", "--out", str(source)]) == 0
-    base = source.read_text()
+    base = _v1_text((2, 1), tensor=True)
     keys = sorted(json.loads(base))
     junk = st.one_of(
         st.none(),
@@ -387,8 +399,213 @@ def test_verify_fuzzed_model(tmp_path):
         assert rc in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if rc != 2:
-            # a file that matches the builder's model is checked in factored
-            # form, any other densely: either way the dense report
+            # a superspin/1 file is checked densely
+            report = json.loads(out.getvalue())["report"]
+            assert report == _dense_report(json.loads(path.read_text()))
+
+    check()
+
+
+# superspin/2 corruptions of the plain (3,1) file: two tableaux, words below 2^4,
+# generators tau_1, tau_2, tau_3 with diagonal blocks first
+
+
+def _v2_block(obj, k=0):
+    return obj["generators"][0]["blocks"][k]
+
+
+def _v2_entry(obj):
+    return _v2_block(obj)[2][0]
+
+
+def _v2_set(name, edit):
+    def corrupt(obj):
+        edit(obj)
+    corrupt.__name__ = name
+    return corrupt
+
+
+def _v2_coefficient_term(name, key, value):
+    def edit(obj):
+        _v2_entry(obj)[1]["terms"][0][key] = value
+    return _v2_set(name, edit)
+
+
+def _v2_duplicate_generator(obj):
+    obj["generators"].insert(0, json.loads(json.dumps(obj["generators"][0])))
+    _flip_first_coefficient(obj)
+
+
+_V2_CORRUPTIONS = [
+    _v2_set("drop_generator", lambda obj: obj["generators"].pop()),
+    _v2_set("reordered_generators", lambda obj: obj["generators"].reverse()),
+    _v2_set("renamed_generator", lambda obj: obj["generators"][0].update(name="tau_9")),
+    _v2_duplicate_generator,
+    _v2_set("matrix_for_blocks", lambda obj: obj["generators"][0].update(
+        matrix=obj["generators"][0].pop("blocks"))),
+    _v2_set("blocks_not_a_list", lambda obj: obj["generators"][0].update(blocks=5)),
+    _v2_set("block_not_a_triple", lambda obj: _v2_block(obj).pop()),
+    _v2_set("block_as_a_dict", lambda obj: obj["generators"][0]["blocks"].__setitem__(
+        0, dict(zip("abc", _v2_block(obj))))),
+    _v2_set("row_out_of_range", lambda obj: _v2_block(obj).__setitem__(0, 2)),
+    _v2_set("negative_column", lambda obj: _v2_block(obj).__setitem__(1, -1)),
+    _v2_set("bool_row", lambda obj: _v2_block(obj).__setitem__(0, False)),
+    _v2_set("float_column", lambda obj: _v2_block(obj).__setitem__(1, 0.0)),
+    _v2_set("repeated_block", lambda obj: obj["generators"][0]["blocks"].append(
+        json.loads(json.dumps(_v2_block(obj))))),
+    _v2_set("empty_block", lambda obj: _v2_block(obj).__setitem__(2, [])),
+    _v2_set("entries_not_a_list", lambda obj: _v2_block(obj).__setitem__(2, {"2": 1})),
+    _v2_set("entry_not_a_pair", lambda obj: _v2_entry(obj).pop()),
+    _v2_set("word_too_large", lambda obj: _v2_entry(obj).__setitem__(0, 16)),
+    _v2_set("negative_word", lambda obj: _v2_entry(obj).__setitem__(0, -1)),
+    _v2_set("bool_word", lambda obj: _v2_entry(obj).__setitem__(0, True)),
+    _v2_set("string_word", lambda obj: _v2_entry(obj).__setitem__(0, "2")),
+    _v2_set("repeated_word", lambda obj: _v2_block(obj)[2].append(
+        json.loads(json.dumps(_v2_entry(obj))))),
+    _v2_set("zero_coefficient", lambda obj: _v2_entry(obj).__setitem__(1, {"terms": []})),
+    _v2_set("int_coefficient", lambda obj: _v2_entry(obj).__setitem__(1, 1)),
+    _v2_set("null_coefficient", lambda obj: _v2_entry(obj).__setitem__(1, None)),
+    _v2_coefficient_term("zero_denominator", "coeff", "1/0"),
+    _v2_coefficient_term("exponent_coeff", "coeff", "1e10000000"),
+    _v2_coefficient_term("huge_radicand", "radicand", (10**9 + 7) * (10**9 + 9)),
+    _v2_coefficient_term("bool_radicand", "radicand", True),
+    # an even word beside tau_1's odd ones
+    _v2_set("inhomogeneous_generator", lambda obj: _v2_block(obj)[2].append(
+        [0, {"terms": [{"coeff": "1/1", "radicand": 1}]}])),
+    _v2_set("tensor_algebra", lambda obj: obj.update(algebra="clifford_tensor_A_n")),
+    _v2_set("unknown_algebra", lambda obj: obj.update(algebra="B_n")),
+    _v2_set("other_schema", lambda obj: obj.update(schema="superspin/3")),
+    _v2_set("missing_schema", lambda obj: obj.pop("schema")),
+    _v2_set("float_dim", lambda obj: obj.update(dim=float(obj["dim"]))),
+    _v2_set("wrong_dim", lambda obj: obj.update(dim=obj["dim"] + 1)),
+    _v2_set("bool_block_dim", lambda obj: obj.update(block_dim=True)),
+    _v2_set("float_n", lambda obj: obj.update(n=4.0)),
+    _v2_set("bool_shape", lambda obj: obj.update(shape=[True])),
+    _v2_set("eight_cells", lambda obj: obj.update(shape=[7, 1])),
+    _v2_set("generators_not_a_list", lambda obj: obj.update(generators={"tau_1": []})),
+]
+
+
+@pytest.mark.parametrize("corrupt", _V2_CORRUPTIONS, ids=lambda c: c.__name__)
+def test_verify_malformed_v2_model(tmp_path, capsys, corrupt):
+    path = tmp_path / "rep.json"
+    assert cli.main(["build-rep", "3,1", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    corrupt(obj)
+    path.write_text(json.dumps(obj))
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot load representation: ") and "Traceback" not in err
+
+
+def test_verify_fuzzed_v2_model(tmp_path):
+    # the superspin/2 reader holds the exit-code contract on mutated files:
+    # 0, 1 or 2, never a traceback, and no hang
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    source = tmp_path / "rep.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["build-rep", "3,1", "--algebra", "tensor", "--out", str(source)]) == 0
+    base = source.read_text()
+    keys = sorted(json.loads(base))
+    junk = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(10**30), 10**30),
+        st.text(max_size=8),
+        st.lists(st.integers(-3, 9), max_size=4),
+    )
+    header = st.tuples(
+        st.sampled_from(["drop", "set"]),
+        st.sampled_from(keys),
+        st.one_of(junk, st.sampled_from(["A_n", "clifford_tensor_A_n", "superspin/1"]),
+                  st.integers(0, 8)),
+    )
+    values = st.one_of(
+        junk,
+        st.integers(-2, 300),
+        st.sampled_from(["1/0", "1e10000000", "-0/1", "3/2", " 1/2", 0, 1, 2, 10**18 + 7]),
+        st.builds(lambda: {"terms": []}),
+        st.builds(lambda: {"terms": [{"coeff": "-1/1", "radicand": 1}]}),
+    )
+    # (generator, block, entry, where, value): where picks the generator's name
+    # or blocks, a block to overwrite, drop or copy, its row, column or
+    # entries, an entry to overwrite or drop, or the word, the coefficient or
+    # one term's coefficient or radicand of an entry
+    edit = st.tuples(
+        st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6),
+        st.sampled_from(["name", "blocks", "block", "drop_block", "copy_block", "row", "col",
+                         "entries", "entry", "drop_entry", "word", "coefficient", "coeff",
+                         "radicand"]),
+        values,
+    )
+    slots = {"row": 0, "col": 1, "entries": 2}
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.lists(header, max_size=2), st.lists(edit, max_size=3))
+    def check(headers, edits):
+        obj = json.loads(base)
+        gens = obj["generators"]
+        for g, b, e, where, value in edits:
+            gen = gens[g % len(gens)]
+            if where in ("name", "blocks"):
+                gen[where] = value
+                continue
+            blocks = gen["blocks"]
+            if not isinstance(blocks, list) or not blocks:
+                continue
+            k = b % len(blocks)
+            if where in ("block", "drop_block", "copy_block"):
+                if where == "block":
+                    blocks[k] = value
+                elif where == "drop_block":
+                    del blocks[k]
+                else:
+                    blocks.append(json.loads(json.dumps(blocks[k])))
+                continue
+            block = blocks[k]
+            if not isinstance(block, list) or len(block) != 3:
+                continue
+            if where in slots:
+                block[slots[where]] = value
+                continue
+            entries = block[2]
+            if not isinstance(entries, list) or not entries:
+                continue
+            i = e % len(entries)
+            if where in ("entry", "drop_entry"):
+                if where == "entry":
+                    entries[i] = value
+                else:
+                    del entries[i]
+                continue
+            entry = entries[i]
+            if not isinstance(entry, list) or len(entry) != 2:
+                continue
+            if where in ("word", "coefficient"):
+                entry[0 if where == "word" else 1] = value
+                continue
+            coef = entry[1]
+            if isinstance(coef, dict) and isinstance(coef.get("terms"), list) and coef["terms"]:
+                if isinstance(coef["terms"][0], dict):
+                    coef["terms"][0][where] = value
+        for action, key, value in headers:
+            if action == "drop":
+                obj.pop(key, None)
+            else:
+                obj[key] = value
+        path = tmp_path / "fuzzed.json"
+        path.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["verify", str(path)])
+        assert time.perf_counter() - start < 10
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc != 2:
+            # checked in factored form, with the dense model's report
             report = json.loads(out.getvalue())["report"]
             assert report == _dense_report(json.loads(path.read_text()))
 
@@ -483,8 +700,8 @@ _ZERO_CELL = {"terms": []}
 
 def _parsed_verify(text):
     """(exit code, stdout) of verify by the parse path: from_json of the parsed
-    text, then verify_relations.  The parse shares one zero cell, which gives
-    equal data, so that the tensor files of n = 6 (up to 222 MB) fit in memory."""
+    text, then verify_relations.  The parse shares one zero cell of a
+    superspin/1 file, which gives equal data in less memory."""
     obj = json.loads(text, object_hook=lambda d: _ZERO_CELL if d == _ZERO_CELL else d)
     report = seminormal.verify_relations(seminormal.GradedRep.from_json(obj))
     out = json.dumps({"schema": cli.SCHEMA, "report": report}, sort_keys=True, indent=2)
@@ -495,25 +712,37 @@ def _raise(*args, **kwargs):
     raise AssertionError("a builder's file was parsed")
 
 
+# superspin/1 files are written up to this many dense cells, about 8 MB
+V1_CELLS = 200_000
+
+
 @pytest.mark.parametrize(
     "parts, tensor",
-    [(s.parts, tensor) for k in range(1, 7) for s in strict_partitions(k) for tensor in (False, True)]
-    + [((4, 2, 1), False), ((7,), False)],
+    [(s.parts, tensor) for k in range(1, 8) for s in strict_partitions(k) for tensor in (False, True)],
     ids=str,
 )
 def test_verify_of_a_builders_file_matches_the_parse(tmp_path, monkeypatch, parts, tensor):
     # the file is compared with the builder's bytes and never parsed, and it
-    # gives the verdict of the parse path
+    # gives the verdict of the parse path; so does the superspin/1 file of the
+    # model, written where it is small (tensor (4,2)'s is 222 MB)
     path = tmp_path / "model.json"
     flag = ["--algebra", "tensor"] if tensor else []
     assert cli.main(["build-rep", ",".join(map(str, parts)), *flag, "--out", str(path)]) == 0
-    monkeypatch.setattr(json, "load", _raise)
-    monkeypatch.setattr(json, "loads", _raise)
-    rc, out, err = _verify(path)
-    monkeypatch.undo()
-    assert (rc, err) == (0, "")
-    assert (rc, out) == _parsed_verify(path.read_text(encoding="utf-8"))
-    path.unlink()  # up to 222 MB
+    paths = [path]
+    rep = _builder(tensor)(StrictPartition(parts))
+    if rep.dim ** 2 * len(rep.generators) <= V1_CELLS:
+        paths.append(tmp_path / "v1.json")
+        paths[1].write_text(_v1_text(parts, tensor), encoding="utf-8")
+    results = []
+    for p in paths:
+        monkeypatch.setattr(json, "load", _raise)
+        monkeypatch.setattr(json, "loads", _raise)
+        rc, out, err = _verify(p)
+        monkeypatch.undo()
+        assert (rc, err) == (0, "")
+        assert (rc, out) == _parsed_verify(p.read_text(encoding="utf-8"))
+        results.append(out)
+    assert results == results[:1] * len(paths)
 
 
 def _near_misses(text):
@@ -541,7 +770,7 @@ def _near_misses(text):
 
 def test_verify_of_near_misses_takes_the_parse_path(tmp_path, monkeypatch):
     source = tmp_path / "model.json"
-    assert cli.main(["build-rep", "3,2", "--out", str(source)]) == 0
+    source.write_text(_v1_text((3, 2)), encoding="utf-8")
     text = source.read_text(encoding="utf-8")
     builders = _verify(source)
     loads, builds = json.loads, seminormal._cached_build
@@ -588,7 +817,7 @@ def test_verify_of_changed_bytes_takes_the_parse_path(tmp_path, monkeypatch):
     # bytes that differ from the builder's are judged by the parse of their
     # text, with its newline translation and its UTF-8 errors
     source = tmp_path / "model.json"
-    assert cli.main(["build-rep", "3,2", "--out", str(source)]) == 0
+    source.write_text(_v1_text((3, 2)), encoding="utf-8")
     data = source.read_bytes()
     builders = _verify(source)
     inside = data.index(b'"matrix": [') + 40  # in the first row of the first matrix
@@ -620,24 +849,29 @@ def test_verify_of_changed_bytes_takes_the_parse_path(tmp_path, monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_verify_of_a_builders_file_through_a_fifo(tmp_path):
-    # a pipe cannot seek: its text is read once and parsed
-    source, fifo = tmp_path / "model.json", tmp_path / "model.fifo"
-    assert cli.main(["build-rep", "3,2", "--out", str(source)]) == 0
+    # a pipe cannot seek: its text is read once and parsed, in either layout
+    v1, v2, fifo = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "model.fifo"
+    v1.write_text(_v1_text((3, 2)), encoding="utf-8")
+    assert cli.main(["build-rep", "3,2", "--out", str(v2)]) == 0
     os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, args=(source.read_bytes(),), daemon=True)
-    writer.start()
-    result = _verify(fifo)
-    writer.join(timeout=10)
-    assert result[0] == 0
-    assert result == _verify(source)
+    results = []
+    for source in (v1, v2):
+        writer = threading.Thread(target=fifo.write_bytes, args=(source.read_bytes(),), daemon=True)
+        writer.start()
+        results.append(_verify(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert results[-1][0] == 0
+        assert results[-1] == _verify(source)
+    assert results[0] == results[1]
 
 
 def test_verify_memory_of_a_builders_file(tmp_path, monkeypatch):
-    # the parse path peaked at 6x the size of the tensor (3,2) file (44.8 MB
-    # for 7.4 MB); the byte compare reads the file in the writer's chunks and
+    # the parse path peaked at 6x the size of the tensor (3,2) superspin/1 file
+    # (44.8 MB for 7.4 MB); the byte compare reads the file in the writer's chunks and
     # holds no copy of it (0.66 MB)
     path = tmp_path / "model.json"
-    assert cli.main(["build-rep", "3,2", "--algebra", "tensor", "--out", str(path)]) == 0
+    path.write_text(_v1_text((3, 2), tensor=True), encoding="utf-8")
     monkeypatch.setattr(seminormal, "_BUILD_CACHE", {})  # built anew, as in a fresh process
     tracemalloc.start()
     try:
@@ -715,10 +949,10 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
 
 
 def test_closed_stdout_exits_2():
-    # the reader takes a few bytes of the 290 KB model and closes the pipe
+    # the reader takes a few bytes of the 1.7 MB graph and closes the pipe
     src = Path(__file__).resolve().parent.parent / "src"
     with subprocess.Popen(
-        [sys.executable, "-m", "superspin.cli", "build-rep", "3,2,1"],
+        [sys.executable, "-m", "superspin.cli", "branching-graph", "30"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -756,18 +990,6 @@ def test_size_caps(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-
-
-def test_rank_7_tensor_build_refused(tmp_path, capsys):
-    # the dense file would be about 2 GB: refused before anything is built
-    path = tmp_path / "rep.json"
-    start = time.perf_counter()
-    assert cli.main(["build-rep", "4,2,1", "--algebra", "tensor", "--out", str(path)]) == 2
-    assert time.perf_counter() - start < 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: build-rep --algebra tensor is capped at |shape| <= 6\n"
-    assert not path.exists()
 
 
 def test_relation_error_exits_1(capsys, monkeypatch):

@@ -106,8 +106,9 @@ def test_spectrum_rejects_mutated_model(builder, parts):
 
 
 def _edited_tau1(parts, edit):
-    """The plain model of parts, read back from its file after edit(tau_1's rows)."""
-    obj = sn.build_rep_plain(StrictPartition(parts)).to_json()
+    """The plain model of parts, read back from its superspin/1 file after
+    edit(tau_1's rows)."""
+    obj = linalg.plain(sn.build_rep_plain(StrictPartition(parts)).dense_document())
     edit(obj["generators"][0]["matrix"])
     return sn.GradedRep.from_json(obj)
 
@@ -384,10 +385,13 @@ def test_graded_rep_json_roundtrip():
         for builder in (sn.build_rep_plain, sn.build_rep_clifford_tensor):
             rep = builder(shape)
             obj = rep.to_json()
-            assert obj["schema"] == "superspin/1"
+            assert obj["schema"] == "superspin/2"
             back = sn.GradedRep.from_json(obj)
             assert back.document() == rep.document(), (shape, builder)
             assert sn.spectrum_of(back) == sn.spectrum_of(rep)
+            dense = sn.GradedRep.from_json(linalg.plain(rep.dense_document()))
+            assert dense.dense_document() == rep.dense_document(), (shape, builder)
+            assert sn.spectrum_of(dense) == sn.spectrum_of(rep)
 
 
 def test_only_graded_rep_new_makes_a_model():
@@ -554,34 +558,22 @@ def test_factored_checks_match_dense(shape, tensor, variant):
     assert _spectrum_outcome(rep) == _spectrum_outcome(dense)
 
 
-def _file_data(rep):
-    """The JSON data of rep.to_json() with one shared zero cell, so that the
-    tensor files of n = 6 (up to 4.5 million cells) fit in memory."""
-    obj = linalg.plain({k: v for k, v in rep.document().items() if k != "generators"})
-    zero = scalar_json(0)
-    obj["generators"] = [
-        {"name": name, "matrix": [
-            [scalar_json(row[c]) if c in row else zero for c in range(g.ncols)]
-            for row in (g.rows.get(r, {}) for r in range(g.nrows))
-        ]}
-        for name, g in rep.generators
-    ]
-    return obj
-
-
 @pytest.mark.parametrize(
     "shape, tensor",
-    [(s, tensor) for s in shapes_up_to(6) for tensor in (False, True)]
-    + [(StrictPartition((4, 2, 1)), False), (StrictPartition((7,)), False)],
+    [(s, tensor) for s in shapes_up_to(7) for tensor in (False, True)],
     ids=str,
 )
 def test_loaded_files_take_the_factored_path(shape, tensor):
+    # a superspin/2 file loads to the builder's factored generators, which
+    # expand to its dense ones; its checks give the report of the dense model,
+    # which a superspin/1 file of the same generators loads to
     rep = (sn.build_rep_clifford_tensor if tensor else sn.build_rep_plain)(shape)
-    obj = _file_data(rep)
-    if rep.dim <= 64:
-        assert obj == rep.to_json()
-    loaded = sn.GradedRep.from_json(obj)
-    assert loaded is rep  # the builder's file is the builder's model
+    loaded = sn.GradedRep.from_json(json.loads(json.dumps(rep.to_json())))
+    assert loaded is not rep
+    assert [(name, f.g, f.m, f.blocks) for name, f in loaded.factored.items()] == [
+        (name, f.g, f.m, f.blocks) for name, f in rep.factored.items()
+    ]
+    assert [(name, f.expand()) for name, f in loaded.factored.items()] == rep.generators
     dense = _dense_copy(loaded)
     assert (bool(loaded.factored), bool(dense.factored)) == (shape.n > 1 or tensor, False)
     assert sn.verify_relations(loaded) == sn.verify_relations(dense)
@@ -606,9 +598,9 @@ def test_verify_of_a_builders_file_reuses_the_build_report(monkeypatch, tmp_path
     # a copy: changing what verify_relations returned changes no later report
     sn.verify_relations(built)[0]["status"] = "fail"
     assert sn.verify_relations(built) == report
-    # a sign-flipped file is a dense model and gets the dense report
+    # a sign-flipped superspin/1 file is a dense model and gets the dense report
     flipped = tmp_path / "flipped.json"
-    flipped.write_text(json.dumps(sn.mutated_rep(built).to_json()))
+    flipped.write_text(json.dumps(linalg.plain(sn.mutated_rep(built).dense_document())))
     calls.clear()
     assert cli.main(["verify", str(flipped)]) == 1
     assert len(calls) == 1 and not calls[0].factored
