@@ -71,6 +71,8 @@ COMMANDS = [
     ("gz 3", ["gz", "3"]),
     ("check-all --max-n 6", ["check-all", "--max-n", "6"]),
     ("branching-graph 6 --oracle", ["branching-graph", "6", "--oracle"]),
+    ("build-rep 4,2,1 --algebra tensor", ["build-rep", "4,2,1", "--algebra", "tensor", "--out", "{out}"]),
+    ("verify <build-rep 4,2,1 --algebra tensor>", ["verify", "{model:build-rep 4,2,1 --algebra tensor}"]),
 ]
 
 
