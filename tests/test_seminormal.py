@@ -92,6 +92,9 @@ def test_mutated_rep_fails():
     report = sn.verify_relations(rep)
     failures = [r for r in report if r["status"] == "fail"]
     assert failures and failures[0]["defect_norm"] > 0
+    # a model with dense generators alone has no superspin/2 document
+    with pytest.raises(ValueError, match="no superspin/2 layout"):
+        rep.document()
 
 
 @pytest.mark.parametrize(
