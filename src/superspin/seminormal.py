@@ -361,9 +361,9 @@ class GradedRep(GradedMatrixAlgebra):
                     obj = {"shape": decode(tail, tail.rindex(key) + len(key))[0],
                            "algebra": decode(head, len('{\n  "algebra": '))[0]}
                     rep = _cached_build(*cls.header(obj))
-                    for doc in (rep.document(), rep.dense_document()):
+                    for layout in (rep.document, rep.dense_document):
                         fh.seek(0)
-                        if matches(doc, fh, b"\n"):
+                        if matches(layout(), fh, b"\n"):
                             return rep
                 except (ValueError, RecursionError):  # a RelationError included
                     pass
