@@ -5,9 +5,10 @@ input or usage (an unwritable --out file or a closed stdout included).  Every
 emitted JSON document carries a "schema" field and identical invocations
 produce byte-identical output.  `build-rep` writes a model in its factored
 form, "superspin/2" (`GradedRep.document`); every other document is
-"superspin/1".  `verify` reads a model file of either schema
-(`GradedRep.read`).  Matrices are rendered straight from their sparse rows
-(`linalg.dump`), byte-identical to json.dumps of the dense `to_json()` form.
+"superspin/1".  `verify` reads a superspin/2 model file and refuses any other
+schema (`GradedRep.read`).  Matrices are rendered straight from their sparse
+rows (`linalg.dump`), byte-identical to json.dumps of the dense `to_json()`
+form.
 """
 
 from __future__ import annotations

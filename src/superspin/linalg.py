@@ -28,7 +28,6 @@ from .exactnum import (
 )
 
 Vec = dict  # index -> Scalar
-_ZERO_CELL = scalar_json(0)  # the writer's zero, {"terms": []}
 
 
 class CheckFailed(ValueError):
@@ -205,23 +204,6 @@ class Mat:
             for row in (self.rows.get(r, empty) for r in range(self.nrows))
         ]
 
-    @classmethod
-    def from_json(cls, dense: list) -> Mat:
-        """Read the layout of `to_json`; the writer's zero cell is skipped unread."""
-        nrows = len(dense)
-        ncols = len(dense[0]) if dense else 0
-        if any(len(rowvals) != ncols for rowvals in dense):
-            raise ValueError("matrix rows differ in length")
-        rows: dict[int, Vec] = {}
-        for r, rowvals in enumerate(dense):
-            for c, obj in enumerate(rowvals):
-                if obj == _ZERO_CELL:
-                    continue
-                v = SqrtNumber.from_json(obj)
-                if v:
-                    rows.setdefault(r, {})[c] = v
-        return cls(nrows, ncols, rows)
-
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
@@ -247,17 +229,6 @@ def plain(doc):
 def dump(doc, fh) -> None:
     """Write json.dumps(plain(doc), sort_keys=True, indent=2) to fh, byte for byte."""
     fh.writelines(_chunks(doc))
-
-
-def matches(doc, fh, end: bytes = b"") -> bool:
-    """Whether dump(doc) followed by `end` writes exactly the rest of the binary
-    stream fh: each chunk, encoded as UTF-8, is compared with as many bytes read
-    from fh, and the compare stops at the first chunk that differs."""
-    for chunk in _chunks(doc):
-        data = chunk.encode()
-        if fh.read(len(data)) != data:
-            return False
-    return fh.read(len(end) + 1) == end
 
 
 def _chunks(doc) -> Iterator[str]:

@@ -17,10 +17,8 @@ and is checked in that form, at about 1/w of the dense cost for blocks of size
 w; its dense generators are expanded once.  It is classified on the module of
 rational generators read off that form, labelled with the tableaux's a-vectors,
 which give each summand's shape.  A model is written in that form
-(superspin/2).  A file with the builder's bytes is read as the builder's model,
-unparsed, in that layout or the dense superspin/1 one; any other superspin/2
-file is loaded in factored form, while a superspin/1 file, and a mutated model,
-carry only dense generators.  The oracle reads every block off one joint
+(superspin/2), and a file is parsed and loaded in it; only a mutated model
+carries dense generators alone.  The oracle reads every block off one joint
 spectrum, that of the squared YJM elements on the algebra they generate; it
 multiplies elements of the algebra and builds no matrix but the central
 idempotent of each block.
@@ -28,7 +26,6 @@ idempotent of each block.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,7 +44,7 @@ from .gradedstruct import (
     split_into_irreducibles,
 )
 from .linalg import CheckFailed, Mat, Subspace, Vec, eigensplit, plain
-from .linalg import lagrange_projector, matches, vec_add_scaled
+from .linalg import lagrange_projector, vec_add_scaled
 from .shiftedcomb import (
     BranchingGraph,
     ShiftedTableau,
@@ -305,34 +302,24 @@ class GradedRep(GradedMatrixAlgebra):
             "build_report": self.build_report,
         }
 
-    def dense_document(self) -> dict:
-        """The superspin/1 layout, which `read` compares a file of that schema
-        against: the generators as Mat leaves (see linalg.dump), and the basis,
-        each tableau with each Clifford basis word."""
-        return {
-            "schema": "superspin/1",
-            "algebra": self.algebra,
-            "n": self.n,
-            "shape": list(self.shape.parts),
-            "dim": self.dim,
-            "block_dim": self.block_dim,
-            "parity": list(self.parity),
-            "generators": [{"name": name, "matrix": g} for name, g in self.generators],
-            "basis": [
-                {"tableau": [list(r) for r in tab.rows],
-                 "clifford_word": [s + 1 for s in range(32) if (j >> s) & 1]}
-                for tab in self.tableaux for j in range(self.block_dim)
-            ],
-            "build_report": self.build_report,
-        }
-
     def to_json(self) -> dict:
         return plain(self.document())
 
-    @staticmethod
-    def header(obj: dict) -> tuple[StrictPartition, bool]:
-        """(shape, tensor) that a model file names: a strict partition of 1 to 7,
-        given as integers, and a known algebra."""
+    @classmethod
+    def read(cls, path) -> GradedRep:
+        """The model of a file: from_json of its parsed UTF-8 text."""
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_json(json.load(fh))
+
+    @classmethod
+    def from_json(cls, obj: dict) -> GradedRep:
+        """The model of a superspin/2 document, made by `new` from its checked
+        blocks (`_factored_from_json`), so that it is checked in factored form.
+        The schema comes first, then the shape, a strict partition of 1 to 7
+        given as integers, and a known algebra; n, dim and block_dim must be
+        those these give, value and JSON type alike, before any block is read."""
+        if not isinstance(obj, dict) or obj.get("schema") != MODEL_SCHEMA:
+            raise ValueError(f"schema must be {MODEL_SCHEMA!r}")
         parts = obj["shape"]
         if not isinstance(parts, list) or any(type(p) is not int for p in parts):
             raise ValueError("shape must be a list of integers")
@@ -341,56 +328,15 @@ class GradedRep(GradedMatrixAlgebra):
             raise ValueError(f"unknown algebra {obj['algebra']!r}")
         if not 1 <= shape.n <= 7:
             raise ValueError(f"shape {shape} must have 1 to 7 cells")
-        return shape, obj["algebra"] == "clifford_tensor_A_n"
-
-    @classmethod
-    def read(cls, path) -> GradedRep:
-        """The model of a file: the builder's model, unparsed, if the file is byte
-        for byte the CLI's file of the model it names, in either layout, else
-        from_json of its parsed UTF-8 text.  The algebra and the shape, the
-        writer's first and last keys, are read from a short head and tail and
-        checked before any build; the file is then compared as it is read, so no
-        copy is held.  A stream that cannot seek, such as a pipe, is parsed."""
-        decode, key = json.JSONDecoder().raw_decode, '\n  "shape": '
-        with open(path, "rb") as fh:
-            if fh.seekable():
-                try:
-                    head = fh.read(64).decode()
-                    fh.seek(max(0, fh.seek(0, 2) - 256))
-                    tail = fh.read().decode()
-                    obj = {"shape": decode(tail, tail.rindex(key) + len(key))[0],
-                           "algebra": decode(head, len('{\n  "algebra": '))[0]}
-                    rep = _cached_build(*cls.header(obj))
-                    for layout in (rep.document, rep.dense_document):
-                        fh.seek(0)
-                        if matches(layout(), fh, b"\n"):
-                            return rep
-                except (ValueError, RecursionError):  # a RelationError included
-                    pass
-                fh.seek(0)
-            text = io.TextIOWrapper(fh, encoding="utf-8").read()  # open(path)'s text mode
-        return cls.from_json(json.loads(text))
-
-    @classmethod
-    def from_json(cls, obj: dict) -> GradedRep:
-        """The model of a file, made by `new`: from the checked blocks of a
-        superspin/2 file (`_factored_from_json`), so that it is checked in
-        factored form, else from the dense matrices of superspin/1.  The file's
-        schema, n, dim and block_dim, and in superspin/1 its parity and basis,
-        must match the builder's document of the model, value and JSON type
-        alike."""
-        shape, tensor = cls.header(obj)
-        factored = obj.get("schema") == MODEL_SCHEMA
-        if factored:
-            generators = _factored_from_json(obj["generators"], shape, tensor)
-        else:
-            generators = [(g["name"], Mat.from_json(g["matrix"])) for g in obj["generators"]]
-        rep = cls.new(shape, tensor, generators, obj.get("build_report", {}))
-        doc = rep.document() if factored else rep.dense_document()
-        for key in ("schema", "n", "dim", "block_dim") + (() if factored else ("parity", "basis")):
-            if json.dumps(obj.get(key), sort_keys=True) != json.dumps(doc[key], sort_keys=True):
+        tensor = obj["algebra"] == "clifford_tensor_A_n"
+        block_dim = clifford_module(2 * shape.n if tensor else shape.n)[0]
+        derived = {"n": shape.n, "dim": len(standard_tableaux(shape)) * block_dim,
+                   "block_dim": block_dim}
+        for key, value in derived.items():
+            if type(obj.get(key)) is not int or obj[key] != value:
                 raise ValueError(f"{key} does not match the builder's model of {shape}")
-        return rep
+        generators = _factored_from_json(obj["generators"], shape, tensor)
+        return cls.new(shape, tensor, generators, obj.get("build_report", {}))
 
 
 def _factored_from_json(

@@ -6,12 +6,11 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from superspin import cli, linalg, seminormal
+from superspin import cli, seminormal
 from superspin.shiftedcomb import StrictPartition, strict_partitions
 
 
@@ -21,16 +20,28 @@ def run(capsys, *argv):
     return rc, out
 
 
+SCHEMA_REFUSED = "schema must be 'superspin/2'"
+
+
 def _builder(tensor):
     return seminormal.build_rep_clifford_tensor if tensor else seminormal.build_rep_plain
 
 
-def _v1_text(parts, tensor=False):
-    """The superspin/1 file of the builder's model: its dense layout, as the
-    writer renders it, with the final newline."""
-    buf = io.StringIO()
-    linalg.dump(_builder(tensor)(StrictPartition(parts)).dense_document(), buf)
-    return buf.getvalue() + "\n"
+def _v1_document(parts):
+    """The plain model of parts in the dense superspin/1 layout, which verify
+    refuses: each generator's full matrix, the parity and the basis."""
+    rep = seminormal.build_rep_plain(StrictPartition(parts))
+    return {
+        "schema": "superspin/1", "algebra": rep.algebra, "n": rep.n, "shape": list(parts),
+        "dim": rep.dim, "block_dim": rep.block_dim, "parity": list(rep.parity),
+        "generators": [{"name": name, "matrix": g.to_json()} for name, g in rep.generators],
+        "basis": [
+            {"tableau": [list(r) for r in t.rows],
+             "clifford_word": [s + 1 for s in range(j.bit_length()) if j >> s & 1]}
+            for t in rep.tableaux for j in range(rep.block_dim)
+        ],
+        "build_report": rep.build_report,
+    }
 
 
 def test_strict_partitions(capsys):
@@ -131,20 +142,30 @@ def test_build_verify_roundtrip(tmp_path, capsys):
 
 
 def test_verify_without_a_built_model(tmp_path, capsys, monkeypatch):
-    # a valid file whose shape the builder cannot make is loaded without a build
+    # a builder's file is parsed and its relations checked once, in factored
+    # form, with no build; the report is the build's and the dense model's
     path = tmp_path / "rep.json"
-    assert cli.main(["build-rep", "3,1", "--out", str(path)]) == 0
+    assert cli.main(["build-rep", "3,2", "--out", str(path)]) == 0
+    built = seminormal.build_rep_plain(StrictPartition((3, 2)))
+    relation_checks, builds, checked = seminormal._relation_checks, [], []
 
     def no_variant(shape, tensor):
+        builds.append(shape)
         raise seminormal.RelationError(f"no case-(iii) variant for shape {shape}")
 
     monkeypatch.setattr(seminormal, "_build", no_variant)
     monkeypatch.setattr(seminormal, "_BUILD_CACHE", {})
+    monkeypatch.setattr(seminormal, "_relation_checks",
+                        lambda rep, *a: checked.append(rep) or relation_checks(rep, *a))
     rc, out = run(capsys, "verify", str(path))
-    assert rc == 0
-    obj = json.loads(path.read_text())
-    assert seminormal.GradedRep.from_json(obj).factored
-    assert json.loads(out)["report"] == _dense_report(obj)
+    assert (rc, builds, len(checked)) == (0, [], 1) and checked[0].factored
+    monkeypatch.undo()
+    report = json.loads(out)["report"]
+    assert report == seminormal.verify_relations(built)
+    assert report == _dense_report(json.loads(path.read_text()))
+    # a copy: changing what verify_relations returned changes no later report
+    seminormal.verify_relations(built)[0]["status"] = "fail"
+    assert seminormal.verify_relations(built) == report
 
 
 def _drop_generator(obj):
@@ -276,8 +297,7 @@ def _zero_cell_as(name, value):
 def _bool_shape(obj):
     # the model of shape 1 written by build-rep 1, with the shape part true
     obj.clear()
-    obj.update(json.loads(_v1_text((1,))))
-    obj["shape"] = [True]
+    obj.update(_V1_SHAPE_1, shape=[True])
 
 
 @pytest.mark.parametrize(
@@ -315,95 +335,14 @@ def _bool_shape(obj):
     ],
 )
 def test_verify_malformed_model(tmp_path, capsys, corrupt):
+    # a superspin/1 file, whatever else is wrong with it, is refused at its
+    # schema before any other key is read
     path = tmp_path / "rep.json"
-    obj = json.loads(_v1_text((2, 1)))
+    obj = _v1_document((2, 1))
     corrupt(obj)
     path.write_text(json.dumps(obj))
     assert cli.main(["verify", str(path)]) == 2
-    assert "cannot load representation" in capsys.readouterr().err
-
-
-def test_verify_fuzzed_model(tmp_path):
-    # the loader path holds the exit-code contract on mutated model files:
-    # 0, 1 or 2, never a traceback, and no hang
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    base = _v1_text((2, 1), tensor=True)
-    keys = sorted(json.loads(base))
-    junk = st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(-(10**30), 10**30),
-        st.text(max_size=8),
-        st.lists(st.integers(-3, 9), max_size=4),
-    )
-    header = st.tuples(
-        st.sampled_from(["drop", "set"]),
-        st.sampled_from(keys),
-        st.one_of(junk, st.sampled_from(["A_n", "clifford_tensor_A_n"]), st.integers(0, 8)),
-    )
-    coeffs = st.one_of(junk, st.sampled_from(["1/0", "1e10000000", "-0/1", "3/2", " 1/2"]))
-    radicands = st.one_of(junk, st.sampled_from([0, 1, 2, 10**6, 10**6 + 1, 10**18 + 7]))
-    # (generator, cell, where, value): where picks the generator's name, its
-    # matrix, a row to overwrite or drop, an entry, or one term of an entry
-    edit = st.tuples(
-        st.integers(0, 10**6), st.integers(0, 10**6),
-        st.sampled_from(["coeff", "radicand", "name", "matrix", "row", "drop_row", "entry"]),
-        st.one_of(coeffs, radicands, st.builds(lambda: {"terms": []})),
-    )
-
-    @hypothesis.settings(max_examples=150, deadline=None)
-    @hypothesis.given(st.lists(header, max_size=2), st.lists(edit, max_size=3))
-    def check(headers, edits):
-        obj = json.loads(base)
-        gens = obj["generators"]
-        for g, cell, where, value in edits:
-            gen = gens[g % len(gens)]
-            if where in ("name", "matrix"):
-                gen[where] = value
-                continue
-            matrix = gen["matrix"]
-            if not isinstance(matrix, list) or not matrix:
-                continue
-            r = cell % len(matrix)
-            if where == "drop_row":
-                del matrix[r]
-                continue
-            if where == "row":
-                matrix[r] = value
-                continue
-            row = matrix[r]
-            if not isinstance(row, list) or not row:
-                continue
-            c = cell // len(matrix) % len(row)
-            if where == "entry" or not isinstance(row[c], dict):
-                row[c] = value
-                continue
-            terms = row[c]["terms"]
-            if not terms:
-                terms.append({"radicand": 1, "coeff": "1/1"})
-            terms[0][where] = value
-        for action, key, value in headers:
-            if action == "drop":
-                obj.pop(key, None)
-            else:
-                obj[key] = value
-        path = tmp_path / "fuzzed.json"
-        path.write_text(json.dumps(obj))
-        out, err = io.StringIO(), io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(["verify", str(path)])
-        assert time.perf_counter() - start < 10
-        assert rc in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if rc != 2:
-            # a superspin/1 file is checked densely
-            report = json.loads(out.getvalue())["report"]
-            assert report == _dense_report(json.loads(path.read_text()))
-
-    check()
+    assert capsys.readouterr().err == f"cannot load representation: {SCHEMA_REFUSED}\n"
 
 
 # superspin/2 corruptions of the plain (3,1) file: two tableaux, words below 2^4,
@@ -434,6 +373,26 @@ def _v2_coefficient_term(name, key, value):
 def _v2_duplicate_generator(obj):
     obj["generators"].insert(0, json.loads(json.dumps(obj["generators"][0])))
     _flip_first_coefficient(obj)
+
+
+def _v2_extra_generator(obj):
+    # tau_4, one past the last generator of (3,1)
+    extra = json.loads(json.dumps(obj["generators"][0]))
+    extra["name"] = "tau_4"
+    obj["generators"].append(extra)
+
+
+# the superspin/1 file that build-rep 1 wrote: with its schema ignored, it
+# would load as the model of shape 1
+_V1_SHAPE_1 = {
+    "algebra": "A_n",
+    "basis": [{"clifford_word": [], "tableau": [[1]]}, {"clifford_word": [1], "tableau": [[1]]}],
+    "block_dim": 2,
+    "build_report": {"case_iii_variant": "corrected", "relations_checked": 0,
+                     "variant_distinguishable": False,
+                     "variant_outcomes": {"corrected": "pass", "printed": "pass"}},
+    "dim": 2, "generators": [], "n": 1, "parity": [0, 1], "schema": "superspin/1", "shape": [1],
+}
 
 
 _V2_CORRUPTIONS = [
@@ -483,6 +442,12 @@ _V2_CORRUPTIONS = [
     _v2_set("bool_shape", lambda obj: obj.update(shape=[True])),
     _v2_set("eight_cells", lambda obj: obj.update(shape=[7, 1])),
     _v2_set("generators_not_a_list", lambda obj: obj.update(generators={"tau_1": []})),
+    # the generators of n = 3 under the shape of n = 4
+    _v2_set("n_disagrees_with_shape", lambda obj: obj.update(
+        n=3, generators=obj["generators"][:2])),
+    _v2_set("empty_shape", lambda obj: obj.update(shape=[], n=0, generators=[])),
+    _v2_extra_generator,
+    _v2_set("superspin_1_document", lambda obj: obj.clear() or obj.update(_V1_SHAPE_1)),
 ]
 
 
@@ -496,6 +461,27 @@ def test_verify_malformed_v2_model(tmp_path, capsys, corrupt):
     assert cli.main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cannot load representation: ") and "Traceback" not in err
+    if corrupt.__name__ in ("other_schema", "missing_schema", "superspin_1_document"):
+        assert err == f"cannot load representation: {SCHEMA_REFUSED}\n"
+
+
+def test_verify_checks_the_header_before_making_the_model(tmp_path, capsys, monkeypatch):
+    # a wrong dim is refused before any block is read or any model made
+    path = tmp_path / "rep.json"
+    assert cli.main(["build-rep", "3,1", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["dim"] += 1
+    path.write_text(json.dumps(obj))
+
+    def refuse(*args):
+        raise AssertionError("a model was made from a file with a wrong header")
+
+    monkeypatch.setattr(seminormal, "_factored_from_json", refuse)
+    monkeypatch.setattr(seminormal.GradedRep, "new", refuse)
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot load representation: dim does not match the builder's model of "
+        f"{StrictPartition((3, 1))}\n")
 
 
 def test_verify_fuzzed_v2_model(tmp_path):
@@ -695,25 +681,17 @@ def _verify(path):
     return rc, out.getvalue(), err.getvalue()
 
 
-_ZERO_CELL = {"terms": []}
-
-
 def _parsed_verify(text):
     """(exit code, stdout) of verify by the parse path: from_json of the parsed
-    text, then verify_relations.  The parse shares one zero cell of a
-    superspin/1 file, which gives equal data in less memory."""
-    obj = json.loads(text, object_hook=lambda d: _ZERO_CELL if d == _ZERO_CELL else d)
-    report = seminormal.verify_relations(seminormal.GradedRep.from_json(obj))
+    text, then verify_relations."""
+    report = seminormal.verify_relations(seminormal.GradedRep.from_json(json.loads(text)))
     out = json.dumps({"schema": cli.SCHEMA, "report": report}, sort_keys=True, indent=2)
     return (0 if all(r["status"] == "pass" for r in report) else 1), out + "\n"
 
 
-def _raise(*args, **kwargs):
-    raise AssertionError("a builder's file was parsed")
-
-
-# superspin/1 files are written up to this many dense cells, about 8 MB
-V1_CELLS = 200_000
+def _build_file(path, parts, tensor=False):
+    flag = ["--algebra", "tensor"] if tensor else []
+    assert cli.main(["build-rep", ",".join(map(str, parts)), *flag, "--out", str(path)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -721,28 +699,16 @@ V1_CELLS = 200_000
     [(s.parts, tensor) for k in range(1, 8) for s in strict_partitions(k) for tensor in (False, True)],
     ids=str,
 )
-def test_verify_of_a_builders_file_matches_the_parse(tmp_path, monkeypatch, parts, tensor):
-    # the file is compared with the builder's bytes and never parsed, and it
-    # gives the verdict of the parse path; so does the superspin/1 file of the
-    # model, written where it is small (tensor (4,2)'s is 222 MB)
+def test_verify_of_a_builders_file_matches_the_parse(tmp_path, parts, tensor):
+    # the file is parsed and its model checked in factored form, with the
+    # report of the build
     path = tmp_path / "model.json"
-    flag = ["--algebra", "tensor"] if tensor else []
-    assert cli.main(["build-rep", ",".join(map(str, parts)), *flag, "--out", str(path)]) == 0
-    paths = [path]
-    rep = _builder(tensor)(StrictPartition(parts))
-    if rep.dim ** 2 * len(rep.generators) <= V1_CELLS:
-        paths.append(tmp_path / "v1.json")
-        paths[1].write_text(_v1_text(parts, tensor), encoding="utf-8")
-    results = []
-    for p in paths:
-        monkeypatch.setattr(json, "load", _raise)
-        monkeypatch.setattr(json, "loads", _raise)
-        rc, out, err = _verify(p)
-        monkeypatch.undo()
-        assert (rc, err) == (0, "")
-        assert (rc, out) == _parsed_verify(p.read_text(encoding="utf-8"))
-        results.append(out)
-    assert results == results[:1] * len(paths)
+    _build_file(path, parts, tensor)
+    rc, out, err = _verify(path)
+    assert (rc, err) == (0, "")
+    assert (rc, out) == _parsed_verify(path.read_text(encoding="utf-8"))
+    built = _builder(tensor)(StrictPartition(parts))
+    assert json.loads(out)["report"] == seminormal.verify_relations(built)
 
 
 def _near_misses(text):
@@ -753,9 +719,7 @@ def _near_misses(text):
         return text[:at] + json.dumps(value, indent=2).replace("\n", "\n  ") + "\n}\n"
 
     obj = json.loads(text)
-    row = obj["generators"][0]["matrix"][0]
-    term = next(cell for cell in row if cell["terms"])["terms"][0]
-    term["coeff"] = term["coeff"][1:] if term["coeff"].startswith("-") else "-" + term["coeff"]
+    _flip_first_coefficient(obj)
     return {
         "indent=1": json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n",
         "no final newline": text[:-1],
@@ -768,25 +732,16 @@ def _near_misses(text):
     }
 
 
-def test_verify_of_near_misses_takes_the_parse_path(tmp_path, monkeypatch):
+def test_verify_of_near_misses_takes_the_parse_path(tmp_path):
     source = tmp_path / "model.json"
-    source.write_text(_v1_text((3, 2)), encoding="utf-8")
+    _build_file(source, (3, 2))
     text = source.read_text(encoding="utf-8")
     builders = _verify(source)
-    loads, builds = json.loads, seminormal._cached_build
-    parses, built = [], []
-    monkeypatch.setattr(json, "loads", lambda *a, **k: parses.append(1) or loads(*a, **k))
-    monkeypatch.setattr(seminormal, "_cached_build", lambda *a: built.append(a) or builds(*a))
     results = {}
     for label, variant in _near_misses(text).items():
         path = tmp_path / "variant.json"
         path.write_text(variant, encoding="utf-8")
-        parses.clear()
-        built.clear()
         results[label] = _verify(path)
-        assert parses, label
-        if label not in ("indent=1", "no final newline", "sign flip"):
-            assert not built, label  # the header fails before any build
     assert results["indent=1"] == results["no final newline"] == builders
     rc, out, err = results["sign flip"]
     assert (rc, err) == (1, "")
@@ -813,74 +768,49 @@ def _parse_path(path):
     return rc, out, ""
 
 
-def test_verify_of_changed_bytes_takes_the_parse_path(tmp_path, monkeypatch):
-    # bytes that differ from the builder's are judged by the parse of their
-    # text, with its newline translation and its UTF-8 errors
+def test_verify_of_changed_bytes_takes_the_parse_path(tmp_path):
+    # changed bytes are judged by the parse of their text, with its newline
+    # translation and its UTF-8 errors
     source = tmp_path / "model.json"
-    source.write_text(_v1_text((3, 2)), encoding="utf-8")
+    _build_file(source, (3, 2))
     data = source.read_bytes()
     builders = _verify(source)
-    inside = data.index(b'"matrix": [') + 40  # in the first row of the first matrix
+    inside = data.index(b'"blocks": [') + 40  # in the first block of the first generator
     variants = {
         "CRLF": data.replace(b"\n", b"\r\n"),
         "bytes after the final newline": data + b"\n",
         "invalid UTF-8": data[:inside] + b"\xff" + data[inside + 1 :],
-        "cut mid-matrix": data[:inside],
+        "cut mid-blocks": data[:inside],
         "empty": b"",
     }
-    loads, parses = json.loads, []
-    monkeypatch.setattr(json, "loads", lambda *a, **k: parses.append(1) or loads(*a, **k))
     results = {}
     for label, variant in variants.items():
         path = tmp_path / "variant.json"
         path.write_bytes(variant)
-        parses.clear()
         results[label] = _verify(path)
-        assert parses or label == "invalid UTF-8", label
         assert results[label] == _parse_path(path), label
     assert results["CRLF"] == results["bytes after the final newline"] == builders
     assert results["invalid UTF-8"] == (
         2, "", f"cannot load representation: 'utf-8' codec can't decode byte 0xff "
                f"in position {inside}: invalid start byte\n")
-    assert results["cut mid-matrix"][:2] == (2, "")
+    assert results["cut mid-blocks"][:2] == (2, "")
     assert results["empty"] == (
         2, "", "cannot load representation: Expecting value: line 1 column 1 (char 0)\n")
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_verify_of_a_builders_file_through_a_fifo(tmp_path):
-    # a pipe cannot seek: its text is read once and parsed, in either layout
-    v1, v2, fifo = tmp_path / "v1.json", tmp_path / "v2.json", tmp_path / "model.fifo"
-    v1.write_text(_v1_text((3, 2)), encoding="utf-8")
-    assert cli.main(["build-rep", "3,2", "--out", str(v2)]) == 0
+    # a pipe cannot seek: its text is read once and parsed, like a file's
+    source, fifo = tmp_path / "model.json", tmp_path / "model.fifo"
+    _build_file(source, (3, 2))
     os.mkfifo(fifo)
-    results = []
-    for source in (v1, v2):
-        writer = threading.Thread(target=fifo.write_bytes, args=(source.read_bytes(),), daemon=True)
-        writer.start()
-        results.append(_verify(fifo))
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert results[-1][0] == 0
-        assert results[-1] == _verify(source)
-    assert results[0] == results[1]
-
-
-def test_verify_memory_of_a_builders_file(tmp_path, monkeypatch):
-    # the parse path peaked at 6x the size of the tensor (3,2) superspin/1 file
-    # (44.8 MB for 7.4 MB); the byte compare reads the file in the writer's chunks and
-    # holds no copy of it (0.66 MB)
-    path = tmp_path / "model.json"
-    path.write_text(_v1_text((3, 2), tensor=True), encoding="utf-8")
-    monkeypatch.setattr(seminormal, "_BUILD_CACHE", {})  # built anew, as in a fresh process
-    tracemalloc.start()
-    try:
-        rc = _verify(path)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 0
-    assert peak < path.stat().st_size / 4
+    writer = threading.Thread(target=fifo.write_bytes, args=(source.read_bytes(),), daemon=True)
+    writer.start()
+    result = _verify(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert result[0] == 0
+    assert result == _verify(source)
 
 
 def test_supercenter(capsys):

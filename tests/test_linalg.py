@@ -716,13 +716,6 @@ def test_centralizer_examples():
     assert anti == [units[1], units[2]]
 
 
-def test_from_json_stores_no_zero_cells():
-    zero, half = {"terms": []}, {"terms": [{"radicand": 2, "coeff": "1/2"}]}
-    m = Mat.from_json([[zero, half, zero], [zero, zero, zero]])
-    assert (m.nrows, m.ncols, m.rows) == (2, 3, {0: {1: sqrt_rational(Fraction(1, 2))}})
-    assert m.to_json() == [[zero, half, zero], [zero, zero, zero]]
-
-
 def test_only_linalg_names_echelon():
     # outside linalg a span is a Subspace or a closure, never a raw Echelon,
     # a minimal-polynomial split is linalg.coprime_split, and a solve in a

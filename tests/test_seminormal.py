@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from superspin import cli, gradedstruct, linalg
+from superspin import gradedstruct, linalg
 from superspin import seminormal as sn
 from superspin import shiftedcomb as sc
 from superspin import spinalg
@@ -109,11 +109,13 @@ def test_spectrum_rejects_mutated_model(builder, parts):
 
 
 def _edited_tau1(parts, edit):
-    """The plain model of parts, read back from its superspin/1 file after
-    edit(tau_1's rows)."""
-    obj = linalg.plain(sn.build_rep_plain(StrictPartition(parts)).dense_document())
-    edit(obj["generators"][0]["matrix"])
-    return sn.GradedRep.from_json(obj)
+    """The plain model of parts with dense generators alone, after edit(a copy
+    of tau_1's rows)."""
+    rep = sn.build_rep_plain(StrictPartition(parts))
+    (name, tau1), *rest = rep.generators
+    rows = {r: dict(row) for r, row in tau1.rows.items()}
+    edit(rows)
+    return sn.GradedRep.new(rep.shape, False, [(name, Mat(rep.dim, rep.dim, rows)), *rest])
 
 
 def test_spectrum_rejects_off_block_pi():
@@ -124,7 +126,7 @@ def test_spectrum_rejects_off_block_pi():
     c = next(c for c in range(w, 2 * w) if rep.parity[c] != rep.parity[r])
 
     def join(rows):
-        rows[r][c] = {"terms": [{"radicand": 1, "coeff": "1/1"}]}
+        rows.setdefault(r, {})[c] = 1
 
     with pytest.raises(sn.RelationError, match="^pi_2 not block-diagonal$"):
         sn.spectrum_of(_edited_tau1((3, 1), join))
@@ -133,11 +135,9 @@ def test_spectrum_rejects_off_block_pi():
 def test_spectrum_rejects_a_fractional_eigenvalue():
     # tau_1 / 2 = pi_2 / 2 squares to I / 4 on every block
     def halve(rows):
-        for row in rows:
-            for cell in row:
-                for term in cell["terms"]:
-                    x = Fraction(term["coeff"]) / 2
-                    term["coeff"] = f"{x.numerator}/{x.denominator}"
+        for row in rows.values():
+            for c, x in row.items():
+                row[c] = x * Fraction(1, 2)
 
     with pytest.raises(sn.RelationError, match="^pi_2\\^2 eigenvalue not an integer$"):
         sn.spectrum_of(_edited_tau1((3, 1), halve))
@@ -392,9 +392,6 @@ def test_graded_rep_json_roundtrip():
             back = sn.GradedRep.from_json(obj)
             assert back.document() == rep.document(), (shape, builder)
             assert sn.spectrum_of(back) == sn.spectrum_of(rep)
-            dense = sn.GradedRep.from_json(linalg.plain(rep.dense_document()))
-            assert dense.dense_document() == rep.dense_document(), (shape, builder)
-            assert sn.spectrum_of(dense) == sn.spectrum_of(rep)
 
 
 def test_only_graded_rep_new_makes_a_model():
@@ -569,7 +566,7 @@ def test_factored_checks_match_dense(shape, tensor, variant):
 def test_loaded_files_take_the_factored_path(shape, tensor):
     # a superspin/2 file loads to the builder's factored generators, which
     # expand to its dense ones; its checks give the report of the dense model,
-    # which a superspin/1 file of the same generators loads to
+    # the slow-path reference
     rep = (sn.build_rep_clifford_tensor if tensor else sn.build_rep_plain)(shape)
     loaded = sn.GradedRep.from_json(json.loads(json.dumps(rep.to_json())))
     assert loaded is not rep
@@ -583,35 +580,6 @@ def test_loaded_files_take_the_factored_path(shape, tensor):
     assert _spectrum_outcome(loaded) == _spectrum_outcome(dense)
 
 
-def test_verify_of_a_builders_file_reuses_the_build_report(monkeypatch, tmp_path, capsys):
-    checks = sn._relation_checks
-    calls = []
-    monkeypatch.setattr(sn, "_relation_checks", lambda rep: calls.append(rep) or checks(rep))
-    path = tmp_path / "model.json"
-    assert cli.main(["build-rep", "3,2", "--out", str(path)]) == 0
-    # a process that only verifies the file builds the model once, and the
-    # verify reads the report of that build
-    monkeypatch.setattr(sn, "_BUILD_CACHE", {})
-    calls.clear()
-    assert cli.main(["verify", str(path)]) == 0
-    assert len(calls) == 1
-    report = json.loads(capsys.readouterr().out)["report"]
-    built = sn.build_rep_plain(StrictPartition((3, 2)))
-    assert report == sn.verify_relations(_dense_copy(built))
-    # a copy: changing what verify_relations returned changes no later report
-    sn.verify_relations(built)[0]["status"] = "fail"
-    assert sn.verify_relations(built) == report
-    # a sign-flipped superspin/1 file is a dense model and gets the dense report
-    flipped = tmp_path / "flipped.json"
-    flipped.write_text(json.dumps(linalg.plain(sn.mutated_rep(built).dense_document())))
-    calls.clear()
-    assert cli.main(["verify", str(flipped)]) == 1
-    assert len(calls) == 1 and not calls[0].factored
-    report = json.loads(capsys.readouterr().out)["report"]
-    assert report == sn.verify_relations(sn.mutated_rep(built))
-    assert any(r["status"] == "fail" and "first_defect" in r for r in report)
-
-
 @pytest.mark.parametrize("parts, tensor", [((5, 1), False), ((3, 2), True)])
 def test_builds_take_the_factored_path(monkeypatch, parts, tensor):
     # a silent fall-back to the dense check would multiply Mats
@@ -620,7 +588,6 @@ def test_builds_take_the_factored_path(monkeypatch, parts, tensor):
 
     obj = sn._build(StrictPartition(parts), tensor).to_json()
     monkeypatch.setattr(linalg.Mat, "__mul__", refuse)
-    monkeypatch.setattr(sn, "_BUILD_CACHE", {})  # the loader builds under the patch
     rep = sn._build(StrictPartition(parts), tensor)
     loaded = sn.GradedRep.from_json(obj)
     for model in (rep, loaded):

@@ -37,10 +37,6 @@ def test_real_documents():
     for x in docs:
         doc = x.document()
         assert written(doc) == reference(doc) == json.dumps(x.to_json(), sort_keys=True, indent=2)
-    # the superspin/1 layout of a model, which the reader compares a file of that schema with
-    for x in docs[:2]:
-        doc = x.dense_document()
-        assert written(doc) == reference(doc)
 
 
 def test_edge_shapes_and_plain_payloads():
