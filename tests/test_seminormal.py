@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from superspin import gradedstruct, linalg
+from superspin import cli, gradedstruct, linalg
 from superspin import seminormal as sn
 from superspin import shiftedcomb as sc
 from superspin import spinalg
@@ -578,6 +578,39 @@ def test_loaded_files_take_the_factored_path(shape, tensor):
     assert (bool(loaded.factored), bool(dense.factored)) == (shape.n > 1 or tensor, False)
     assert sn.verify_relations(loaded) == sn.verify_relations(dense)
     assert _spectrum_outcome(loaded) == _spectrum_outcome(dense)
+
+
+def test_verify_of_a_builders_file_reuses_the_build_report(monkeypatch, tmp_path, capsys):
+    checks = sn._relation_checks
+    calls = []
+    monkeypatch.setattr(sn, "_relation_checks", lambda rep, *a: calls.append(rep) or checks(rep, *a))
+    path = tmp_path / "model.json"
+    assert cli.main(["build-rep", "3,2", "--out", str(path)]) == 0
+    # a process that only verifies the file checks its relations once, in
+    # factored form, and reads the report the build gives
+    monkeypatch.setattr(sn, "_BUILD_CACHE", {})
+    calls.clear()
+    assert cli.main(["verify", str(path)]) == 0
+    assert len(calls) == 1 and calls[0].factored
+    report = json.loads(capsys.readouterr().out)["report"]
+    built = sn.build_rep_plain(StrictPartition((3, 2)))
+    assert report == sn.verify_relations(_dense_copy(built))
+    # a copy: changing what verify_relations returned changes no later report
+    sn.verify_relations(built)[0]["status"] = "fail"
+    assert sn.verify_relations(built) == report
+    # a sign-flipped superspin/2 file is checked once, in factored form, and
+    # gets the report of its dense model
+    obj = json.loads(path.read_text())
+    term = obj["generators"][0]["blocks"][0][2][0][1]["terms"][0]
+    term["coeff"] = term["coeff"][1:] if term["coeff"].startswith("-") else "-" + term["coeff"]
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(json.dumps(obj))
+    calls.clear()
+    assert cli.main(["verify", str(flipped)]) == 1
+    assert len(calls) == 1 and calls[0].factored
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report == sn.verify_relations(_dense_copy(sn.GradedRep.from_json(obj)))
+    assert any(r["status"] == "fail" and "first_defect" in r for r in report)
 
 
 @pytest.mark.parametrize("parts, tensor", [((5, 1), False), ((3, 2), True)])
