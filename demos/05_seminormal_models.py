@@ -38,9 +38,10 @@ for entry in sn.restrict_and_branch(rep):
 
 print("\nClifford-extended model and intertwiners:")
 trep = sn.build_rep_clifford_tensor(shape)
-P3 = sn.intertwiner_p(3, trep)
+P3 = sn.intertwiner_p(3, trep)  # a dense matrix; pi_k is factored until expanded
+pi = {k: trep.pi(k).expand() for k in range(1, 5)}
 ok = all(
-    (P3 * trep.pi(i) - trep.pi(si) * P3).is_zero()
+    (P3 * pi[i] - pi[si] * P3).is_zero()
     for i, si in [(1, 1), (2, 2), (3, 4), (4, 3)]
 )
 print(f"  tensor model dim {trep.dim}; intertwiner swaps pi_3 and pi_4:", ok)

@@ -314,8 +314,8 @@ def check_all(max_n: int = 5, negative_control: bool = False) -> list[dict]:
         shape = (3, 1) if max_n >= 4 else (max_n,)
     else:
         shape = (3,) if max_n >= 3 else (2,)
-    rep = seminormal.mutated_rep(seminormal.build_rep_plain(StrictPartition(shape)))
-    bad = [r for r in seminormal.verify_relations(rep) if r["status"] == "fail"]
+    rep = seminormal.build_rep_plain(StrictPartition(shape))
+    bad = [r for r in seminormal.verify_relations(rep, seminormal.mutated_rep(rep)) if r["status"] == "fail"]
     if negative_control:
         detail = f"injected mutation produced {len(bad)} relation failures" if bad else "mutation was NOT detected"
         results.append(_entry(0, "negative control: sign-flipped build must fail verification", False, detail))

@@ -11,17 +11,18 @@ adjudicated between the printed scalar and the corrected denominator, and the
 whole construction is validated by exact relation checks, spectra, and the
 regular-representation oracle.
 
-A built model keeps each generator as a block matrix over the Clifford algebra
-(`CliffordMat`: per tableau pair, a map from Clifford words to coefficients)
-and is checked in that form, at about 1/w of the dense cost for blocks of size
-w; its dense generators are expanded once.  It is classified on the module of
-rational generators read off that form, labelled with the tableaux's a-vectors,
-which give each summand's shape.  A model is written in that form
-(superspin/2), and a file is parsed and loaded in it; only a mutated model
-carries dense generators alone.  The oracle reads every block off one joint
-spectrum, that of the squared YJM elements on the algebra they generate; it
-multiplies elements of the algebra and builds no matrix but the central
-idempotent of each block.
+A model is its generators, each a block matrix over the Clifford algebra
+(`CliffordMat`: per tableau pair, a map from Clifford words to coefficients).
+It is built, checked, written (superspin/2) and read in that form, at about 1/w
+of the dense cost for blocks of size w, and expands nothing: the Clifford
+module is faithful, so a factored defect is zero exactly when its expansion
+is, and only a failing one is expanded, to name its first entry.  A model is
+classified on the module of rational generators read off that form, labelled
+with the tableaux's a-vectors, which give each summand's shape; its dense
+module is made only on request (`GradedRep.dense`).  The oracle reads every
+block off one joint spectrum, that of the squared YJM elements on the algebra
+they generate; it multiplies elements of the algebra and builds no matrix but
+the central idempotent of each block.
 """
 
 from __future__ import annotations
@@ -126,8 +127,10 @@ class CliffordMat:
     `blocks` maps (a, b) to c_ab, a nonzero map {word: coefficient} (see
     `word_product`).  `expand` is the dense matrix on g copies of
     `clifford_module(m)`, word u acting as the ascending product of its
-    generators; expansion is an algebra homomorphism, so a relation that holds
-    here holds densely.
+    generators.  Expansion is an injective algebra homomorphism, since the
+    module is faithful (each word is a signed permutation r -> r XOR f with
+    sign (-1)^(popcount(r & c) + k), and no two words share both f and c), so a
+    relation holds here exactly when it holds densely.
     """
 
     __slots__ = ("g", "m", "blocks")
@@ -198,93 +201,86 @@ class CliffordMat:
 
 
 @dataclass
-class GradedRep(GradedMatrixAlgebra):
-    """A seminormal model: the graded module of its algebra's generators, with
-    the tableau labels of its blocks.  `new` makes every model, deriving all but
-    the generators from the shape and the algebra."""
+class GradedRep:
+    """A seminormal model: its algebra's generators as `CliffordMat`s, one block
+    per pair of standard tableaux of its shape, labelled by their a-vectors.
+    `new` makes every model, deriving all but the generators from the shape and
+    the algebra; `dense` gives the generic module of the expanded generators."""
 
+    dim: int
+    parity: tuple[int, ...]
+    generators: list[tuple[str, CliffordMat]]
     algebra: str  # "A_n" or "clifford_tensor_A_n"
     shape: StrictPartition
     tableaux: list[ShiftedTableau]
     avecs: list[tuple[int, ...]]
     block_dim: int
     build_report: dict = field(default_factory=dict)
-    factored: dict = field(default_factory=dict, repr=False)  # name -> CliffordMat if built
     _pi_cache: dict = field(default_factory=dict, repr=False)
-    _fpi_cache: dict = field(default_factory=dict, repr=False)  # of the factored pi_k
     _irreducible: tuple = field(default=(), repr=False)  # see first_summand
     _rational: tuple = field(default=(), repr=False)  # see rational_shadow
     _relations: tuple = field(default=(), repr=False)  # the build's report, see _build
 
     @classmethod
     def new(cls, shape: StrictPartition, tensor: bool,
-            generators: list[tuple[str, Mat | CliffordMat]],
+            generators: list[tuple[str, CliffordMat]],
             build_report: dict | None = None) -> GradedRep:
         """The model of `shape` with these generators, which must be tau_1 ..
-        tau_{n-1}, then p_1 .. p_n for the Clifford-extended algebra, in order.
-        Generators given as CliffordMats are kept as the model's factored form
-        and expanded once into its dense generators."""
+        tau_{n-1}, then p_1 .. p_n for the Clifford-extended algebra, in order;
+        none is expanded."""
         n = shape.n
         names = [f"tau_{i}" for i in range(1, n)]
         names += [f"p_{i}" for i in range(1, n + 1)] if tensor else []
         if [name for name, _ in generators] != names:
             raise ValueError(f"generators must be exactly {', '.join(names)}, in order")
-        factored = dict(generators) if all(isinstance(g, CliffordMat) for _, g in generators) else {}
         tabs = standard_tableaux(shape)
         block_dim, _, cparity = clifford_module(2 * n if tensor else n)
         return cls(
-            len(tabs) * block_dim, cparity * len(tabs),
-            [(name, g.expand() if isinstance(g, CliffordMat) else g) for name, g in generators],
+            len(tabs) * block_dim, cparity * len(tabs), generators,
             algebra="clifford_tensor_A_n" if tensor else "A_n", shape=shape,
             tableaux=tabs, avecs=[spectrum_vector(t).a for t in tabs],
-            block_dim=block_dim, build_report=build_report or {}, factored=factored,
+            block_dim=block_dim, build_report=build_report or {},
         )
 
     @property
     def n(self) -> int:
         return self.shape.n
 
-    def tau(self, i: int) -> Mat:
-        return self.generator(f"tau_{i}")
-
-    def p(self, i: int) -> Mat:
-        return self.generator(f"p_{i}")
-
     @property
     def has_clifford(self) -> bool:
         return self.algebra == "clifford_tensor_A_n"
 
-    def one(self, factored: bool = False) -> Mat | CliffordMat:
-        """The identity, as a Mat or in the factored form of a built model."""
-        if factored:
-            blocks = {(t, t): {0: 1} for t in range(len(self.tableaux))}
-            return CliffordMat(len(self.tableaux), self.n * (1 + self.has_clifford), blocks)
-        return Mat.identity(self.dim)
+    def generator(self, name: str) -> CliffordMat:
+        return dict(self.generators)[name]
 
-    def pi(self, k: int, factored: bool = False) -> Mat | CliffordMat:
-        """pi_k as a Mat, or in the factored form of a built model."""
-        cache = self._fpi_cache if factored else self._pi_cache
-        if not cache:
-            cache[1] = self.one(factored).scale(0)
-        return yjm_matrix(self.factored.__getitem__ if factored else self.generator, k, cache)
+    def one(self) -> CliffordMat:
+        blocks = {(t, t): {0: 1} for t in range(len(self.tableaux))}
+        return CliffordMat(len(self.tableaux), self.n * (1 + self.has_clifford), blocks)
+
+    def pi(self, k: int) -> CliffordMat:
+        if not self._pi_cache:
+            self._pi_cache[1] = self.one().scale(0)
+        return yjm_matrix(self.generator, k, self._pi_cache)
+
+    def dense(self) -> GradedMatrixAlgebra:
+        """The unlabelled module of the expanded generators, made at each call:
+        the generic path of a model with no labelled rational module, the
+        intertwiners, the negative control and slow-path references."""
+        gens = [(name, g.expand()) for name, g in self.generators]
+        return GradedMatrixAlgebra(self.dim, self.parity, gens)
 
     def rational_shadow(self) -> GradedMatrixAlgebra | None:
-        """A built model's labelled rational module (`_rational_shadow`), made at
-        the first call, or None."""
+        """The model's labelled rational module (`_rational_shadow`), made at the
+        first call, or None."""
         if not self._rational:
-            self._rational = (_rational_shadow(self) if self.factored else None,)
+            self._rational = (_rational_shadow(self) if self.generators else None,)
         return self._rational[0]
 
-    def block_slice(self, t: int) -> range:
-        return range(t * self.block_dim, (t + 1) * self.block_dim)
-
     def document(self) -> dict:
-        """The superspin/2 layout of a model with factored generators: each one, in
-        order, as its blocks [row tableau, column tableau, [[word, coefficient],
-        ...]], sorted, with tableaux numbered in `standard_tableaux` order, words
-        as CliffordMat bitmasks and coefficients in the scalar wire format."""
-        if len(self.factored) != len(self.generators):
-            raise ValueError("a model with dense generators alone has no superspin/2 layout")
+        """The superspin/2 layout of a model: each generator, in order, as its
+        blocks [row tableau, column tableau, [[word, coefficient], ...]], sorted,
+        with tableaux numbered in `standard_tableaux` order, words as CliffordMat
+        bitmasks and coefficients in the scalar wire format."""
         return {
             "schema": MODEL_SCHEMA,
             "algebra": self.algebra,
@@ -297,7 +293,7 @@ class GradedRep(GradedMatrixAlgebra):
                     [a, b, [[u, scalar_json(x)] for u, x in sorted(el.items())]]
                     for (a, b), el in sorted(f.blocks.items())
                 ]}
-                for name, f in self.factored.items()
+                for name, f in self.generators
             ],
             "build_report": self.build_report,
         }
@@ -346,7 +342,8 @@ def _factored_from_json(
     must be [row tableau, column tableau, [[word, coefficient], ...]] with
     tableau indices in range, words below 2^m and nonzero coefficients, given
     as integers and in the scalar wire format, and no block, nor word in one,
-    may be empty or repeated."""
+    may be empty or repeated.  A generator's words must have one parity, that
+    of their popcount, across all its blocks."""
     g, m = len(standard_tableaux(shape)), shape.n * (1 + tensor)
     out = []
     for gen in gens:
@@ -369,6 +366,8 @@ def _factored_from_json(
                 if not x:
                     raise ValueError("a coefficient must be nonzero")
                 el[u] = x
+        if len({u.bit_count() % 2 for el in blocks.values() for u in el}) > 1:
+            raise ValueError(f"generator {gen['name']} is not parity-homogeneous")
         out.append((gen["name"], CliffordMat(g, m, blocks)))
     return out
 
@@ -461,7 +460,7 @@ def _rational_shadow(rep: GradedRep) -> GradedMatrixAlgebra | None:
         return None
     words, gens = {}, []  # words[k, t]: the word of pi_k's block at t
     for k in range(1, n + 1):
-        blocks, h = dict(rep.pi(k, factored=True).blocks), {}
+        blocks, h = dict(rep.pi(k).blocks), {}
         for t, avec in enumerate(rep.avecs):
             el, a = blocks.pop((t, t), {}), avec[k - 1]
             if len(el) != (a != 0):
@@ -476,93 +475,82 @@ def _rational_shadow(rep: GradedRep) -> GradedMatrixAlgebra | None:
         gens.append((f"h_{k}", CliffordMat(g, m, h).expand()))
     for i in range(1, n):
         off = {}
-        for (s, t), el in rep.factored[f"tau_{i}"].blocks.items():
+        for (s, t), el in rep.generator(f"tau_{i}").blocks.items():
             c, span = next(iter(el.values())), {words.get((i, t)), words.get((i + 1, t))}
             if el.keys() - span if s == t else any(x != c and x != -c for x in el.values()):
                 return None
             if s != t:
                 off[s, t] = {u: 1 if x == c else -1 for u, x in el.items()}
         gens.append((f"tau_{i}", CliffordMat(g, m, off).expand()))
-    gens += [(name, x) for name, x in rep.generators if name.startswith("p_")]
+    gens += [(name, x.expand()) for name, x in rep.generators if name.startswith("p_")]
     labels = tuple(avec for avec in rep.avecs for _ in range(rep.block_dim))
     return GradedMatrixAlgebra(rep.dim, rep.parity, gens, labels=labels)
 
 
-def verify_relations(rep: GradedRep) -> list[dict]:
+def verify_relations(rep: GradedRep, generators: list | None = None) -> list[dict]:
     """Exact check of every defining relation; failures carry the defect norm.
-    A built model gives a copy of the report its build made."""
+    A built model gives a copy of the report its build made.  Given
+    `generators`, others of rep's shape and algebra, dense or factored, such as
+    the negative control's, those are checked instead."""
+    if generators is not None:
+        return list(_relation_checks(rep, dict(generators)))
     return [dict(r) for r in rep._relations] or list(_relation_checks(rep))
 
 
-def _relation_checks(rep: GradedRep, factored: dict | None = None) -> Iterator[dict]:
-    """The checks of `verify_relations`, yielded one at a time in its order.
-
-    A built model is checked in its factored form, where a zero defect passes;
-    any other defect is expanded and decided densely, so every verdict is the
-    dense one.  Given `factored`, other factored generators of rep's shape and
-    algebra, those are checked instead, and no model of them is made.
-    """
-    n = rep.n
-    pis = {} if factored else rep._fpi_cache if rep.factored else rep._pi_cache
-    factored = factored or rep.factored
-    generator = factored.__getitem__ if factored else rep.generator
-    one = rep.one(bool(factored))
-    pis.setdefault(1, one.scale(0))
-
-    def check(name: str, lhs, rhs) -> dict:
-        defect = lhs - rhs
-        if factored and not defect.is_zero():
-            defect = defect.expand()
+def _relation_checks(rep: GradedRep, generators: dict | None = None) -> Iterator[dict]:
+    """The checks of `verify_relations`, yielded one at a time in its order: a
+    zero defect passes, and a factored one that is not zero is expanded to
+    name its first nonzero entry."""
+    for name, defect in _relation_defects(rep, generators):
         entry = {"identity": name, "status": "pass", "defect_norm": 0.0}
         if not defect.is_zero():
+            if isinstance(defect, CliffordMat):
+                defect = defect.expand()
             r = min(r for r, row in defect.rows.items() if row)
             c = min(defect.rows[r])
             first = {"row": r, "col": c, "value": scalar_json(defect.rows[r][c])}
             entry.update(status="fail", defect_norm=defect.max_abs_float(), first_defect=first)
-        return entry
+        yield entry
 
+
+def _relation_defects(rep: GradedRep, generators: dict | None = None) -> Iterator[tuple]:
+    """(identity, lhs - rhs) of each relation, in the order of `verify_relations`,
+    for rep's generators or the given ones: Mats or CliffordMats alike."""
+    n = rep.n
+    pis = {} if generators else rep._pi_cache
+    generators = generators or dict(rep.generators)
+    generator = generators.__getitem__
+    dense = any(isinstance(g, Mat) for g in generators.values())
+    one = Mat.identity(rep.dim) if dense else rep.one()
+    pis.setdefault(1, one.scale(0))
     taus = {i: generator(f"tau_{i}") for i in range(1, n)}
     for i in range(1, n):
-        yield check(f"tau_{i}^2 = 1", taus[i] * taus[i], one)
+        yield f"tau_{i}^2 = 1", taus[i] * taus[i] - one
     for i in range(1, n - 1):
-        yield check(
+        yield (
             f"tau_{i} tau_{i + 1} tau_{i} = tau_{i + 1} tau_{i} tau_{i + 1}",
-            taus[i] * taus[i + 1] * taus[i],
-            taus[i + 1] * taus[i] * taus[i + 1],
+            taus[i] * taus[i + 1] * taus[i] - taus[i + 1] * taus[i] * taus[i + 1],
         )
     for i in range(1, n):
         for j in range(i + 2, n):
             prod = taus[i] * taus[j]
-            yield check(f"(tau_{i} tau_{j})^2 = -1", prod * prod, -one)
+            yield f"(tau_{i} tau_{j})^2 = -1", prod * prod + one
     if rep.has_clifford:
-        zero = one.scale(0)
         ps = {i: generator(f"p_{i}") for i in range(1, n + 1)}
         for i in range(1, n + 1):
-            yield check(f"p_{i}^2 = 1", ps[i] * ps[i], one)
+            yield f"p_{i}^2 = 1", ps[i] * ps[i] - one
             for j in range(i + 1, n + 1):
-                yield check(
-                    f"p_{i} p_{j} + p_{j} p_{i} = 0",
-                    ps[i] * ps[j] + ps[j] * ps[i],
-                    zero,
-                )
+                yield f"p_{i} p_{j} + p_{j} p_{i} = 0", ps[i] * ps[j] + ps[j] * ps[i]
         for i in range(1, n + 1):
             for j in range(1, n):
-                yield check(
-                    f"tau_{j} p_{i} + p_{i} tau_{j} = 0",
-                    taus[j] * ps[i] + ps[i] * taus[j],
-                    zero,
-                )
+                yield f"tau_{j} p_{i} + p_{i} tau_{j} = 0", taus[j] * ps[i] + ps[i] * taus[j]
         # the commuting family x_i = p_i pi_i / sqrt(2)
         xs = {
             i: (ps[i] * yjm_matrix(generator, i, pis)).scale(INV_SQRT2) for i in range(1, n + 1)
         }
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                yield check(
-                    f"x_{i} x_{j} = x_{j} x_{i}",
-                    xs[i] * xs[j],
-                    xs[j] * xs[i],
-                )
+                yield f"x_{i} x_{j} = x_{j} x_{i}", xs[i] * xs[j] - xs[j] * xs[i]
 
 
 def _build(shape, tensor: bool) -> GradedRep:
@@ -572,8 +560,8 @@ def _build(shape, tensor: bool) -> GradedRep:
     scalars differ only on split pairs with both a-values nonzero; without
     one the printed matrices equal the corrected ones and share their outcome.
     Otherwise the printed variant's factored generators are scanned too, up to
-    the first failing relation, and its model is made only if it passes and is
-    kept: a passing scan is the full report.
+    the first nonzero defect, and its model is made only if it passes and the
+    corrected one fails.
     """
     distinguishable = any(
         avec[i - 1] + avec[i] != (avec[i - 1] - avec[i]) ** 2
@@ -582,34 +570,26 @@ def _build(shape, tensor: bool) -> GradedRep:
         for avec in (spectrum_vector(t).a for t in standard_tableaux(shape))
         for i in range(1, shape.n)
     )
-    outcomes = {}
-    chosen = None
-    for variant in ("corrected", "printed") if distinguishable else ("corrected",):
-        if variant == "corrected":
-            rep = _construct(shape, tensor, variant)
-            report = verify_relations(rep)
-        else:
-            report = []
-            for r in _relation_checks(rep, dict(_generators(shape, tensor, variant))):
-                report.append(r)
-                if r["status"] == "fail":
-                    break
-        bad = [r for r in report if r["status"] == "fail"]
-        outcomes[variant] = "pass" if not bad else f"fail:{bad[0]['identity']}"
-        if not bad and chosen is None:
-            chosen = (variant, rep if variant == "corrected"
-                      else _construct(shape, tensor, variant), report)
-    if not distinguishable:
-        outcomes["printed"] = outcomes["corrected"]
-    if chosen is None:
-        raise RelationError(
-            f"no case-(iii) variant satisfies the relations for shape {shape}: "
-            f"{outcomes}"
-        )
-    variant, rep, report = chosen
+    rep = _construct(shape, tensor, "corrected")
+    report = verify_relations(rep)
+    bad = next((r["identity"] for r in report if r["status"] == "fail"), None)
+    outcomes = {"corrected": f"fail:{bad}" if bad else "pass"}
+    outcomes["printed"] = outcomes["corrected"]
+    if distinguishable:
+        defects = _relation_defects(rep, dict(_generators(shape, tensor, "printed")))
+        first = next((name for name, d in defects if not d.is_zero()), None)
+        outcomes["printed"] = f"fail:{first}" if first else "pass"
+    if bad:
+        if outcomes["printed"] != "pass":
+            raise RelationError(
+                f"no case-(iii) variant satisfies the relations for shape {shape}: "
+                f"{outcomes}"
+            )
+        rep = _construct(shape, tensor, "printed")
+        report = verify_relations(rep)
     rep._relations = tuple(report)
     rep.build_report = {
-        "case_iii_variant": variant,
+        "case_iii_variant": rep.build_report["case_iii_variant"],
         "variant_outcomes": outcomes,
         "variant_distinguishable": distinguishable,
         "relations_checked": len(report),
@@ -648,64 +628,38 @@ def build_rep_clifford_tensor(shape: StrictPartition) -> GradedRep:
 def spectrum_of(rep: GradedRep) -> list[tuple[int, ...]]:
     """Joint spectrum of the squared YJM operators, one a-vector per block.
 
-    The pi_i are reassembled from the tau matrices (`yjm_matrix`) and each
-    pi_i^2 is formed once, so this doubles as a check that they are
-    block-diagonal with the tableau-prescribed scalar squares.  A built model
-    is checked in its factored form; where that check fails, the dense one
-    decides and names the failure.
+    The pi_i are reassembled from the tau's (`yjm_matrix`) and each pi_i^2 is
+    formed once, so this doubles as a check that they are block-diagonal with
+    the tableau-prescribed scalar squares.  The module is faithful, so each
+    check of a factored block is the dense one.
     """
-    if rep.factored:
-        spec = _factored_spectrum(rep)
-        if spec is not None:
-            return spec
-    w = rep.block_dim
     avecs: list[list[int]] = [[] for _ in rep.tableaux]
     for i in range(1, rep.n + 1):
         pm = rep.pi(i)
-        if any(r // w != c // w for r, row in pm.rows.items() for c in row):
+        if any(a != b for a, b in pm.blocks):
             raise RelationError(f"pi_{i} not block-diagonal")
-        sq = pm * pm
+        sq = (pm * pm).blocks
         for t, avec in enumerate(avecs):
-            sl = rep.block_slice(t)
-            val = sq.entry(sl.start, sl.start)
-            if any(sq.rows.get(r, {}) != ({r: val} if val else {}) for r in sl):
+            el = sq.get((t, t), {})
+            if el.keys() - {0}:
                 raise RelationError(f"pi_{i}^2 not scalar on block {t}")
-            a = rational_of(val)
+            a = rational_of(el.get(0, 0))
             if a.__class__ is not int:
                 raise RelationError(f"pi_{i}^2 eigenvalue not an integer")
             avec.append(a)
     return sorted(map(tuple, avecs))
 
 
-def _factored_spectrum(rep: GradedRep) -> list[tuple[int, ...]] | None:
-    """`spectrum_of` on the factored form: each pi_i block-diagonal with pi_i^2
-    an integer scalar on each block.  None when that fails, and the dense check
-    decides."""
-    avecs: list[list[int]] = [[] for _ in rep.tableaux]
-    for i in range(1, rep.n + 1):
-        pm = rep.pi(i, factored=True)
-        if any(a != b for a, b in pm.blocks):
-            return None
-        sq = (pm * pm).blocks
-        for t, avec in enumerate(avecs):
-            el = sq.get((t, t), {})
-            a = rational_of(el.get(0, 0))
-            if el.keys() - {0} or a.__class__ is not int:
-                return None
-            avec.append(a)
-    return sorted(map(tuple, avecs))
-
-
-def _block_ratio(rep: GradedRep, i: int) -> Mat:
-    """(pi_i - pi_{i+1})/(a_i - a_{i+1}), each block's rows by its own a-values."""
-    diff = rep.pi(i) - rep.pi(i + 1)
+def _block_ratio(rep: GradedRep, mod: GradedMatrixAlgebra, i: int) -> Mat:
+    """(pi_i - pi_{i+1})/(a_i - a_{i+1}) on rep's dense module, each block's
+    rows by its own a-values."""
+    pis = {1: Mat.zero(mod.dim)}
+    diff = yjm_matrix(mod.generator, i, pis) - yjm_matrix(mod.generator, i + 1, pis)
     rows: dict[int, Vec] = {}
-    for t, avec in enumerate(rep.avecs):
+    for r, row in diff.rows.items():
+        avec = rep.avecs[r // rep.block_dim]
         coef = Fraction(1, avec[i - 1] - avec[i])
-        for r in rep.block_slice(t):
-            row = diff.rows.get(r)
-            if row:
-                rows[r] = {c: coef * v for c, v in row.items()}
+        rows[r] = {c: coef * v for c, v in row.items()}
     return Mat(rep.dim, rep.dim, rows)
 
 
@@ -715,9 +669,9 @@ def intertwiner_p(i: int, rep: GradedRep) -> Mat:
         raise ValueError("intertwiner needs the Clifford-extended model")
     if not 1 <= i <= rep.n - 1:
         raise ValueError("position out of range")
-    ratio = _block_ratio(rep, i)
-    lead = (rep.p(i) - rep.p(i + 1)).scale(-INV_SQRT2)
-    return lead * (rep.tau(i) - ratio)
+    mod = rep.dense()
+    lead = (mod.generator(f"p_{i}") - mod.generator(f"p_{i + 1}")).scale(-INV_SQRT2)
+    return lead * (mod.generator(f"tau_{i}") - _block_ratio(rep, mod, i))
 
 
 @dataclass
@@ -737,8 +691,8 @@ def analyze_local_pair(rep: GradedRep, i: int) -> list[LocalPairAnalysis]:
         raise ValueError("position out of range")
     out = []
     tab_index = {t: k for k, t in enumerate(rep.tableaux)}
-    tau = rep.tau(i)
-    ratio = _block_ratio(rep, i)
+    mod, w = rep.dense(), rep.block_dim
+    tau, ratio = mod.generator(f"tau_{i}"), _block_ratio(rep, mod, i)
     for t, tab in enumerate(rep.tableaux):
         s, tt = rep.avecs[t][i - 1], rep.avecs[t][i]
         delta = s + tt - (s - tt) ** 2
@@ -748,7 +702,7 @@ def analyze_local_pair(rep: GradedRep, i: int) -> list[LocalPairAnalysis]:
             other = apply_transposition(tab, i)
             partner = tab_index[other] if other is not None else None
         # does tau_i act on this block purely as (pi_i - pi_{i+1})/(a_i - a_{i+1})?
-        block = rep.block_slice(t)
+        block = range(t * w, (t + 1) * w)
         matches = all(
             ratio.rows.get(r, {})
             == {c: v for c, v in tau.rows.get(r, {}).items() if c in block}
@@ -779,7 +733,7 @@ def first_summand(rep: GradedRep) -> tuple[GradedMatrixAlgebra, dict]:
     """(module, classification) of the deterministic first graded-irreducible summand
     of the model's labelled rational module, or of the model, memoised on it."""
     if not rep._irreducible:
-        pieces = split_into_irreducibles(rep.rational_shadow() or rep)
+        pieces = split_into_irreducibles(rep.rational_shadow() or rep.dense())
         mod = min(pieces, key=lambda p: (p.dim, p.parity))
         rep._irreducible = (mod, classify_module(mod))
     return rep._irreducible
@@ -990,13 +944,14 @@ def _shape_of_avec(avec: Sequence[int]) -> StrictPartition:
         raise CheckFailed(f"no shifted tableau has a-vector {tuple(avec)}: {exc}") from None
 
 
-def mutated_rep(rep: GradedRep) -> GradedRep:
-    """Negative control: flip the sign of one generator entry."""
-    tau1 = rep.tau(1)
+def mutated_rep(rep: GradedRep) -> list[tuple[str, Mat]]:
+    """Negative control: the model's expanded generators with the sign of tau_1's
+    least entry flipped.  A dense entry, since flipping a factored coefficient
+    of a tau_1 of one Clifford word, as at shape (2,), gives -tau_1, which
+    satisfies every relation."""
+    (name, tau1), *rest = rep.dense().generators
     rows = {r: dict(row) for r, row in tau1.rows.items()}
     r0 = min(rows)
     c0 = min(rows[r0])
     rows[r0][c0] = -rows[r0][c0]
-    gens = [(name, Mat(tau1.nrows, tau1.ncols, rows) if name == "tau_1" else g)
-            for name, g in rep.generators]
-    return GradedRep.new(rep.shape, rep.has_clifford, gens, dict(rep.build_report, mutated=True))
+    return [(name, Mat(tau1.nrows, tau1.ncols, rows)), *rest]

@@ -31,10 +31,11 @@ def _v1_document(parts):
     """The plain model of parts in the dense superspin/1 layout, which verify
     refuses: each generator's full matrix, the parity and the basis."""
     rep = seminormal.build_rep_plain(StrictPartition(parts))
+    dense = rep.dense()
     return {
         "schema": "superspin/1", "algebra": rep.algebra, "n": rep.n, "shape": list(parts),
-        "dim": rep.dim, "block_dim": rep.block_dim, "parity": list(rep.parity),
-        "generators": [{"name": name, "matrix": g.to_json()} for name, g in rep.generators],
+        "dim": rep.dim, "block_dim": rep.block_dim, "parity": list(dense.parity),
+        "generators": [{"name": name, "matrix": g.to_json()} for name, g in dense.generators],
         "basis": [
             {"tableau": [list(r) for r in t.rows],
              "clifford_word": [s + 1 for s in range(j.bit_length()) if j >> s & 1]}
@@ -103,11 +104,14 @@ def test_branching_graph_dot(capsys):
 
 
 def _dense_report(obj):
-    """verify_relations of the file's model from its dense generators alone,
-    in JSON form."""
+    """verify_relations of the file's model by dense products on its expanded
+    generators, in JSON form."""
     rep = seminormal.GradedRep.from_json(obj)
-    dense = seminormal.GradedRep.new(rep.shape, rep.has_clifford, rep.generators)
-    return json.loads(json.dumps(seminormal.verify_relations(dense)))
+    return json.loads(json.dumps(seminormal.verify_relations(rep, rep.dense().generators)))
+
+
+def _holds_no_mat(rep):
+    return all(isinstance(g, seminormal.CliffordMat) for _, g in rep.generators)
 
 
 def _flip_first_coefficient(obj):
@@ -126,7 +130,7 @@ def test_build_verify_roundtrip(tmp_path, capsys):
     assert all(r["status"] == "pass" for r in report)
     obj = json.loads(path.read_text())
     assert obj["schema"] == "superspin/2"
-    assert seminormal.GradedRep.from_json(obj).factored
+    assert _holds_no_mat(seminormal.GradedRep.from_json(obj))
     # flip one coefficient's sign and expect failure
     _flip_first_coefficient(obj)
     bad = tmp_path / "bad.json"
@@ -135,7 +139,7 @@ def test_build_verify_roundtrip(tmp_path, capsys):
     assert rc == 1
     # a file that differs from the builder's model is checked in factored form,
     # with the dense verdicts
-    assert seminormal.GradedRep.from_json(obj).factored
+    assert _holds_no_mat(seminormal.GradedRep.from_json(obj))
     report = json.loads(out)["report"]
     assert any("first_defect" in r for r in report)
     assert report == _dense_report(obj)
@@ -143,7 +147,7 @@ def test_build_verify_roundtrip(tmp_path, capsys):
 
 def test_verify_without_a_built_model(tmp_path, capsys, monkeypatch):
     # a builder's file is parsed and its relations checked once, in factored
-    # form, with no build; the report is the build's and the dense model's
+    # form, with no build; the report is the build's and the dense reference's
     path = tmp_path / "rep.json"
     assert cli.main(["build-rep", "3,2", "--out", str(path)]) == 0
     built = seminormal.build_rep_plain(StrictPartition((3, 2)))
@@ -158,7 +162,7 @@ def test_verify_without_a_built_model(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(seminormal, "_relation_checks",
                         lambda rep, *a: checked.append(rep) or relation_checks(rep, *a))
     rc, out = run(capsys, "verify", str(path))
-    assert (rc, builds, len(checked)) == (0, [], 1) and checked[0].factored
+    assert (rc, builds, len(checked)) == (0, [], 1) and _holds_no_mat(checked[0])
     monkeypatch.undo()
     report = json.loads(out)["report"]
     assert report == seminormal.verify_relations(built)
@@ -428,9 +432,11 @@ _V2_CORRUPTIONS = [
     _v2_coefficient_term("exponent_coeff", "coeff", "1e10000000"),
     _v2_coefficient_term("huge_radicand", "radicand", (10**9 + 7) * (10**9 + 9)),
     _v2_coefficient_term("bool_radicand", "radicand", True),
-    # an even word beside tau_1's odd ones
+    # an even word beside tau_1's odd ones, in one block and across blocks
     _v2_set("inhomogeneous_generator", lambda obj: _v2_block(obj)[2].append(
         [0, {"terms": [{"coeff": "1/1", "radicand": 1}]}])),
+    _v2_set("inhomogeneous_across_blocks", lambda obj: _v2_block(obj, 1).__setitem__(
+        2, [[3, {"terms": [{"coeff": "1/1", "radicand": 1}]}]])),
     _v2_set("tensor_algebra", lambda obj: obj.update(algebra="clifford_tensor_A_n")),
     _v2_set("unknown_algebra", lambda obj: obj.update(algebra="B_n")),
     _v2_set("other_schema", lambda obj: obj.update(schema="superspin/3")),
@@ -463,6 +469,8 @@ def test_verify_malformed_v2_model(tmp_path, capsys, corrupt):
     assert err.startswith("cannot load representation: ") and "Traceback" not in err
     if corrupt.__name__ in ("other_schema", "missing_schema", "superspin_1_document"):
         assert err == f"cannot load representation: {SCHEMA_REFUSED}\n"
+    if corrupt.__name__.startswith("inhomogeneous"):
+        assert err == "cannot load representation: generator tau_1 is not parity-homogeneous\n"
 
 
 def test_verify_checks_the_header_before_making_the_model(tmp_path, capsys, monkeypatch):
@@ -591,7 +599,7 @@ def test_verify_fuzzed_v2_model(tmp_path):
         assert rc in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if rc != 2:
-            # checked in factored form, with the dense model's report
+            # checked in factored form, with the expanded generators' report
             report = json.loads(out.getvalue())["report"]
             assert report == _dense_report(json.loads(path.read_text()))
 

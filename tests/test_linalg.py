@@ -291,12 +291,13 @@ def test_radical_systems_match_gauss_jordan(rows, nrows):
 
 
 def _small_models():
+    """The dense modules of the small built models."""
     for n in range(1, 5):
         for shape in strict_partitions(n):
-            yield seminormal.build_rep_plain(shape)
+            yield seminormal.build_rep_plain(shape).dense()
     for n in range(1, 4):
         for shape in strict_partitions(n):
-            yield seminormal.build_rep_clifford_tensor(shape)
+            yield seminormal.build_rep_clifford_tensor(shape).dense()
 
 
 def test_module_commutant_matches_gauss_jordan(monkeypatch):

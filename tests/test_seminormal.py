@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import operator
 import random
@@ -11,7 +13,7 @@ from superspin import cli, gradedstruct, linalg
 from superspin import seminormal as sn
 from superspin import shiftedcomb as sc
 from superspin import spinalg
-from superspin.exactnum import SqrtNumber, scalar_json
+from superspin.exactnum import SqrtNumber, rational_of, scalar_json
 from superspin.linalg import CheckFailed, Mat
 from superspin.shiftedcomb import StrictPartition, strict_partitions
 
@@ -67,6 +69,40 @@ def test_clifford_module_is_a_kronecker_product():
         assert parity == tuple(bin(r >> real).count("1") % 2 for r in range(dim))
 
 
+def _signed_perm_form(g, dim):
+    """(f, c, k) with g sending r to r XOR f with sign (-1)^(popcount(r & c) + k),
+    checked at every r."""
+    ((f, s0),) = g.rows[0].items()
+    c = sum(1 << b for b in range(dim.bit_length() - 1) if g.rows[1 << b][1 << b ^ f] != s0)
+    k = 0 if s0 == 1 else 1
+    for r in range(dim):
+        assert g.rows[r] == {r ^ f: (-1) ** ((r & c).bit_count() + k)}
+    return f, c, k
+
+
+def test_clifford_module_is_faithful():
+    # each generator is a signed permutation r -> r XOR f with sign
+    # (-1)^(<r, c> + k), so word u is one with the XOR of its generators' f and
+    # c.  Words with different f have disjoint supports, and words with the same
+    # f differ by the character (-1)^<r, c>, so distinct (f, c) pairs make the
+    # 2^m words linearly independent: expansion is injective.  Only the word 1
+    # has (f, c) = (0, 0), so every other word has trace 0.
+    for m in range(0, 15):
+        dim, gens, _ = sn.clifford_module(m)
+        forms = [_signed_perm_form(g, dim) for g in gens]
+        flips, masks = [0], [0]
+        for u in range(1, 1 << m):
+            low = (u & -u).bit_length() - 1
+            flips.append(flips[u & (u - 1)] ^ forms[low][0])
+            masks.append(masks[u & (u - 1)] ^ forms[low][1])
+            if m <= 6:  # the XOR rule against the composed word action
+                action = sn._word_action(m, u)
+                assert {r ^ c for r, c, _ in action} == {flips[u]}, (m, u)
+                signs = {(-1) ** (r & masks[u]).bit_count() * s for r, c, s in action}
+                assert len(signs) == 1, (m, u)
+        assert len(set(zip(flips, masks))) == 1 << m, m
+
+
 def test_build_and_verify_all_shapes():
     for shape in shapes_up_to(5):
         for builder in (sn.build_rep_plain, sn.build_rep_clifford_tensor):
@@ -88,13 +124,83 @@ def test_variant_adjudication():
 
 
 def test_mutated_rep_fails():
-    rep = sn.mutated_rep(sn.build_rep_plain(StrictPartition((3,))))
-    report = sn.verify_relations(rep)
+    rep = sn.build_rep_plain(StrictPartition((3,)))
+    report = sn.verify_relations(rep, sn.mutated_rep(rep))
     failures = [r for r in report if r["status"] == "fail"]
     assert failures and failures[0]["defect_norm"] > 0
-    # a model with dense generators alone has no superspin/2 document
-    with pytest.raises(ValueError, match="no superspin/2 layout"):
-        rep.document()
+    # the model itself is left as it was
+    assert all(r["status"] == "pass" for r in sn.verify_relations(rep))
+
+
+def _fails_with(value):
+    return {"row": 0, "col": 0, "value": {"terms": [{"radicand": 1, "coeff": value}]}}
+
+
+_BRAID_DEFECT = {"row": 0, "col": 2, "value": {"terms": [{"radicand": 3, "coeff": "1/1"}]}}
+
+
+@pytest.mark.parametrize("parts, failures", [
+    ((2,), [("tau_1^2 = 1", _fails_with("-2/1"))]),
+    ((3,), [("tau_1^2 = 1", _fails_with("-2/1")),
+            ("tau_1 tau_2 tau_1 = tau_2 tau_1 tau_2", _BRAID_DEFECT)]),
+    ((3, 1), [("tau_1^2 = 1", _fails_with("-2/1")),
+              ("tau_1 tau_2 tau_1 = tau_2 tau_1 tau_2", _BRAID_DEFECT),
+              ("(tau_1 tau_3)^2 = -1", _fails_with("2/1"))]),
+], ids=["2", "3", "3,1"])
+def test_negative_control_fails_where_it_always_has(parts, failures):
+    # the shapes of check-all's criterion 0.  The control flips a dense entry:
+    # at (2,) tau_1 is one Clifford word, so flipping any factored coefficient
+    # gives -tau_1, which passes every relation
+    rep = sn.build_rep_plain(StrictPartition(parts))
+    report = sn.verify_relations(rep, sn.mutated_rep(rep))
+    assert [(r["identity"], r["first_defect"]) for r in report if r["status"] == "fail"] == failures
+    if parts == (2,):
+        (el,) = rep.generator("tau_1").blocks.values()
+        assert len(el) == 1
+        negated = [("tau_1", -rep.generator("tau_1"))]
+        assert all(r["status"] == "pass" for r in sn.verify_relations(rep, negated))
+
+
+def _dense_spectrum(rep):
+    """`spectrum_of` by dense products on the expanded generators, with its
+    three messages: the slow-path reference."""
+    mod, w = rep.dense(), rep.block_dim
+    pis = {1: Mat.zero(mod.dim)}
+    avecs = [[] for _ in rep.tableaux]
+    for i in range(1, rep.n + 1):
+        pm = sn.yjm_matrix(mod.generator, i, pis)
+        if any(r // w != c // w for r, row in pm.rows.items() for c in row):
+            raise sn.RelationError(f"pi_{i} not block-diagonal")
+        sq = pm * pm
+        for t, avec in enumerate(avecs):
+            val = sq.entry(t * w, t * w)
+            block = range(t * w, (t + 1) * w)
+            if any(sq.rows.get(r, {}) != ({r: val} if val else {}) for r in block):
+                raise sn.RelationError(f"pi_{i}^2 not scalar on block {t}")
+            a = rational_of(val)
+            if a.__class__ is not int:
+                raise sn.RelationError(f"pi_{i}^2 eigenvalue not an integer")
+            avec.append(a)
+    return sorted(map(tuple, avecs))
+
+
+def _outcome(spectrum, rep):
+    try:
+        return spectrum(rep)
+    except sn.RelationError as exc:
+        return str(exc)
+
+
+def _edited_tau1(builder, parts, edit):
+    """The model of parts with tau_1 replaced by edit(tau_1), both factored."""
+    rep = builder(StrictPartition(parts))
+    (name, tau1), *rest = rep.generators
+    return sn.GradedRep.new(rep.shape, rep.has_clifford, [(name, edit(tau1)), *rest])
+
+
+def _rejected_as(model, message):
+    """model's spectrum fails with message, and so does the dense reference."""
+    assert _outcome(sn.spectrum_of, model) == message == _outcome(_dense_spectrum, model)
 
 
 @pytest.mark.parametrize(
@@ -102,45 +208,31 @@ def test_mutated_rep_fails():
     [(sn.build_rep_plain, (3, 1)), (sn.build_rep_clifford_tensor, (2, 1))],
 )
 def test_spectrum_rejects_mutated_model(builder, parts):
-    # the flipped tau_1 entry breaks pi_2^2 = a_2 on the first tableau's block
-    rep = sn.mutated_rep(builder(StrictPartition(parts)))
-    with pytest.raises(sn.RelationError, match="pi_2\\^2 not scalar on block 0"):
-        sn.spectrum_of(rep)
+    # tau_1's first block is one word h; adding the odd word a b h, for two
+    # other generators a and b, makes pi_2^2 = (h + a b h)^2 = 2 a b there
+    def add_word(tau1):
+        ((u, _),) = tau1.blocks[0, 0].items()
+        a, b = [1 << i for i in range(tau1.m) if not u >> i & 1][:2]
+        return tau1 + sn.CliffordMat(tau1.g, tau1.m, {(0, 0): {u | a | b: 1}})
 
-
-def _edited_tau1(parts, edit):
-    """The plain model of parts with dense generators alone, after edit(a copy
-    of tau_1's rows)."""
-    rep = sn.build_rep_plain(StrictPartition(parts))
-    (name, tau1), *rest = rep.generators
-    rows = {r: dict(row) for r, row in tau1.rows.items()}
-    edit(rows)
-    return sn.GradedRep.new(rep.shape, False, [(name, Mat(rep.dim, rep.dim, rows)), *rest])
+    _rejected_as(_edited_tau1(builder, parts, add_word), "pi_2^2 not scalar on block 0")
 
 
 def test_spectrum_rejects_off_block_pi():
-    # one odd entry of tau_1 = pi_2 joining blocks 0 and 1 of the two tableaux
-    rep = sn.build_rep_plain(StrictPartition((3, 1)))
-    w = rep.block_dim
-    r = 0
-    c = next(c for c in range(w, 2 * w) if rep.parity[c] != rep.parity[r])
+    # one odd word of tau_1 = pi_2 joining blocks 0 and 1 of the two tableaux
+    def join(tau1):
+        return tau1 + sn.CliffordMat(tau1.g, tau1.m, {(0, 1): {1: 1}})
 
-    def join(rows):
-        rows.setdefault(r, {})[c] = 1
-
-    with pytest.raises(sn.RelationError, match="^pi_2 not block-diagonal$"):
-        sn.spectrum_of(_edited_tau1((3, 1), join))
+    _rejected_as(_edited_tau1(sn.build_rep_plain, (3, 1), join), "pi_2 not block-diagonal")
 
 
 def test_spectrum_rejects_a_fractional_eigenvalue():
-    # tau_1 / 2 = pi_2 / 2 squares to I / 4 on every block
-    def halve(rows):
-        for row in rows.values():
-            for c, x in row.items():
-                row[c] = x * Fraction(1, 2)
+    # tau_1 / 2 = pi_2 / 2 squares to 1 / 4 on every block
+    def halve(tau1):
+        return tau1.scale(Fraction(1, 2))
 
-    with pytest.raises(sn.RelationError, match="^pi_2\\^2 eigenvalue not an integer$"):
-        sn.spectrum_of(_edited_tau1((3, 1), halve))
+    model = _edited_tau1(sn.build_rep_plain, (3, 1), halve)
+    _rejected_as(model, "pi_2^2 eigenvalue not an integer")
 
 
 def test_a_vectors_reject_a_fractional_eigenvalue():
@@ -152,13 +244,16 @@ def test_a_vectors_reject_a_fractional_eigenvalue():
 
 
 def test_mutated_rep_has_its_own_pi():
-    # pi_2 = tau_1, so the mutated model's pi_2 must follow its own tau_1 even
-    # after the original's pi cache has been filled
-    rep = sn.build_rep_plain(StrictPartition((3,)))
-    assert rep.pi(2) == rep.tau(1)
+    # pi_2 = tau_1, so the x_i relations of the mutated generators must use
+    # their own pi_k even after the model's pi cache has been filled
+    rep = sn.build_rep_clifford_tensor(StrictPartition((3,)))
+    assert rep.pi(2).blocks == rep.generator("tau_1").blocks
     bad = sn.mutated_rep(rep)
-    assert bad.pi(2) == bad.tau(1) != rep.tau(1)
-    assert rep.pi(2) == rep.tau(1)
+    fresh = sn._construct(rep.shape, True, "corrected")  # nothing cached
+    report = sn.verify_relations(rep, bad)
+    assert report == sn.verify_relations(fresh, bad)
+    assert any(r["identity"].startswith("x_") and r["status"] == "fail" for r in report)
+    assert rep.pi(2).blocks == rep.generator("tau_1").blocks
 
 
 def test_irreducible_summand_is_split_once(monkeypatch):
@@ -182,7 +277,10 @@ def test_irreducible_summand_is_split_once(monkeypatch):
 def test_mutated_rep_has_its_own_summand():
     rep = sn.build_rep_plain(StrictPartition((3,)))
     good = sn.first_summand(rep)[0]
-    bad = sn.first_summand(sn.mutated_rep(rep))[0]
+    dense = rep.dense()
+    mutated = gradedstruct.GradedMatrixAlgebra(dense.dim, dense.parity, sn.mutated_rep(rep))
+    bad = min(sn.split_into_irreducibles(mutated), key=lambda p: (p.dim, p.parity))
+    assert sn.first_summand(rep)[0] is good
     assert bad.generator("tau_1") != good.generator("tau_1")
     assert sn.classify_module(good)["pattern"] == "antipodal_pair"
     assert sn.classify_module(bad)["pattern"] == "single"
@@ -238,10 +336,9 @@ def test_q_module_ungraded_split():
     # the (2,1) module is Q(1): 1-dimensional ungraded pieces with tau_i = +-1
     from superspin.linalg import kernel
 
-    # the generic route, on a dense copy, so that irr carries the dense tau's
-    shape = StrictPartition((2, 1))
-    rep = sn.build_rep_plain(shape)
-    irr = sn.first_summand(sn.GradedRep.new(shape, False, rep.generators))[0]
+    # the generic route, on the dense module, so that irr carries the dense tau's
+    rep = sn.build_rep_plain(StrictPartition((2, 1)))
+    irr = min(sn.split_into_irreducibles(rep.dense()), key=lambda p: (p.dim, p.parity))
     assert irr.dim == 2
     t1, t2 = irr.generator("tau_1"), irr.generator("tau_2")
     assert t1 == t2  # forced by pi_3 = 0 on this module
@@ -265,11 +362,12 @@ def test_intertwiner_examples():
             for r in P3.cols().get(c, {})
         }
         assert touched == {1 - t}
-    pi3, pi4 = rep.pi(3), rep.pi(4)
-    assert ((pi3 * pi3) * P3 - P3 * (pi4 * pi4)).is_zero()
+    pi = {k: rep.pi(k).expand() for k in range(1, 5)}
+    p = {k: rep.generator(f"p_{k}").expand() for k in range(1, 5)}
+    assert ((pi[3] * pi[3]) * P3 - P3 * (pi[4] * pi[4])).is_zero()
     for i, si in [(1, 1), (2, 2), (3, 4), (4, 3)]:
-        assert (P3 * rep.pi(i) - rep.pi(si) * P3).is_zero()
-        assert (P3 * rep.p(i) - rep.p(si) * P3).is_zero()
+        assert (P3 * pi[i] - pi[si] * P3).is_zero()
+        assert (P3 * p[i] - p[si] * P3).is_zero()
     with pytest.raises(ValueError):
         sn.intertwiner_p(1, sn.build_rep_plain(StrictPartition((3, 1))))
 
@@ -424,7 +522,7 @@ def test_size_limits():
 
 def test_pi_anticommutation_in_matrices():
     rep = sn.build_rep_plain(StrictPartition((3, 1)))
-    pis = [rep.pi(k) for k in range(1, 5)]
+    pis = [rep.pi(k).expand() for k in range(1, 5)]
     for i in range(4):
         for j in range(i + 1, 4):
             assert (pis[i] * pis[j] + pis[j] * pis[i]).is_zero()
@@ -453,31 +551,33 @@ def test_large_instance_tensor_smoke():
 # -- fast path against slow path: the YJM recurrence and the variant shortcut ----
 
 
-def _reference_pi(rep, k):
+def _reference_pi(generator, k, cache):
     """pi_k = t_1k + ... + t_{k-1,k}, with t_{i,i+1} = tau_i and
-    t_ij = -t_{i,j-1} tau_{j-1} t_{i,j-1}: the sum of transposition images."""
-    total = Mat.zero(rep.dim)
+    t_ij = -t_{i,j-1} tau_{j-1} t_{i,j-1}: the sum of transposition images.
+    It takes the arguments of `yjm_matrix` and reads pi_1 = 0 alone off cache."""
+    total = cache[1]
     for i in range(1, k):
-        t = rep.tau(i)
+        t = generator(f"tau_{i}")
         for j in range(i + 2, k + 1):
-            t = -(t * rep.tau(j - 1) * t)
+            t = -(t * generator(f"tau_{j - 1}") * t)
         total = total + t
     return total
 
 
-def _dense_copy(rep):
-    """The model with its dense generators alone, checked by dense products."""
-    return sn.GradedRep.new(rep.shape, rep.has_clifford, rep.generators, rep.build_report)
+def _dense_report(rep):
+    """verify_relations of rep's expanded generators, by dense products."""
+    return sn.verify_relations(rep, rep.dense().generators)
 
 
 def _reference_build_report(shape, tensor):
-    """Both variants constructed and fully verified, pi from the reference sum."""
+    """Both variants constructed and fully verified densely, pi from the
+    reference sum."""
     outcomes, chosen = {}, None
     for variant in ("corrected", "printed"):
-        rep = _dense_copy(sn._construct(shape, tensor, variant))
-        for k in range(1, rep.n + 1):
-            rep._pi_cache[k] = _reference_pi(rep, k)
-        report = sn.verify_relations(rep)
+        rep = sn._construct(shape, tensor, variant)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sn, "yjm_matrix", _reference_pi)
+            report = _dense_report(rep)
         bad = [r for r in report if r["status"] == "fail"]
         outcomes[variant] = "pass" if not bad else f"fail:{bad[0]['identity']}"
         if not bad and chosen is None:
@@ -499,8 +599,10 @@ def test_yjm_recurrence_matches_transposition_sum():
     for shape in shapes_up_to(5):
         for builder in (sn.build_rep_plain, sn.build_rep_clifford_tensor):
             rep = builder(shape)
+            mod = rep.dense()
             for k in range(1, rep.n + 1):
-                assert rep.pi(k) == _reference_pi(rep, k), (shape, builder, k)
+                want = _reference_pi(mod.generator, k, {1: Mat.zero(mod.dim)})
+                assert rep.pi(k).expand() == want, (shape, builder, k)
 
 
 @pytest.mark.parametrize(
@@ -514,6 +616,10 @@ def test_build_report_matches_full_adjudication(shape, tensor):
 
 
 # -- the factored form against the dense one: word products, reports, spectra ---
+
+
+def _holds_no_mat(rep):
+    return all(isinstance(g, sn.CliffordMat) for _, g in rep.generators)
 
 
 def test_word_product_matches_dense_words():
@@ -533,13 +639,6 @@ def test_word_product_matches_dense_words():
                 assert wu * wv == words[w].scale(sign), (m, u, v)
 
 
-def _spectrum_outcome(rep):
-    try:
-        return sn.spectrum_of(rep)
-    except sn.RelationError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize(
     "shape, tensor, variant",
     [
@@ -551,11 +650,11 @@ def _spectrum_outcome(rep):
     ids=str,
 )
 def test_factored_checks_match_dense(shape, tensor, variant):
+    # the dense checks of the expanded generators are the slow-path reference
     rep = sn._construct(shape, tensor, variant)
-    dense = _dense_copy(rep)
-    assert (bool(rep.factored), bool(dense.factored)) == (shape.n > 1 or tensor, False)
-    assert sn.verify_relations(rep) == sn.verify_relations(dense)
-    assert _spectrum_outcome(rep) == _spectrum_outcome(dense)
+    assert _holds_no_mat(rep)
+    assert sn.verify_relations(rep) == _dense_report(rep)
+    assert _outcome(sn.spectrum_of, rep) == _outcome(_dense_spectrum, rep)
 
 
 @pytest.mark.parametrize(
@@ -564,20 +663,17 @@ def test_factored_checks_match_dense(shape, tensor, variant):
     ids=str,
 )
 def test_loaded_files_take_the_factored_path(shape, tensor):
-    # a superspin/2 file loads to the builder's factored generators, which
-    # expand to its dense ones; its checks give the report of the dense model,
-    # the slow-path reference
+    # a superspin/2 file loads to the builder's factored generators, and
+    # nothing else; its checks give the report of the expanded generators, the
+    # slow-path reference
     rep = (sn.build_rep_clifford_tensor if tensor else sn.build_rep_plain)(shape)
     loaded = sn.GradedRep.from_json(json.loads(json.dumps(rep.to_json())))
-    assert loaded is not rep
-    assert [(name, f.g, f.m, f.blocks) for name, f in loaded.factored.items()] == [
-        (name, f.g, f.m, f.blocks) for name, f in rep.factored.items()
+    assert loaded is not rep and _holds_no_mat(loaded)
+    assert [(name, f.g, f.m, f.blocks) for name, f in loaded.generators] == [
+        (name, f.g, f.m, f.blocks) for name, f in rep.generators
     ]
-    assert [(name, f.expand()) for name, f in loaded.factored.items()] == rep.generators
-    dense = _dense_copy(loaded)
-    assert (bool(loaded.factored), bool(dense.factored)) == (shape.n > 1 or tensor, False)
-    assert sn.verify_relations(loaded) == sn.verify_relations(dense)
-    assert _spectrum_outcome(loaded) == _spectrum_outcome(dense)
+    assert sn.verify_relations(loaded) == _dense_report(loaded)
+    assert _outcome(sn.spectrum_of, loaded) == _outcome(_dense_spectrum, loaded)
 
 
 def test_verify_of_a_builders_file_reuses_the_build_report(monkeypatch, tmp_path, capsys):
@@ -591,15 +687,15 @@ def test_verify_of_a_builders_file_reuses_the_build_report(monkeypatch, tmp_path
     monkeypatch.setattr(sn, "_BUILD_CACHE", {})
     calls.clear()
     assert cli.main(["verify", str(path)]) == 0
-    assert len(calls) == 1 and calls[0].factored
+    assert len(calls) == 1 and _holds_no_mat(calls[0])
     report = json.loads(capsys.readouterr().out)["report"]
     built = sn.build_rep_plain(StrictPartition((3, 2)))
-    assert report == sn.verify_relations(_dense_copy(built))
+    assert report == _dense_report(built)
     # a copy: changing what verify_relations returned changes no later report
     sn.verify_relations(built)[0]["status"] = "fail"
     assert sn.verify_relations(built) == report
     # a sign-flipped superspin/2 file is checked once, in factored form, and
-    # gets the report of its dense model
+    # gets the report of its expanded generators
     obj = json.loads(path.read_text())
     term = obj["generators"][0]["blocks"][0][2][0][1]["terms"][0]
     term["coeff"] = term["coeff"][1:] if term["coeff"].startswith("-") else "-" + term["coeff"]
@@ -607,9 +703,9 @@ def test_verify_of_a_builders_file_reuses_the_build_report(monkeypatch, tmp_path
     flipped.write_text(json.dumps(obj))
     calls.clear()
     assert cli.main(["verify", str(flipped)]) == 1
-    assert len(calls) == 1 and calls[0].factored
+    assert len(calls) == 1 and _holds_no_mat(calls[0])
     report = json.loads(capsys.readouterr().out)["report"]
-    assert report == sn.verify_relations(_dense_copy(sn.GradedRep.from_json(obj)))
+    assert report == _dense_report(sn.GradedRep.from_json(obj))
     assert any(r["status"] == "fail" and "first_defect" in r for r in report)
 
 
@@ -628,9 +724,29 @@ def test_builds_take_the_factored_path(monkeypatch, parts, tensor):
         assert sn.spectrum_of(model) == sorted(model.avecs)
 
 
+def test_build_and_verify_expand_nothing(monkeypatch, tmp_path):
+    # only a failing defect is expanded: a build, its file and the verify of
+    # that file make no dense matrix of a generator
+    expand, calls = sn.CliffordMat.expand, []
+    monkeypatch.setattr(sn.CliffordMat, "expand", lambda self: calls.append(self) or expand(self))
+    monkeypatch.setattr(sn, "_BUILD_CACHE", {})
+    path = tmp_path / "model.json"
+    assert cli.main(["build-rep", "4,2,1", "--algebra", "tensor", "--out", str(path)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", str(path)]) == 0
+        assert calls == []
+        # the count sees expansions: a sign-flipped file names its defects
+        obj = json.loads(path.read_text())
+        term = obj["generators"][0]["blocks"][0][2][0][1]["terms"][0]
+        term["coeff"] = term["coeff"][1:] if term["coeff"].startswith("-") else "-" + term["coeff"]
+        path.write_text(json.dumps(obj))
+        assert cli.main(["verify", str(path)]) == 1
+    assert calls
+
+
 def test_printed_variant_is_scanned_before_its_model_is_made(monkeypatch):
     # the printed variant of (4,2) fails its factored scan, so the corrected
-    # model is the only one made and expanded
+    # model is the only one made
     made, new = [], sn.GradedRep.new.__func__
     monkeypatch.setattr(sn.GradedRep, "new", classmethod(lambda cls, *a: made.append(a) or new(cls, *a)))
     rep = sn._build(StrictPartition((4, 2)), False)
@@ -640,8 +756,9 @@ def test_printed_variant_is_scanned_before_its_model_is_made(monkeypatch):
 
 
 def test_failure_names_the_first_defect_entry():
-    rep = sn.mutated_rep(sn.build_rep_plain(StrictPartition((3, 1))))
-    t = {i: rep.tau(i) for i in range(1, 4)}
+    rep = sn.build_rep_plain(StrictPartition((3, 1)))
+    bad = sn.mutated_rep(rep)
+    t = {i: dict(bad)[f"tau_{i}"] for i in range(1, 4)}
     one = Mat.identity(rep.dim)
     defects = {
         "tau_1^2 = 1": t[1] * t[1] - one,
@@ -651,7 +768,7 @@ def test_failure_names_the_first_defect_entry():
         "tau_2 tau_3 tau_2 = tau_3 tau_2 tau_3": t[2] * t[3] * t[2] - t[3] * t[2] * t[3],
         "(tau_1 tau_3)^2 = -1": t[1] * t[3] * t[1] * t[3] + one,
     }
-    report = sn.verify_relations(rep)
+    report = sn.verify_relations(rep, bad)
     assert [r["identity"] for r in report] == list(defects)
     assert any(r["status"] == "fail" for r in report)
     for entry in report:
@@ -948,7 +1065,8 @@ def test_oracle_builds_no_block_subspace(monkeypatch):
 # A built model is classified and branched on its labelled rational module:
 # rational generators, each basis index labelled with its tableau's a-vector,
 # solved over the tableau blocks.  The generic route is the same calls on a
-# dense copy of the model, which has no labels; the kernel is the reduced basis
+# model with no labelled module, which splits its dense module, unlabelled
+# (`GradedRep.dense`, first_summand's fallback); the kernel is the reduced basis
 # of the solutions, so the two routes must solve the same sequence of modules
 # to the same commutants, in value, type and order.
 
@@ -975,11 +1093,12 @@ def _classify_and_branch(rep):
 @pytest.mark.parametrize("shape, tensor", _SHADOW_MODELS, ids=str)
 def test_shadow_solve_matches_the_generic_solve(shape, tensor):
     rep = sn._build(shape, tensor)  # a fresh model: nothing solved yet
-    dense = sn.GradedRep.new(shape, tensor, rep.generators)
     # plain (1) has no generator and nothing to label
     assert (rep.rational_shadow() is None) == (not rep.generators)
-    assert dense.rational_shadow() is None
-    labelled, generic = _classify_and_branch(rep), _classify_and_branch(dense)
+    labelled = _classify_and_branch(rep)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sn, "_rational_shadow", lambda rep: None)
+        generic = _classify_and_branch(sn._build(shape, tensor))
     assert labelled[2], "no module solved"
     assert labelled == generic
 
@@ -1021,20 +1140,20 @@ def test_identify_shape_reads_one_shape_off_the_labels():
 def _tampered(rep, name, key, change, keep_pi=False):
     """rep with block `key` of its factored generator `name` changed; with
     keep_pi, rep's YJM elements are kept, so that block alone breaks a premise."""
-    gen = rep.factored[name]
+    gen = rep.generator(name)
     blocks = {**gen.blocks, key: change(gen.blocks.get(key, {}))}
     gens = [(k, sn.CliffordMat(gen.g, gen.m, blocks) if k == name else g)
-            for k, g in rep.factored.items()]
+            for k, g in rep.generators]
     model = sn.GradedRep.new(rep.shape, rep.has_clifford, gens)
     if keep_pi:
-        model._fpi_cache.update(rep._fpi_cache)
+        model._pi_cache.update(rep._pi_cache)
     return model
 
 
 def test_models_that_fail_a_premise_take_the_generic_solve(monkeypatch):
     shape = StrictPartition((4, 2))
     rep = sn.build_rep_plain(shape)
-    off = min(k for k in rep.factored["tau_5"].blocks if k[0] != k[1])
+    off = min(k for k in rep.generator("tau_5").blocks if k[0] != k[1])
 
     def double_one(el):  # its coefficients are no longer +- one scalar
         return {**el, min(el): 2 * el[min(el)]}
@@ -1043,21 +1162,19 @@ def test_models_that_fail_a_premise_take_the_generic_solve(monkeypatch):
         return {**el, 1: 1}
 
     models = {
-        "mutated": sn.mutated_rep(rep),
         "printed": sn._construct(shape, False, "printed"),
         "off-diagonal": _tampered(rep, "tau_5", off, double_one),
         "off-diagonal, rep's pi": _tampered(rep, "tau_5", off, double_one, keep_pi=True),
         "diagonal, rep's pi": _tampered(rep, "tau_5", (off[1], off[1]), add_h1, keep_pi=True),
     }
     assert rep.rational_shadow() is not None
-    assert all(model.factored for name, model in models.items() if name != "mutated")
     # record the number of unknowns and skip the solve itself
     ncols = []
     monkeypatch.setattr(gradedstruct, "kernel", lambda rows, n: ncols.append(n) or [])
     generic = sum((p + q + 1) % 2 for p in rep.parity for q in rep.parity)
     for name, model in models.items():
         assert model.rational_shadow() is None, name
-        gradedstruct.module_commutant(model, 0)
+        gradedstruct.module_commutant(model.dense(), 0)
         assert ncols.pop() == generic, name
     gradedstruct.module_commutant(rep.rational_shadow(), 0)
     assert ncols.pop() == len(rep.tableaux) * rep.block_dim ** 2 // 2
