@@ -108,8 +108,8 @@ def check_spectrum_theorem(max_n: int) -> dict:
                 details.append(f"{shape}: multiplicity in spectrum")
             for avec in spec:
                 for a in avec:
-                    b = (-1 + math.isqrt(1 + 8 * a)) // 2
-                    if a < 0 or b * (b + 1) != 2 * a:
+                    # a >= 0 first: isqrt refuses a negative argument
+                    if a < 0 or (b := (math.isqrt(1 + 8 * a) - 1) // 2) * (b + 1) != 2 * a:
                         ok = False
                         details.append(f"{shape}: a={a} not half-triangular")
             bucket = seen_by_n.setdefault(n, {})

@@ -24,10 +24,12 @@ assembled as Lagrange polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
 from math import isqrt
 from typing import Iterable, Sequence
 
+from .exactnum import Scalar
 from .linalg import (
     CheckFailed, Mat, Subspace, Vec, centralizer, closure, coprime_split, eigensplit, kernel,
     lagrange_projector, plain, vecize,
@@ -238,7 +240,7 @@ def classify_module(mod: GradedMatrixAlgebra) -> dict:
     kind, params, pattern, count = "reducible", None, None, None
     if dims == (1, 0):
         kind, params, pattern, count = "M", (ev, od), "single", 1
-    elif dims == (1, 1) and _squares_to_nonzero_scalar(odd[0]):
+    elif dims == (1, 1) and _square_scalar(odd[0]):
         kind, params, pattern, count = "Q", ev, "single", 1
     elif dims in _FUSED_PATTERNS and _commutant_split(mod, even) is None:
         kind, pattern = _FUSED_PATTERNS[dims]
@@ -267,9 +269,14 @@ def _commutant_split(mod: GradedMatrixAlgebra, even_comm: Sequence[Mat]) -> list
     even_comm is a basis of the even commutant (for parity 0 the super and
     plain commutants agree).  The module is irreducible iff that algebra is a
     division algebra.  Otherwise some element's minimal polynomial has coprime
-    factors whose kernels split the module (`linalg.coprime_split`); products
-    of basis elements are tried as well, since the echelon basis need not
-    contain such an element.
+    factors over Q whose kernels split the module (`linalg.coprime_split`);
+    products of basis elements are tried as well, since the echelon basis
+    need not contain such an element.
+
+    With no splitter found the algebra must be a real division algebra (R, C
+    or H): each nonscalar basis element minus its trace / dim squares to a
+    negative scalar.  A commutant split only by irrational eigenvalues, such
+    as Q(sqrt 2), fails this and raises.
     """
     nonscalar = [x for x in even_comm if x != Mat.scalar(mod.dim, x.entry(0, 0))]
     products = (x * y for i, x in enumerate(nonscalar) for y in nonscalar[i:])
@@ -277,20 +284,22 @@ def _commutant_split(mod: GradedMatrixAlgebra, even_comm: Sequence[Mat]) -> list
         split = coprime_split(cand)
         if len(split) > 1:
             return [sub for sub, _ in split]
-    # no splitter found: legitimate iff the commutant is a division algebra,
-    # which happens for field-irreducible modules of complex/quaternionic type
-    if all(Subspace(mod.dim, list(x.rows.values())).dim == mod.dim for x in nonscalar):
-        return None
-    raise CheckFailed(
-        "could not split module over the field (commutant is not a division "
-        "algebra yet no element yields coprime factors)"
-    )
+    for x in nonscalar:
+        mean = sum(x.entry(i, i) for i in range(mod.dim)) * Fraction(1, mod.dim)
+        c = _square_scalar(x - Mat.scalar(mod.dim, mean))
+        if c is None or c >= 0:
+            raise CheckFailed(
+                "could not split module over Q (commutant is not a real division "
+                "algebra yet no element yields coprime factors)"
+            )
+    return None
 
 
-def _squares_to_nonzero_scalar(j: Mat) -> bool:
+def _square_scalar(j: Mat) -> Scalar | None:
+    """The c with j * j = c * 1, or None."""
     sq = j * j
     c = sq.entry(0, 0)
-    return bool(c) and sq == Mat.scalar(j.nrows, c)
+    return c if sq == Mat.scalar(j.nrows, c) else None
 
 
 def span_closure(gens: Iterable[Mat]) -> list[Mat]:

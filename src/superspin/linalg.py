@@ -5,8 +5,8 @@ dicts of such dicts.  A scalar is an int, a Fraction or a SqrtNumber, by the
 rule in `exactnum`: the value decides the type.  The same code runs on all
 three, so rational values compute in int/Fraction arithmetic wherever they
 appear, and a SqrtNumber is only ever a value with a radical.  Everything here
-is deterministic: pivots are smallest column first, eigenvalues are reported
-in ascending field order.
+is deterministic: pivots are smallest column first, and minimal polynomials
+split over Q, their rational roots in ascending order.
 """
 
 from __future__ import annotations
@@ -17,15 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exactnum import (
-    Scalar,
-    SqrtNumber,
-    canonical,
-    inverse,
-    rational_of,
-    scalar_json,
-    sqrt_rational,
-)
+from .exactnum import Scalar, canonical, inverse, rational_of, scalar_json
 
 Vec = dict  # index -> Scalar
 
@@ -713,54 +705,14 @@ def _divide_rational_roots(work: list[Scalar]) -> tuple[list, list[Scalar]]:
     return sorted(roots), work
 
 
-def _quadratic_roots(b: Scalar, c: Scalar) -> tuple | None:
-    """The two roots of x^2 + b x + c if they lie in the field, else None."""
-    root_disc = _field_sqrt(b * b - 4 * c)
-    if root_disc is None:
-        return None
-    half = Fraction(1, 2)
-    return canonical((-b - root_disc) * half), canonical((-b + root_disc) * half)
-
-
-def _field_sqrt(u: Scalar) -> Scalar | None:
-    """A square root of u inside the field, if one exists with <= 1 radical."""
-    if u < 0:
-        return None
-    if not isinstance(u, SqrtNumber):
-        return sqrt_rational(u)
-    terms = u.terms
-    if len(terms) == 2 and 1 in terms:
-        # u = a + b*sqrt(d); try (x + y*sqrt(d))^2
-        (d,) = [k for k in terms if k != 1]
-        a, b = terms[1], terms[d]
-        # x^2 + d y^2 = a, 2xy = b  =>  x^2 solves t^2 - a t + d b^2/4 = 0
-        disc = a * a - d * b * b
-        if disc < 0:
-            return None
-        s = sqrt_rational(disc)
-        if isinstance(s, SqrtNumber):
-            return None
-        for x2 in ((a + s) / 2, (a - s) / 2):
-            if x2 <= 0:
-                continue
-            x = sqrt_rational(x2)
-            if isinstance(x, SqrtNumber):
-                continue
-            cand = SqrtNumber.from_terms([(1, x), (d, b / (2 * x))])
-            if cand * cand == u:
-                return cand if cand.sign() >= 0 else -cand
-    return None
-
-
 def poly_factors(coeffs: list[Scalar]) -> list[tuple[list[Scalar], Scalar | None]]:
     """Pairwise-coprime monic factors of a monic polynomial, each with its
     root r when it is (x - r)^k, else with None.
 
-    Rational roots come off first, ascending, as (x - r)^k factors.  Of the
-    remainder, a quadratic with two field roots splits into its two linear
-    factors, a linear one or a square (x - r)^2 keeps its root, and a rational
-    biquadratic x^4 + p x^2 + q splits into x^2 - y for the two distinct field
-    roots y of y^2 + p y + q; whatever resists stays as one factor.
+    The rational roots come off first, ascending, as (x - r)^k factors; the
+    remainder, if any, is one last factor, which keeps its root only when it
+    is linear.  Splitting is over Q: the eigenvalues this package splits by
+    are integers, so a remainder of degree 2 or more is left whole.
     """
     found, work = _divide_rational_roots(list(coeffs))
     factors: list[tuple[list[Scalar], Scalar | None]] = []
@@ -769,23 +721,8 @@ def poly_factors(coeffs: list[Scalar]) -> list[tuple[list[Scalar], Scalar | None
         for _ in range(mult):
             factor = _poly_mul(factor, [-r, 1])
         factors.append((factor, r))
-    root = -work[0] if len(work) == 2 else None
-    if len(work) == 3 and (pair := _quadratic_roots(work[1], work[0])):
-        if pair[0] != pair[1]:
-            return factors + [([-r, 1], r) for r in pair]
-        root = pair[0]  # work is (x - r)^2
-    elif (
-        len(work) == 5
-        and all(rational_of(c) is not None for c in work)
-        and not work[1]
-        and not work[3]
-    ):
-        # biquadratic: factor through y = x^2
-        pair = _quadratic_roots(work[2], work[0])
-        if pair is not None and pair[0] != pair[1]:
-            return factors + [([-y, 0, 1], None) for y in pair]
     if len(work) > 1:
-        factors.append((work, root))
+        factors.append((work, -work[0] if len(work) == 2 else None))
     return factors
 
 
@@ -808,10 +745,12 @@ def _poly_apply(coeffs: list[Scalar], m: Mat) -> Mat:
 
 
 def coprime_split(m: Mat) -> list[tuple[Subspace | None, Scalar | None]]:
-    """The space of m cut by the pairwise-coprime factors of its minimal polynomial.
+    """The space of m cut by the pairwise-coprime factors over Q of its minimal
+    polynomial.
 
-    One (piece, root) pair per factor f of `poly_factors`, in its order: the
-    kernel of f(m), and f's root r when f is (x - r)^k, else None.  The
+    One (piece, root) pair per factor f of `poly_factors`, in its order (the
+    rational roots ascending, then the remainder): the kernel of f(m), and
+    f's root r when f is (x - r)^k, else None.  The
     pieces add up to the whole space; a single factor's piece is the whole
     space, given as None and not formed.
     """
@@ -834,7 +773,8 @@ def eigensplit(
 
     Returns (piece, eigenvalue list) pairs, eigenvalues in operator order;
     a piece is cut by `coprime_split` in ascending eigenvalue order.  Raises
-    if an operator's spectrum does not lie in the field.
+    CheckFailed if a factor of an operator's minimal polynomial has no root,
+    as one with an irrational eigenvalue such as sqrt 2 has.
     """
     labeled: list[tuple[Subspace, list[Scalar]]] = [(p, []) for p in pieces]
     for op in operators:
@@ -847,7 +787,7 @@ def eigensplit(
             split = coprime_split(small)
             if any(lam is None for _, lam in split):
                 raise CheckFailed("minimal polynomial did not split over the field")
-            for sub, lam in sorted(split, key=lambda s: s[1]):
+            for sub, lam in split:
                 refined.append((piece if sub is None else piece.sub_lift(sub), label + [lam]))
         labeled = refined
     return labeled

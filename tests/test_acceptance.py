@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from superspin import checks, gradedstruct, seminormal, shiftedcomb, spinalg
+from superspin import checks, cli, gradedstruct, seminormal, shiftedcomb, spinalg
 from superspin.shiftedcomb import StrictPartition, strict_partitions
 
 
@@ -75,6 +75,21 @@ def test_criterion_4_spectrum_theorem():
         "spectra equal tableau multisets, half-triangular, disjoint (n <= 6)",
         budget=300.0,
     )
+
+
+def test_criterion_4_fails_on_a_negative_a_value(monkeypatch, capsys):
+    # a negative a-value fails the criterion (exit 1); it must not reach isqrt
+    seminormal.build_rep_plain(StrictPartition((1,)))
+    two = seminormal.build_rep_plain(StrictPartition((2,)))
+    spectrum = seminormal.spectrum_of
+    monkeypatch.setattr(
+        seminormal, "spectrum_of", lambda rep: [(0, -1)] if rep is two else spectrum(rep)
+    )
+    result = checks.check_spectrum_theorem(2)
+    assert result["status"] == "fail"
+    assert "2: a=-1 not half-triangular" in result["details"]
+    assert cli.main(["check-all", "--max-n", "2"]) == 1
+    assert "[FAIL] criterion 4:" in capsys.readouterr().out
 
 
 def test_criterion_5_identity_suites():

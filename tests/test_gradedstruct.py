@@ -139,6 +139,27 @@ def test_reducible_sum_with_fused_pattern(dsum, dims):
     assert len(gs.split_into_irreducibles(dsum)) == 2
 
 
+def j_module(c):
+    """Q^2 with one even generator J = [[0, c], [1, 0]], so J^2 = c."""
+    return gs.GradedMatrixAlgebra(2, (0, 0), [("j", Mat(2, 2, {0: {1: c}, 1: {0: 1}}))])
+
+
+def test_split_over_q_refuses_an_irrational_commutant():
+    # J^2 = 2: the commutant Q(sqrt 2) is a field, as x^2 - 2 has no root in
+    # Q, but no real division algebra, since J has trace 0 and J^2 = 2 > 0
+    jmod = j_module(2)
+    refusal = "^could not split module over Q "
+    with pytest.raises(linalg.CheckFailed, match=refusal):
+        gs.split_into_irreducibles(jmod)
+    with pytest.raises(linalg.CheckFailed, match=refusal):
+        gs.classify_module(gs.graded_tensor(gs.q_algebra(1), jmod))
+    # J^2 = -2: the commutant Q(sqrt -2) is complex, the fused antipodal pair
+    rotation = j_module(-2)
+    assert gs.split_into_irreducibles(rotation) == [rotation]
+    out = gs.classify_module(gs.graded_tensor(gs.q_algebra(1), rotation))
+    assert (out["kind"], out["params"], out["pattern"]) == ("M", (1, 1), "antipodal_pair")
+
+
 def test_decompose_regular_representations():
     rep3 = gs.decompose_semisimple(regular_algebra(3))
     assert rep3.summary() == [("Q", 1), ("M", (1, 1))]

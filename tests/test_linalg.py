@@ -9,6 +9,7 @@ checked against sympy and against the exact path, forced by making
 """
 
 import ast
+import importlib.util
 from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
@@ -23,7 +24,6 @@ from superspin.linalg import (
     Subspace,
     _deflate,
     _poly_mul,
-    _quadratic_roots,
     eigensplit,
     kernel,
     min_poly,
@@ -415,19 +415,11 @@ def test_rational_eigensplit_matches_lifted(rows):
 
 def test_rational_eigensplit_with_radical_eigenvalues():
     # [[0, 2], [1, 0]] (+) [3] has eigenvalues -sqrt(2), sqrt(2) and 3: the
-    # radical pieces carry SqrtNumbers, the rational piece stays on ints
+    # split is over Q, so the factor x^2 - 2 has no root and the split refuses
     m = Mat(3, 3, {0: {1: 2}, 1: {0: 1}, 2: {2: 3}})
-    got = split_of(m)
-    assert typed_split(got) == typed_split(exact_path(split_of, m))
-    r2 = sqrt_rational(2)
-    assert [label for _, label in got] == [[-r2, 2], [r2, 2], [3, 9]]
-    for (basis, label), lam in zip(got[:2], (-r2, r2)):
-        assert family(label) == {"sqrt", "rational"} and type(label[1]) is int
-        (v,) = basis
-        assert "sqrt" in family(v.values())
-        assert m.apply(v) == {i: lam * x for i, x in v.items()}
-    assert got[2] == ([{2: 1}], [3, 9])
-    assert family(got[2][1] + list(got[2][0][0].values())) == {"rational"}
+    assert poly_factors(min_poly(m)) == [([-3, 1], 3), ([-2, 0, 1], None)]
+    with pytest.raises(linalg.CheckFailed, match="^minimal polynomial did not split over the field$"):
+        split_of(m)
 
 
 # -- polynomial factors against the earlier two root finders --------------------
@@ -435,7 +427,8 @@ def test_rational_eigensplit_with_radical_eigenvalues():
 # The factoriser replaced two routines, `poly_roots` (every root, and whether
 # the polynomial split completely) and `poly_partial_factors` (pairwise-coprime
 # factors), each over its own rational root search.  Both are kept below as
-# they were, as references.
+# references, less their search for quadratic and biquadratic roots in the
+# multi-quadratic field: splitting is over Q now.
 
 
 def ref_rational_roots(int_coeffs):
@@ -498,11 +491,6 @@ def ref_poly_roots(coeffs):
         found, work = ref_divide_rational_roots(work)
         roots.extend(found)
         changed = bool(found)
-        pair = _quadratic_roots(work[1], work[0]) if len(work) == 3 else None
-        if pair is not None:
-            roots.extend(pair)
-            work = [1]
-            changed = True
         if len(work) == 2:
             roots.append(-work[0])
             work = [1]
@@ -520,20 +508,6 @@ def ref_poly_partial_factors(coeffs):
         for _ in range(mult):
             factor = _poly_mul(factor, [-rr, 1])
         factors.append(factor)
-    pair = _quadratic_roots(work[1], work[0]) if len(work) == 3 else None
-    if pair is not None and pair[0] != pair[1]:
-        factors.extend([[-r, 1] for r in pair])
-        work = [1]
-    if (
-        len(work) == 5
-        and all(rational_of(cf) is not None for cf in work)
-        and not work[1]
-        and not work[3]
-    ):
-        pair = _quadratic_roots(work[2], work[0])
-        if pair is not None and pair[0] != pair[1]:
-            factors.extend([[-y, 0, 1] for y in pair])
-            work = [1]
     if len(work) > 1:
         factors.append(work)
     return factors
@@ -566,7 +540,8 @@ def check_factors_against_references(coeffs):
 
 R2 = sqrt_rational(2)
 # (x - r)^k, x^2 - d, x^2 + 1, (x^2 - 2)(x^2 - 3), and (x - sqrt 2)^k, whose
-# radical coefficients leave nothing to the rational root search
+# radical coefficients leave nothing to the rational root search; all but the
+# first have no rational root, so each stays one factor, rootless if not linear
 poly_factor_draws = st.one_of(
     st.tuples(st.fractions(-3, 3, max_denominator=3), st.integers(1, 3)).map(
         lambda rk: [[-canonical(rk[0]), 1]] * rk[1]
@@ -582,6 +557,15 @@ poly_factor_draws = st.one_of(
 @given(st.lists(poly_factor_draws, min_size=1, max_size=3))
 def test_poly_factors_match_the_earlier_root_finders(draws):
     check_factors_against_references(poly_product([f for fs in draws for f in fs]))
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [[[-d, 0, 1]] for d in (2, 3, 5, 6)] + [[[1, 0, 1]], [[-2, 0, 1], [-3, 0, 1]], [[-R2, 1]] * 2],
+)
+def test_poly_factors_leave_irrational_roots_whole(draw):
+    coeffs = poly_product(draw)
+    assert check_factors_against_references(coeffs) == [(coeffs, None)]
 
 
 def test_rational_roots_of_large_prime_constant():
@@ -746,3 +730,39 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 }
     assert sorted(found) == []
+
+
+def _tracer_targets():
+    tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_every_module_level_import_is_used():
+    # a name a module imports is used in it, re-exported in its __all__, or
+    # a benchmark tracer target that the module reaches through the import
+    package = Path(__file__).resolve().parent.parent / "src" / "superspin"
+    traced = {(f"{mod}.py", path) for mod, path, _name, _kind in _tracer_targets()}
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0]: node.lineno for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name: node.lineno for a in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= set(ast.literal_eval(node.value))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used | exported and (path.name, name) not in traced
+        ]
+    assert sorted(unused) == []
