@@ -175,12 +175,8 @@ def check_branching(max_n: int) -> dict:
             details.append(f"n={n}: edge supports differ")
         blocks = shiftedcomb.algebra_from_graph(g2)
         oracle = seminormal.regular_decompose("A", n)
-
-        def norm(btype, params):
-            return (btype, tuple(params) if btype == "M" else params)
-
-        got = sorted(norm(b["type"], b["params"]) for b in blocks)
-        want = sorted(norm(b.btype, b.params) for b in oracle.blocks)
+        got = sorted((b["type"], b["params"]) for b in blocks)
+        want = sorted((b.btype, b.params) for b in oracle.blocks)
         if got != want:
             ok = False
             details.append(f"n={n}: path counts {got} != oracle {want}")

@@ -340,22 +340,23 @@ class Block:
         }
 
 
-def simple_block(has_odd_center: bool, alg_dim: int, even_dim: int, **fields) -> Block:
+def simple_block(alg_dim: int, even_dim: int, **fields) -> Block:
     """The simple block with the given algebra dimension and even dimension.
 
-    A block whose odd center is nonzero is Q(q): dimension 2 q^2, even part
-    q^2.  Otherwise it is M(r, s): dimension (r + s)^2, even part r^2 + s^2.
+    Over C a simple superalgebra is M(r, s): dimension (r + s)^2, even part
+    r^2 + s^2, or Q(q): dimension 2 q^2, even part q^2 (Wall 1964).  2 q^2 is
+    never a square, so the block is Q exactly when alg_dim is not one.
     """
-    if has_odd_center:
+    t = isqrt(alg_dim)
+    if t * t != alg_dim:
         q = isqrt(alg_dim // 2)
         if 2 * q * q != alg_dim or even_dim != q * q:
             raise CheckFailed("inconsistent Q-block dimensions")
         return Block("Q", q, alg_dim, **fields)
-    t = isqrt(alg_dim)
     # r + s = t, r^2 + s^2 = even_dim
     disc = 2 * even_dim - t * t
     u = isqrt(disc) if disc >= 0 else -1
-    if t * t != alg_dim or u < 0 or u * u != disc or (t + u) % 2:
+    if u < 0 or u * u != disc or (t + u) % 2:
         raise CheckFailed("inconsistent M-block dimensions")
     return Block("M", ((t + u) // 2, (t - u) // 2), alg_dim, **fields)
 
@@ -418,13 +419,13 @@ def split_module_by_central(
 def decompose_semisimple(a: GradedMatrixAlgebra) -> BlockReport:
     """Split the span of the generators into simple graded blocks.
 
-    Blocks are cut by eigenspaces of the even ordinary center; each block is
-    labeled M or Q by whether the odd center vanishes on it, with parameters
-    recovered from the block algebra's graded dimensions.
+    Blocks are cut by eigenspaces of the even ordinary center; each block's
+    type and parameters are read off the block algebra's graded dimensions
+    (`simple_block`).
     """
     gens = a.generator_mats()
     span = span_closure(gens)
-    even_center, odd_center = center_of_span(span, gens, a.parity)
+    even_center = center_of_span(span, gens, a.parity)[0]
     pieces = split_module_by_central(a.dim, even_center)
     if len(pieces) != len(even_center):
         raise CheckFailed(
@@ -438,10 +439,7 @@ def decompose_semisimple(a: GradedMatrixAlgebra) -> BlockReport:
         block = a.restrict(piece)
         block_span = span_closure(block.generator_mats())
         ev_dim = [matrix_parity(m, block.parity) for m in block_span].count(0)
-        has_odd_center = any(not piece.annihilated_by(z) for z in odd_center)
-        report.blocks.append(
-            simple_block(has_odd_center, len(block_span), ev_dim, idempotent=proj)
-        )
+        report.blocks.append(simple_block(len(block_span), ev_dim, idempotent=proj))
     return report
 
 

@@ -569,10 +569,6 @@ class Subspace:
                 rows.setdefault(i, {})[j] = c
         return Mat(self.dim, self.dim, rows)
 
-    def annihilated_by(self, m: Mat) -> bool:
-        """True if m maps every vector of this subspace to zero."""
-        return all(not m.apply(b) for b in self.basis)
-
     def sub_lift(self, small: Subspace) -> Subspace:
         """Lift a subspace of this coordinate space into the ambient space."""
         return Subspace(self.dim_ambient, [self.lift(v) for v in small.basis])

@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import isqrt, lcm
+from math import isqrt
 from typing import Callable, Iterator, Sequence
 
 from . import spinalg
@@ -839,15 +839,6 @@ def branching_graph_from_reps(n: int) -> BranchingGraph:
 # -- the brute-force regular-representation oracle --------------------------------
 
 
-def _odd_center(ctx: spinalg.SpinContext) -> list[spinalg.SpinElement]:
-    """A basis of the odd part of the ordinary center, as elements of signs:
-    the sign centralizer of the generators over the odd words, which
-    conjugation by a generator keeps odd."""
-    gens = [(g,) for g in range(1, len(ctx.left) + 1)]
-    odd = [idx for idx, p in enumerate(ctx.parity) if p]
-    return [spinalg.SpinElement(ctx, sol) for sol in spinalg.sign_centralizer(ctx, odd, gens)]
-
-
 def regular_decompose(tag: str, n: int) -> BlockReport:
     """Decompose the regular representation into labeled graded blocks.
 
@@ -858,9 +849,9 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     square c acts on the block of an a-vector by the sum of its entries, so
     c's roots are the distinct sums and a block's spectrum is the a-vectors
     of its root.  The rest is read off the block's central idempotent e: the
-    graded dimensions off e's identity coefficient, M/Q off the odd part of
-    the ordinary center.  It multiplies elements of the algebra's context,
-    plain or Clifford-extended, and builds one matrix per block, left
+    graded dimensions off e's identity coefficient, and M/Q off the block's
+    dimension (`simple_block`).  It multiplies elements of the algebra's
+    context, plain or Clifford-extended, and builds one matrix per block, left
     multiplication by e.
     """
     caps = {"A": (5, "plain"), "CA": (4, "Clifford-extended")}
@@ -890,23 +881,19 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
         )
     total = sum(squares, spinalg.SpinElement(ctx))
     roots = sorted({sum(a) for a in avecs})
-    unit, odd_center = spinalg.SpinElement(ctx, {one: 1}), _odd_center(ctx)
+    unit = spinalg.SpinElement(ctx, {one: 1})
     report = BlockReport(algebra_dim=dim)
     for lam in roots:
-        # e is the block's central idempotent: odd central z vanishes on eA iff
-        # z e = 0.  A word other than 1 moves every word, so eA has dimension
-        # e_1 * dim
+        # e is the block's central idempotent.  A word other than 1 moves
+        # every word, so eA has dimension e_1 * dim
         e = lagrange_projector(unit, [(total, lam, mu) for mu in roots if mu != lam])
         dims = [e.coeffs.get(one, 0) * k for k in (dim, parity.count(0))]
         if any(d != int(d) for d in dims):
             raise CheckFailed(f"idempotent traces {dims} are not integers")
-        # e matters up to scale: an integer multiple keeps the products in ints
-        whole = e.scale(lcm(*(x.denominator for x in e.coeffs.values())))
         spectrum = [a for a in avecs if sum(a) == lam]
         report.blocks.append(
             simple_block(
-                any(z * whole for z in odd_center), int(dims[0]), int(dims[1]),
-                idempotent=e.matrix(), spectrum=spectrum,
+                int(dims[0]), int(dims[1]), idempotent=e.matrix(), spectrum=spectrum,
                 partition=_shape_of_avec(spectrum[0]).parts,
             )
         )

@@ -177,6 +177,25 @@ def test_decompose_regular_representations():
     assert (blocks[0].idempotent * blocks[1].idempotent).is_zero()
 
 
+@pytest.mark.parametrize(
+    "alg_dim, even_dim, btype, params",
+    [(1, 1, "M", (1, 0)), (2, 1, "Q", 1), (16, 8, "M", (2, 2)), (32, 16, "Q", 4)],
+)
+def test_simple_block_reads_the_type_off_the_dimension(alg_dim, even_dim, btype, params):
+    # M(r, s) has dimension (r + s)^2, Q(q) has 2 q^2, never a square
+    block = gs.simple_block(alg_dim, even_dim)
+    assert (block.btype, block.params, block.dimension) == (btype, params, alg_dim)
+
+
+@pytest.mark.parametrize(
+    "alg_dim, even_dim, message",
+    [(8, 3, "Q-block"), (2, 2, "Q-block"), (9, 4, "M-block")],
+)
+def test_simple_block_refuses_inconsistent_dimensions(alg_dim, even_dim, message):
+    with pytest.raises(linalg.CheckFailed, match=f"inconsistent {message} dimensions"):
+        gs.simple_block(alg_dim, even_dim)
+
+
 def test_decompose_single_block():
     rep = gs.decompose_semisimple(gs.m_algebra(1, 0))
     assert rep.summary() == [("M", (1, 0))]

@@ -717,6 +717,31 @@ def test_only_linalg_names_echelon():
         assert named == owners, name
 
 
+def test_every_private_definition_is_referenced():
+    # a private function, class or method defined in a module is named, or
+    # reached as an attribute, somewhere in the package: none is left for the
+    # tests alone
+    package = Path(__file__).resolve().parent.parent / "src" / "superspin"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = {
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert defined
+    assert sorted(f"{mod}:{name}" for mod, name in defined if name not in referenced) == []
+
+
 def test_no_import_inside_a_function():
     # every module imports at its top, so its header shows all it depends on
     package = Path(__file__).resolve().parent.parent / "src" / "superspin"

@@ -5,6 +5,7 @@ import json
 import operator
 import random
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -806,7 +807,7 @@ def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
     sympy = pytest.importorskip("sympy")
     built: list = []
     operators: list = []
-    matrix, span, odd_center = spinalg.SpinElement.matrix, spinalg.subalgebra_span, sn._odd_center
+    matrix, span = spinalg.SpinElement.matrix, spinalg.subalgebra_span
     project = sn.lagrange_projector
 
     def build(x):
@@ -821,25 +822,18 @@ def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
         operators.extend(op for op, _, _ in terms)
         return project(one, terms)
 
-    def odd(ctx):
-        out = odd_center(ctx)
-        operators.extend(out)
-        return out
-
     with monkeypatch.context() as mp:
         mp.setattr(spinalg.SpinElement, "matrix", build)
         mp.setattr(spinalg, "subalgebra_span", spans)
         mp.setattr(sn, "lagrange_projector", projector)
-        mp.setattr(sn, "_odd_center", odd)
         fast = sn.regular_decompose(tag, n)
     # the record sees every matrix the oracle builds: one per block, the
     # idempotent it prints
     assert len(built) == len(fast.blocks)
     assert all(m is b.idempotent for m, b in zip(built, fast.blocks))
-    # the oracle's operators, the total YJM square, the n squares pi_k^2 and
-    # one odd central element per Q block, have int coefficients alone
-    n_odd = sum(1 for b in fast.blocks if b.btype == "Q")
-    assert len({id(x) for x in operators}) == 1 + n + n_odd
+    # the oracle's operators (the total YJM square and the n squares pi_k^2)
+    # have int coefficients alone
+    assert len({id(x) for x in operators}) == 1 + n
     assert {type(c) for x in operators for c in x.coeffs.values()} == {int}
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "_certified_rref", lambda vecs: None)
@@ -863,6 +857,15 @@ def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
 
 
 # -- the oracle's word action: relations, word products and centrality ----------
+
+
+def _odd_center(ctx):
+    """A basis of the odd part of the ordinary center, as elements of signs:
+    the sign centralizer of the generators over the odd words, which
+    conjugation by a generator keeps odd."""
+    gens = [(g,) for g in range(1, len(ctx.left) + 1)]
+    odd = [idx for idx, p in enumerate(ctx.parity) if p]
+    return [spinalg.SpinElement(ctx, sol) for sol in spinalg.sign_centralizer(ctx, odd, gens)]
 
 
 def _left_mult_mat(ctx, coeffs):
@@ -964,7 +967,7 @@ def test_oracle_word_action_is_central(tag, n):
     squares = [p * p for p in (spinalg.jm_element(k, n) for k in range(1, n + 1))]
     central = [sum(squares, spinalg.SpinElement.zero(n))] + spinalg.supercenter_basis(n)
     central_mats = [_left_mult_mat(ext, z.coeffs) for z in central]
-    odd_mats = [_left_mult_mat(ext, z.coeffs) for z in sn._odd_center(ext)]
+    odd_mats = [_left_mult_mat(ext, z.coeffs) for z in _odd_center(ext)]
     n_q = sum(
         1
         for shape in strict_partitions(n)
@@ -996,21 +999,32 @@ def test_oracle_checks_its_parity_vector(monkeypatch, tag, n):
 
 def _subspace_blocks(tag, n):
     """The oracle's report computed on each block as a subspace of the word
-    space: cut by `split_module_by_central`, with graded dimensions, the odd
-    centre and the joint spectrum read on the whole block."""
+    space: cut by `split_module_by_central`, with graded dimensions and the
+    joint spectrum read on the whole block.  The type is the odd centre's:
+    Q(q) when some odd central element is nonzero on the block, else M(r, s)
+    with r + s and r^2 + s^2 solved from the graded dimensions."""
     ext = spinalg.context(n, clifford=tag == "CA")
     squares = [p * p for p in (spinalg.jm_element(k, n) for k in range(1, n + 1))]
     total = sum(squares, spinalg.SpinElement.zero(n))
     central = _left_mult_mat(ext, total.coeffs)
     pi2_mats = [_left_mult_mat(ext, sq.coeffs) for sq in squares]
-    odd_mats = [_left_mult_mat(ext, z.coeffs) for z in sn._odd_center(ext)]
+    odd_mats = [_left_mult_mat(ext, z.coeffs) for z in _odd_center(ext)]
     report = gradedstruct.BlockReport(algebra_dim=len(ext.words))
     for piece, proj in gradedstruct.split_module_by_central(len(ext.words), [central]):
         spectrum = sn._a_vectors(piece, pi2_mats)
-        block = gradedstruct.simple_block(
-            any(not piece.annihilated_by(z) for z in odd_mats),
-            piece.dim,
-            gradedstruct.subspace_parity(piece, ext.parity).count(0),
+        dim, even = piece.dim, gradedstruct.subspace_parity(piece, ext.parity).count(0)
+        if any(z.apply(b) for z in odd_mats for b in piece.basis):
+            q = isqrt(dim // 2)
+            assert (2 * q * q, q * q) == (dim, even)
+            btype, params = "Q", q
+        else:
+            t, u = isqrt(dim), isqrt(2 * even - dim)
+            assert (t * t, u * u) == (dim, 2 * even - dim)
+            btype, params = "M", ((t + u) // 2, (t - u) // 2)
+        block = gradedstruct.Block(
+            btype,
+            params,
+            dim,
             idempotent=proj,
             spectrum=spectrum,
             partition=sn._shape_of_avec(spectrum[0]).parts if spectrum else None,
@@ -1047,7 +1061,6 @@ def test_oracle_builds_no_block_subspace(monkeypatch):
         splits.append(len(pieces))
         return split(pieces, ops)
 
-    monkeypatch.setattr(linalg.Subspace, "annihilated_by", refuse)
     monkeypatch.setattr(gradedstruct, "split_module_by_central", refuse)
     monkeypatch.setattr(linalg.Subspace, "__init__", record)
     monkeypatch.setattr(sn, "eigensplit", count)
