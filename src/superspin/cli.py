@@ -3,18 +3,19 @@
 Exit codes: 0 success, 1 a verification or acceptance check failed, 2 invalid
 input or usage (an unwritable --out file or a closed stdout included).  Every
 emitted JSON document carries a "schema" field and identical invocations
-produce byte-identical output.  `build-rep` writes a model in its factored
-form, "superspin/2" (`GradedRep.document`); every other document is
-"superspin/1".  `verify` reads a superspin/2 model file and refuses any other
-schema (`GradedRep.read`).  Matrices are rendered straight from their sparse
-rows (`linalg.dump`), byte-identical to json.dumps of the dense `to_json()`
-form.
+produce byte-identical output, json.dumps(sort_keys=True, indent=2) of the
+document.  `build-rep` writes a model in its factored form, "superspin/2"
+(`GradedRep.to_json`); every other document is "superspin/1".  `verify` reads
+a superspin/2 model file and refuses any other schema (`GradedRep.read`).
+`decompose-regular` writes each block's central idempotent as an element of
+the algebra (`SpinElement.to_json`), not as a matrix.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
 
@@ -57,8 +58,7 @@ def _output(args):
 
 def _emit(payload, args) -> None:
     with _output(args) as fh:
-        linalg.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _emit_text(text: str, args) -> None:
@@ -144,7 +144,7 @@ def cmd_branching_graph(args) -> int:
 def cmd_build_rep(args) -> int:
     shape, tensor = _parse_partition(args.partition), args.algebra == "tensor"
     builder = seminormal.build_rep_clifford_tensor if tensor else seminormal.build_rep_plain
-    _emit(builder(shape).document(), args)
+    _emit(builder(shape).to_json(), args)
     return 0
 
 
@@ -194,7 +194,7 @@ def cmd_gz(args) -> int:
 
 def cmd_decompose_regular(args) -> int:
     report = seminormal.regular_decompose(args.algebra, args.n)
-    _emit(report.document(), args)
+    _emit(report.to_json(), args)
     return 0
 
 

@@ -32,8 +32,9 @@ from typing import Iterable, Sequence
 from .exactnum import Scalar
 from .linalg import (
     CheckFailed, Mat, Subspace, Vec, centralizer, closure, coprime_split, eigensplit, kernel,
-    lagrange_projector, plain, vecize,
+    lagrange_projector, vecize,
 )
+from .spinalg import SpinElement
 
 
 @dataclass
@@ -321,20 +322,23 @@ def center_of_span(
 
 @dataclass
 class Block:
+    """A simple block: its type, parameters and dimension, and the central
+    idempotent that cuts it out, as anything with a `to_json`: a projector
+    `Mat` from `decompose_semisimple`, a `SpinElement` from the oracle."""
+
     btype: str  # "M" or "Q"
     params: tuple[int, int] | int
     dimension: int
-    idempotent: Mat | None = None
+    idempotent: Mat | SpinElement | None = None
     spectrum: list[tuple[int, ...]] | None = None
     partition: tuple[int, ...] | None = None
 
-    def document(self) -> dict:
-        """The JSON layout with the idempotent as a Mat leaf (see linalg.dump)."""
+    def to_json(self) -> dict:
         return {
             "type": self.btype,
             "params": list(self.params) if isinstance(self.params, tuple) else self.params,
             "dimension": self.dimension,
-            "idempotent": self.idempotent,
+            "idempotent": None if self.idempotent is None else self.idempotent.to_json(),
             "spectrum": [list(a) for a in self.spectrum] if self.spectrum else None,
             "partition": list(self.partition) if self.partition else None,
         }
@@ -378,16 +382,12 @@ class BlockReport:
     def total_block_dim(self) -> int:
         return sum(b.dimension for b in self.blocks)
 
-    def document(self) -> dict:
-        """The JSON layout with the idempotents as Mat leaves (see linalg.dump)."""
+    def to_json(self) -> dict:
         return {
             "schema": "superspin/1",
             "algebra_dim": self.algebra_dim,
-            "blocks": [b.document() for b in self.sorted_blocks()],
+            "blocks": [b.to_json() for b in self.sorted_blocks()],
         }
-
-    def to_json(self) -> dict:
-        return plain(self.document())
 
 
 def split_module_by_central(

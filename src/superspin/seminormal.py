@@ -21,8 +21,8 @@ classified on the module of rational generators read off that form, labelled
 with the tableaux's a-vectors, which give each summand's shape; its dense
 module is made only on request (`GradedRep.dense`).  The oracle reads every
 block off one joint spectrum, that of the squared YJM elements on the algebra
-they generate; it multiplies elements of the algebra and builds no matrix but
-the central idempotent of each block.
+they generate; it multiplies elements of the algebra and builds no matrix,
+each block's central idempotent being such an element.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .gradedstruct import (
     simple_block,
     split_into_irreducibles,
 )
-from .linalg import CheckFailed, Mat, Subspace, Vec, eigensplit, plain
+from .linalg import CheckFailed, Mat, Subspace, Vec, eigensplit
 from .linalg import lagrange_projector, vec_add_scaled
 from .shiftedcomb import (
     BranchingGraph,
@@ -60,7 +60,7 @@ from .spinalg import word_product
 
 SQRT2 = sqrt_rational(2)
 INV_SQRT2 = SQRT2.invert()
-MODEL_SCHEMA = "superspin/2"  # the layout of `GradedRep.document`
+MODEL_SCHEMA = "superspin/2"  # the layout of `GradedRep.to_json`
 
 
 # -- real Clifford modules -------------------------------------------------------
@@ -276,7 +276,7 @@ class GradedRep:
             self._rational = (_rational_shadow(self) if self.generators else None,)
         return self._rational[0]
 
-    def document(self) -> dict:
+    def to_json(self) -> dict:
         """The superspin/2 layout of a model: each generator, in order, as its
         blocks [row tableau, column tableau, [[word, coefficient], ...]], sorted,
         with tableaux numbered in `standard_tableaux` order, words as CliffordMat
@@ -297,9 +297,6 @@ class GradedRep:
             ],
             "build_report": self.build_report,
         }
-
-    def to_json(self) -> dict:
-        return plain(self.document())
 
     @classmethod
     def read(cls, path) -> GradedRep:
@@ -851,8 +848,8 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     of its root.  The rest is read off the block's central idempotent e: the
     graded dimensions off e's identity coefficient, and M/Q off the block's
     dimension (`simple_block`).  It multiplies elements of the algebra's
-    context, plain or Clifford-extended, and builds one matrix per block, left
-    multiplication by e.
+    context, plain or Clifford-extended, and builds no matrix: each block
+    keeps e as that element.
     """
     caps = {"A": (5, "plain"), "CA": (4, "Clifford-extended")}
     if tag not in caps:
@@ -893,7 +890,7 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
         spectrum = [a for a in avecs if sum(a) == lam]
         report.blocks.append(
             simple_block(
-                int(dims[0]), int(dims[1]), idempotent=e.matrix(), spectrum=spectrum,
+                int(dims[0]), int(dims[1]), idempotent=e, spectrum=spectrum,
                 partition=_shape_of_avec(spectrum[0]).parts,
             )
         )

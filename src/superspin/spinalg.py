@@ -381,23 +381,33 @@ class SpinElement:
     # -- JSON wire format ------------------------------------------------------
 
     def to_json(self) -> dict:
-        if len(self.ctx.words) != len(self.ctx.perms):
-            raise ValueError("an element of the Clifford extension has no JSON form")
-        terms = [
-            {"perm": list(self.ctx.perms[i]), "coeff": scalar_json(self.coeffs[i])}
-            for i in sorted(self.coeffs)
-        ]
-        return {"n": self.ctx.n, "terms": terms}
+        """{"n", "terms": [{"perm", "coeff"}, ...]}, a term per word in basis
+        order.  An element of the Clifford extension also has "clifford": true,
+        and each term of word e_S t_p lists the i of the p_i in e_S as "p"."""
+        ctx, nperm = self.ctx, len(self.ctx.perms)
+        clifford = len(ctx.words) != nperm
+        terms = []
+        for i in sorted(self.coeffs):
+            s, p = divmod(i, nperm)
+            terms.append({"perm": list(ctx.perms[p]), "coeff": scalar_json(self.coeffs[i])})
+            if clifford:
+                terms[-1]["p"] = [k + 1 for k in range(ctx.n) if s >> k & 1]
+        out = {"n": ctx.n, "terms": terms}
+        if clifford:
+            out["clifford"] = True
+        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> SpinElement:
-        ctx = context(obj["n"])
+        """The element of `to_json`'s form, in the context it names."""
+        clifford = obj.get("clifford") is True
+        ctx = context(obj["n"], clifford)
         coeffs: dict[int, Scalar] = {}
         for t in obj["terms"]:
-            perm = tuple(t["perm"])
+            s = sum(1 << (k - 1) for k in t["p"]) if clifford else 0
             c = SqrtNumber.from_json(t["coeff"])
             if c:
-                coeffs[ctx.index[perm]] = c
+                coeffs[s * len(ctx.perms) + ctx.index[tuple(t["perm"])]] = c
         return cls(ctx, coeffs)
 
 

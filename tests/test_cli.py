@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from superspin import cli, seminormal
+from superspin import cli, seminormal, spinalg
 from superspin.shiftedcomb import StrictPartition, strict_partitions
 
 
@@ -843,6 +843,33 @@ def test_decompose_regular(capsys):
     obj = json.loads(out)
     assert obj["schema"] == "superspin/1"
     assert [b["type"] for b in obj["blocks"]] == ["Q", "M"]
+
+
+@pytest.mark.parametrize("tag, n", [("A", 4), ("CA", 3)])
+def test_decompose_regular_report_holds_central_idempotents(capsys, tag, n):
+    # the printed report alone: each block's idempotent read back as an element
+    rc, out = run(capsys, "decompose-regular", tag, str(n))
+    assert rc == 0
+    obj = json.loads(out)
+    ctx = spinalg.context(n, clifford=tag == "CA")
+    size = len(ctx.words)
+    assert obj["algebra_dim"] == size
+    es = [spinalg.SpinElement.from_json(b["idempotent"]) for b in obj["blocks"]]
+    assert all(e.ctx is ctx for e in es)
+    zero, one = spinalg.SpinElement(ctx), spinalg.SpinElement(ctx, {ctx.identity: 1})
+    for i, e in enumerate(es):
+        for j, f in enumerate(es):
+            assert e * f == (e if i == j else zero), (i, j)
+    assert sum(es, zero) == one
+    # every letter: tau_1 .. tau_{n-1}, and p_1 .. p_n in the extension
+    gens = []
+    for g in range(1, len(ctx.left) + 1):
+        sign, word = ctx.left_mul_gen(g, ctx.identity)
+        gens.append(spinalg.SpinElement(ctx, {word: sign}))
+    assert len(gens) == (2 * n - 1 if tag == "CA" else n - 1)
+    for e, b in zip(es, obj["blocks"]):
+        assert all(e * g == g * e for g in gens)
+        assert size * e.coeffs.get(ctx.identity, 0) == b["dimension"]
 
 
 def test_determinism(capsys):

@@ -1,11 +1,13 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from superspin import linalg
+from superspin import seminormal as sn
 from superspin import spinalg as sa
-from superspin.exactnum import SqrtNumber, canonical, sqrt_rational
+from superspin.exactnum import SqrtNumber, canonical, scalar_json, sqrt_rational
 from superspin.linalg import Echelon, kernel
 
 
@@ -358,13 +360,35 @@ def test_spin_element_json_roundtrip():
     assert sa.SpinElement.from_json(obj) == x
 
 
-def test_extended_element_has_no_json_form():
-    # the wire format names plain permutations only: an element of the
-    # Clifford extension, with or without a Clifford letter, is refused
+def test_extended_element_json_names_its_clifford_word():
+    # an element of the Clifford extension is marked "clifford", and each term
+    # lists the p_i of its e_S: the letters n-1+i of its word, less n-1
     ctx = sa.context(2, clifford=True)
-    for coeffs in ({2: 1}, {0: 1}, {0: 1, 3: -2}):
-        with pytest.raises(ValueError, match="Clifford extension"):
-            sa.SpinElement(ctx, coeffs).to_json()
+    for coeffs in ({2: 1}, {0: 1}, {0: 1, 3: -2}, {1: Fraction(1, 2), 6: 3, 7: -1}, {}):
+        x = sa.SpinElement(ctx, coeffs)
+        obj = x.to_json()
+        assert obj["clifford"] is True and obj["n"] == 2
+        for t, i in zip(obj["terms"], sorted(coeffs), strict=True):
+            assert t["p"] == [g - 1 for g in ctx.words[i] if g >= 2]
+            assert tuple(t["perm"]) == ctx.perms[i % 2]
+        back = sa.SpinElement.from_json(json.loads(json.dumps(obj)))
+        assert back == x and back.ctx is ctx
+    # a plain element's form is unchanged, and its zero stays plain
+    assert sa.SpinElement.one(2).to_json() == {
+        "n": 2, "terms": [{"perm": [1, 2], "coeff": scalar_json(1)}]
+    }
+    assert sa.SpinElement.from_json(sa.SpinElement.zero(2).to_json()).ctx is sa.context(2)
+
+
+def test_supercenter_and_oracle_idempotents_roundtrip():
+    elements = list(sa.supercenter_basis(4))
+    for tag, top in (("A", 5), ("CA", 4)):
+        for n in range(1, top + 1):
+            elements += [b.idempotent for b in sn.regular_decompose(tag, n).blocks]
+    for x in elements:
+        back = sa.SpinElement.from_json(json.loads(json.dumps(x.to_json())))
+        assert back == x and back.ctx is x.ctx
+        assert _coeff_types([back]) == _coeff_types([x])
 
 
 def test_even_part_centralizer_lemma():
@@ -379,8 +403,6 @@ def test_even_part_centralizer_lemma():
 def test_even_part_simple_count():
     # graded simple modules correspond to simple modules of the even part:
     # the even part's center dimension is 2 #M + #Q
-    from superspin import seminormal as sn
-
     for n in (2, 3, 4, 5):
         center_even_part = sa.even_part_centralizer(n, n)
         blocks = sn.regular_decompose("A", n).blocks
