@@ -851,7 +851,7 @@ def regular_decompose(tag: str, n: int) -> BlockReport:
     context, plain or Clifford-extended, and builds no matrix: each block
     keeps e as that element.
     """
-    caps = {"A": (5, "plain"), "CA": (4, "Clifford-extended")}
+    caps = {"A": (6, "plain"), "CA": (5, "Clifford-extended")}
     if tag not in caps:
         raise ValueError(f"unknown algebra tag {tag!r}")
     cap, name = caps[tag]

@@ -947,6 +947,8 @@ def test_closed_stdout_exits_2():
         ["supercenter", "0"],
         ["supercenter", "-2"],
         ["strict-partitions", "-1"],
+        ["decompose-regular", "A", "7"],
+        ["decompose-regular", "CA", "6"],
     ],
 )
 def test_size_caps(capsys, argv):

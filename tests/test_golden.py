@@ -73,6 +73,8 @@ COMMANDS = [
     ("branching-graph 6 --oracle", ["branching-graph", "6", "--oracle"]),
     ("build-rep 4,2,1 --algebra tensor", ["build-rep", "4,2,1", "--algebra", "tensor", "--out", "{out}"]),
     ("verify <build-rep 4,2,1 --algebra tensor>", ["verify", "{model:build-rep 4,2,1 --algebra tensor}"]),
+    ("decompose-regular A 6", ["decompose-regular", "A", "6"]),
+    ("decompose-regular CA 5", ["decompose-regular", "CA", "5"]),
 ]
 
 

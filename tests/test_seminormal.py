@@ -459,10 +459,22 @@ def test_regular_decompose_examples():
         ("M", (2, 2)),
         ("Q", 4),
     ]
-    with pytest.raises(ValueError, match="n <= 5 for the plain"):
-        sn.regular_decompose("A", 6)
-    with pytest.raises(ValueError, match="n <= 4 for the Clifford-extended"):
-        sn.regular_decompose("CA", 5)
+    # at the caps, a block per strict partition; at A 6, the blocks of the
+    # algebra read off the branching graph
+    for tag, n, dim in (("CA", 5, 3840), ("A", 6, 720)):
+        rep = sn.regular_decompose(tag, n)
+        assert rep.algebra_dim == rep.total_block_dim() == dim
+        assert sorted(b.partition for b in rep.blocks) == sorted(
+            p.parts for p in strict_partitions(n)
+        )
+    graph = sc.algebra_from_graph(sc.schur_branching_graph(6))
+    assert sorted((tuple(b["partition"]), b["type"], b["params"], b["dimension"]) for b in graph) == (
+        sorted((b.partition, b.btype, b.params, b.dimension) for b in rep.blocks)
+    )
+    with pytest.raises(ValueError, match="n <= 6 for the plain"):
+        sn.regular_decompose("A", 7)
+    with pytest.raises(ValueError, match="n <= 5 for the Clifford-extended"):
+        sn.regular_decompose("CA", 6)
     for tag in ("A_n", "plain", "clifford_tensor_A_n", "tensor"):
         with pytest.raises(ValueError, match="unknown algebra tag"):
             sn.regular_decompose(tag, 3)

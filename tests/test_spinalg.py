@@ -382,7 +382,7 @@ def test_extended_element_json_names_its_clifford_word():
 
 def test_supercenter_and_oracle_idempotents_roundtrip():
     elements = list(sa.supercenter_basis(4))
-    for tag, top in (("A", 5), ("CA", 4)):
+    for tag, top in (("A", 6), ("CA", 5)):
         for n in range(1, top + 1):
             elements += [b.idempotent for b in sn.regular_decompose(tag, n).blocks]
     for x in elements:
