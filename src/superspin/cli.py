@@ -57,8 +57,12 @@ def _output(args):
 
 
 def _emit(payload, args) -> None:
+    """Write json.dumps(payload, sort_keys=True, indent=2) and a newline, in
+    pieces: one large write to a pipe that its reader closes can end short
+    without an error, and a closed stdout would then exit 0."""
     with _output(args) as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.writelines(json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload))
+        fh.write("\n")
 
 
 def _emit_text(text: str, args) -> None:
