@@ -3,10 +3,13 @@
 Exit codes: 0 success, 1 a verification or acceptance check failed, 2 invalid
 input or usage (an unwritable --out file or a closed stdout included).  Every
 emitted JSON document carries a "schema" field and identical invocations
-produce byte-identical output, json.dumps(sort_keys=True, indent=2) of the
-document.  `build-rep` writes a model in its factored form, "superspin/2"
-(`GradedRep.to_json`); every other document is "superspin/1".  `verify` reads
-a superspin/2 model file and refuses any other schema (`GradedRep.read`).
+produce byte-identical output.  A report is for people: json.dumps(
+sort_keys=True, indent=2) of the document.  A model file is data for
+programs: `build-rep` writes a model in its factored form, "superspin/2"
+(`GradedRep.to_json`), as compact JSON on one line, json.dumps(sort_keys=True,
+separators=(",", ":")); every other document is "superspin/1".  `verify` reads
+a superspin/2 model file in any JSON layout, the indented one of earlier
+versions included, and refuses any other schema (`GradedRep.read`).
 `decompose-regular` writes each block's central idempotent as an element of
 the algebra (`SpinElement.to_json`), not as a matrix.
 """
@@ -56,12 +59,14 @@ def _output(args):
         raise UsageError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from exc
 
 
-def _emit(payload, args) -> None:
-    """Write json.dumps(payload, sort_keys=True, indent=2) and a newline, in
-    pieces: one large write to a pipe that its reader closes can end short
+def _emit(payload, args, compact: bool = False) -> None:
+    """Write json.dumps(payload, sort_keys=True, indent=2), or with compact
+    json.dumps(payload, sort_keys=True, separators=(",", ":")), and a newline,
+    in pieces: one large write to a pipe that its reader closes can end short
     without an error, and a closed stdout would then exit 0."""
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
     with _output(args) as fh:
-        fh.writelines(json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload))
+        fh.writelines(json.JSONEncoder(sort_keys=True, **layout).iterencode(payload))
         fh.write("\n")
 
 
@@ -148,7 +153,7 @@ def cmd_branching_graph(args) -> int:
 def cmd_build_rep(args) -> int:
     shape, tensor = _parse_partition(args.partition), args.algebra == "tensor"
     builder = seminormal.build_rep_clifford_tensor if tensor else seminormal.build_rep_plain
-    _emit(builder(shape).to_json(), args)
+    _emit(builder(shape).to_json(), args, compact=True)
     return 0
 
 

@@ -714,17 +714,26 @@ def test_verify_of_a_builders_file_matches_the_parse(tmp_path, parts, tensor):
     _build_file(path, parts, tensor)
     rc, out, err = _verify(path)
     assert (rc, err) == (0, "")
-    assert (rc, out) == _parsed_verify(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    assert (rc, out) == _parsed_verify(text)
     built = _builder(tensor)(StrictPartition(parts))
     assert json.loads(out)["report"] == seminormal.verify_relations(built)
+    # the file is compact JSON on one line, the model's document exactly
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == built.to_json()
+    # the indented layout that earlier versions wrote verifies alike, byte
+    # for byte
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    assert _verify(indented) == (rc, out, err)
 
 
 def _near_misses(text):
-    """label -> the text of the builder's file with one change."""
-    at = text.rfind('\n  "shape": ') + len('\n  "shape": ')
+    """label -> the text of the builder's compact file with one change."""
+    at = text.rfind(',"shape":') + len(',"shape":')
 
     def tail(value):
-        return text[:at] + json.dumps(value, indent=2).replace("\n", "\n  ") + "\n}\n"
+        return text[:at] + json.dumps(value, separators=(",", ":")) + "}\n"
 
     obj = json.loads(text)
     _flip_first_coefficient(obj)
@@ -735,8 +744,8 @@ def _near_misses(text):
         "[30]": tail([30]),
         "[3, 3]": tail([3, 3]),
         '"x"': tail("x"),
-        "unknown algebra": text.replace('"algebra": "A_n"', '"algebra": "B_n"', 1),
-        "deep shape": text[:at] + "[" * 5000 + "]" * 5000 + "\n}\n",
+        "unknown algebra": text.replace('"algebra":"A_n"', '"algebra":"B_n"', 1),
+        "deep shape": text[:at] + "[" * 5000 + "]" * 5000 + "}\n",
     }
 
 
@@ -783,9 +792,11 @@ def test_verify_of_changed_bytes_takes_the_parse_path(tmp_path):
     _build_file(source, (3, 2))
     data = source.read_bytes()
     builders = _verify(source)
-    inside = data.index(b'"blocks": [') + 40  # in the first block of the first generator
+    inside = data.index(b'"blocks":[') + 40  # in the first block of the first generator
+    # the indented layout of earlier versions, so that CRLF falls inside the document
+    indented = json.dumps(json.loads(data), sort_keys=True, indent=2).encode() + b"\n"
     variants = {
-        "CRLF": data.replace(b"\n", b"\r\n"),
+        "CRLF": indented.replace(b"\n", b"\r\n"),
         "bytes after the final newline": data + b"\n",
         "invalid UTF-8": data[:inside] + b"\xff" + data[inside + 1 :],
         "cut mid-blocks": data[:inside],
