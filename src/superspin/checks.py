@@ -313,7 +313,11 @@ def check_all(max_n: int = 5, negative_control: bool = False) -> list[dict]:
     rep = seminormal.build_rep_plain(StrictPartition(shape))
     bad = [r for r in seminormal.verify_relations(rep, seminormal.mutated_rep(rep)) if r["status"] == "fail"]
     if negative_control:
-        detail = f"injected mutation produced {len(bad)} relation failures" if bad else "mutation was NOT detected"
+        detail = "mutation was NOT detected"
+        if bad:
+            first = bad[0]["first_defect"]
+            detail = (f"injected mutation produced {len(bad)} relation failures; first: {bad[0]['identity']}, "
+                      f"defect {SqrtNumber.from_json(first['value'])} at row {first['row']}, column {first['col']}")
         results.append(_entry(0, "negative control: sign-flipped build must fail verification", False, detail))
     else:
         results.append(_entry(0, "mutation sensitivity: flipped sign is detected", bool(bad), f"{len(bad)} relation failures on the mutated build"))

@@ -903,6 +903,12 @@ def test_check_all_negative_control(capsys):
     rc, out = run(capsys, "check-all", "--max-n", "2", "--negative-control")
     assert rc == 1
     assert "FAIL" in out
+    # the first failing identity and its first nonzero defect entry, exactly:
+    # tau_1 flipped at (0, 0) makes tau_1^2 - 1 read -2 there
+    assert out.endswith(
+        "       injected mutation produced 1 relation failures; "
+        "first: tau_1^2 = 1, defect -2 at row 0, column 0\n"
+    )
 
 
 def test_out_file(tmp_path, capsys):
