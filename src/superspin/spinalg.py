@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exactnum import Scalar, SqrtNumber, canonical, scalar_json
-from .linalg import Mat, Subspace, Vec, centralizer, closure
+from .linalg import Subspace, Vec, centralizer, closure
 
 Perm = tuple  # one-line notation, 1-based values
 
@@ -359,18 +359,6 @@ class SpinElement:
     def apply(self, v: Vec) -> Vec:
         """The coefficients of this element times v, v a coefficient vector."""
         return (self * SpinElement(self.ctx, v)).coeffs
-
-    def matrix(self) -> Mat:
-        """Left multiplication on the word basis, as a matrix: each word sends
-        a column to one row, a different row per word, so no entry adds."""
-        ctx, size = self.ctx, len(self.ctx.words)
-        rows: dict[int, Vec] = {}
-        for a, c in self.coeffs.items():
-            tables = [ctx.left[g - 1] for g in reversed(ctx.words[a])]
-            for col in range(size):
-                sign, q = _walk(tables, col)
-                rows.setdefault(q, {})[col] = c if sign > 0 else -c
-        return Mat(size, size, rows)
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -484,7 +484,7 @@ def test_regular_idempotents():
     rep = sn.regular_decompose("A", 4)
     total = Mat.zero(24)
     for b in rep.blocks:
-        e = b.idempotent.matrix()
+        e = _left_mult_mat(b.idempotent.ctx, b.idempotent.coeffs)
         assert e * e == e
         total = total + e
     assert total == Mat.identity(24)
@@ -821,12 +821,14 @@ def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
     sympy = pytest.importorskip("sympy")
     built: list = []
     operators: list = []
-    matrix, span = spinalg.SpinElement.matrix, spinalg.subalgebra_span
+    init, span = linalg.Mat.__init__, spinalg.subalgebra_span
     project = sn.lagrange_projector
+    size = len(spinalg.context(n, clifford=tag == "CA").words)
 
-    def build(x):
-        built.append(matrix(x))
-        return built[-1]
+    def build(m, nrows, ncols, rows=None):
+        init(m, nrows, ncols, rows)
+        if size in (nrows, ncols):
+            built.append(m)
 
     def spans(generators):
         operators.extend(generators)
@@ -837,12 +839,12 @@ def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
         return project(one, terms)
 
     with monkeypatch.context() as mp:
-        mp.setattr(spinalg.SpinElement, "matrix", build)
+        mp.setattr(linalg.Mat, "__init__", build)
         mp.setattr(spinalg, "subalgebra_span", spans)
         mp.setattr(sn, "lagrange_projector", projector)
         fast = sn.regular_decompose(tag, n)
-    # the record sees every matrix the oracle builds: none, each block keeps
-    # its idempotent as an element
+    # the record sees every matrix on the algebra that the oracle builds:
+    # none, each block keeps its idempotent as an element
     assert built == []
     # the oracle's operators (the total YJM square and the n squares pi_k^2)
     # have int coefficients alone
@@ -854,10 +856,9 @@ def test_oracle_fast_path_matches_sqrtnumber_arithmetic(monkeypatch, tag, n):
     assert slow.to_json() == fast.to_json()
     # the same values in the same canonical types, down to the idempotents'
     # matrices of left multiplication
-    fast_mats = [b.idempotent.matrix() for b in fast.blocks]
-    assert [_typed_rows(b.idempotent.matrix()) for b in slow.blocks] == [
-        _typed_rows(m) for m in fast_mats
-    ]
+    fast_mats = [_left_mult_mat(b.idempotent.ctx, b.idempotent.coeffs) for b in fast.blocks]
+    assert [_typed_rows(_left_mult_mat(b.idempotent.ctx, b.idempotent.coeffs))
+            for b in slow.blocks] == [_typed_rows(m) for m in fast_mats]
     assert set().union(*(_entry_types(m) for m in fast_mats)) <= {int, Fraction}
     # sympy: orthogonal idempotents that sum to the identity
     dim = fast_mats[0].nrows
@@ -906,8 +907,8 @@ def _left_mult_mat(ctx, coeffs):
     "tag, n", [("A", 3), ("A", 4), ("A", 5), ("CA", 2), ("CA", 3), ("CA", 4)]
 )
 def test_element_products_match_left_multiplication(tag, n):
-    # seeded random pairs: x * y, x.apply(v) and x.matrix() against the
-    # reference left multiplication
+    # seeded random pairs: x * y and x.apply(v) against the reference left
+    # multiplication
     ctx = spinalg.context(n, clifford=tag == "CA")
     rng = random.Random(f"{tag}{n}")
     scalars = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
@@ -923,7 +924,6 @@ def test_element_products_match_left_multiplication(tag, n):
         assert _left_mult_mat(ctx, (x * y).coeffs) == lx * ly
         v = rand()
         assert x.apply(v) == lx.apply(v)
-        assert x.matrix() == lx
     # a plain and an extended element of the same rank do not mix
     plain = spinalg.SpinElement.one(n)
     ext = spinalg.SpinElement(spinalg.context(n, clifford=True), {plain.ctx.identity: 1})
@@ -1055,7 +1055,10 @@ def _subspace_blocks(tag, n):
 def test_idempotent_blocks_match_subspace_blocks(tag, n):
     fast = sn.regular_decompose(tag, n)
     # the oracle's idempotents as their matrices of left multiplication
-    fast.blocks = [replace(b, idempotent=b.idempotent.matrix()) for b in fast.blocks]
+    fast.blocks = [
+        replace(b, idempotent=_left_mult_mat(b.idempotent.ctx, b.idempotent.coeffs))
+        for b in fast.blocks
+    ]
     slow = _subspace_blocks(tag, n)
     assert fast.to_json() == slow.to_json()
     assert [_typed_rows(b.idempotent) for b in fast.blocks] == [
