@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 a verification or acceptance check failed, 2 invalid
 input or usage (an unwritable --out file or a closed stdout included).  Every
 emitted JSON document carries a "schema" field and identical invocations
-produce byte-identical output.  A report is for people: json.dumps(
-sort_keys=True, indent=2) of the document.  A model file is data for
-programs: `build-rep` writes a model in its factored form, "superspin/2"
-(`GradedRep.to_json`), as compact JSON on one line, json.dumps(sort_keys=True,
+produce byte-identical output.  A report is for people, written as
+json.dumps(sort_keys=True, indent=2); a model file is data for programs,
+written compactly on one line.  `build-rep` writes a model in its factored
+form, "superspin/2" (`GradedRep.to_json`), as json.dumps(sort_keys=True,
 separators=(",", ":")); every other document is "superspin/1".  `verify` reads
 a superspin/2 model file in any JSON layout, the indented one of earlier
 versions included, and refuses any other schema (`GradedRep.read`).
